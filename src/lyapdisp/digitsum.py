@@ -157,7 +157,8 @@ def phi(n: int) -> FluctuationSample:
     j, f = _split_power_of_two(n)
     rational = (2 * summatory_digit_sum(n) - j * n) / (2 * n)
     value = rational - math.log2(f) / 2.0
-    assert value <= 0.0
+    if not value <= 0.0:
+        raise ArithmeticError(f"phi({n}) = {value!r} is above its supremum 0")
     return FluctuationSample(n=n, x=math.log2(f), value=value)
 
 
@@ -171,7 +172,8 @@ def psi(n: int) -> FluctuationSample:
         raise ValueError("n must be >= 1")
     j, f = _split_power_of_two(n)
     value = (summatory_f(n) / 3**j) * f**-LOG2_3
-    assert 0.0 < value <= 1.0
+    if not 0.0 < value <= 1.0:
+        raise ArithmeticError(f"psi({n}) = {value!r} is outside (0, 1]")
     return FluctuationSample(n=n, x=math.log2(f), value=value)
 
 

@@ -68,6 +68,15 @@ class TestFluctuationFunctions:
             assert ds.phi(n).value <= 0.0
             assert 0.0 < ds.psi(n).value <= 1.0
 
+    def test_range_violations_raise(self, monkeypatch):
+        # explicit checks rather than asserts, so `python -O` keeps them
+        monkeypatch.setattr(ds, "summatory_digit_sum", lambda n: n * n)
+        with pytest.raises(ArithmeticError, match="phi"):
+            ds.phi(6)
+        monkeypatch.setattr(ds, "summatory_f", lambda n: 0)
+        with pytest.raises(ArithmeticError, match="psi"):
+            ds.psi(6)
+
     def test_sample_fields(self):
         sample = ds.phi(6)
         assert sample.n == 6

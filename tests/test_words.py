@@ -28,6 +28,26 @@ def fact_for(name: str):
     return conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
 
 
+def conjugated_fact_for(name: str):
+    """The family under D -> Q^-1 D Q for a fixed positive rational diagonal Q.
+
+    Corner values are unchanged, but the scaled integer rows grow far past
+    2^53 by depth 18, so scans of it take the exact path.
+    """
+    fam = catalog.get_family(name)
+    diag = [Fraction(2 * i + 3, i + 2) for i in range(fam.dim)]
+
+    def conj(matrix):
+        return RationalMatrix([
+            [matrix.rows[i][j] * diag[j] / diag[i] for j in range(fam.dim)]
+            for i in range(fam.dim)
+        ])
+
+    return conjugate.sentinel_factorization(
+        conj(fam.d0), conj(fam.d1), fam.q, f"{name}-conj"
+    )
+
+
 class TestWordsOfLength:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("length", range(0, 13))
@@ -177,22 +197,41 @@ def reference_stats(fact, max_len, ts=()):
     )
 
 
+def assert_matches(stats, counts, zeros, sum_ln, sum_ln2, pow_sums, rel=1e-14):
+    assert list(stats.counts) == counts
+    assert list(stats.zero_words) == zeros
+    for a, b in zip(stats.sum_ln, sum_ln):
+        assert a == pytest.approx(b, rel=rel)
+    for a, b in zip(stats.sum_ln2, sum_ln2):
+        assert a == pytest.approx(b, rel=rel)
+    for got, want in zip(stats.pow_sums, pow_sums):
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=rel)
+
+
 class TestScanCornerStats:
-    @pytest.mark.parametrize("name", ["g1", "g2", "g3", "h3", "g5", "g6"])
+    @pytest.mark.parametrize(
+        "name", ["g1", "g2", "g3", "h3", "g4", "h4", "g5", "g6"]
+    )
     def test_matches_fold_aggregates(self, name):
         fact = fact_for(name)
         ts = (2.0, -0.5)
         stats = words.scan_corner_stats(fact, 9, ts=ts, threads=1)
-        counts, zeros, sum_ln, sum_ln2, pow_sums = reference_stats(fact, 9, ts)
-        assert list(stats.counts) == counts
-        assert list(stats.zero_words) == zeros
-        for a, b in zip(stats.sum_ln, sum_ln):
-            assert a == pytest.approx(b, abs=1e-10)
-        for a, b in zip(stats.sum_ln2, sum_ln2):
-            assert a == pytest.approx(b, abs=1e-9)
-        for got, want in zip(stats.pow_sums, pow_sums):
-            for a, b in zip(got, want):
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        assert_matches(stats, *reference_stats(fact, 9, ts))
+
+    def test_chunked_scan_matches_fold_aggregates(self):
+        # depth 21 is above the depth-18 split, so the scan runs in chunks
+        fact = fact_for("g3")
+        assert words._pick_prefix_len(fact.q, 21) > 0
+        ts = (1.0, -0.5)
+        stats = words.scan_corner_stats(fact, 21, ts=ts, threads=1)
+        assert_matches(stats, *reference_stats(fact, 21, ts))
+
+    def test_fields_are_python_numbers(self):
+        stats = words.scan_corner_stats(fact_for("g5"), 20, ts=(2.0,), threads=2)
+        assert all(type(c) is int for c in stats.counts + stats.zero_words)
+        sums = stats.sum_ln + stats.sum_ln2 + stats.pow_sums[0]
+        assert all(type(v) is float for v in sums)
 
     def test_counts_match_word_count(self):
         for name in ("g2", "g5"):
@@ -228,10 +267,16 @@ class TestScanCornerStats:
         for a, b in zip(stats.sum_ln, sum_ln):
             assert a == pytest.approx(b, abs=1e-12)
 
-    def test_thread_count_does_not_change_bits(self):
-        fact = fact_for("g3")
-        one = words.scan_corner_stats(fact, 21, ts=(1.0,), threads=1)
-        two = words.scan_corner_stats(fact, 21, ts=(1.0,), threads=2)
+    @pytest.mark.parametrize("fact,max_len", [
+        (fact_for("g3"), 21),
+        # chunks grow past ROW_CAP rows and are split
+        (fact_for("g5"), 24),
+        # the exact path, on Python ints
+        (conjugated_fact_for("g3"), 20),
+    ], ids=["g3", "g5-row-cap", "g3-conj-exact"])
+    def test_thread_count_does_not_change_bits(self, fact, max_len):
+        one = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=1)
+        two = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=2)
         assert one == two
 
     def test_max_len_zero(self):
@@ -239,3 +284,58 @@ class TestScanCornerStats:
         stats = words.scan_corner_stats(fact, 0, threads=1)
         assert stats.counts == (1,)
         assert stats.sum_ln == (0.0,)
+
+
+class TestScanPath:
+    def test_conjugated_family_takes_exact_path(self):
+        assert words._scan_context(conjugated_fact_for("g3"), 19, ()).exact
+        assert not words._scan_context(fact_for("g3"), 19, ()).exact
+
+    def test_deep_integer_family_takes_exact_path(self):
+        # g2's corner on 1^k is (2^(k+2) - (-1)^k) / 3, past 2^53 from k = 52
+        fact = fact_for("g2")
+        assert not words._scan_context(fact, 50, ()).exact
+        assert words._scan_context(fact, 60, ()).exact
+        stats = words.scan_corner_stats(fact, 60, threads=1)
+        for k in range(61):
+            corner = (2 ** (k + 2) - (-1) ** k) // 3
+            assert stats.sum_ln[k] == pytest.approx(math.log(corner), rel=1e-14)
+
+    @pytest.mark.parametrize("name", catalog.family_names())
+    def test_entry_bound_covers_every_row(self, name):
+        max_len = 14
+        fact = fact_for(name)
+        d0 = [[int(x) for x in row] for row in fact.d0.rows]
+        d1 = [[int(x) for x in row] for row in fact.d1.rows]
+        alpha = [int(x) for x in fact.alpha]
+        m = fact.dim
+
+        def times(row, mat):
+            return [sum(row[i] * mat[i][j] for i in range(m)) for j in range(m)]
+
+        def corner(row):
+            return sum(r * a for r, a in zip(times(row, d1), alpha))
+
+        # every live prefix of length < max_len, with its trailing zero run
+        largest = 0
+        stack = [([int(x) for x in fact.beta], 0, 0)]
+        while stack:
+            row, run, depth = stack.pop()
+            largest = max(largest, *map(abs, row), abs(corner(row)))
+            if depth + 1 < max_len:
+                stack.append((times(row, d1), 0, depth + 1))
+                if run + 1 < fact.q:
+                    stack.append((times(row, d0), run + 1, depth + 1))
+        ctx = words._scan_context(fact, max_len, ())
+        assert largest <= ctx.bound < 2**53
+        assert not ctx.exact
+
+    @pytest.mark.parametrize("name", ["g3", "h4", "g5"])
+    def test_conjugated_sums_match_parent(self, name):
+        ts = (2.0, -0.5)
+        conj = words.scan_corner_stats(conjugated_fact_for(name), 19, ts=ts)
+        base = words.scan_corner_stats(fact_for(name), 19, ts=ts)
+        assert_matches(
+            conj, list(base.counts), list(base.zero_words), base.sum_ln,
+            base.sum_ln2, base.pow_sums,
+        )
