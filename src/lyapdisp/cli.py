@@ -254,9 +254,8 @@ def _cmd_simulate(args) -> int:
     else:
         result = mcsim.simulate(config)
     if args.csv:
-        log_norms, _ = mcsim.log_product_norms(config)
         rows = ["trial,log_norm"]
-        rows += [f"{i},{v!r}" for i, v in enumerate(log_norms)]
+        rows += [f"{i},{v!r}" for i, v in enumerate(result.log_norms)]
         _write(args.csv, "\n".join(rows))
     _write(args.json, dumps_fixed(result.to_json_dict()))
     return 0

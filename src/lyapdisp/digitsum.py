@@ -145,6 +145,25 @@ def _split_power_of_two(n: int) -> tuple[int, float]:
     return j, n / (1 << j)
 
 
+def _phi_parts(n: int, s: int) -> tuple[float, float]:
+    """(log2 f, Phi) at n = f * 2^j from the exact S(n) = s; see `phi`."""
+    j, f = _split_power_of_two(n)
+    x = math.log2(f)
+    value = (2 * s - j * n) / (2 * n) - x / 2.0
+    if not value <= 0.0:
+        raise ArithmeticError(f"phi({n}) = {value!r} is above its supremum 0")
+    return x, value
+
+
+def _psi_parts(n: int, s: int) -> tuple[float, float]:
+    """(log2 f, Psi) at n = f * 2^j from the exact Sf(n) = s; see `psi`."""
+    j, f = _split_power_of_two(n)
+    value = (s / 3**j) * f**-LOG2_3
+    if not 0.0 < value <= 1.0:
+        raise ArithmeticError(f"psi({n}) = {value!r} is outside (0, 1]")
+    return math.log2(f), value
+
+
 def phi(n: int) -> FluctuationSample:
     """Average-digit-sum fluctuation: S(n)/n - log2(n)/2, exactly.
 
@@ -154,12 +173,8 @@ def phi(n: int) -> FluctuationSample:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    j, f = _split_power_of_two(n)
-    rational = (2 * summatory_digit_sum(n) - j * n) / (2 * n)
-    value = rational - math.log2(f) / 2.0
-    if not value <= 0.0:
-        raise ArithmeticError(f"phi({n}) = {value!r} is above its supremum 0")
-    return FluctuationSample(n=n, x=math.log2(f), value=value)
+    x, value = _phi_parts(n, summatory_digit_sum(n))
+    return FluctuationSample(n=n, x=x, value=value)
 
 
 def psi(n: int) -> FluctuationSample:
@@ -170,11 +185,8 @@ def psi(n: int) -> FluctuationSample:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    j, f = _split_power_of_two(n)
-    value = (summatory_f(n) / 3**j) * f**-LOG2_3
-    if not 0.0 < value <= 1.0:
-        raise ArithmeticError(f"psi({n}) = {value!r} is outside (0, 1]")
-    return FluctuationSample(n=n, x=math.log2(f), value=value)
+    x, value = _psi_parts(n, summatory_f(n))
+    return FluctuationSample(n=n, x=x, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +291,31 @@ def _scan_extremes(kind: str, j_max: int) -> tuple[float, int, float, int]:
     return best_min, best_min_at, best_max, best_max_at
 
 
+def _summatory_array(kind: str, ns: np.ndarray) -> np.ndarray:
+    """S(n) (kind 'phi') or Sf(n) ('psi') for every n in ns, exactly in int64.
+
+    The n' < n that agree with n above a set bit p of n and have a 0 at p
+    are 2^p numbers sharing the i set bits of n above p, so
+    S(n) = sum_p (i 2^p + p 2^(p-1)) and Sf(n) = sum_p 2^i 3^p over the set
+    bits p of n.  S(n) <= 40 * 2^39 < 2^45 for n <= 2^40, while
+    Sf(n) <= 3^39 < 2^63 needs n <= 2^39.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    top = int(ns.max())
+    if top > 1 << (40 if kind == "phi" else 39):
+        raise OverflowError(f"{kind} summatory values of n = {top} exceed int64")
+    total = np.zeros_like(ns)
+    above = np.zeros_like(ns)
+    for p in range(top.bit_length() - 1, -1, -1):
+        bit = (ns >> p) & 1
+        if kind == "phi":
+            total += bit * ((above << p) + (p << p >> 1))
+        else:
+            total += bit * (np.int64(3**p) << above)
+        above += bit
+    return total
+
+
 def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
     # stay below 2^{j+1}: the top endpoint wraps around to x = 0
     grid = np.round(2.0 ** (j + np.arange(samples + 1) / samples)).astype(np.int64)
@@ -292,9 +329,11 @@ def _scan_statistics(kind: str, j_min: int, j_max: int, samples: int,
     inf_v, inf_at, sup_v, sup_at = _scan_extremes(kind, j_max)
 
     ns = _log_uniform_samples(j_max - 1, samples)
-    pts = [point(int(n)) for n in ns]
-    xs = np.array([p.x for p in pts])
-    vals = np.array([p.value for p in pts])
+    parts = _phi_parts if kind == "phi" else _psi_parts
+    sums = _summatory_array(kind, ns)
+    pts = [parts(n, s) for n, s in zip(ns.tolist(), sums.tolist())]
+    xs = np.array([x for x, _ in pts])
+    vals = np.array([v for _, v in pts])
 
     # trapezoid over one period; both endpoints sit at powers of two where
     # the fluctuation takes its supremum value exactly
@@ -433,38 +472,73 @@ def _resolve_family(family) -> MatrixFamily:
     return catalog.get_family(family)
 
 
-def _word_vectors(fam: MatrixFamily, v, order: str, count: int):
-    """D_{z(n)} v for n = 0..count-1 (exact), via the doubling recursion."""
+def _int_matrices(fam: MatrixFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(D0, D1) as int64 arrays; OverflowError if an entry does not fit."""
+    if any(x.denominator != 1 for mat in (fam.d0, fam.d1)
+           for row in mat.rows for x in row):
+        raise ValueError("integer matrices required for the int64 tables")
+    return tuple(
+        np.array([[int(x) for x in row] for row in mat.rows], dtype=np.int64)
+        for mat in (fam.d0, fam.d1)
+    )
+
+
+def _check_int64(factor: np.ndarray, growth: int) -> None:
+    """Raise OverflowError unless a product with `factor` fits in int64.
+
+    growth bounds the absolute sums of the other factor along the summed
+    index, so no entry of the product, nor any partial sum, exceeds
+    max|factor| * growth.
+    """
+    if max(int(factor.max()), -int(factor.min())) * growth >= 1 << 63:
+        raise OverflowError("int64 table would overflow")
+
+
+def _doubling_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
+                    levels: int) -> np.ndarray:
+    """X(2n+d) = X(n) @ mats[d] for n < 2^levels with X(0) = seed, in int64.
+
+    X(n) is seed times the mats product over the binary digits of n, most
+    significant digit first; index 0 is pinned to seed (the empty word).
+    """
+    growth = max(int(np.abs(mat).sum(axis=0).max()) for mat in mats)
+    table = seed[None]
+    for _ in range(levels):
+        _check_int64(table, growth)
+        new = np.empty((table.shape[0] * 2,) + seed.shape, dtype=np.int64)
+        new[0::2] = table @ mats[0]
+        new[1::2] = table @ mats[1]
+        new[0] = seed
+        table = new
+    return table
+
+
+def _word_products(fam: MatrixFamily, order: str, count: int) -> np.ndarray:
+    """(count, m, m) int64 stack of D_{z(n)} for n < count.
+
+    lsb: z(2n+d) = d . z(n), so D_{z(2n+d)} = D_d D_{z(n)} and the
+    transposes double on the right; msb: z(2n+d) = z(n) . d.
+    """
+    d0, d1 = _int_matrices(fam)
+    levels = max(1, (count - 1).bit_length())
+    eye = np.eye(fam.dim, dtype=np.int64)
     if order == "lsb":
-        # z(2n+d) = d . z(n), so the new factor multiplies on the left
-        vecs = [tuple(v)]
-        for n in range(1, count):
-            half, d = divmod(n, 2)
-            mat = fam.d1 if d else fam.d0
-            if n == 1:
-                base = tuple(v)
-            else:
-                base = vecs[half]
-            vecs.append(tuple(
-                sum((mat.rows[i][j] * base[j] for j in range(fam.dim)),
-                    Fraction(0))
-                for i in range(fam.dim)
-            ))
-        return vecs
-    # msb: z(2n+d) = z(n) . d, track matrices
-    mats = [exactmat.identity(fam.dim)]
-    for n in range(1, count):
-        half, d = divmod(n, 2)
-        mat = fam.d1 if d else fam.d0
-        base = mats[half] if n > 1 else exactmat.identity(fam.dim)
-        mats.append(exactmat.mat_mul(base, mat))
-    return [
-        tuple(
-            sum((m.rows[i][j] * v[j] for j in range(fam.dim)), Fraction(0))
-            for i in range(fam.dim)
-        )
-        for m in mats
-    ]
+        table = _doubling_table(eye, (d0.T, d1.T), levels).transpose(0, 2, 1)
+    else:
+        table = _doubling_table(eye, (d0, d1), levels)
+    return table[:count]
+
+
+def _word_vectors(products: np.ndarray, v) -> list[tuple[Fraction, ...]]:
+    """D_{z(n)} v for every matrix of a `_word_products` stack, exactly.
+
+    v is scaled to integers, multiplied in int64 and divided back as
+    Fractions.
+    """
+    v_int, den = _int_scaled(v)
+    _check_int64(products, int(np.abs(v_int).sum()))
+    return [tuple(Fraction(x, den) for x in row)
+            for row in (products @ v_int).tolist()]
 
 
 def _solve_row(vectors, targets) -> tuple[Fraction, ...] | None:
@@ -552,8 +626,9 @@ def fit_linear_representation(family, n_check: int = 4096) -> LinearRepresentati
     fit_n = min(max(4 * fam.dim**2, 16), n_check)
     first_mismatch = None
     for order in ("lsb", "msb"):
+        products = _word_products(fam, order, fit_n)
         for v in _candidate_v(fam):
-            vectors = _word_vectors(fam, v, order, fit_n)
+            vectors = _word_vectors(products, v)
             u = _solve_row(vectors, oracle[:fit_n])
             if u is None:
                 continue
@@ -597,32 +672,16 @@ def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
     levels = max(1, (n_top - 1).bit_length())
     if (1 << levels) * m > 1 << 26:
         raise ValueError("n_top too large for the in-memory level table")
-    d0 = np.array([[int(x) for x in row] for row in fam.d0.rows], dtype=np.int64)
-    d1 = np.array([[int(x) for x in row] for row in fam.d1.rows], dtype=np.int64)
-    if any(x.denominator != 1 for row in fam.d0.rows for x in row) or any(
-        x.denominator != 1 for row in fam.d1.rows for x in row
-    ):
-        raise ValueError("integer matrices required for the fast count table")
+    d0, d1 = _int_matrices(fam)
     u_int, u_den = _int_scaled(rep.u)
     v_int, v_den = _int_scaled(rep.v)
     scale = u_den * v_den
     if rep.digit_order == "lsb":
-        table = v_int[None, :].copy()
-        mats = (d0.T, d1.T)
-        pinned = v_int
+        table = _doubling_table(v_int, (d0.T, d1.T), levels)
     else:
-        table = u_int[None, :].copy()
-        mats = (d0, d1)
-        pinned = u_int
-    for _ in range(levels):
-        new = np.empty((table.shape[0] * 2, m), dtype=np.int64)
-        new[0::2] = table @ mats[0]
-        new[1::2] = table @ mats[1]
-        new[0] = pinned
-        if np.abs(new).max() > 1 << 61:
-            raise OverflowError("count table exceeds int64 range")
-        table = new
+        table = _doubling_table(u_int, (d0, d1), levels)
     other = u_int if rep.digit_order == "lsb" else v_int
+    _check_int64(table, int(np.abs(other).sum()))
     raw = table[:n_top] @ other
     if ((raw % scale) != 0).any():
         raise ArithmeticError("representation does not produce integer counts")

@@ -3,8 +3,7 @@
 Matrices are small (catalog families are at most 8x8, Kronecker squares at
 most 64x64) and products of them grow exponentially, so entries are kept as
 exact `fractions.Fraction` values end to end.  Floating point appears only
-in `spectral_radius`, `poly_eval` and `inf_norm`, which feed the replica
-computations.
+in `spectral_radius` and `poly_eval`, which feed the replica computations.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "spectral_radius",
     "poly_eval",
     "poly_residual",
-    "inf_norm",
     "DimensionMismatch",
     "KroneckerCapExceeded",
     "RankNotOne",
@@ -357,12 +355,3 @@ def poly_residual(coeffs: Sequence[int], x: float) -> float:
     deriv = abs(poly_eval(deriv_coeffs, x)) if deriv_coeffs else 0.0
     return value / max(deriv, 1e-300)
 
-
-def inf_norm(a) -> float:
-    """Maximum absolute row sum."""
-    if isinstance(a, RationalMatrix):
-        return float(max(sum(abs(x) for x in row) for row in a.rows))
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return float(np.abs(arr).sum(axis=1).max())

@@ -2,10 +2,11 @@
 
 import json
 import math
+import re
 
 import pytest
 
-from lyapdisp import catalog
+from lyapdisp import catalog, mcsim
 from lyapdisp.cli import dumps_fixed, main
 
 
@@ -87,6 +88,32 @@ class TestCommands:
         data = json.loads(out)
         assert code == 0
         assert "moment_rate" in data
+
+    @pytest.mark.parametrize("extra", [[], ["--t", "2"]], ids=["base", "t2"])
+    def test_simulate_csv_runs_one_simulation(self, capsys, tmp_path,
+                                              monkeypatch, extra):
+        calls = []
+        original = mcsim.log_product_norms
+
+        def counted(config):
+            calls.append(original(config))
+            return calls[-1]
+
+        monkeypatch.setattr(mcsim, "log_product_norms", counted)
+        csv_path = tmp_path / "trials.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--family", "g2", "--k", "32",
+            "--trials", "200", "--seed", "3", "--csv", str(csv_path), *extra,
+        )
+        assert code == 0
+        assert len(calls) == 1
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "trial,log_norm"
+        values = [
+            float(re.sub(r"^np\.float64\((.*)\)$", r"\1", line.split(",")[1]))
+            for line in lines[1:]
+        ]
+        assert values == calls[0][0].tolist()
 
     def test_regroup_check(self, capsys):
         code, out, _ = run(capsys, "regroup-check", "--t", "1")

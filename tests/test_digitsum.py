@@ -1,11 +1,19 @@
 """Digital sums, fluctuation functions, GF(2) counts, representations."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from lyapdisp import catalog, digitsum as ds
-from lyapdisp.digitsum import Gf2Poly, NoRepresentationFound
+from lyapdisp import catalog, exactmat, digitsum as ds
+from lyapdisp.digitsum import Gf2Poly, LinearRepresentation, NoRepresentationFound
+from lyapdisp.exactmat import RationalMatrix
+
+
+def random_ns(lo_bits: int, count: int = 10**4) -> list[int]:
+    rng = random.Random(lo_bits)
+    return [rng.randrange(1 << lo_bits, 1 << (lo_bits + 1)) for _ in range(count)]
 
 
 class TestDigitSum:
@@ -39,6 +47,29 @@ class TestSummatoryFunctions:
         for j in range(1, 40):
             assert ds.summatory_digit_sum(2**j) == j * 2 ** (j - 1)
             assert ds.summatory_f(2**j) == 3**j
+
+
+class TestSummatoryArrays:
+    def test_all_small_n(self):
+        ns = np.arange(1, (1 << 14) + 1)
+        assert ds._summatory_array("phi", ns).tolist() == \
+            [ds.summatory_digit_sum(n) for n in ns.tolist()]
+        assert ds._summatory_array("psi", ns).tolist() == \
+            [ds.summatory_f(n) for n in ns.tolist()]
+
+    @pytest.mark.parametrize("kind,lo_bits", [
+        ("phi", 37), ("phi", 39), ("psi", 37),
+    ])
+    def test_top_octaves(self, kind, lo_bits):
+        # the top sampled octaves that phi (j_max 40) and psi (38) allow
+        scalar = ds.summatory_digit_sum if kind == "phi" else ds.summatory_f
+        ns = random_ns(lo_bits)
+        assert ds._summatory_array(kind, np.array(ns)).tolist() == \
+            [scalar(n) for n in ns]
+
+    def test_f_past_int64_raises(self):
+        with pytest.raises(OverflowError):
+            ds._summatory_array("psi", np.array([(1 << 39) + 1]))
 
 
 class TestFluctuationFunctions:
@@ -101,6 +132,15 @@ class TestFluctuationScans:
         assert scan.sup == 1.0
         assert scan.inf == pytest.approx(0.8125565590, abs=1e-3)
         assert scan.mean == pytest.approx(0.8636049964, abs=5e-3)
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_samples_equal_scalar_values(self, kind):
+        stats = ds.phi_statistics if kind == "phi" else ds.psi_statistics
+        point = ds.phi if kind == "phi" else ds.psi
+        scan = stats(j_max=16)
+        pts = [point(n) for n in scan.sample_n.tolist()]
+        assert scan.sample_value.tolist() == [p.value for p in pts]
+        assert scan.sample_x.tolist() == [p.x for p in pts]
 
     def test_csv_rows(self):
         scan = ds.phi_statistics(j_max=10, samples_per_octave=256)
@@ -173,6 +213,52 @@ class TestLinearRepresentation:
         data = rep.to_json_dict()
         assert data["digit_order"] in ("lsb", "msb")
         assert data["validated_n"] == 256
+
+
+def big_family() -> catalog.MatrixFamily:
+    big = 1 << 40
+    return catalog.MatrixFamily(
+        name="big", q=1, d0=RationalMatrix([[1, 0], [big, big]]),
+        d1=RationalMatrix([[big, 1], [0, 1]]), poly_mask=0b11,
+    )
+
+
+class TestWordProducts:
+    @pytest.mark.parametrize("name", catalog.family_names())
+    @pytest.mark.parametrize("order", ["lsb", "msb"])
+    def test_matches_exact_products(self, name, order):
+        fam = catalog.get_family(name)
+        stack = ds._word_products(fam, order, 64)
+        assert stack.shape == (64, fam.dim, fam.dim)
+        for n in range(64):
+            digits = [(n >> i) & 1 for i in range(n.bit_length())]
+            if order == "msb":
+                digits.reverse()
+            product = exactmat.identity(fam.dim)
+            for d in digits:
+                product = exactmat.mat_mul(product, fam.d1 if d else fam.d0)
+            assert stack[n].tolist() == [[int(x) for x in row]
+                                         for row in product.rows]
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            ds._word_products(big_family(), "msb", 64)
+        with pytest.raises(OverflowError):
+            ds.fit_linear_representation(big_family(), 64)
+
+    def test_entry_past_int64_raises(self):
+        huge = catalog.MatrixFamily(
+            name="huge", q=1, d0=RationalMatrix([[1 << 64]]),
+            d1=RationalMatrix([[1]]), poly_mask=0b11,
+        )
+        with pytest.raises(OverflowError):
+            ds._word_products(huge, "lsb", 4)
+
+    def test_count_table_overflow_raises(self):
+        rep = LinearRepresentation(family="big", u=(1, 0), v=(1, 1),
+                                   digit_order="msb", validated_n=0)
+        with pytest.raises(OverflowError):
+            ds.counts_via_representation(big_family(), rep, 64)
 
 
 class TestEmpiricalDispersion:

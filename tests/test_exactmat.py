@@ -15,7 +15,6 @@ from lyapdisp.exactmat import (
     ZeroMatrix,
     elementary,
     identity,
-    inf_norm,
     kronecker,
     mat_inverse,
     mat_mul,
@@ -284,13 +283,6 @@ class TestPolynomials:
     def test_empty_coeffs_rejected(self):
         with pytest.raises(ValueError):
             poly_eval((), 1.0)
-
-
-class TestInfNorm:
-    def test_examples(self):
-        assert inf_norm(identity(2)) == 1.0
-        assert inf_norm(RationalMatrix([[1, 2], [0, 0]])) == 3.0
-        assert inf_norm(RationalMatrix([[3, -4], [1, -2]])) == 7.0
 
 
 class TestRationalMatrix:

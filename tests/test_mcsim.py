@@ -1,6 +1,7 @@
 """Monte Carlo machinery: exactness of the bookkeeping and determinism."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,37 @@ from lyapdisp.exactmat import RationalMatrix
 from lyapdisp.mcsim import DegenerateProduct, SimConfig
 
 LN2 = math.log(2.0)
+
+
+def conjugated_family(name: str) -> catalog.MatrixFamily:
+    """The family under D -> Q^-1 D Q for a positive rational diagonal Q:
+    still nonnegative, with entries that are not exact floats."""
+    fam = catalog.get_family(name)
+    diag = [Fraction(2 * i + 3, i + 2) for i in range(fam.dim)]
+
+    def conj(matrix):
+        return RationalMatrix([
+            [matrix.rows[i][j] * diag[j] / diag[i] for j in range(fam.dim)]
+            for i in range(fam.dim)
+        ])
+
+    return catalog.MatrixFamily(name=f"{name}-conj", q=fam.q,
+                                d0=conj(fam.d0), d1=conj(fam.d1), poly_mask=0)
+
+
+class TestDigitMatrix:
+    @pytest.mark.parametrize("k", [100, 256])
+    def test_matches_per_bit_extraction(self, k):
+        trials = 37
+        digits = mcsim._digit_matrix(5, trials, k)
+        wpt = (k + 63) // 64
+        raw = np.random.Philox(key=5).random_raw(trials * wpt).reshape(trials, wpt)
+        expected = np.array([
+            [(int(raw[i, j >> 6]) >> (j & 63)) & 1 for j in range(k)]
+            for i in range(trials)
+        ], dtype=np.uint8)
+        assert digits.shape == (trials, k)
+        assert np.array_equal(digits, expected)
 
 
 class TestConfig:
@@ -29,12 +61,18 @@ class TestLogProductNorms:
         assert np.allclose(counts, np.round(counts), atol=1e-12)
         assert counts.min() >= 0 and counts.max() <= 12
 
-    @pytest.mark.parametrize("name,k", [("g2", 16), ("g5", 12)])
+    @pytest.mark.parametrize("name,k", [
+        ("g2", 16), ("g5", 12), ("h4", 12), ("g3-conj", 16),
+    ])
     def test_matches_exact_products_small_k(self, name, k):
         """Float products of small integers are exact, so norms agree with
-        the arbitrary-precision recomputation to roundoff."""
-        fam = catalog.get_family(name)
-        config = SimConfig(name, k=k, trials=64, seed=99)
+        the arbitrary-precision recomputation to roundoff; the conjugated
+        family's rational entries are rounded once and stay close."""
+        if name.endswith("-conj"):
+            fam = conjugated_family(name.removesuffix("-conj"))
+        else:
+            fam = catalog.get_family(name)
+        config = SimConfig(fam, k=k, trials=64, seed=99)
         log_norms, degenerate = mcsim.log_product_norms(config)
         digits = mcsim._digit_matrix(config.seed, config.trials, k)
         kept = 0
@@ -70,6 +108,13 @@ class TestLogProductNorms:
         assert log_norms.size == 200 - degenerate
         assert np.isfinite(log_norms).all()
 
+    def test_negative_entry_rejected(self):
+        d0 = RationalMatrix([[1, 0], [0, 1]])
+        d1 = RationalMatrix([[1, -1], [0, 1]])
+        fam = catalog.MatrixFamily(name="neg", q=1, d0=d0, d1=d1, poly_mask=0)
+        with pytest.raises(ValueError, match="negative"):
+            mcsim.log_product_norms(SimConfig(fam, k=4, trials=8, seed=1))
+
     def test_all_degenerate_raises(self):
         zero = RationalMatrix([[0, 0], [0, 0]])
         fam = catalog.MatrixFamily(
@@ -81,6 +126,13 @@ class TestLogProductNorms:
 
 
 class TestSimulate:
+    def test_result_carries_log_norms(self):
+        config = SimConfig("g2", k=32, trials=300, seed=4)
+        log_norms, _ = mcsim.log_product_norms(config)
+        assert np.array_equal(mcsim.simulate(config).log_norms, log_norms)
+        moment = mcsim.simulate_moment(config, 1.0)
+        assert np.array_equal(moment.log_norms, log_norms)
+
     def test_deterministic(self):
         config = SimConfig("g2", k=64, trials=2000, seed=42)
         assert mcsim.simulate(config) == mcsim.simulate(config)
