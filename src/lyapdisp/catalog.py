@@ -25,8 +25,8 @@ __all__ = [
     "MatrixFamily",
     "ReferenceConstants",
     "FAMILY_NAMES",
-    "COMMENTARY_CONSTANTS",
     "get_family",
+    "resolve_family",
     "family_names",
     "load_family_file",
     "family_to_dict",
@@ -78,7 +78,6 @@ class MatrixFamily:
     d0_prime: RationalMatrix | None = None
     d1_prime: RationalMatrix | None = None
     aliases: tuple[str, ...] = ()
-    notes: str = ""
 
     @property
     def dim(self) -> int:
@@ -154,6 +153,7 @@ _register(MatrixFamily(
     ),
 ))
 
+# sigma^2/ln2 equals ln(2)/4 exactly; see gle.quadrinomial_regroup_L
 _register(MatrixFamily(
     name="g3",
     aliases=("quadrinomial",),
@@ -170,7 +170,6 @@ _register(MatrixFamily(
         typ_ref="0.17328679",
         minpoly=(2, -5),
     ),
-    notes="sigma^2/ln2 equals ln(2)/4 exactly; see gle.quadrinomial_regroup_L",
 ))
 
 _register(MatrixFamily(
@@ -400,21 +399,6 @@ _register(MatrixFamily(
 
 FAMILY_NAMES: tuple[str, ...] = tuple(_FAMILIES)
 
-# Constants tabulated for related sequences whose matrices are not bundled
-# here; kept as commentary and never verified by this package.
-COMMENTARY_CONSTANTS = {
-    "stern_v": {
-        "description": "odd coefficients in p_n = x*p_{n-1} + p_{n-2}",
-        "lambda": "0.396212564297744",
-        "sigma2": "0.022172945128737",
-    },
-    "pascal_rhombus_u": {
-        "description": "odd coefficients in p_n = (1+x+x^2)*p_{n-1} + x^2*p_{n-2}",
-        "lambda": "0.57331379313",
-        "sigma2": None,
-    },
-}
-
 
 def family_names() -> tuple[str, ...]:
     return FAMILY_NAMES
@@ -425,6 +409,13 @@ def get_family(name: str) -> MatrixFamily:
     if key not in _ALIASES:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
     return _FAMILIES[_ALIASES[key]]
+
+
+def resolve_family(family: str | MatrixFamily) -> MatrixFamily:
+    """A built-in family by name or alias; a MatrixFamily passes through."""
+    if isinstance(family, MatrixFamily):
+        return family
+    return get_family(family)
 
 
 # ---------------------------------------------------------------------------

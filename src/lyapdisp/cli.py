@@ -58,7 +58,7 @@ def _write(path: str | None, text: str) -> None:
 def _resolve_family(name: str) -> catalog.MatrixFamily:
     if name.startswith("@"):
         return catalog.load_family_file(name[1:])
-    return catalog.get_family(name)
+    return catalog.resolve_family(name)
 
 
 def _add_common(parser, *, family=False, max_len=False, threads=False,
@@ -180,11 +180,7 @@ def _cmd_catalog(args) -> int:
             "avg": c.avg_ref,
             "typ": c.typ_ref,
         })
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "families": rows,
-        "commentary": catalog.COMMENTARY_CONSTANTS,
-    }
+    payload = {"schema_version": SCHEMA_VERSION, "families": rows}
     if args.json:
         _write(args.json, dumps_fixed(payload))
     else:
@@ -255,7 +251,7 @@ def _cmd_simulate(args) -> int:
         result = mcsim.simulate(config)
     if args.csv:
         rows = ["trial,log_norm"]
-        rows += [f"{i},{v!r}" for i, v in enumerate(result.log_norms)]
+        rows += [f"{i},{v!r}" for i, v in enumerate(result.log_norms.tolist())]
         _write(args.csv, "\n".join(rows))
     _write(args.json, dumps_fixed(result.to_json_dict()))
     return 0

@@ -8,8 +8,8 @@ satisfies Q^-1 D0^q Q = E00 and
     (Q^-1 D_w Q)[0, 0] = beta^T D_w alpha
 
 for every binary word w.  The right side is cheap, exact and basis-free, so
-corner values are always computed that way; D'-matrices are only produced on
-request for cross-checking against tabulated forms.
+corner values are always computed that way and no Q or D' matrix is formed;
+the catalog's tabulated D' pairs are kept only as cross-check data.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from .exactmat import RationalMatrix
 
 __all__ = [
     "SentinelFactorization",
-    "ConjugationResult",
     "sentinel_factorization",
     "corner_value",
-    "conjugation_matrix",
     "NotIdempotentSimilar",
 ]
 
@@ -44,10 +42,6 @@ class SentinelFactorization:
     d0: RationalMatrix
     d1: RationalMatrix
     family: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.d0.dim
 
 
 def sentinel_factorization(
@@ -90,54 +84,3 @@ def corner_value(fact: SentinelFactorization, word: str) -> Fraction:
             sum((r * c for r, c in zip(row, col)), Fraction(0)) for col in cols
         )
     return sum((r * a for r, a in zip(row, fact.alpha)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class ConjugationResult:
-    q_matrix: RationalMatrix
-    q_inverse: RationalMatrix
-    d0_prime: RationalMatrix
-    d1_prime: RationalMatrix
-
-
-def conjugation_matrix(
-    fact: SentinelFactorization, null_basis: tuple[tuple[Fraction, ...], ...] | None = None
-) -> ConjugationResult:
-    """Build Q = [alpha | N] with N an exact basis of the null space of beta^T.
-
-    The default basis uses the first nonzero coordinate p of beta as pivot:
-    for each j != p the vector e_j - (beta_j/beta_p) e_p.  Any valid basis
-    gives the same corner values; callers may supply their own to check that.
-    """
-    m = fact.dim
-    beta = fact.beta
-    if null_basis is None:
-        pivot = next(j for j in range(m) if beta[j] != 0)
-        null_basis = tuple(
-            tuple(
-                Fraction(1) if i == j else
-                (-beta[j] / beta[pivot] if i == pivot else Fraction(0))
-                for i in range(m)
-            )
-            for j in range(m)
-            if j != pivot
-        )
-    columns = (fact.alpha,) + tuple(null_basis)
-    if len(columns) != m:
-        raise ValueError(f"need {m - 1} null-space basis vectors, got {len(null_basis)}")
-    q_matrix = RationalMatrix(zip(*columns))
-    q_inverse = exactmat.mat_inverse(q_matrix)
-
-    sentinel = exactmat.mat_pow(fact.d0, fact.q)
-    conj_sentinel = exactmat.mat_mul(exactmat.mat_mul(q_inverse, sentinel), q_matrix)
-    if conj_sentinel != exactmat.elementary(m, 0, 0):
-        raise AssertionError("Q does not conjugate D0^q to E00; invalid basis?")
-
-    d0_prime = exactmat.mat_mul(exactmat.mat_mul(q_inverse, fact.d0), q_matrix)
-    d1_prime = exactmat.mat_mul(exactmat.mat_mul(q_inverse, fact.d1), q_matrix)
-    return ConjugationResult(
-        q_matrix=q_matrix,
-        q_inverse=q_inverse,
-        d0_prime=d0_prime,
-        d1_prime=d1_prime,
-    )

@@ -36,10 +36,8 @@ from .catalog import MatrixFamily
 from .exactmat import RationalMatrix
 
 __all__ = [
-    "Gf2Poly",
     "FluctuationSample",
     "LinearRepresentation",
-    "digit_sum",
     "summatory_digit_sum",
     "summatory_f",
     "phi",
@@ -66,41 +64,10 @@ class NoRepresentationFound(ValueError):
 
 
 @dataclass(frozen=True)
-class Gf2Poly:
-    """Polynomial over GF(2) as a bitset: bit i is the coefficient of x^i."""
-
-    mask: int
-
-    def __post_init__(self):
-        if self.mask < 0:
-            raise ValueError("mask must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_length() - 1
-
-    def __str__(self):
-        if self.mask == 0:
-            return "0"
-        terms = []
-        for i in range(self.mask.bit_length()):
-            if (self.mask >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-        return " + ".join(terms)
-
-
-@dataclass(frozen=True)
 class FluctuationSample:
     n: int
     x: float       # fractional part of log2(n)
     value: float
-
-
-def digit_sum(n: int) -> int:
-    """Number of 1s in the binary expansion."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return n.bit_count()
 
 
 def summatory_digit_sum(n: int) -> int:
@@ -211,8 +178,9 @@ class FluctuationScan:
 
     def samples_csv_rows(self) -> list[str]:
         lines = ["n,x,value"]
-        for n, x, v in zip(self.sample_n, self.sample_x, self.sample_value):
-            lines.append(f"{int(n)},{x!r},{v!r}")
+        for n, x, v in zip(self.sample_n.tolist(), self.sample_x.tolist(),
+                           self.sample_value.tolist()):
+            lines.append(f"{n},{x!r},{v!r}")
         return lines
 
     def histogram_csv_rows(self) -> list[str]:
@@ -258,8 +226,13 @@ def _psi_chunk_values(ns: np.ndarray, sf_vals: np.ndarray) -> np.ndarray:
     return ratio * np.power(f, -LOG2_3)
 
 
-def _scan_extremes(kind: str, j_max: int) -> tuple[float, int, float, int]:
-    """Exact-summatory extremes over every n in [2, 2^j_max]."""
+def _scan_extremes(kind: str, j_max: int) -> tuple[int, int]:
+    """Where the minimum and maximum over every n in [2, 2^j_max] sit.
+
+    Values come from exact summatory counts but float64 numpy formulas,
+    which can differ from the scalar `phi`/`psi` in the last bit; callers
+    evaluate the scalar formula at the positions returned.
+    """
     chunk = 1 << 20
     lo = 2
     top = (1 << j_max) + 1
@@ -288,7 +261,7 @@ def _scan_extremes(kind: str, j_max: int) -> tuple[float, int, float, int]:
             best_max, best_max_at = float(values[k]), int(ns[k])
         running += int(cums[-1])
         lo = hi
-    return best_min, best_min_at, best_max, best_max_at
+    return best_min_at, best_max_at
 
 
 def _summatory_array(kind: str, ns: np.ndarray) -> np.ndarray:
@@ -326,7 +299,7 @@ def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
 def _scan_statistics(kind: str, j_min: int, j_max: int, samples: int,
                      n_bins: int) -> FluctuationScan:
     point = phi if kind == "phi" else psi
-    inf_v, inf_at, sup_v, sup_at = _scan_extremes(kind, j_max)
+    inf_at, sup_at = _scan_extremes(kind, j_max)
 
     ns = _log_uniform_samples(j_max - 1, samples)
     parts = _phi_parts if kind == "phi" else _psi_parts
@@ -367,9 +340,9 @@ def _scan_statistics(kind: str, j_min: int, j_max: int, samples: int,
         name=kind,
         j_min=j_min,
         j_max=j_max,
-        inf=inf_v,
+        inf=point(inf_at).value,
         inf_at=inf_at,
-        sup=sup_v,
+        sup=point(sup_at).value,
         sup_at=sup_at,
         mean=mean,
         percentiles=tuple(percentiles),
@@ -415,13 +388,14 @@ def psi_statistics(
 # GF(2) row iteration
 # ---------------------------------------------------------------------------
 
-def gf2_row_counts(poly: Gf2Poly | int, n_max: int) -> Iterator[int]:
+def gf2_row_counts(mask: int, n_max: int) -> Iterator[int]:
     """Popcounts of p(x)^n mod 2 for n = 0 .. n_max-1.
 
-    Multiplication by p is carry-free: XOR of the current row shifted by
-    each exponent of p, on machine-word-parallel int bitsets.
+    p is the bitset `mask` (bit i is the coefficient of x^i, as in
+    `MatrixFamily.poly_mask`).  Multiplication by p is carry-free: XOR of
+    the current row shifted by each exponent of p, on machine-word-parallel
+    int bitsets.
     """
-    mask = poly.mask if isinstance(poly, Gf2Poly) else int(poly)
     if mask <= 0:
         raise ValueError("polynomial must be nonzero")
     if n_max > 1 << 18:
@@ -464,12 +438,6 @@ class LinearRepresentation:
             "digit_order": self.digit_order,
             "validated_n": self.validated_n,
         }
-
-
-def _resolve_family(family) -> MatrixFamily:
-    if isinstance(family, MatrixFamily):
-        return family
-    return catalog.get_family(family)
 
 
 def _int_matrices(fam: MatrixFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -617,7 +585,7 @@ def fit_linear_representation(family, n_check: int = 4096) -> LinearRepresentati
     counts for every n < n_check; the first fully validated combination is
     returned.
     """
-    fam = _resolve_family(family)
+    fam = catalog.resolve_family(family)
     if fam.poly_mask <= 0:
         raise ValueError(f"family {fam.name} carries no counting polynomial")
     if n_check < 2 * fam.dim**2:
@@ -735,7 +703,7 @@ def empirical_dispersion(
     carry finite-size corrections of a few percent at j_max = 20.  Counts
     come from a validated linear representation.
     """
-    fam = _resolve_family(family)
+    fam = catalog.resolve_family(family)
     if not 2 <= j_min < j_max:
         raise ValueError("need 2 <= j_min < j_max")
     if rep is None:

@@ -16,12 +16,10 @@ import numpy as np
 __all__ = [
     "RationalMatrix",
     "identity",
-    "elementary",
     "mat_mul",
     "mat_pow",
     "kronecker",
     "rank_one_factor",
-    "mat_inverse",
     "null_space",
     "spectral_radius",
     "poly_eval",
@@ -30,7 +28,6 @@ __all__ = [
     "KroneckerCapExceeded",
     "RankNotOne",
     "ZeroMatrix",
-    "Singular",
     "NonConvergence",
 ]
 
@@ -51,10 +48,6 @@ class RankNotOne(ValueError):
 
 
 class ZeroMatrix(ValueError):
-    pass
-
-
-class Singular(ArithmeticError):
     pass
 
 
@@ -111,17 +104,8 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         return mat_mul(self, other)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
     def trace(self) -> Fraction:
         return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.rows))
 
     def scale(self, c) -> "RationalMatrix":
         c = _to_fraction(c)
@@ -138,9 +122,6 @@ class RationalMatrix:
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.rows for x in row)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
     def to_float(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
 
@@ -148,13 +129,6 @@ class RationalMatrix:
 def identity(n: int) -> RationalMatrix:
     return RationalMatrix(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
-def elementary(n: int, i: int, j: int) -> RationalMatrix:
-    """Matrix with a single 1 at position (i, j)."""
-    return RationalMatrix(
-        tuple(1 if (r, c) == (i, j) else 0 for c in range(n)) for r in range(n)
     )
 
 
@@ -224,29 +198,6 @@ def rank_one_factor(
             if alpha[i] * beta[j] != a.rows[i][j]:
                 raise RankNotOne(f"2x2 minor at ({i0},{j0}),({i},{j}) is nonzero")
     return alpha, beta
-
-
-def mat_inverse(a: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Gauss-Jordan elimination with rational pivoting."""
-    n = a.dim
-    m = [list(row) for row in a.rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            raise Singular("matrix is singular")
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        scale = Fraction(1) / m[col][col]
-        m[col] = [x * scale for x in m[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return RationalMatrix(inv)
 
 
 def null_space(a: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:

@@ -26,8 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import catalog, conjugate, exactmat, words
-from .catalog import MatrixFamily
-from .conjugate import SentinelFactorization
 from .exactmat import RationalMatrix
 from .words import ScanStats
 
@@ -38,16 +36,12 @@ __all__ = [
     "sigma2_prefactor",
     "sigma2_from_moments",
     "MomentSeries",
-    "accumulate_moments",
     "AcceleratedValue",
     "ExponentReport",
     "exponents",
-    "f_eval",
-    "FValue",
     "l_of_t",
     "l_from_scan",
     "replica_exponent",
-    "dispersion_params",
     "quadrinomial_regroup_L",
     "regrouped_matrices",
     "DegenerateSequence",
@@ -90,17 +84,6 @@ class DimensionCap(ValueError):
 
 def default_max_len(q: int) -> int:
     return DEFAULT_MAX_LEN.get(q, 28)
-
-
-def _resolve(family) -> MatrixFamily:
-    if isinstance(family, MatrixFamily):
-        return family
-    return catalog.get_family(family)
-
-
-def _factorization(family) -> SentinelFactorization:
-    fam = _resolve(family)
-    return conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +196,6 @@ class MomentSeries:
             out.append(pref * acc)
         return out
 
-    @property
-    def total_zero_words(self) -> int:
-        return sum(self.zero_words)
-
     def csv_rows(self) -> list[str]:
         lines = ["len,words,Slambda,Skappa,Smu"]
         for l in range(self.max_len + 1):
@@ -247,18 +226,6 @@ def moments_from_scan(name: str, stats: ScanStats) -> MomentSeries:
     )
 
 
-def accumulate_moments(
-    family, max_len: int | None = None, threads: int | None = None
-) -> MomentSeries:
-    """Fold the word tree once and bin ln-corner moments by word length."""
-    fam = _resolve(family)
-    if max_len is None:
-        max_len = default_max_len(fam.q)
-    fact = _factorization(fam)
-    stats = words.scan_corner_stats(fact, max_len, threads=threads)
-    return moments_from_scan(fam.name, stats)
-
-
 # ---------------------------------------------------------------------------
 # exponent reports
 # ---------------------------------------------------------------------------
@@ -270,10 +237,6 @@ class AcceleratedValue:
     err: float        # error estimate
     depth: int        # epsilon-table column used
     tail: float       # geometric continuation of the last raw increment
-
-    @property
-    def value(self) -> float:
-        return self.accel
 
 
 def _accelerate(partials: Sequence[float], accel: bool) -> AcceleratedValue:
@@ -354,10 +317,10 @@ def exponents(
     root-found for each requested sample t from power sums collected in the
     same scan.
     """
-    fam = _resolve(family)
+    fam = catalog.resolve_family(family)
     if max_len is None:
         max_len = default_max_len(fam.q)
-    fact = _factorization(fam)
+    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
     stats = words.scan_corner_stats(
         fact, max_len, ts=tuple(lt_samples), threads=threads
     )
@@ -404,12 +367,6 @@ def exponents(
 # the generating function F(s, t) and L(t)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FValue:
-    value: float
-    tail_ratio: float  # last length slab / total, a truncation indicator
-
-
 def _slab_values(q: int, power_sums, zeros, t: float, s: float) -> list[float]:
     """Per-length terms (s/2)^{l+q} * sum of phi^t, zero corners count at t=0."""
     half_s = 0.5 * s
@@ -420,46 +377,24 @@ def _slab_values(q: int, power_sums, zeros, t: float, s: float) -> list[float]:
     return slabs
 
 
-def _f_from_sums(q, power_sums, zeros, s, t, accel) -> FValue:
+def _f_from_sums(q, power_sums, zeros, s, t, accel) -> float:
+    """Truncated F(s, t) = sum over words of (s/2)^{l(w)+q} phi(w)^t.
+
+    The closed form at t = 0 is `f_closed_form_t0`; accel applies the
+    epsilon process to the by-length partial sums, which is how the slowly
+    decaying truncation tail at s near the crossing point is squeezed out.
+    """
     slabs = _slab_values(q, power_sums, zeros, t, s)
     total = math.fsum(slabs)
     if not math.isfinite(total):
         raise Overflow(f"F({s}, {t}) overflows at this truncation")
-    tail_ratio = abs(slabs[-1]) / abs(total) if total else float("inf")
     if accel and len(slabs) >= 3:
         partials, acc = [], 0.0
         for x in slabs:
             acc += x
             partials.append(acc)
         total = wynn_epsilon(partials).estimate
-    return FValue(value=total, tail_ratio=tail_ratio)
-
-
-def f_eval(
-    family,
-    s: float,
-    t: float,
-    max_len: int | None = None,
-    accel: bool = False,
-    threads: int | None = None,
-) -> FValue:
-    """Truncated F(s, t) = sum over words of (s/2)^{l(w)+q} phi(w)^t.
-
-    The closed form at t = 0 is (s/2)^q (1-s/2) / (1 - s + (s/2)^{q+1}), a
-    useful cross-check; accel applies the epsilon process to the by-length
-    partial sums, which is how the slowly decaying truncation tail at s near
-    the crossing point is squeezed out.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    fam = _resolve(family)
-    if max_len is None:
-        max_len = default_max_len(fam.q)
-    fact = _factorization(fam)
-    stats = words.scan_corner_stats(fact, max_len, ts=(t,), threads=threads)
-    return _f_from_sums(
-        fam.q, stats.pow_sums[0], stats.zero_words, s, t, accel
-    )
+    return total
 
 
 def f_closed_form_t0(q: int, s: float) -> float:
@@ -477,14 +412,14 @@ def _bisect_root(q, power_sums, zeros, t, tol, accel) -> float:
     it produces antilimits, so it must not be used for the global bracket.
     """
     lo, hi = 1e-12, 2.0 * (1.0 - 1e-12)
-    f_hi = _f_from_sums(q, power_sums, zeros, hi, t, False).value
+    f_hi = _f_from_sums(q, power_sums, zeros, hi, t, False)
     if f_hi < 1.0:
         raise NoBracket(
             f"F({hi:.6f}, {t}) = {f_hi} < 1; truncation too shallow or t too negative"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _f_from_sums(q, power_sums, zeros, mid, t, False).value < 1.0:
+        if _f_from_sums(q, power_sums, zeros, mid, t, False) < 1.0:
             lo = mid
         else:
             hi = mid
@@ -493,7 +428,7 @@ def _bisect_root(q, power_sums, zeros, t, tol, accel) -> float:
         return root
 
     def f_acc(s: float) -> float:
-        return _f_from_sums(q, power_sums, zeros, s, t, True).value
+        return _f_from_sums(q, power_sums, zeros, s, t, True)
 
     delta = 0.02
     for _ in range(4):
@@ -555,10 +490,10 @@ def l_of_t(
     """Moment exponent L(t) = -ln s(t) where F(s(t), t) = 1."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fam = _resolve(family)
+    fam = catalog.resolve_family(family)
     if max_len is None:
         max_len = default_max_len(fam.q)
-    fact = _factorization(fam)
+    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
     stats = words.scan_corner_stats(fact, max_len, ts=(t,), threads=threads)
     value, _ = l_from_scan(stats, 0, tol=tol, accel=accel)
     return value
@@ -573,7 +508,7 @@ def replica_exponent(family, t: int, tol: float = 1e-13) -> float:
 
     (x)t is the t-fold Kronecker power; t = 1 is the plain average.
     """
-    fam = _resolve(family)
+    fam = catalog.resolve_family(family)
     if t < 1:
         raise ValueError("replica exponent needs integer t >= 1")
     if fam.dim**t > exactmat.DEFAULT_KRONECKER_CAP:
@@ -586,16 +521,6 @@ def replica_exponent(family, t: int, tol: float = 1e-13) -> float:
         pow1 = exactmat.kronecker(pow1, fam.d1)
     average = pow0.add(pow1).scale(Fraction(1, 2))
     return exactmat.spectral_radius(average, tol=tol)
-
-
-def dispersion_params(
-    family, max_len: int | None = None, threads: int | None = None
-) -> tuple[float, float]:
-    """(average, typical) dispersion parameters: L(2)/ln 2 and sigma^2/ln 2."""
-    fam = _resolve(family)
-    avg = math.log(replica_exponent(fam, 2)) / LN2
-    report = exponents(fam, max_len=max_len, threads=threads)
-    return avg, report.sigma2 / LN2
 
 
 # ---------------------------------------------------------------------------

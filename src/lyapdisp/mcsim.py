@@ -53,11 +53,6 @@ class SimConfig:
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
 
-    def resolve_family(self) -> MatrixFamily:
-        if isinstance(self.family, MatrixFamily):
-            return self.family
-        return catalog.get_family(self.family)
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -122,7 +117,7 @@ def log_product_norms(config: SimConfig) -> tuple[np.ndarray, int]:
     Returns (log norms over non-degenerate trials, number of degenerate
     trials whose product was exactly zero).
     """
-    fam = config.resolve_family()
+    fam = catalog.resolve_family(config.family)
     if not (fam.d0.is_nonnegative() and fam.d1.is_nonnegative()):
         raise ValueError(
             f"family {fam.name} has a negative entry; the vector norm "
@@ -158,7 +153,7 @@ def _base_result(config: SimConfig, log_norms: np.ndarray, degenerate: int) -> S
     var_of_var = max(m4 - var * var, 0.0) / n
     k = config.k
     return SimResult(
-        family=config.resolve_family().name,
+        family=catalog.resolve_family(config.family).name,
         k=k,
         trials=config.trials,
         seed=config.seed,

@@ -160,10 +160,6 @@ class ScanStats:
     pow_sums: tuple[tuple[float, ...], ...]
 
     @property
-    def total_words(self) -> int:
-        return sum(self.counts)
-
-    @property
     def total_zero_words(self) -> int:
         return sum(self.zero_words)
 

@@ -1,0 +1,118 @@
+"""Every public name of the package has a caller inside the package.
+
+A public function that only tests call is a second path to the same number
+that nothing else keeps honest.  So each module's public names (its
+`__all__` plus every top-level definition without a leading underscore) and
+the public methods and properties of its classes must be referenced
+somewhere in `src/lyapdisp` outside their own definition.  The exceptions
+are the reference implementations the tests check the fast paths against,
+listed in ORACLES.
+
+References are found by name in the syntax tree: a bare name or an
+attribute read.  An import, a string in `__all__` or a keyword argument is
+not a reference.  Methods are matched by attribute name alone, so a method
+sharing its name with another object's attribute passes unnoticed.
+"""
+
+import ast
+import importlib
+import pathlib
+from collections import Counter
+
+import pytest
+
+import lyapdisp
+
+SRC = pathlib.Path(lyapdisp.__file__).parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+TREES = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
+
+# Reference implementations that only the tests (and, for word_count, the
+# benchmark's word-count gate) call.
+ORACLES = {
+    "catalog.family_to_dict",     # family-file round trip
+    "conjugate.corner_value",     # exact corner value of one word
+    "gle.f_closed_form_t0",       # F(s, 0) in closed form
+    "words.fold_products",        # exact Fraction traversal of the word tree
+    "words.is_chi_word",
+    "words.word_count",
+    "words.words_of_length",
+}
+
+
+def _references(node) -> Counter:
+    """Names loaded and attributes read anywhere below node."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+    return found
+
+
+TOTAL = sum((_references(tree) for tree in TREES.values()), Counter())
+
+
+def _module(name):
+    package = "lyapdisp" if name == "__init__" else f"lyapdisp.{name}"
+    return importlib.import_module(package)
+
+
+def _definitions(tree):
+    """(name, node) for every top-level definition of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _callers(name, definition) -> int:
+    own = _references(definition)[name] if definition is not None else 0
+    return TOTAL[name] - own
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_exist(module):
+    mod = _module(module)
+    names = getattr(mod, "__all__", ())
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing: {missing}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_names_have_callers(module):
+    definitions = dict(_definitions(TREES[module]))
+    public = set(getattr(_module(module), "__all__", ())) | set(definitions)
+    uncalled = sorted(
+        name for name in public
+        if not name.startswith("_")
+        and f"{module}.{name}" not in ORACLES
+        and _callers(name, definitions.get(name)) == 0
+    )
+    assert not uncalled, f"public names of {module} nothing in src calls: {uncalled}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_methods_have_callers(module):
+    uncalled = []
+    for node in TREES[module].body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for member in node.body:
+            if (isinstance(member, ast.FunctionDef)
+                    and not member.name.startswith("_")
+                    and _callers(member.name, member) == 0):
+                uncalled.append(f"{node.name}.{member.name}")
+    assert not uncalled, f"methods in {module} nothing in src calls: {uncalled}"
+
+
+def test_oracles_exist():
+    for entry in ORACLES:
+        module, name = entry.split(".")
+        assert hasattr(_module(module), name), entry

@@ -158,11 +158,6 @@ class TestReferenceConstants:
             assert float(c.lambda_ref) > 0
             assert c.minpoly[0] != 0
 
-    def test_commentary_present_but_not_families(self):
-        assert "stern_v" in catalog.COMMENTARY_CONSTANTS
-        with pytest.raises(UnknownFamily):
-            get_family("stern_v")
-
 
 class TestVerifyConstants:
     def test_binomial_all_pass(self):

@@ -2,7 +2,6 @@
 
 import json
 import math
-import re
 
 import pytest
 
@@ -38,6 +37,15 @@ class TestCommands:
         assert code == 0
         assert out.count("\n") == 8
         assert "g6" in out
+
+    def test_catalog_json(self, capsys, tmp_path):
+        json_path = tmp_path / "catalog.json"
+        code, _, _ = run(capsys, "catalog", "--json", str(json_path))
+        assert code == 0
+        data = json.loads(json_path.read_text())
+        assert data.keys() == {"schema_version", "families"}
+        assert [row["name"] for row in data["families"]] == \
+            list(catalog.family_names())
 
     def test_exponents_json_and_csv(self, capsys, tmp_path):
         json_path = tmp_path / "report.json"
@@ -109,11 +117,27 @@ class TestCommands:
         assert len(calls) == 1
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "trial,log_norm"
-        values = [
-            float(re.sub(r"^np\.float64\((.*)\)$", r"\1", line.split(",")[1]))
-            for line in lines[1:]
-        ]
+        values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == calls[0][0].tolist()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "g2", "--k", "32", "--trials", "50"],
+        ["simulate", "--family", "g2", "--k", "32", "--trials", "50",
+         "--t", "2"],
+        ["phi", "--jmax", "16", "--samples", "64"],
+        ["psi", "--jmax", "16", "--samples", "64"],
+    ], ids=["simulate", "simulate-t2", "phi", "psi"])
+    def test_csv_fields_are_numbers(self, capsys, tmp_path, argv):
+        csv_path = tmp_path / "out.csv"
+        code, _, _ = run(capsys, *argv, "--csv", str(csv_path))
+        assert code == 0
+        header, *lines = csv_path.read_text().splitlines()
+        assert lines
+        for line in lines:
+            fields = line.split(",")
+            assert len(fields) == len(header.split(","))
+            for field in fields:
+                float(field)  # raises on e.g. "np.float64(...)"
 
     def test_regroup_check(self, capsys):
         code, out, _ = run(capsys, "regroup-check", "--t", "1")

@@ -8,11 +8,10 @@ import pytest
 from lyapdisp import catalog, exactmat, words
 from lyapdisp.conjugate import (
     NotIdempotentSimilar,
-    conjugation_matrix,
     corner_value,
     sentinel_factorization,
 )
-from lyapdisp.exactmat import RankNotOne, RationalMatrix, elementary, identity
+from lyapdisp.exactmat import RankNotOne, RationalMatrix, identity
 
 ALL_FAMILIES = list(catalog.family_names())
 
@@ -38,7 +37,7 @@ class TestSentinelFactorization:
             sentinel_factorization(identity(2), identity(2), 1)
 
     def test_wrong_trace_rejected(self):
-        d0 = elementary(2, 0, 0).scale(2)  # rank 1 but trace 2
+        d0 = RationalMatrix([[2, 0], [0, 0]])  # rank 1 but trace 2
         with pytest.raises(NotIdempotentSimilar):
             sentinel_factorization(d0, identity(2), 1)
 
@@ -78,9 +77,16 @@ class TestCornerValue:
 
     @pytest.mark.parametrize("name", ALL_FAMILIES)
     def test_matches_tabulated_conjugated_pair(self, name):
-        """corner(w) equals the (0,0) entry of the tabulated D'_w products."""
+        """corner(w) equals the (0,0) entry of the tabulated D'_w products.
+
+        The tabulated sentinel D'0^q is E00, the single 1 at (0, 0).
+        """
         fact, fam = fact_for(name)
         assert fam.d0_prime is not None
+        e00 = RationalMatrix(
+            [[int(i == j == 0) for j in range(fam.dim)] for i in range(fam.dim)]
+        )
+        assert exactmat.mat_pow(fam.d0_prime, fam.q) == e00
         for length in range(0, 9):
             for word in words.words_of_length(fam.q, length):
                 matrix = identity(fam.dim)
@@ -107,43 +113,92 @@ class TestCornerValue:
                 corner_value(fact, u) * corner_value(fact, v)
 
 
+def _exact_inverse(a):
+    """Gauss-Jordan inverse over the rationals; a test-side oracle."""
+    n = a.dim
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a.rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return RationalMatrix(row[n:] for row in m)
+
+
+def _conjugate_by_q(fact, null_basis=None):
+    """Q = [alpha | N], N a basis of the null space of beta^T.
+
+    Returns (Q, Q^-1, Q^-1 D0 Q, Q^-1 D1 Q).  The default N pivots on the
+    first nonzero coordinate p of beta: e_j - (beta_j / beta_p) e_p, j != p.
+    """
+    m = fact.d0.dim
+    beta = fact.beta
+    if null_basis is None:
+        pivot = next(j for j in range(m) if beta[j] != 0)
+        null_basis = tuple(
+            tuple(
+                Fraction(1) if i == j else
+                (-beta[j] / beta[pivot] if i == pivot else Fraction(0))
+                for i in range(m)
+            )
+            for j in range(m) if j != pivot
+        )
+    q = RationalMatrix(zip(fact.alpha, *null_basis))
+    q_inv = _exact_inverse(q)
+    return (
+        q,
+        q_inv,
+        exactmat.mat_mul(exactmat.mat_mul(q_inv, fact.d0), q),
+        exactmat.mat_mul(exactmat.mat_mul(q_inv, fact.d1), q),
+    )
+
+
+def _top_left(d0_prime, d1_prime, word):
+    matrix = identity(d0_prime.dim)
+    for symbol in word:
+        matrix = exactmat.mat_mul(matrix, d0_prime if symbol == "0" else d1_prime)
+    return matrix[0, 0]
+
+
 class TestConjugationMatrix:
+    """corner_value against an explicit conjugation Q^-1 D Q built here."""
+
     def test_binomial_trivial(self):
         fact, _ = fact_for("g1")
-        res = conjugation_matrix(fact)
-        assert res.d0_prime == RationalMatrix([[1]])
-        assert res.d1_prime == RationalMatrix([[2]])
+        _, _, d0_prime, d1_prime = _conjugate_by_q(fact)
+        assert d0_prime == RationalMatrix([[1]])
+        assert d1_prime == RationalMatrix([[2]])
 
     @pytest.mark.parametrize("name", ALL_FAMILIES)
     def test_conjugates_sentinel_to_e00(self, name):
         fact, fam = fact_for(name)
-        res = conjugation_matrix(fact)
-        product = exactmat.mat_mul(res.q_matrix, res.q_inverse)
-        assert product == identity(fam.dim)
+        q, q_inv, _, _ = _conjugate_by_q(fact)
+        assert exactmat.mat_mul(q, q_inv) == identity(fam.dim)
         conj = exactmat.mat_mul(
-            exactmat.mat_mul(res.q_inverse, exactmat.mat_pow(fam.d0, fam.q)),
-            res.q_matrix,
+            exactmat.mat_mul(q_inv, exactmat.mat_pow(fam.d0, fam.q)), q
         )
-        assert conj == elementary(fam.dim, 0, 0)
+        e00 = RationalMatrix(
+            [[int(i == j == 0) for j in range(fam.dim)] for i in range(fam.dim)]
+        )
+        assert conj == e00
 
     @pytest.mark.parametrize("name", ALL_FAMILIES)
     def test_corner_equals_conjugated_top_left(self, name):
         fact, fam = fact_for(name)
-        res = conjugation_matrix(fact)
+        _, _, d0_prime, d1_prime = _conjugate_by_q(fact)
         top = 8 if fam.dim <= 4 else 6
         for length in range(0, top + 1):
             for word in words.words_of_length(fam.q, length):
-                matrix = identity(fam.dim)
-                for symbol in word:
-                    matrix = exactmat.mat_mul(
-                        matrix,
-                        res.d0_prime if symbol == "0" else res.d1_prime,
-                    )
-                assert matrix[0, 0] == corner_value(fact, word)
+                assert _top_left(d0_prime, d1_prime, word) == \
+                    corner_value(fact, word)
 
     def test_basis_independence(self):
         fact, fam = fact_for("g3")
-        default = conjugation_matrix(fact)
+        default = _conjugate_by_q(fact)
         # a different exact basis of the null space of beta^T: scale one
         # vector and mix in another
         pivot = next(j for j in range(fam.dim) if fact.beta[j] != 0)
@@ -155,26 +210,13 @@ class TestConjugationMatrix:
             )
             for j in range(fam.dim) if j != pivot
         ]
-        twisted = [
+        twisted = (
             tuple(3 * x for x in base[0]),
             tuple(x + y for x, y in zip(base[0], base[1])),
-        ]
-        alt = conjugation_matrix(fact, null_basis=tuple(twisted))
-        assert alt.q_matrix != default.q_matrix
+        )
+        alt = _conjugate_by_q(fact, null_basis=twisted)
+        assert alt[0] != default[0]
         for length in range(0, 7):
             for word in words.words_of_length(fam.q, length):
-                m1, m2 = identity(fam.dim), identity(fam.dim)
-                for symbol in word:
-                    m1 = exactmat.mat_mul(
-                        m1, alt.d0_prime if symbol == "0" else alt.d1_prime
-                    )
-                    m2 = exactmat.mat_mul(
-                        m2,
-                        default.d0_prime if symbol == "0" else default.d1_prime,
-                    )
-                assert m1[0, 0] == m2[0, 0]
-
-    def test_bad_basis_rejected(self):
-        fact, fam = fact_for("g2")
-        with pytest.raises((ValueError, exactmat.Singular, AssertionError)):
-            conjugation_matrix(fact, null_basis=(fact.alpha,))
+                assert _top_left(alt[2], alt[3], word) == \
+                    _top_left(default[2], default[3], word)

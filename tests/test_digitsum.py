@@ -7,25 +7,13 @@ import numpy as np
 import pytest
 
 from lyapdisp import catalog, exactmat, digitsum as ds
-from lyapdisp.digitsum import Gf2Poly, LinearRepresentation, NoRepresentationFound
+from lyapdisp.digitsum import LinearRepresentation, NoRepresentationFound
 from lyapdisp.exactmat import RationalMatrix
 
 
 def random_ns(lo_bits: int, count: int = 10**4) -> list[int]:
     rng = random.Random(lo_bits)
     return [rng.randrange(1 << lo_bits, 1 << (lo_bits + 1)) for _ in range(count)]
-
-
-class TestDigitSum:
-    def test_trivia(self):
-        assert ds.digit_sum(0) == 0
-        assert ds.digit_sum(7) == 3
-        for k in range(30):
-            assert ds.digit_sum(2**k) == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ds.digit_sum(-1)
 
 
 class TestSummatoryFunctions:
@@ -115,6 +103,15 @@ class TestFluctuationFunctions:
 
 
 class TestFluctuationScans:
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    @pytest.mark.parametrize("j_max", [16, 20])
+    def test_extremes_are_scalar_values(self, kind, j_max):
+        stats, point = ((ds.phi_statistics, ds.phi) if kind == "phi"
+                        else (ds.psi_statistics, ds.psi))
+        scan = stats(j_max=j_max, samples_per_octave=64)
+        assert scan.inf == point(scan.inf_at).value
+        assert scan.sup == point(scan.sup_at).value
+
     def test_phi_quick_scan(self):
         scan = ds.phi_statistics(j_max=16, samples_per_octave=4096)
         assert scan.sup == 0.0
@@ -159,7 +156,7 @@ class TestGf2RowCounts:
     def test_binary_poly_matches_digit_sums(self):
         counts = list(ds.gf2_row_counts(0b11, 1 << 12))
         for n in range(1 << 12):
-            assert counts[n] == 1 << ds.digit_sum(n)
+            assert counts[n] == 1 << n.bit_count()
 
     def test_first_counts_of_three_term_poly(self):
         assert list(ds.gf2_row_counts(0b111, 5)) == [1, 3, 3, 5, 3]
@@ -167,13 +164,6 @@ class TestGf2RowCounts:
     def test_count_zero_is_one(self):
         for mask in (0b11, 0b111, 0b1011, 0b1111111):
             assert next(ds.gf2_row_counts(mask, 1)) == 1
-
-    def test_poly_wrapper(self):
-        poly = Gf2Poly(0b1011)
-        assert poly.degree == 3
-        assert str(poly) == "1 + x + x^3"
-        assert list(ds.gf2_row_counts(poly, 3)) == \
-            list(ds.gf2_row_counts(0b1011, 3))
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,9 @@ from lyapdisp.exactmat import (
     NonConvergence,
     RationalMatrix,
     RankNotOne,
-    Singular,
     ZeroMatrix,
-    elementary,
     identity,
     kronecker,
-    mat_inverse,
     mat_mul,
     mat_pow,
     null_space,
@@ -118,7 +115,8 @@ class TestKronecker:
 
 class TestRankOneFactor:
     def test_elementary(self):
-        alpha, beta = rank_one_factor(elementary(3, 0, 0))
+        e00 = RationalMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        alpha, beta = rank_one_factor(e00)
         assert alpha == (1, 0, 0)
         assert beta == (1, 0, 0)
 
@@ -141,9 +139,9 @@ class TestRankOneFactor:
             n = rng.randint(1, 5)
             u = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
             v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-            a = RationalMatrix([[ui * vj for vj in v] for ui in u])
-            if a.is_zero():
+            if not any(u) or not any(v):
                 continue
+            a = RationalMatrix([[ui * vj for vj in v] for ui in u])
             alpha, beta = rank_one_factor(a)
             rebuilt = RationalMatrix(
                 [[x * y for y in beta] for x in alpha]
@@ -165,32 +163,6 @@ class TestRankOneFactor:
         assert rejected > 10  # random matrices are almost never rank 1
 
 
-class TestInverse:
-    def test_identity(self):
-        assert mat_inverse(identity(3)) == identity(3)
-
-    def test_diagonal(self):
-        inv = mat_inverse(RationalMatrix([[2, 0], [0, 4]]))
-        assert inv == RationalMatrix([["1/2", 0], [0, "1/4"]])
-
-    def test_round_trip_random(self):
-        rng = random.Random(13)
-        done = 0
-        while done < 10:
-            a = random_matrix(rng, 4)
-            try:
-                inv = mat_inverse(a)
-            except Singular:
-                continue
-            assert mat_mul(a, inv) == identity(4)
-            assert mat_mul(inv, a) == identity(4)
-            done += 1
-
-    def test_singular(self):
-        with pytest.raises(Singular):
-            mat_inverse(RationalMatrix([[1, 2], [2, 4]]))
-
-
 class TestNullSpace:
     def test_dimensions_and_membership(self):
         rng = random.Random(17)
@@ -199,7 +171,7 @@ class TestNullSpace:
             v = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
             a = RationalMatrix([[ui * vj for vj in v] for ui in u])
             basis = null_space(a)
-            if a.is_zero():
+            if not any(u) or not any(v):
                 assert len(basis) == 4
                 continue
             assert len(basis) == 3

@@ -76,9 +76,19 @@ class TestPrefactors:
         )
 
 
+def scan_for(name, max_len, ts=()):
+    fam = catalog.get_family(name)
+    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
+    return words.scan_corner_stats(fact, max_len, ts=ts, threads=1)
+
+
+def series_for(name, max_len):
+    return gle.moments_from_scan(name, scan_for(name, max_len))
+
+
 class TestMomentSeries:
     def test_binomial_slabs(self):
-        series = gle.accumulate_moments("g1", max_len=20)
+        series = series_for("g1", 20)
         for k in range(21):
             expected = 2.0**-k * k * LN2
             assert series.s_lambda[k] == pytest.approx(expected, rel=1e-13)
@@ -94,18 +104,17 @@ class TestMomentSeries:
         )
 
     def test_max_len_zero(self):
-        series = gle.accumulate_moments("g2", max_len=0)
+        series = series_for("g2", 0)
         assert series.counts == (1,)
         assert series.s_lambda == (0.0,)
 
     def test_quadrinomial_series_lambda(self):
-        series = gle.accumulate_moments("g3", max_len=30)
+        series = series_for("g3", 30)
         accel = gle.wynn_epsilon(series.partials("lambda"))
         assert accel.estimate == pytest.approx(LN2 / 2, abs=1e-6)
 
     def test_csv_rows(self):
-        series = gle.accumulate_moments("g1", max_len=4)
-        rows = series.csv_rows()
+        rows = series_for("g1", 4).csv_rows()
         assert rows[0] == "len,words,Slambda,Skappa,Smu"
         assert len(rows) == 6
         assert rows[1].startswith("0,1,")
@@ -140,69 +149,58 @@ class TestExponents:
         assert data["L_samples"][0]["t"] == 2.0
 
     def test_zero_corner_words_reported(self):
-        d0 = exactmat.elementary(2, 0, 0)
+        d0 = RationalMatrix([[1, 0], [0, 0]])
         d1 = RationalMatrix([[0, 1], [1, 0]])
         fam = catalog.MatrixFamily(name="zeroy", q=1, d0=d0, d1=d1, poly_mask=0)
         report = gle.exponents(fam, max_len=10)
         assert report.skipped_words > 0
 
 
+@pytest.fixture(scope="module")
+def g3_scan():
+    """One g3 scan to depth 30 with the power sums every F test needs."""
+    return scan_for("g3", 30, ts=(0.0, -1e-4, 1e-4))
+
+
+def f_value(stats, t_index, s, accel=True):
+    return gle._f_from_sums(stats.q, stats.pow_sums[t_index], stats.zero_words,
+                            s, stats.ts[t_index], accel)
+
+
 class TestFEval:
-    def test_t0_closed_form(self):
-        for q, name in ((1, "g2"), (2, "g3")):
+    def test_t0_closed_form(self, g3_scan):
+        g2_scan = scan_for("g2", 26, ts=(0.0,))
+        for stats in (g2_scan, g3_scan):
             for s in (0.3, 0.5, 0.9):
                 # raw truncation at s = 0.9 still carries ~1e-3 of tail, so
                 # the comparison runs accelerated
-                value = gle.f_eval(name, s, 0.0, max_len=26, accel=True).value
-                assert value == pytest.approx(
-                    gle.f_closed_form_t0(q, s), abs=1e-6
+                assert f_value(stats, 0, s) == pytest.approx(
+                    gle.f_closed_form_t0(stats.q, s), abs=1e-6
                 )
 
-    def test_f_one_zero_is_one_accelerated(self):
-        value = gle.f_eval("g3", 1.0, 0.0, max_len=30, accel=True).value
-        assert value == pytest.approx(1.0, abs=1e-6)
+    def test_f_one_zero_is_one_accelerated(self, g3_scan):
+        assert f_value(g3_scan, 0, 1.0) == pytest.approx(1.0, abs=1e-6)
 
-    def test_tail_ratio_reported(self):
-        fv = gle.f_eval("g3", 0.5, 0.0, max_len=20)
-        assert 0.0 < fv.tail_ratio < 1e-3
-
-    def test_fs_at_one_zero(self):
+    def test_fs_at_one_zero(self, g3_scan):
         """Centered difference of F(., 0) at s=1 equals 2(2^q - 1)."""
-        fam = catalog.get_family("g3")
-        fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
-        stats = words.scan_corner_stats(fact, 30, ts=(0.0,), threads=1)
         h = 1e-4
-        up = gle._f_from_sums(2, stats.pow_sums[0], stats.zero_words,
-                              1 + h, 0.0, True).value
-        down = gle._f_from_sums(2, stats.pow_sums[0], stats.zero_words,
-                                1 - h, 0.0, True).value
+        up = f_value(g3_scan, 0, 1 + h)
+        down = f_value(g3_scan, 0, 1 - h)
         assert (up - down) / (2 * h) == pytest.approx(6.0, abs=1e-3)
 
     def test_overflow_raises(self):
+        stats = scan_for("g1", 30, ts=(300.0,))
         with pytest.raises(Overflow):
-            gle.f_eval("g1", 1.0, 300.0, max_len=30)
+            f_value(stats, 0, 1.0, accel=False)
 
-    def test_series_lambda_equals_ft_over_fs(self):
+    def test_series_lambda_equals_ft_over_fs(self, g3_scan):
         """lambda = F_t(1,0)/F_s(1,0), both by centered differences."""
-        fam = catalog.get_family("g3")
-        fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
         ht, hs = 1e-4, 1e-4
-        stats = words.scan_corner_stats(fact, 30, ts=(-ht, ht, 0.0), threads=1)
-
-        def f_acc(s, idx):
-            return gle._f_from_sums(
-                fam.q, stats.pow_sums[idx], stats.zero_words, s, stats.ts[idx],
-                True,
-            ).value
-
-        f_t = (f_acc(1.0, 1) - f_acc(1.0, 0)) / (2 * ht)
-        f_s = (f_acc(1.0 + hs, 2) - f_acc(1.0 - hs, 2)) / (2 * hs)
-        series_lambda = gle.exponents(fam, max_len=30).lam.accel
+        f_t = (f_value(g3_scan, 2, 1.0) - f_value(g3_scan, 1, 1.0)) / (2 * ht)
+        f_s = (f_value(g3_scan, 0, 1.0 + hs)
+               - f_value(g3_scan, 0, 1.0 - hs)) / (2 * hs)
+        series_lambda = gle.exponents("g3", max_len=30).lam.accel
         assert f_t / f_s == pytest.approx(series_lambda, abs=1e-4)
-
-    def test_invalid_s(self):
-        with pytest.raises(ValueError):
-            gle.f_eval("g1", -1.0, 0.0, max_len=10)
 
 
 class TestLOfT:
@@ -220,7 +218,7 @@ class TestLOfT:
         )
 
     def test_no_bracket_when_all_corners_vanish(self):
-        d0 = exactmat.elementary(2, 0, 0)
+        d0 = RationalMatrix([[1, 0], [0, 0]])
         d1 = RationalMatrix([[0, 0], [0, 0]])
         fam = catalog.MatrixFamily(name="dead", q=1, d0=d0, d1=d1, poly_mask=0)
         with pytest.raises(NoBracket):
@@ -229,9 +227,7 @@ class TestLOfT:
     def test_truncation_check_trips_on_shallow_raw_sums(self):
         # without acceleration the root moves visibly between depth 16 and
         # depth 12, far beyond 10x a 1e-7 tolerance
-        fam = catalog.get_family("g3")
-        fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
-        stats = words.scan_corner_stats(fact, 16, ts=(2.0,), threads=1)
+        stats = scan_for("g3", 16, ts=(2.0,))
         with pytest.raises(TruncationUnstable):
             gle.l_from_scan(stats, 0, tol=1e-7, accel=False)
 
@@ -256,7 +252,9 @@ class TestReplica:
             gle.replica_exponent("g5", 5)  # 6^5 = 7776 > 4096
 
     def test_dispersion_params_binomial(self):
-        avg, typ = gle.dispersion_params("g1")
+        """(average, typical) dispersion: L(2)/ln 2 and sigma^2/ln 2."""
+        avg = math.log(gle.replica_exponent("g1", 2)) / LN2
+        typ = gle.exponents("g1").sigma2 / LN2
         assert avg == pytest.approx(1.3219280948873623, abs=1e-12)
         assert typ == pytest.approx(LN2 / 4, abs=1e-12)
 

@@ -139,7 +139,7 @@ class TestFoldProducts:
             collected = []
             words.fold_products(fact, 10, lambda w, c: collected.append((w, c)))
             for word, corner in rng.choices(collected, k=260):
-                matrix = exactmat.identity(fact.dim)
+                matrix = exactmat.identity(fact.d0.dim)
                 for symbol in word:
                     matrix = exactmat.mat_mul(
                         matrix, fact.d0 if symbol == "0" else fact.d1
@@ -147,8 +147,8 @@ class TestFoldProducts:
                 expected = sum(
                     (
                         fact.beta[i] * matrix.rows[i][j] * fact.alpha[j]
-                        for i in range(fact.dim)
-                        for j in range(fact.dim)
+                        for i in range(fact.d0.dim)
+                        for j in range(fact.d0.dim)
                     ),
                     Fraction(0),
                 )
@@ -257,7 +257,7 @@ class TestScanCornerStats:
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_zero_corners_counted_and_skipped(self):
-        d0 = exactmat.elementary(2, 0, 0)
+        d0 = RationalMatrix([[1, 0], [0, 0]])
         d1 = RationalMatrix([[0, 1], [1, 0]])
         fact = conjugate.sentinel_factorization(d0, d1, 1, "zeroy")
         stats = words.scan_corner_stats(fact, 6, threads=1)
@@ -308,7 +308,7 @@ class TestScanPath:
         d0 = [[int(x) for x in row] for row in fact.d0.rows]
         d1 = [[int(x) for x in row] for row in fact.d1.rows]
         alpha = [int(x) for x in fact.alpha]
-        m = fact.dim
+        m = fact.d0.dim
 
         def times(row, mat):
             return [sum(row[i] * mat[i][j] for i in range(m)) for j in range(m)]
