@@ -102,6 +102,44 @@ def _validate(fam: MatrixFamily) -> MatrixFamily:
     return fam
 
 
+def _check_conjugated_pair(fam: MatrixFamily) -> None:
+    """d0_prime, d1_prime come together, D'0^q = E00, and (D'_w)[0, 0] =
+    beta^T D_w alpha for every binary word w, all decided exactly.
+
+    The difference of the two sides is a linear functional of the row vector
+    (e0^T D'_w, beta^T D_w), so it is checked on a basis of the span of those
+    vectors over all w: at most 2 * dim of them, found breadth first.
+    """
+    if (fam.d0_prime is None) != (fam.d1_prime is None):
+        raise InvariantViolation(f"{fam.name}: d0_prime and d1_prime come as a pair")
+    if fam.d0_prime is None:
+        return
+    n = fam.dim
+    e00 = RationalMatrix([[int(i == j == 0) for j in range(n)] for i in range(n)])
+    if exactmat.mat_pow(fam.d0_prime, fam.q) != e00:
+        raise InvariantViolation(f"{fam.name}: d0_prime^q is not E00")
+    alpha, beta = exactmat.rank_one_factor(exactmat.mat_pow(fam.d0, fam.q))
+
+    def times(row, matrix: RationalMatrix) -> list[Fraction]:
+        return [sum(r * c for r, c in zip(row, col)) for col in zip(*matrix.rows)]
+
+    basis: list[tuple[int, list[Fraction]]] = []
+    queue = [list(e00.rows[0]) + list(beta)]
+    while queue:
+        vec = queue.pop(0)
+        for pivot, b in basis:
+            vec = [x - vec[pivot] / b[pivot] * y for x, y in zip(vec, b)]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            continue
+        if vec[0] != sum(x * a for x, a in zip(vec[n:], alpha)):
+            raise InvariantViolation(
+                f"{fam.name}: d0_prime, d1_prime do not reproduce the corner values")
+        basis.append((pivot, vec))
+        for prime, plain in ((fam.d0_prime, fam.d0), (fam.d1_prime, fam.d1)):
+            queue.append(times(vec[:n], prime) + times(vec[n:], plain))
+
+
 def _mat(rows) -> RationalMatrix:
     return RationalMatrix(rows)
 
@@ -422,24 +460,24 @@ def resolve_family(family: str | MatrixFamily) -> MatrixFamily:
 # family definition files
 # ---------------------------------------------------------------------------
 
-def _entry_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def family_to_dict(fam: MatrixFamily) -> dict:
     """JSON-ready form with exact 'p/q' entry strings (see README for schema)."""
+
+    def entries(matrix: RationalMatrix) -> list[list[str]]:
+        return [[str(x) for x in row] for row in matrix.rows]
+
     out = {
         "name": fam.name,
         "q": fam.q,
         "dim": fam.dim,
-        "d0": [[_entry_to_str(x) for x in row] for row in fam.d0.rows],
-        "d1": [[_entry_to_str(x) for x in row] for row in fam.d1.rows],
+        "d0": entries(fam.d0),
+        "d1": entries(fam.d1),
     }
     if fam.poly_mask:
         out["poly_mask"] = fam.poly_mask
     if fam.d0_prime is not None:
-        out["d0_prime"] = [[_entry_to_str(x) for x in row] for row in fam.d0_prime.rows]
-        out["d1_prime"] = [[_entry_to_str(x) for x in row] for row in fam.d1_prime.rows]
+        out["d0_prime"] = entries(fam.d0_prime)
+        out["d1_prime"] = entries(fam.d1_prime)
     if fam.constants is not None:
         out["constants"] = {
             "lambda": fam.constants.lambda_ref,
@@ -510,7 +548,9 @@ def family_from_dict(data: dict, origin: str = "<dict>") -> MatrixFamily:
         if "d1_prime" in data else None,
         constants=constants,
     )
-    return _validate(fam)
+    _validate(fam)
+    _check_conjugated_pair(fam)
+    return fam
 
 
 def load_family_file(path: str) -> MatrixFamily:

@@ -9,7 +9,8 @@ satisfies Q^-1 D0^q Q = E00 and
 
 for every binary word w.  The right side is cheap, exact and basis-free, so
 corner values are always computed that way and no Q or D' matrix is formed;
-the catalog's tabulated D' pairs are kept only as cross-check data.
+the catalog's tabulated D' pairs are cross-check data, checked against the
+right side when a family file is loaded.
 """
 
 from __future__ import annotations

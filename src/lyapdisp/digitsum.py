@@ -36,7 +36,6 @@ from .catalog import MatrixFamily
 from .exactmat import RationalMatrix
 
 __all__ = [
-    "FluctuationSample",
     "LinearRepresentation",
     "summatory_digit_sum",
     "summatory_f",
@@ -61,13 +60,6 @@ DEFAULT_PERCENTILES = (1, 5, 10, 25, 50, 75, 90, 95, 99, 100)
 
 class NoRepresentationFound(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FluctuationSample:
-    n: int
-    x: float       # fractional part of log2(n)
-    value: float
 
 
 def summatory_digit_sum(n: int) -> int:
@@ -131,7 +123,7 @@ def _psi_parts(n: int, s: int) -> tuple[float, float]:
     return math.log2(f), value
 
 
-def phi(n: int) -> FluctuationSample:
+def phi(n: int) -> float:
     """Average-digit-sum fluctuation: S(n)/n - log2(n)/2, exactly.
 
     Computed as (2 S(n) - j n) / (2 n) - log2(f)/2 with n = f 2^j, so the
@@ -140,11 +132,10 @@ def phi(n: int) -> FluctuationSample:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x, value = _phi_parts(n, summatory_digit_sum(n))
-    return FluctuationSample(n=n, x=x, value=value)
+    return _phi_parts(n, summatory_digit_sum(n))[1]
 
 
-def psi(n: int) -> FluctuationSample:
+def psi(n: int) -> float:
     """Odd-coefficient-average fluctuation: Sf(n) / n^{log2 3}, exactly.
 
     Computed as (Sf(n) / 3^j) * f^{-log2 3}; at powers of two Sf(2^j) = 3^j
@@ -152,8 +143,7 @@ def psi(n: int) -> FluctuationSample:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x, value = _psi_parts(n, summatory_f(n))
-    return FluctuationSample(n=n, x=x, value=value)
+    return _psi_parts(n, summatory_f(n))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +196,14 @@ class FluctuationScan:
         }
 
 
-def _popcounts(lo: int, hi: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(lo, hi, dtype=np.int64)).astype(np.int64)
-
-
-def _phi_chunk_values(ns: np.ndarray, s_vals: np.ndarray) -> np.ndarray:
+def _chunk_values(kind: str, ns: np.ndarray, s_vals: np.ndarray) -> np.ndarray:
+    """Phi (kind 'phi') or Psi at each n of ns from S(n) or Sf(n), in numpy."""
     mant, exp = np.frexp(ns.astype(np.float64))
     j = exp - 1
     f = 2.0 * mant
-    rational = (2 * s_vals - j * ns) / (2.0 * ns)
-    return rational - 0.5 * np.log2(f)
-
-
-def _psi_chunk_values(ns: np.ndarray, sf_vals: np.ndarray) -> np.ndarray:
-    mant, exp = np.frexp(ns.astype(np.float64))
-    j = exp - 1
-    f = 2.0 * mant
-    ratio = sf_vals / np.power(3.0, j)
-    return ratio * np.power(f, -LOG2_3)
+    if kind == "phi":
+        return (2 * s_vals - j * ns) / (2.0 * ns) - 0.5 * np.log2(f)
+    return s_vals / np.power(3.0, j) * np.power(f, -LOG2_3)
 
 
 def _scan_extremes(kind: str, j_max: int) -> tuple[int, int]:
@@ -242,17 +222,11 @@ def _scan_extremes(kind: str, j_max: int) -> tuple[int, int]:
     while lo < top:
         hi = min(lo + chunk, top)
         ns = np.arange(lo, hi, dtype=np.int64)
-        pops = _popcounts(lo, hi)
-        if kind == "phi":
-            increments = pops
-            cums = np.cumsum(increments)
-            s_vals = running + cums - increments  # S(n) for each n in chunk
-            values = _phi_chunk_values(ns, s_vals)
-        else:
-            increments = np.int64(1) << pops
-            cums = np.cumsum(increments)
-            s_vals = running + cums - increments
-            values = _psi_chunk_values(ns, s_vals)
+        pops = np.bitwise_count(ns).astype(np.int64)
+        increments = pops if kind == "phi" else np.int64(1) << pops
+        cums = np.cumsum(increments)
+        s_vals = running + cums - increments  # S(n) or Sf(n) for each n in chunk
+        values = _chunk_values(kind, ns, s_vals)
         k = int(values.argmin())
         if values[k] < best_min:
             best_min, best_min_at = float(values[k]), int(ns[k])
@@ -310,7 +284,7 @@ def _scan_statistics(kind: str, j_min: int, j_max: int, samples: int,
 
     # trapezoid over one period; both endpoints sit at powers of two where
     # the fluctuation takes its supremum value exactly
-    edge = point(1 << (j_max - 1)).value
+    edge = point(1 << (j_max - 1))
     xs_closed = np.concatenate([xs, [1.0]])
     vals_closed = np.concatenate([vals, [edge]])
     widths = np.diff(xs_closed)
@@ -340,9 +314,9 @@ def _scan_statistics(kind: str, j_min: int, j_max: int, samples: int,
         name=kind,
         j_min=j_min,
         j_max=j_max,
-        inf=point(inf_at).value,
+        inf=point(inf_at),
         inf_at=inf_at,
-        sup=point(sup_at).value,
+        sup=point(sup_at),
         sup_at=sup_at,
         mean=mean,
         percentiles=tuple(percentiles),

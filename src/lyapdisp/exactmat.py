@@ -1,9 +1,10 @@
 """Exact rational matrix algebra plus the little float spectral machinery we need.
 
-Matrices are small (catalog families are at most 8x8, Kronecker squares at
-most 64x64) and products of them grow exponentially, so entries are kept as
-exact `fractions.Fraction` values end to end.  Floating point appears only
-in `spectral_radius` and `poly_eval`, which feed the replica computations.
+Matrices are small (catalog families are at most 8x8) and products of them
+grow exponentially, so the factorizations, powers and null spaces behind the
+corner values are kept as exact `fractions.Fraction` values end to end.
+Floating point appears only on the replica route: `kronecker` multiplies
+float64 arrays, and `spectral_radius` and `poly_eval` work on floats.
 """
 
 from __future__ import annotations
@@ -25,21 +26,15 @@ __all__ = [
     "poly_eval",
     "poly_residual",
     "DimensionMismatch",
-    "KroneckerCapExceeded",
     "RankNotOne",
     "ZeroMatrix",
     "NonConvergence",
 ]
 
-DEFAULT_KRONECKER_CAP = 4096
 DEFAULT_MAX_POWER_ITERATIONS = 10**6
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class KroneckerCapExceeded(ValueError):
     pass
 
 
@@ -101,23 +96,8 @@ class RationalMatrix:
         )
         return f"RationalMatrix[{body}]"
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return mat_mul(self, other)
-
     def trace(self) -> Fraction:
         return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
-
-    def scale(self, c) -> "RationalMatrix":
-        c = _to_fraction(c)
-        return RationalMatrix(tuple(x * c for x in row) for row in self.rows)
-
-    def add(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        return RationalMatrix(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.rows for x in row)
@@ -156,18 +136,14 @@ def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
     return result
 
 
-def kronecker(
-    a: RationalMatrix, b: RationalMatrix, cap: int = DEFAULT_KRONECKER_CAP
-) -> RationalMatrix:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    n = a.dim * b.dim
-    if n > cap:
-        raise KroneckerCapExceeded(f"result dimension {n} exceeds cap {cap}")
-    rows = []
-    for arow in a.rows:
-        for brow in b.rows:
-            rows.append(tuple(x * y for x in arow for y in brow))
-    return RationalMatrix(rows)
+def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of float64 arrays; block (i, j) is a[i, j] * b.
+
+    Each entry is one product of an entry of a and an entry of b, so it is
+    exact whenever that product is an integer below 2^53.  Callers bound the
+    result dimension themselves.
+    """
+    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def rank_one_factor(
@@ -238,15 +214,6 @@ def null_space(a: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(basis)
 
 
-def _as_float_array(a) -> np.ndarray:
-    if isinstance(a, RationalMatrix):
-        return a.to_float()
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
-    return arr
-
-
 def spectral_radius(
     a,
     tol: float = 1e-13,
@@ -257,11 +224,13 @@ def spectral_radius(
     Iterates on a + I (same eigenvectors, radius shifted by exactly 1) so the
     dominant eigenvalue is the unique peripheral one even when a is periodic,
     starting from the all-ones vector; stops when successive Rayleigh
-    quotients differ by less than tol.
+    quotients differ by less than tol.  a is any square array-like of floats.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    arr = _as_float_array(a)
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch("expected a square matrix")
     if (arr < 0).any():
         raise ValueError("spectral_radius expects a nonnegative matrix")
     if not np.isfinite(arr).all():

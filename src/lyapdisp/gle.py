@@ -55,6 +55,8 @@ __all__ = [
 LN2 = math.log(2.0)
 
 DEFAULT_MAX_LEN = {1: 36, 2: 36, 3: 30}
+# largest dim^t of a replica matrix; checked before anything is built
+MAX_REPLICA_DIM = 4096
 WYNN_GUARD = 1e-300
 
 
@@ -236,30 +238,29 @@ class AcceleratedValue:
     accel: float      # Wynn estimate (== raw when acceleration is off)
     err: float        # error estimate
     depth: int        # epsilon-table column used
-    tail: float       # geometric continuation of the last raw increment
 
 
 def _accelerate(partials: Sequence[float], accel: bool) -> AcceleratedValue:
     raw = partials[-1]
-    if len(partials) >= 3:
-        inc1 = partials[-1] - partials[-2]
-        inc2 = partials[-2] - partials[-3]
-        if inc2 != 0.0 and 0.0 < abs(inc1 / inc2) < 1.0:
-            r = abs(inc1 / inc2)
-            tail = abs(inc1) * r / (1.0 - r)
-        else:
-            tail = abs(inc1)
-    else:
-        tail = float("nan")
-    if not accel:
-        return AcceleratedValue(raw=raw, accel=raw, err=tail, depth=0, tail=tail)
-    wynn = wynn_epsilon(partials)
-    # a vanishing column difference means exact convergence; the estimate is
-    # still only representable to double precision, so floor the error there
-    err = max(wynn.error, abs(wynn.estimate) * 5e-16)
-    return AcceleratedValue(
-        raw=raw, accel=wynn.estimate, err=err, depth=wynn.depth, tail=tail
-    )
+    if accel:
+        wynn = wynn_epsilon(partials)
+        # a vanishing column difference means exact convergence; the estimate
+        # is still only representable to double precision, so floor the
+        # error there
+        err = max(wynn.error, abs(wynn.estimate) * 5e-16)
+        return AcceleratedValue(raw=raw, accel=wynn.estimate, err=err,
+                                depth=wynn.depth)
+    # without acceleration the error is the geometric continuation of the
+    # last raw increment
+    if len(partials) < 3:
+        return AcceleratedValue(raw=raw, accel=raw, err=float("nan"), depth=0)
+    inc1 = partials[-1] - partials[-2]
+    inc2 = partials[-2] - partials[-3]
+    err = abs(inc1)
+    if inc2 != 0.0 and 0.0 < abs(inc1 / inc2) < 1.0:
+        r = abs(inc1 / inc2)
+        err = abs(inc1) * r / (1.0 - r)
+    return AcceleratedValue(raw=raw, accel=raw, err=err, depth=0)
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,7 @@ def exponents(
 
     replica = []
     for t in (1, 2):
-        if fam.dim**t <= exactmat.DEFAULT_KRONECKER_CAP:
+        if fam.dim**t <= MAX_REPLICA_DIM:
             replica.append((t, replica_exponent(fam, t)))
 
     return ExponentReport(
@@ -402,6 +403,20 @@ def f_closed_form_t0(q: int, s: float) -> float:
     return half**q * (1.0 - half) / (1.0 - s + half ** (q + 1))
 
 
+def _bisect(below, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] after halving it while wider than tol.
+
+    below(mid) true means the root lies above mid.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _bisect_root(q, power_sums, zeros, t, tol, accel) -> float:
     """Root of F(s, t) = 1 in s.
 
@@ -417,13 +432,10 @@ def _bisect_root(q, power_sums, zeros, t, tol, accel) -> float:
         raise NoBracket(
             f"F({hi:.6f}, {t}) = {f_hi} < 1; truncation too shallow or t too negative"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _f_from_sums(q, power_sums, zeros, mid, t, False) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = _bisect(
+        lambda s: _f_from_sums(q, power_sums, zeros, s, t, False) < 1.0,
+        lo, hi, tol,
+    )
     if not accel:
         return root
 
@@ -435,13 +447,7 @@ def _bisect_root(q, power_sums, zeros, t, tol, accel) -> float:
         lo = max(root * (1.0 - delta), 1e-12)
         hi = min(root * (1.0 + delta), 2.0 * (1.0 - 1e-12))
         if f_acc(lo) < 1.0 < f_acc(hi):
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if f_acc(mid) < 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            return _bisect(lambda s: f_acc(s) < 1.0, lo, hi, tol)
         delta *= 4.0
     return root  # acceleration did not improve the bracket; raw root stands
 
@@ -506,21 +512,29 @@ def l_of_t(
 def replica_exponent(family, t: int, tol: float = 1e-13) -> float:
     """e^{L(t)} for integer t: spectral radius of (D0^(x)t + D1^(x)t)/2.
 
-    (x)t is the t-fold Kronecker power; t = 1 is the plain average.
+    (x)t is the t-fold Kronecker power; t = 1 is the plain average.  The
+    powers and their average are built in float64 from D0 and D1 rounded to
+    float.  For an integer family every entry is an integer, exact while it
+    stays below 2^53 (the built-in families have entries of at most 2, so
+    for every t <= 51), and the matrix is the exact average rounded to
+    float.  For a fractional family an entry of the sum is a product of t
+    rounded entries of D0 or D1, t - 1 rounded multiplications and one
+    rounded addition: 2t roundings of at most 2^-53 relative each, so every
+    entry of the average is within about 2t * 2^-53 relative of the exact
+    one.  The matrices are nonnegative and the spectral radius is monotone
+    in their entries, so it moves by at most that same relative amount.
     """
     fam = catalog.resolve_family(family)
     if t < 1:
         raise ValueError("replica exponent needs integer t >= 1")
-    if fam.dim**t > exactmat.DEFAULT_KRONECKER_CAP:
-        raise DimensionCap(
-            f"dim^t = {fam.dim ** t} exceeds cap {exactmat.DEFAULT_KRONECKER_CAP}"
-        )
-    pow0, pow1 = fam.d0, fam.d1
+    if fam.dim**t > MAX_REPLICA_DIM:
+        raise DimensionCap(f"dim^t = {fam.dim ** t} exceeds cap {MAX_REPLICA_DIM}")
+    d0, d1 = fam.d0.to_float(), fam.d1.to_float()
+    pow0, pow1 = d0, d1
     for _ in range(t - 1):
-        pow0 = exactmat.kronecker(pow0, fam.d0)
-        pow1 = exactmat.kronecker(pow1, fam.d1)
-    average = pow0.add(pow1).scale(Fraction(1, 2))
-    return exactmat.spectral_radius(average, tol=tol)
+        pow0 = exactmat.kronecker(pow0, d0)
+        pow1 = exactmat.kronecker(pow1, d1)
+    return exactmat.spectral_radius((pow0 + pow1) / 2, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +631,8 @@ def quadrinomial_regroup_L(t: float, tol: float = 1e-12) -> float:
         except ZeroDivisionError:
             continue
         if prev_v is not None and (value == 0.0 or (prev_v > 0.0) != (value > 0.0)):
-            lo, hi = prev_s, s
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if (det_i_minus_f(mid) > 0.0) == (prev_v > 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            return -math.log(0.5 * (lo + hi))
+            sign = prev_v > 0.0
+            root = _bisect(lambda x: (det_i_minus_f(x) > 0.0) == sign, prev_s, s, tol)
+            return -math.log(root)
         prev_s, prev_v = s, value
     raise NoRoot(f"det(I - F(s, {t})) has no zero on (0, 2) at this resolution")

@@ -1,6 +1,7 @@
 """Catalog loading, validation, file round trips, and constant verification."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +71,35 @@ class TestFamilyFiles:
             assert clone.q == fam.q
             assert clone.d0_prime == fam.d0_prime
             assert clone.constants.minpoly == fam.constants.minpoly
+
+    def test_conjugated_pair_must_reproduce_corner_values(self):
+        data = family_to_dict(get_family("g2"))
+        data["d1_prime"] = [[7, 7], [7, 7]]
+        with pytest.raises(InvariantViolation, match="corner values"):
+            family_from_dict(data)
+
+    def test_conjugated_pair_comes_whole(self):
+        data = family_to_dict(get_family("g2"))
+        del data["d1_prime"]
+        with pytest.raises(InvariantViolation, match="pair"):
+            family_from_dict(data)
+
+    def test_conjugated_sentinel_must_be_e00(self):
+        data = family_to_dict(get_family("h4"))
+        data["d0_prime"] = data["d0"]
+        with pytest.raises(InvariantViolation, match="E00"):
+            family_from_dict(data)
+
+    def test_conjugated_pair_in_another_basis_loads(self):
+        # P^-1 D' P with P diagonal and P[0, 0] = 1 keeps E00 and every corner
+        fam = get_family("h4")
+        p = [Fraction(1)] + [Fraction(k + 2, 3) for k in range(fam.dim - 1)]
+        data = family_to_dict(fam)
+        for key, m in (("d0_prime", fam.d0_prime), ("d1_prime", fam.d1_prime)):
+            data[key] = [[str(m[i, j] * p[j] / p[i]) for j in range(fam.dim)]
+                         for i in range(fam.dim)]
+        loaded = family_from_dict(data)
+        assert loaded.d1_prime != fam.d1_prime
 
     def test_file_round_trip(self, tmp_path):
         fam = get_family("g2")

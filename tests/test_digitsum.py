@@ -63,29 +63,30 @@ class TestSummatoryArrays:
 class TestFluctuationFunctions:
     def test_phi_zero_at_powers(self):
         for j in range(1, 30):
-            assert ds.phi(2**j).value == 0.0
+            assert ds.phi(2**j) == 0.0
 
     def test_psi_one_at_powers(self):
         for j in range(1, 30):
-            assert ds.psi(2**j).value == 1.0
+            assert ds.psi(2**j) == 1.0
 
     def test_bitwise_periodicity(self):
         for n in (3, 5, 7, 11, 100, 12345, 999999):
-            assert ds.phi(n).value == ds.phi(2 * n).value
-            assert ds.psi(n).value == ds.psi(2 * n).value
-            assert ds.phi(n).x == ds.phi(2 * n).x
+            assert ds.phi(n) == ds.phi(2 * n)
+            assert ds.psi(n) == ds.psi(2 * n)
+            x_n = ds._phi_parts(n, ds.summatory_digit_sum(n))[0]
+            assert x_n == ds._phi_parts(2 * n, ds.summatory_digit_sum(2 * n))[0]
 
     def test_matches_definition(self):
         for n in (3, 6, 17, 1000, 54321):
             direct_phi = ds.summatory_digit_sum(n) / n - math.log2(n) / 2
-            assert ds.phi(n).value == pytest.approx(direct_phi, abs=1e-12)
+            assert ds.phi(n) == pytest.approx(direct_phi, abs=1e-12)
             direct_psi = ds.summatory_f(n) / n ** math.log2(3.0)
-            assert ds.psi(n).value == pytest.approx(direct_psi, rel=1e-12)
+            assert ds.psi(n) == pytest.approx(direct_psi, rel=1e-12)
 
     def test_ranges(self):
         for n in range(2, 4096):
-            assert ds.phi(n).value <= 0.0
-            assert 0.0 < ds.psi(n).value <= 1.0
+            assert ds.phi(n) <= 0.0
+            assert 0.0 < ds.psi(n) <= 1.0
 
     def test_range_violations_raise(self, monkeypatch):
         # explicit checks rather than asserts, so `python -O` keeps them
@@ -97,9 +98,13 @@ class TestFluctuationFunctions:
             ds.psi(6)
 
     def test_sample_fields(self):
-        sample = ds.phi(6)
-        assert sample.n == 6
-        assert sample.x == pytest.approx(math.log2(1.5))
+        # x is the fractional part of log2(n), the abscissa of the samples
+        x, value = ds._phi_parts(6, ds.summatory_digit_sum(6))
+        assert x == pytest.approx(math.log2(1.5))
+        assert value == ds.phi(6)
+        x, value = ds._psi_parts(6, ds.summatory_f(6))
+        assert x == pytest.approx(math.log2(1.5))
+        assert value == ds.psi(6)
 
 
 class TestFluctuationScans:
@@ -109,8 +114,8 @@ class TestFluctuationScans:
         stats, point = ((ds.phi_statistics, ds.phi) if kind == "phi"
                         else (ds.psi_statistics, ds.psi))
         scan = stats(j_max=j_max, samples_per_octave=64)
-        assert scan.inf == point(scan.inf_at).value
-        assert scan.sup == point(scan.sup_at).value
+        assert scan.inf == point(scan.inf_at)
+        assert scan.sup == point(scan.sup_at)
 
     def test_phi_quick_scan(self):
         scan = ds.phi_statistics(j_max=16, samples_per_octave=4096)
@@ -134,10 +139,12 @@ class TestFluctuationScans:
     def test_samples_equal_scalar_values(self, kind):
         stats = ds.phi_statistics if kind == "phi" else ds.psi_statistics
         point = ds.phi if kind == "phi" else ds.psi
+        parts, summatory = ((ds._phi_parts, ds.summatory_digit_sum)
+                            if kind == "phi" else (ds._psi_parts, ds.summatory_f))
         scan = stats(j_max=16)
-        pts = [point(n) for n in scan.sample_n.tolist()]
-        assert scan.sample_value.tolist() == [p.value for p in pts]
-        assert scan.sample_x.tolist() == [p.x for p in pts]
+        ns = scan.sample_n.tolist()
+        assert scan.sample_value.tolist() == [point(n) for n in ns]
+        assert scan.sample_x.tolist() == [parts(n, summatory(n))[0] for n in ns]
 
     def test_csv_rows(self):
         scan = ds.phi_statistics(j_max=10, samples_per_octave=256)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lyapdisp import catalog, conjugate, exactmat, gle, words
@@ -232,7 +233,65 @@ class TestLOfT:
             gle.l_from_scan(stats, 0, tol=1e-7, accel=False)
 
 
+def exact_replica_average(fam, t):
+    """(D0^(x)t + D1^(x)t) / 2 in exact Fractions: the oracle for the float route."""
+
+    def kron(a, b):
+        return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+    pow0, pow1 = fam.d0.rows, fam.d1.rows
+    for _ in range(t - 1):
+        pow0, pow1 = kron(pow0, fam.d0.rows), kron(pow1, fam.d1.rows)
+    return RationalMatrix(
+        [[(x + y) / 2 for x, y in zip(r0, r1)] for r0, r1 in zip(pow0, pow1)]
+    )
+
+
+# every built-in family at t = 1..3 with dim^t <= 216 (h4 up to t = 2)
+REPLICA_CASES = [
+    (name, t)
+    for name in catalog.family_names()
+    for t in (1, 2, 3)
+    if catalog.get_family(name).dim ** t <= 216
+]
+
+
 class TestReplica:
+    @pytest.mark.parametrize("name, t", REPLICA_CASES)
+    def test_float_average_equals_exact(self, name, t, monkeypatch):
+        real = exactmat.spectral_radius
+        seen = []
+
+        def capture(a, tol):
+            seen.append(a)
+            return real(a, tol=tol)
+
+        monkeypatch.setattr(exactmat, "spectral_radius", capture)
+        fam = catalog.get_family(name)
+        value = gle.replica_exponent(fam, t)
+        exact = exact_replica_average(fam, t).to_float()
+        assert seen[0].dtype == np.float64
+        assert np.array_equal(seen[0], exact)
+        assert value == real(exact, tol=1e-13)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_conjugated_family_matches_parent(self, t):
+        # a positive rational diagonal similarity leaves the spectrum alone;
+        # its entries are not floats, so the rounding bound is what is checked
+        fam = catalog.get_family("g5")
+        diag = [Fraction(k + 2, 2 * k + 3) for k in range(fam.dim)]
+
+        def conj(m):
+            return RationalMatrix([[m[i, j] * diag[j] / diag[i]
+                                    for j in range(fam.dim)]
+                                   for i in range(fam.dim)])
+
+        conjugated = catalog.MatrixFamily(
+            name="g5-conj", q=fam.q, d0=conj(fam.d0), d1=conj(fam.d1),
+            poly_mask=0)
+        assert gle.replica_exponent(conjugated, t) == pytest.approx(
+            gle.replica_exponent(fam, t), rel=1e-12)
+
     def test_binomial(self):
         assert gle.replica_exponent("g1", 2) == pytest.approx(2.5, abs=1e-12)
 
