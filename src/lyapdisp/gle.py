@@ -12,10 +12,10 @@ assembles:
 
 with per-length partial sums accelerated by Wynn's epsilon process, plus the
 moment exponent L(t) two independent ways: as -ln s(t) where the generating
-function F(s, t) = sum_w (s/2)^{l(w)+q} phi(w)^t crosses 1, and (for integer
-t) as the log spectral radius of the averaged t-fold Kronecker powers.  The
-three-letter-alphabet regrouping check for the quadrinomial family lives
-here too.
+function F(s, t) = sum_w (s/2)^{l(w)+q} phi(w)^t crosses 1, found by
+Brent's bracketed root finder, and (for integer t) as the log spectral radius
+of the averaged t-fold Kronecker powers.  The three-letter-alphabet
+regrouping check for the quadrinomial family lives here too.
 """
 
 from __future__ import annotations
@@ -403,51 +403,115 @@ def f_closed_form_t0(q: int, s: float) -> float:
     return half**q * (1.0 - half) / (1.0 - s + half ** (q + 1))
 
 
-def _bisect(below, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of [lo, hi] after halving it while wider than tol.
+def _brent(f, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
+    """A point within tol/2 of a root of f between a and b.
 
-    below(mid) true means the root lies above mid.
+    f_a = f(a) and f_b = f(b) must not have the same sign, else NoBracket; a
+    root is an exact zero of f or a point where its sign changes.  This is
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4): b is the best point so far and [b, c] always holds a root;
+    each step tries inverse quadratic or secant interpolation and bisects
+    instead when the interpolant leaves the bracket or the bracket shrinks
+    too slowly.  No step is shorter than tol/4, so once b is that close to
+    the root the next point lands across it.  The search stops at an exact
+    zero or when |c - b| <= tol/2 (two ulps, if tol is below that), and
+    returns b, the end with the smaller |f|.
     """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_root(q, power_sums, zeros, t, tol, accel) -> float:
-    """Root of F(s, t) = 1 in s.
-
-    The raw truncated sum is strictly increasing in s, so it brackets and
-    bisects unconditionally.  Acceleration refines the root afterwards in a
-    small interval around the raw one: inside the convergence region the
-    epsilon process approximates the true (untruncated) F, but far outside
-    it produces antilimits, so it must not be used for the global bracket.
-    """
-    lo, hi = 1e-12, 2.0 * (1.0 - 1e-12)
-    f_hi = _f_from_sums(q, power_sums, zeros, hi, t, False)
-    if f_hi < 1.0:
+    if (f_a < 0.0) == (f_b < 0.0) and f_a != 0.0 and f_b != 0.0:
         raise NoBracket(
-            f"F({hi:.6f}, {t}) = {f_hi} < 1; truncation too shallow or t too negative"
+            f"no sign change between {a!r} (f = {f_a!r}) and {b!r} (f = {f_b!r})"
         )
-    root = _bisect(
-        lambda s: _f_from_sums(q, power_sums, zeros, s, t, False) < 1.0,
-        lo, hi, tol,
-    )
+    c, f_c = a, f_a
+    d = e = b - a
+    while True:
+        if (f_b < 0.0) == (f_c < 0.0):
+            c, f_c = a, f_a
+            d = e = b - a
+        if abs(f_c) < abs(f_b):
+            a, f_a = b, f_b
+            b, f_b = c, f_c
+            c, f_c = a, f_a
+        min_step = max(math.ulp(b), 0.25 * tol)
+        m = 0.5 * (c - b)
+        if abs(m) <= min_step or f_b == 0.0:
+            return b
+        if abs(e) >= min_step and abs(f_a) > abs(f_b):
+            s = f_b / f_a
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = f_a / f_c, f_b / f_c
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(min_step * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, f_a = b, f_b
+        b += d if abs(d) > min_step else math.copysign(min_step, m)
+        f_b = f(b)
+
+
+# bracket of the raw solve for s(t) = e^{-L(t)}: L(t) from -ln 2 to 27.6
+S_LO, S_HI = 1e-12, 2.0 * (1.0 - 1e-12)
+
+
+def _brent_root(q, power_sums, zeros, t, tol, accel) -> float:
+    """Root of F(s, t) = 1 in s, within tol/2 of where F crosses 1.
+
+    The raw truncated sum is strictly increasing in s, so [1e-12, 2) brackets
+    the root unless F is already >= 1 at the lower end (L(t) above
+    -ln 1e-12 = 27.6) or still below 1 at the upper one; either raises
+    NoBracket, and so does a root within tol/2 of the lower end, where the
+    solve cannot tell it from the end itself.  Acceleration refines the root
+    afterwards in a small interval around the raw one: inside the
+    convergence region the epsilon process approximates the true
+    (untruncated) F, but far outside it produces antilimits, so it must not
+    be used for the global bracket.
+    """
+
+    def ln_f_raw(s: float) -> float:
+        # ln F has the sign of F - 1 and is far nearer linear in s than F, so
+        # Brent needs fewer steps; an underflowed F = 0 maps to ln(5e-324)
+        value = _f_from_sums(q, power_sums, zeros, s, t, False)
+        return math.log(max(value, math.ulp(0.0)))
+
+    f_lo, f_hi = ln_f_raw(S_LO), ln_f_raw(S_HI)
+    if f_hi < 0.0:
+        raise NoBracket(
+            f"F({S_HI:.6f}, {t}) = {math.exp(f_hi)} < 1; truncation too "
+            "shallow or t too negative"
+        )
+    if f_lo >= 0.0:
+        raise NoBracket(
+            f"F({S_LO:g}, {t}) = {math.exp(f_lo)} >= 1; L({t}) exceeds "
+            f"-ln {S_LO:g} = {-math.log(S_LO):.1f}"
+        )
+    root = _brent(ln_f_raw, S_LO, S_HI, f_lo, f_hi, tol)
+    if root - 0.5 * tol <= S_LO:
+        # the sign change is not told apart from the end of the bracket
+        raise NoBracket(
+            f"F(s, {t}) crosses 1 within tol/2 = {0.5 * tol:.1e} of "
+            f"s = {S_LO:g}; L({t}) > {-math.log(root + 0.5 * tol):.1f} is "
+            "out of reach at this tol"
+        )
     if not accel:
         return root
 
     def f_acc(s: float) -> float:
-        return _f_from_sums(q, power_sums, zeros, s, t, True)
+        return _f_from_sums(q, power_sums, zeros, s, t, True) - 1.0
 
     delta = 0.02
     for _ in range(4):
-        lo = max(root * (1.0 - delta), 1e-12)
-        hi = min(root * (1.0 + delta), 2.0 * (1.0 - 1e-12))
-        if f_acc(lo) < 1.0 < f_acc(hi):
-            return _bisect(lambda s: f_acc(s) < 1.0, lo, hi, tol)
+        lo = max(root * (1.0 - delta), S_LO)
+        hi = min(root * (1.0 + delta), S_HI)
+        if (f_lo := f_acc(lo)) < 0.0 < (f_hi := f_acc(hi)):
+            return _brent(f_acc, lo, hi, f_lo, f_hi, tol)
         delta *= 4.0
     return root  # acceleration did not improve the bracket; raw root stands
 
@@ -457,17 +521,18 @@ def l_from_scan(
 ) -> tuple[float, float]:
     """L(t) from precollected power sums; returns (L, truncation error estimate).
 
-    Solves F(s, t) = 1 by bisection (F is strictly increasing in s), then
-    re-solves with the deepest four length slabs dropped; disagreement beyond
-    10*tol raises TruncationUnstable, otherwise it is reported as the error.
+    Solves F(s, t) = 1 with a bracketed Brent step (F is strictly increasing
+    in s), then re-solves with the deepest four length slabs dropped;
+    disagreement beyond max(10*tol, 1e-8) raises TruncationUnstable,
+    otherwise it is reported as the error.
     """
     t = stats.ts[t_index]
     sums = stats.pow_sums[t_index]
     zeros = stats.zero_words
-    root = _bisect_root(stats.q, sums, zeros, t, tol, accel)
+    root = _brent_root(stats.q, sums, zeros, t, tol, accel)
     value = -math.log(root)
     if len(sums) > 8:
-        shallow_root = _bisect_root(
+        shallow_root = _brent_root(
             stats.q, sums[:-4], zeros[:-4], t, tol, accel
         )
         shallow = -math.log(shallow_root)
@@ -621,7 +686,7 @@ def quadrinomial_regroup_L(t: float, tol: float = 1e-12) -> float:
         return (1.0 - f[0][0]) * (1.0 - f[1][1]) - f[0][1] * f[1][0]
 
     # scan upward for the first sign change; the smallest zero precedes
-    # every pole of the continued entries, so plain bisection finishes it
+    # every pole of the continued entries, so the bracketed solve finishes it
     steps = 4096
     prev_s, prev_v = None, None
     for k in range(1, steps + 1):
@@ -631,8 +696,7 @@ def quadrinomial_regroup_L(t: float, tol: float = 1e-12) -> float:
         except ZeroDivisionError:
             continue
         if prev_v is not None and (value == 0.0 or (prev_v > 0.0) != (value > 0.0)):
-            sign = prev_v > 0.0
-            root = _bisect(lambda x: (det_i_minus_f(x) > 0.0) == sign, prev_s, s, tol)
+            root = _brent(det_i_minus_f, prev_s, s, prev_v, value, tol)
             return -math.log(root)
         prev_s, prev_v = s, value
     raise NoRoot(f"det(I - F(s, {t})) has no zero on (0, 2) at this resolution")

@@ -73,6 +73,15 @@ class TestCommands:
         data = json.loads(out)
         assert data["L"] == pytest.approx(math.log(2.5), abs=1e-7)
 
+    @pytest.mark.parametrize("t", ["45", "60"])
+    def test_lt_beyond_the_bracket_is_an_error(self, capsys, t):
+        # L(45) = 30.50 and L(60) = 40.90: s(t) lies below the bracket's 1e-12
+        code, out, err = run(capsys, "lt", "--family", "g1", "--t", t,
+                             "--max-len", "8")
+        assert code == 1
+        assert out == ""
+        assert f"L({float(t)})" in err
+
     def test_replica(self, capsys):
         code, out, _ = run(capsys, "replica", "--family", "g2", "--t", "2")
         data = json.loads(out)

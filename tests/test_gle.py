@@ -1,6 +1,7 @@
 """Series engine, Wynn acceleration, F/L machinery, replica, regrouping."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -225,12 +226,114 @@ class TestLOfT:
         with pytest.raises(NoBracket):
             gle.l_of_t(fam, 1.0, max_len=12)
 
+    @pytest.mark.parametrize("t", [45.0, 60.0])
+    def test_no_bracket_when_root_is_at_the_lower_end(self, t):
+        # true L(45) = 30.50 and L(60) = 40.90 lie beyond -ln 1e-12 = 27.6;
+        # at t = 60 F(1e-12) >= 1 already, at t = 45 the depth-8 root is
+        # within tol/2 of 1e-12 and cannot be told from it
+        with pytest.raises(NoBracket):
+            gle.l_of_t("g1", t, max_len=8)
+
     def test_truncation_check_trips_on_shallow_raw_sums(self):
         # without acceleration the root moves visibly between depth 16 and
         # depth 12, far beyond 10x a 1e-7 tolerance
         stats = scan_for("g3", 16, ts=(2.0,))
         with pytest.raises(TruncationUnstable):
             gle.l_from_scan(stats, 0, tol=1e-7, accel=False)
+
+
+# the t grid of the benchmark's L(t) curves
+LT_GRID = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+
+
+class TestRootFinding:
+    @pytest.mark.parametrize("name", ["g3", "h4"])
+    def test_evaluation_budget(self, name, monkeypatch):
+        """Brent keeps each L(t) sample to <= 35 raw and <= 20 Wynn F calls."""
+        real = gle._f_from_sums
+        calls = Counter()
+
+        def counting(q, power_sums, zeros, s, t, accel):
+            calls[accel] += 1
+            return real(q, power_sums, zeros, s, t, accel)
+
+        monkeypatch.setattr(gle, "_f_from_sums", counting)
+        stats = scan_for(name, 24, ts=LT_GRID)
+        for k in range(len(LT_GRID)):
+            calls.clear()
+            try:
+                gle.l_from_scan(stats, k)
+            except TruncationUnstable:
+                pass  # h4 at t = 1.75, 2: depth 24 is too shallow there
+            assert calls[False] <= 35, (LT_GRID[k], calls)
+            assert calls[True] <= 20, (LT_GRID[k], calls)
+
+    @pytest.mark.parametrize("name", ["g3", "g4", "h4"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-7])
+    def test_raw_root_within_half_tol(self, name, tol):
+        ts = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+        stats = scan_for(name, 24, ts=ts)
+        for k, t in enumerate(ts):
+            sums = stats.pow_sums[k]
+
+            def f(s):
+                return gle._f_from_sums(stats.q, sums, stats.zero_words, s, t,
+                                        False)
+
+            root = gle._brent_root(stats.q, sums, stats.zero_words, t, tol,
+                                   accel=False)
+            assert f(root - tol / 2) < 1.0 <= f(root + tol / 2), t
+
+
+def brent(f, a, b, tol=1e-10):
+    return gle._brent(f, a, b, f(a), f(b), tol)
+
+
+class TestBrent:
+    def test_smooth_root(self):
+        for tol in (1e-6, 1e-10, 1e-14):
+            root = brent(lambda x: math.exp(40.0 * x) - 2.0, 0.0, 1.0, tol)
+            assert abs(root - math.log(2.0) / 40.0) <= tol / 2
+
+    def test_root_at_either_endpoint(self):
+        # a jump at the end of the bracket: no zero, only a sign change
+        low = brent(lambda x: -1.0 if x <= 0.0 else 1.0, 0.0, 1.0)
+        high = brent(lambda x: -1.0 if x < 1.0 else 1.0, 0.0, 1.0)
+        assert 0.0 <= low <= 0.5e-10
+        assert 1.0 - 0.5e-10 <= high <= 1.0
+
+    def test_exact_zero_at_an_end_is_returned(self):
+        evaluations = []
+
+        def f(x):
+            evaluations.append(x)
+            return x * x - 4.0
+
+        assert gle._brent(f, 0.0, 2.0, -4.0, 0.0, 1e-10) == 2.0
+        assert gle._brent(f, 2.0, 3.0, 0.0, 5.0, 1e-10) == 2.0
+        assert evaluations == []
+
+    def test_either_orientation(self):
+        cube_root = 0.5 ** (1 / 3)
+        assert abs(brent(lambda x: 0.5 - x**3, 0.0, 1.0) - cube_root) <= 0.5e-10
+        assert abs(brent(lambda x: x**3 - 0.5, 1.0, 0.0) - cube_root) <= 0.5e-10
+
+    def test_very_flat(self):
+        # an 11-fold root, where interpolation stalls and the bisection
+        # fallback has to carry the bracket, and values in the subnormal range
+        for f in (lambda x: (x - 1.0 / 3.0) ** 11,
+                  lambda x: 1e-300 * math.tanh(x - 0.3)):
+            root = brent(f, 0.0, 1.0)
+            assert f(root - 0.5e-10) <= 0.0 <= f(root + 0.5e-10)
+
+    def test_tol_below_float_spacing(self):
+        root = brent(lambda x: x - 1.0 / 3.0, 0.0, 1.0, tol=1e-30)
+        assert abs(root - 1.0 / 3.0) <= 2 * math.ulp(1.0 / 3.0)
+
+    @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: -1.0 - x * x])
+    def test_no_sign_change_raises(self, f):
+        with pytest.raises(NoBracket):
+            brent(f, -1.0, 1.0)
 
 
 def exact_replica_average(fam, t):
@@ -343,10 +446,10 @@ class TestQuadrinomialRegrouping:
             assert cross(b1, a2, k) == 2 ** (2 * k)
             assert cross(b2, a2, k) == 2 ** (2 * (k + 1))
 
-    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [-0.5, 0.0, 0.5, 1.0, 2.0])
     def test_closed_form(self, t):
         value = gle.quadrinomial_regroup_L(t)
-        assert value == pytest.approx(math.log((2.0**t + 1) / 2), abs=1e-8)
+        assert value == pytest.approx(math.log((2.0**t + 1) / 2), abs=1e-12)
 
     @pytest.mark.parametrize("t", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
     def test_matches_binomial_moment_exponent(self, t):
