@@ -2,14 +2,15 @@
 
 Each family counts odd coefficients in powers of a small GF(2) polynomial:
 count(n) = number of odd coefficients in p(x)^n.  The pair (D0, D1) is the
-binary transfer representation of that count, D0^q has rank 1 and trace 1,
-and the tabulated constants are the published decimal values this package
-reproduces: the Lyapunov exponent, the dispersion parameter sigma^2, the
-average parameter L(2)/ln 2, the typical parameter sigma^2/ln 2, and the
-minimal polynomial of xi = e^{L(2)}.
+binary transfer representation of that count, built from p's bitset by
+`_polynomial_pair`; D0^q has rank 1 and trace 1.  The tabulated constants,
+kept as data with q and the conjugated pairs, are the published decimal
+values this package reproduces: the Lyapunov exponent, the dispersion
+parameter sigma^2, the average parameter L(2)/ln 2, the typical parameter
+sigma^2/ln 2, and the minimal polynomial of xi = e^{L(2)}.
 
-Families can also be loaded from JSON files with exact "p/q" entries; they
-get the same validation as the built-ins.
+Families can also be loaded from JSON files with explicit exact "p/q"
+D0, D1 entries; they get the same validation as the built-ins.
 """
 
 from __future__ import annotations
@@ -140,30 +141,64 @@ def _check_conjugated_pair(fam: MatrixFamily) -> None:
             queue.append(times(vec[:n], prime) + times(vec[n:], plain))
 
 
-def _mat(rows) -> RationalMatrix:
-    return RationalMatrix(rows)
+def _polynomial_pair(mask: int) -> tuple[list[int], RationalMatrix, RationalMatrix]:
+    """(states, D0, D1) of the odd-coefficient count of the GF(2) polynomial p.
+
+    p is the bitset `mask`.  A state is a polynomial r with r(0) = 1, r and
+    x*r identified, standing for c_r(n) = #odd coefficients of r * p^n.
+    Writing r(x) = r_e(x^2) + x r_o(x^2) gives c_r(2n) = c_{r_e}(n) +
+    c_{r_o}(n), and c_r(2n+1) is the same split of r*p.  States are found
+    breadth first from r = 1, and column r of D_d counts each state among
+    the halves, so the row of all c_r obeys c(2n+d) = c(n) D_d.
+    """
+
+    def times_p(r: int) -> int:
+        out = 0
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                out ^= r << i
+        return out
+
+    def halves(r: int) -> list[int]:
+        split = [0, 0]
+        for i in range(r.bit_length()):
+            split[i & 1] |= (r >> i & 1) << (i >> 1)
+        return [h >> ((h & -h).bit_length() - 1) for h in split if h]
+
+    states = [1]
+    columns: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for r in states:  # states grows while it is walked: breadth first
+        for d, column in enumerate(columns):
+            found = halves(times_p(r) if d else r)
+            states.extend(h for h in found if h not in states)
+            column.append(found)
+    return states, *(
+        RationalMatrix([[col.count(s) for col in column] for s in states])
+        for column in columns
+    )
 
 
 _FAMILIES: dict[str, MatrixFamily] = {}
 _ALIASES: dict[str, str] = {}
 
 
-def _register(fam: MatrixFamily) -> None:
-    _validate(fam)
+def _register(name: str, poly_mask: int, **data) -> None:
+    """Register a built-in whose D0, D1 are derived from its polynomial."""
+    _, d0, d1 = _polynomial_pair(poly_mask)
+    fam = _validate(
+        MatrixFamily(name=name, poly_mask=poly_mask, d0=d0, d1=d1, **data))
     _FAMILIES[fam.name] = fam
     for alias in fam.aliases + (fam.name,):
         _ALIASES[alias.lower()] = fam.name
 
 
-_register(MatrixFamily(
+_register(
     name="g1",
     aliases=("binomial",),
     q=1,
     poly_mask=0b11,
-    d0=_mat([[1]]),
-    d1=_mat([[2]]),
-    d0_prime=_mat([[1]]),
-    d1_prime=_mat([[2]]),
+    d0_prime=RationalMatrix([[1]]),
+    d1_prime=RationalMatrix([[2]]),
     constants=ReferenceConstants(
         lambda_ref="0.3465735902799726547086160",
         sigma2_ref="0.1201132534795503561667756",
@@ -171,17 +206,15 @@ _register(MatrixFamily(
         typ_ref="0.1732867951399863273543080",
         minpoly=(2, -5),
     ),
-))
+)
 
-_register(MatrixFamily(
+_register(
     name="g2",
     aliases=("trinomial-i", "trinomial"),
     q=1,
     poly_mask=0b111,
-    d0=_mat([[1, 2], [0, 0]]),
-    d1=_mat([[1, 2], [1, 0]]),
-    d0_prime=_mat([[1, 0], [0, 0]]),
-    d1_prime=_mat([[3, -4], [1, -2]]),
+    d0_prime=RationalMatrix([[1, 0], [0, 0]]),
+    d1_prime=RationalMatrix([[3, -4], [1, -2]]),
     constants=ReferenceConstants(
         lambda_ref="0.4299474333424527201146970",
         sigma2_ref="0.1211367118847285164803949",
@@ -189,18 +222,16 @@ _register(MatrixFamily(
         typ_ref="0.1747633335056929866262498",
         minpoly=(1, -2, -3, 2),
     ),
-))
+)
 
 # sigma^2/ln2 equals ln(2)/4 exactly; see gle.quadrinomial_regroup_L
-_register(MatrixFamily(
+_register(
     name="g3",
     aliases=("quadrinomial",),
     q=2,
     poly_mask=0b1111,
-    d0=_mat([[1, 2, 0], [0, 0, 1], [0, 0, 0]]),
-    d1=_mat([[0, 0, 0], [2, 0, 0], [0, 1, 2]]),
-    d0_prime=_mat([[1, 0, 0], [0, 0, 0], [0, 1, 0]]),
-    d1_prime=_mat([[4, -4, -6], [0, 2, 1], [2, -4, -4]]),
+    d0_prime=RationalMatrix([[1, 0, 0], [0, 0, 0], [0, 1, 0]]),
+    d1_prime=RationalMatrix([[4, -4, -6], [0, 2, 1], [2, -4, -4]]),
     constants=ReferenceConstants(
         lambda_ref="0.3465735902799726547086160",
         sigma2_ref="0.12011325",
@@ -208,32 +239,20 @@ _register(MatrixFamily(
         typ_ref="0.17328679",
         minpoly=(2, -5),
     ),
-))
+)
 
-_register(MatrixFamily(
+_register(
     name="h3",
     aliases=("trinomial-ii",),
     q=2,
     poly_mask=0b1011,
-    d0=_mat([
-        [1, 2, 1, 0],
-        [0, 0, 1, 1],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-    ]),
-    d1=_mat([
-        [1, 1, 1, 0],
-        [1, 0, 0, 1],
-        [0, 1, 0, 0],
-        [0, 0, 1, 1],
-    ]),
-    d0_prime=_mat([
+    d0_prime=RationalMatrix([
         [1, 0, 0, 0],
         [0, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 0, 0],
     ]),
-    d1_prime=_mat([
+    d1_prime=RationalMatrix([
         [3, -6, -2, 4],
         [0, 1, 1, 0],
         [1, -3, -2, 2],
@@ -246,32 +265,20 @@ _register(MatrixFamily(
         typ_ref="0.18029820",
         minpoly=(16, -40, -36, 22, 76, 7, -19, -19, 0, 2, 1),
     ),
-))
+)
 
-_register(MatrixFamily(
+_register(
     name="g4",
     aliases=("quintinomial",),
     q=2,
     poly_mask=0b11111,
-    d0=_mat([
-        [1, 1, 2, 0],
-        [0, 0, 0, 0],
-        [0, 1, 0, 2],
-        [0, 0, 0, 0],
-    ]),
-    d1=_mat([
-        [0, 1, 2, 0],
-        [1, 0, 0, 0],
-        [1, 0, 0, 2],
-        [0, 1, 0, 0],
-    ]),
-    d0_prime=_mat([
+    d0_prime=RationalMatrix([
         [1, 0, 0, 0],
         [0, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 0, 0],
     ]),
-    d1_prime=_mat([
+    d1_prime=RationalMatrix([
         [5, -10, -8, 4],
         [1, -1, -2, -2],
         [1, -3, -2, 4],
@@ -284,34 +291,14 @@ _register(MatrixFamily(
         typ_ref="0.16455692",
         minpoly=(4, -8, -21, 14, -28, 126, 65, 68, 48, -56, -32),
     ),
-))
+)
 
-_register(MatrixFamily(
+_register(
     name="h4",
     aliases=("trinomial-iii",),
     q=2,
     poly_mask=0b10011,
-    d0=_mat([
-        [1, 0, 2, 0, 1, 2, 1, 1],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 1, 0, 2, 1, 0, 1, 1],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0],
-    ]),
-    d1=_mat([
-        [1, 0, 1, 0, 0, 1, 0, 0],
-        [1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 1, 0, 1, 1, 0, 0, 1],
-        [0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0, 1],
-        [0, 0, 0, 1, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 1, 0],
-    ]),
-    d0_prime=_mat([
+    d0_prime=RationalMatrix([
         [1, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0, 0, 0],
@@ -321,7 +308,7 @@ _register(MatrixFamily(
         [0, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 0, 0],
     ]),
-    d1_prime=_mat([
+    d1_prime=RationalMatrix([
         [3, 0, -2, -8, -4, -2, -4, -4],
         [1, 0, -1, -4, -2, -1, -2, -2],
         [0, 1, 0, -1, 0, 0, -1, 0],
@@ -338,30 +325,14 @@ _register(MatrixFamily(
         typ_ref="0.18834940",
         minpoly=(32, -80, -8, -60, -232, 240, 44, 9, 11, -54, -4, 3, 1, 2),
     ),
-))
+)
 
-_register(MatrixFamily(
+_register(
     name="g5",
     aliases=("sextinomial",),
     q=3,
     poly_mask=0b111111,
-    d0=_mat([
-        [1, 1, 2, 2, 0, 0],
-        [0, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 1, 1],
-        [0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-    ]),
-    d1=_mat([
-        [0, 0, 0, 0, 0, 0],
-        [2, 2, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 1, 2, 2],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0],
-    ]),
-    d0_prime=_mat([
+    d0_prime=RationalMatrix([
         [1, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0],
@@ -369,7 +340,7 @@ _register(MatrixFamily(
         [0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0],
     ]),
-    d1_prime=_mat([
+    d1_prime=RationalMatrix([
         [6, -8, -8, -10, -4, -6],
         [0, 0, 0, 0, 0, 1],
         [2, -4, -4, -4, 0, -3],
@@ -384,30 +355,14 @@ _register(MatrixFamily(
         typ_ref="0.1392",
         minpoly=(128, -640, 416, 1008, 416, -28, -3112, -2572, 346, 1887, 511, 144),
     ),
-))
+)
 
-_register(MatrixFamily(
+_register(
     name="g6",
     aliases=("septinomial",),
     q=3,
     poly_mask=0b1111111,
-    d0=_mat([
-        [1, 0, 1, 2, 0, 0],
-        [0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 2],
-        [0, 2, 1, 0, 1, 0],
-        [0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0],
-    ]),
-    d1=_mat([
-        [0, 0, 0, 2, 1, 0],
-        [1, 0, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 2],
-        [0, 2, 1, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-    ]),
-    d0_prime=_mat([
+    d0_prime=RationalMatrix([
         [1, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0],
@@ -415,7 +370,7 @@ _register(MatrixFamily(
         [0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0],
     ]),
-    d1_prime=_mat([
+    d1_prime=RationalMatrix([
         [7, -36, -28, -24, 4, -4],
         [0, 0, 1, 0, "1/2", -2],
         ["3/2", -8, -8, -6, "1/2", 1],
@@ -433,7 +388,7 @@ _register(MatrixFamily(
             7321, 29681, 910, -6690, -22628, -152, 1936, 6112, 0, -128, -512,
         ),
     ),
-))
+)
 
 FAMILY_NAMES: tuple[str, ...] = tuple(_FAMILIES)
 
@@ -516,12 +471,12 @@ def family_from_dict(data: dict, origin: str = "<dict>") -> MatrixFamily:
     for key in ("name", "q", "dim", "d0", "d1"):
         if key not in data:
             raise ParseError(f"{origin}: missing field {key!r}")
+    # JSON true and false load as bools, which isinstance counts as ints
+    for key, least in (("dim", 1), ("q", 1), ("poly_mask", 0)):
+        value = data.get(key, least)
+        if type(value) is not int or value < least:
+            raise ParseError(f"{origin}: {key} must be an integer >= {least}")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError(f"{origin}: dim must be a positive integer")
-    q = data["q"]
-    if not isinstance(q, int) or q < 1:
-        raise ParseError(f"{origin}: q must be a positive integer")
     constants = None
     if "constants" in data:
         c = data["constants"]
@@ -538,10 +493,10 @@ def family_from_dict(data: dict, origin: str = "<dict>") -> MatrixFamily:
             raise ParseError(f"{origin}: constants block missing {exc}") from exc
     fam = MatrixFamily(
         name=str(data["name"]),
-        q=q,
+        q=data["q"],
         d0=_parse_matrix(data["d0"], dim, "d0"),
         d1=_parse_matrix(data["d1"], dim, "d1"),
-        poly_mask=int(data.get("poly_mask", 0)),
+        poly_mask=data.get("poly_mask", 0),
         d0_prime=_parse_matrix(data["d0_prime"], dim, "d0_prime")
         if "d0_prime" in data else None,
         d1_prime=_parse_matrix(data["d1_prime"], dim, "d1_prime")

@@ -31,9 +31,8 @@ from typing import Iterator
 
 import numpy as np
 
-from . import catalog, exactmat
+from . import catalog, conjugate
 from .catalog import MatrixFamily
-from .exactmat import RationalMatrix
 
 __all__ = [
     "LinearRepresentation",
@@ -392,16 +391,16 @@ def gf2_row_counts(mask: int, n_max: int) -> Iterator[int]:
 class LinearRepresentation:
     """count(n) = u * D_{z(n)} * v with z(n) the binary digits of n.
 
-    digit_order 'lsb' reads least significant digit first (leftmost matrix
-    factor), 'msb' most significant first; n = 0 gives the empty product.
-    Validated exactly against the GF(2) row oracle for all n < validated_n.
+    z(n) reads the most significant digit first (leftmost matrix factor);
+    n = 0 gives the empty product.  Validated exactly against the GF(2) row
+    oracle for all n < validated_n.
     """
 
     family: str
     u: tuple[Fraction, ...]
     v: tuple[Fraction, ...]
-    digit_order: str
     validated_n: int
+    digit_order = "msb"  # a class constant, not a field: the only order
 
     def to_json_dict(self) -> dict:
         return {
@@ -455,144 +454,33 @@ def _doubling_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
     return table
 
 
-def _word_products(fam: MatrixFamily, order: str, count: int) -> np.ndarray:
-    """(count, m, m) int64 stack of D_{z(n)} for n < count.
-
-    lsb: z(2n+d) = d . z(n), so D_{z(2n+d)} = D_d D_{z(n)} and the
-    transposes double on the right; msb: z(2n+d) = z(n) . d.
-    """
-    d0, d1 = _int_matrices(fam)
-    levels = max(1, (count - 1).bit_length())
-    eye = np.eye(fam.dim, dtype=np.int64)
-    if order == "lsb":
-        table = _doubling_table(eye, (d0.T, d1.T), levels).transpose(0, 2, 1)
-    else:
-        table = _doubling_table(eye, (d0, d1), levels)
-    return table[:count]
-
-
-def _word_vectors(products: np.ndarray, v) -> list[tuple[Fraction, ...]]:
-    """D_{z(n)} v for every matrix of a `_word_products` stack, exactly.
-
-    v is scaled to integers, multiplied in int64 and divided back as
-    Fractions.
-    """
-    v_int, den = _int_scaled(v)
-    _check_int64(products, int(np.abs(v_int).sum()))
-    return [tuple(Fraction(x, den) for x in row)
-            for row in (products @ v_int).tolist()]
-
-
-def _solve_row(vectors, targets) -> tuple[Fraction, ...] | None:
-    """Exact least-structure solve of u . w_n = c_n; None if inconsistent.
-
-    Gaussian elimination collects pivot equations; free coordinates of u are
-    set to zero and every remaining equation is checked for consistency.
-    """
-    m = len(vectors[0])
-    pivots: list[tuple[int, list[Fraction], Fraction]] = []
-    for vec, target in zip(vectors, targets):
-        w = list(vec)
-        c = Fraction(target)
-        for idx, pw, pc in pivots:
-            if w[idx] != 0:
-                f = w[idx]
-                w = [a - f * b for a, b in zip(w, pw)]
-                c = c - f * pc
-        lead = next((i for i, x in enumerate(w) if x != 0), None)
-        if lead is None:
-            if c != 0:
-                return None
-            continue
-        inv = Fraction(1) / w[lead]
-        pivots.append((lead, [x * inv for x in w], c * inv))
-    # back-substitute to reduced form
-    for a in range(len(pivots) - 1, -1, -1):
-        idx, pw, pc = pivots[a]
-        for b in range(a):
-            jdx, qw, qc = pivots[b]
-            if qw[idx] != 0:
-                f = qw[idx]
-                pivots[b] = (
-                    jdx,
-                    [x - f * y for x, y in zip(qw, pw)],
-                    qc - f * pc,
-                )
-    u = [Fraction(0)] * m
-    for idx, pw, pc in pivots:
-        u[idx] = pc - sum(
-            (pw[i] * u[i] for i in range(m) if i != idx), Fraction(0)
-        )
-    # setting free coordinates to zero must still satisfy the pivot rows
-    for vec, target in zip(vectors, targets):
-        if sum((a * b for a, b in zip(u, vec)), Fraction(0)) != target:
-            return None
-    return tuple(u)
-
-
-def _candidate_v(fam: MatrixFamily):
-    """Right vectors worth trying: fixed vectors of D0, unit vectors, ones."""
-    seen = []
-    minus_i = RationalMatrix(
-        [
-            [fam.d0.rows[i][j] - (1 if i == j else 0) for j in range(fam.dim)]
-            for i in range(fam.dim)
-        ]
-    )
-    for vec in exactmat.null_space(minus_i):
-        seen.append(vec)
-    for j in range(fam.dim):
-        seen.append(tuple(Fraction(int(i == j)) for i in range(fam.dim)))
-    seen.append(tuple(Fraction(1) for _ in range(fam.dim)))
-    unique = []
-    for vec in seen:
-        if vec not in unique and any(x != 0 for x in vec):
-            unique.append(vec)
-    return unique
-
-
 def fit_linear_representation(family, n_check: int = 4096) -> LinearRepresentation:
-    """Recover (u, v, digit order) exactly and validate against the oracle.
+    """u = beta, v = alpha of the sentinel factorization D0^q = alpha beta^T.
 
-    Candidate right vectors are fitted by an exact linear solve for u over
-    words at small n, then the winning pair must reproduce the GF(2) row
-    counts for every n < n_check; the first fully validated combination is
-    returned.
+    In the state basis of the built-ins (see `catalog._polynomial_pair`)
+    beta is the row of state counts at n = 0 and alpha = e1 reads off the
+    state r = 1; a change of basis moves both along with the matrices.  The
+    pair must reproduce the GF(2) row counts for every n < n_check, or
+    NoRepresentationFound is raised.
     """
     fam = catalog.resolve_family(family)
     if fam.poly_mask <= 0:
         raise ValueError(f"family {fam.name} carries no counting polynomial")
     if n_check < 2 * fam.dim**2:
         raise ValueError(f"n_check must be at least 2*dim^2 = {2 * fam.dim ** 2}")
-    oracle = list(gf2_row_counts(fam.poly_mask, n_check))
-    fit_n = min(max(4 * fam.dim**2, 16), n_check)
-    first_mismatch = None
-    for order in ("lsb", "msb"):
-        products = _word_products(fam, order, fit_n)
-        for v in _candidate_v(fam):
-            vectors = _word_vectors(products, v)
-            u = _solve_row(vectors, oracle[:fit_n])
-            if u is None:
-                continue
-            rep = LinearRepresentation(
-                family=fam.name, u=u, v=v, digit_order=order, validated_n=n_check
-            )
-            computed = counts_via_representation(fam, rep, n_check)
-            mismatch = next(
-                (n for n in range(n_check) if computed[n] != oracle[n]), None
-            )
-            if mismatch is None:
-                return rep
-            if first_mismatch is None or mismatch > first_mismatch[1]:
-                first_mismatch = (order, mismatch)
-    detail = (
-        f"; best attempt ({first_mismatch[0]}) first mismatched at n = "
-        f"{first_mismatch[1]}" if first_mismatch else ""
-    )
-    raise NoRepresentationFound(
-        f"no exact digit representation found for {fam.name} "
-        f"on n < {n_check}{detail}"
-    )
+    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
+    rep = LinearRepresentation(
+        family=fam.name, u=fact.beta, v=fact.alpha, validated_n=n_check)
+    computed = counts_via_representation(fam, rep, n_check)
+    oracle = gf2_row_counts(fam.poly_mask, n_check)
+    mismatch = next(
+        (n for n, count in enumerate(oracle) if computed[n] != count), None)
+    if mismatch is not None:
+        raise NoRepresentationFound(
+            f"no exact digit representation found for {fam.name} on "
+            f"n < {n_check}: (beta, alpha) first mismatches at n = {mismatch}"
+        )
+    return rep
 
 
 def _int_scaled(vec) -> tuple[np.ndarray, int]:
@@ -606,28 +494,20 @@ def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
                               n_top: int) -> np.ndarray:
     """count(n) for all n < n_top through the representation, exactly (int64).
 
-    Levels double: W(2n+d) = D_d W(n) for lsb (columns), U(2n+d) = U(n) D_d
-    for msb (rows); index 0 is pinned to the empty word.  Raises on int64
-    overflow risk instead of wrapping.
+    Levels double the rows U(2n+d) = U(n) D_d from U(0) = u, then each row
+    meets v.  Raises on int64 overflow risk instead of wrapping.
     """
-    m = fam.dim
     levels = max(1, (n_top - 1).bit_length())
-    if (1 << levels) * m > 1 << 26:
+    if (1 << levels) * fam.dim > 1 << 26:
         raise ValueError("n_top too large for the in-memory level table")
-    d0, d1 = _int_matrices(fam)
     u_int, u_den = _int_scaled(rep.u)
     v_int, v_den = _int_scaled(rep.v)
-    scale = u_den * v_den
-    if rep.digit_order == "lsb":
-        table = _doubling_table(v_int, (d0.T, d1.T), levels)
-    else:
-        table = _doubling_table(u_int, (d0, d1), levels)
-    other = u_int if rep.digit_order == "lsb" else v_int
-    _check_int64(table, int(np.abs(other).sum()))
-    raw = table[:n_top] @ other
-    if ((raw % scale) != 0).any():
+    table = _doubling_table(u_int, _int_matrices(fam), levels)
+    _check_int64(table, int(np.abs(v_int).sum()))
+    raw = table[:n_top] @ v_int
+    if ((raw % (u_den * v_den)) != 0).any():
         raise ArithmeticError("representation does not produce integer counts")
-    return raw // scale
+    return raw // (u_den * v_den)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +549,6 @@ def empirical_dispersion(
     family,
     j_max: int = 20,
     j_min: int = 8,
-    rep: LinearRepresentation | None = None,
 ) -> DispersionTrend:
     """Variance growth of count(N) and ln count(N) for N uniform on [0, 2^j).
 
@@ -680,8 +559,7 @@ def empirical_dispersion(
     fam = catalog.resolve_family(family)
     if not 2 <= j_min < j_max:
         raise ValueError("need 2 <= j_min < j_max")
-    if rep is None:
-        rep = fit_linear_representation(fam)
+    rep = fit_linear_representation(fam)
     counts = counts_via_representation(fam, rep, 1 << j_max)
     if counts.min() < 1:
         raise ArithmeticError("counts must be positive to take logs")

@@ -1,8 +1,8 @@
 """Exact rational matrix algebra plus the little float spectral machinery we need.
 
 Matrices are small (catalog families are at most 8x8) and products of them
-grow exponentially, so the factorizations, powers and null spaces behind the
-corner values are kept as exact `fractions.Fraction` values end to end.
+grow exponentially, so the factorizations and powers behind the corner
+values are kept as exact `fractions.Fraction` values end to end.
 Floating point appears only on the replica route: `kronecker` multiplies
 float64 arrays, and `spectral_radius` and `poly_eval` work on floats.
 """
@@ -21,7 +21,6 @@ __all__ = [
     "mat_pow",
     "kronecker",
     "rank_one_factor",
-    "null_space",
     "spectral_radius",
     "poly_eval",
     "poly_residual",
@@ -174,44 +173,6 @@ def rank_one_factor(
             if alpha[i] * beta[j] != a.rows[i][j]:
                 raise RankNotOne(f"2x2 minor at ({i0},{j0}),({i},{j}) is nonzero")
     return alpha, beta
-
-
-def null_space(a: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact basis of the right null space, by reduced row echelon form.
-
-    One basis vector per free column, with the free coordinate set to 1 and
-    pivot coordinates solved exactly; deterministic for a given matrix.
-    """
-    n = a.dim
-    m = [list(row) for row in a.rows]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, n) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        scale = Fraction(1) / m[r][col]
-        m[r] = [x * scale for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == n:
-            break
-    pivot_cols = {col for _, col in pivots}
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row, col in pivots:
-            vec[col] = -m[row][free]
-        basis.append(tuple(vec))
-    return tuple(basis)
 
 
 def spectral_radius(

@@ -61,6 +61,76 @@ class TestGetFamily:
         assert get_family("g6").poly_mask == 0b1111111
 
 
+# The D0, D1 literals the catalog carried before it derived them from
+# poly_mask, one string of digits per row, with the derived state order.
+FORMER_PAIRS = {
+    "g1": ("1", "2", [0b1]),
+    "g2": ("12 00", "12 10", [0b1, 0b11]),
+    "g3": ("120 001 000", "000 200 012", [0b1, 0b11, 0b101]),
+    "h3": ("1210 0011 0000 0000", "1110 1001 0100 0011",
+           [0b1, 0b11, 0b111, 0b101]),
+    "g4": ("1120 0000 0102 0000", "0120 1000 1002 0100",
+           [0b1, 0b111, 0b11, 0b1111]),
+    "h4": ("10201211 00000000 01021011 00000000 00000000 00000000 00000000 "
+           "00000000",
+           "10100100 10000000 01011001 01000000 00100001 00010010 00001000 "
+           "00000110",
+           [0b1, 0b101, 0b11, 0b1111, 0b111, 0b1001, 0b1101, 0b1011]),
+    "g5": ("112200 000000 010011 000000 000000 000010",
+           "000000 220000 000000 001122 000100 000000",
+           [0b1, 0b111, 0b11, 0b1001, 0b11011, 0b101]),
+    "g6": ("101200 000000 000012 021010 000000 000000",
+           "000210 100000 100002 021000 001000 000010",
+           [0b1, 0b1111, 0b111, 0b11, 0b11111, 0b111111]),
+}
+
+
+def compact(matrix) -> str:
+    return " ".join("".join(str(x) for x in row) for row in matrix.rows)
+
+
+class TestPolynomialPair:
+    def test_covers_every_family(self):
+        assert set(FORMER_PAIRS) == set(catalog.family_names())
+
+    @pytest.mark.parametrize("name", catalog.FAMILY_NAMES)
+    def test_matches_former_literals(self, name):
+        d0, d1, states = FORMER_PAIRS[name]
+        fam = get_family(name)
+        assert (compact(fam.d0), compact(fam.d1)) == (d0, d1)
+        assert catalog._polynomial_pair(fam.poly_mask) == (
+            states, fam.d0, fam.d1)
+
+    @pytest.mark.parametrize("name", catalog.FAMILY_NAMES)
+    def test_rows_are_state_counts(self, name):
+        """c(0) D_{z(n)}, digits most significant first, is the row of
+        c_r(n) = #odd coefficients of r * p^n over the states r."""
+        fam = get_family(name)
+        states, d0, d1 = catalog._polynomial_pair(fam.poly_mask)
+
+        def gf2_times(a, b):
+            out = 0
+            for i in range(b.bit_length()):
+                if b >> i & 1:
+                    out ^= a << i
+            return out
+
+        power = 1
+        for n in range(128):
+            row = [bin(r).count("1") for r in states]
+            for bit in bin(n)[2:] if n else "":
+                row = [sum(x * y for x, y in zip(row, col))
+                       for col in zip(*(d1 if bit == "1" else d0).rows)]
+            assert row == [bin(gf2_times(r, power)).count("1") for r in states]
+            power = gf2_times(power, fam.poly_mask)
+
+
+def load_family_file_from(tmp_path, data: dict):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    return load_family_file(str(path))
+
+
 class TestFamilyFiles:
     def test_round_trip_all(self):
         for name in catalog.family_names():
@@ -154,6 +224,21 @@ class TestFamilyFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(InvariantViolation, match="nonneg"):
             load_family_file(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("poly_mask", 7.9),
+        ("poly_mask", True),
+        ("poly_mask", -3),
+        ("dim", True),
+        ("q", True),
+    ])
+    def test_malformed_numbers_rejected(self, tmp_path, key, value):
+        data = {"name": "x", "q": 1, "dim": 1, "d0": [["1"]], "d1": [["2"]],
+                "poly_mask": 3}
+        load_family_file_from(tmp_path, data)  # the unaltered file loads
+        data[key] = value
+        with pytest.raises(ParseError, match=key):
+            load_family_file_from(tmp_path, data)
 
     def test_parse_errors(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from lyapdisp import catalog, exactmat, digitsum as ds
+from lyapdisp import catalog, conjugate, exactmat, digitsum as ds
 from lyapdisp.digitsum import LinearRepresentation, NoRepresentationFound
 from lyapdisp.exactmat import RationalMatrix
 
@@ -185,14 +185,36 @@ class TestLinearRepresentation:
         assert rep.u == (1,)
         assert rep.v == (1,)
 
-    @pytest.mark.parametrize("name", ["g2", "g3", "h3"])
+    @pytest.mark.parametrize("name", catalog.family_names())
     def test_fit_validates_against_oracle(self, name):
         fam = catalog.get_family(name)
         rep = ds.fit_linear_representation(fam, 2048)
         assert rep.validated_n == 2048
+        fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
+        assert rep.u == fact.beta
+        assert rep.v == fact.alpha
         counts = ds.counts_via_representation(fam, rep, 2048)
         oracle = list(ds.gf2_row_counts(fam.poly_mask, 2048))
         assert counts.tolist() == oracle
+
+    def test_fit_is_basis_free(self):
+        """P^T D P for a permutation P moves the states; beta^T D_w alpha
+        stays the count, so the fit still validates."""
+        fam = catalog.get_family("h4")
+        perm = [3, 7, 0, 5, 1, 6, 2, 4]
+
+        def permuted(matrix):
+            return RationalMatrix(
+                [[matrix.rows[i][j] for j in perm] for i in perm])
+
+        moved = catalog.MatrixFamily(
+            name="h4-permuted", q=fam.q, d0=permuted(fam.d0),
+            d1=permuted(fam.d1), poly_mask=fam.poly_mask,
+        )
+        rep = ds.fit_linear_representation(moved, 4096)
+        assert rep.v != ds.fit_linear_representation(fam, 4096).v
+        counts = ds.counts_via_representation(moved, rep, 4096)
+        assert counts.tolist() == list(ds.gf2_row_counts(fam.poly_mask, 4096))
 
     def test_wrong_pairing_rejected(self):
         from dataclasses import replace
@@ -208,7 +230,7 @@ class TestLinearRepresentation:
     def test_json_dict(self):
         rep = ds.fit_linear_representation("g2", 256)
         data = rep.to_json_dict()
-        assert data["digit_order"] in ("lsb", "msb")
+        assert data["digit_order"] == "msb"
         assert data["validated_n"] == 256
 
 
@@ -220,12 +242,30 @@ def big_family() -> catalog.MatrixFamily:
     )
 
 
+def wide_family(d1_entry: int) -> catalog.MatrixFamily:
+    """1x1, rank 1 and trace 1, so `fit` gets as far as its int64 tables."""
+    return catalog.MatrixFamily(
+        name="wide", q=1, d0=RationalMatrix([[1]]),
+        d1=RationalMatrix([[d1_entry]]), poly_mask=0b11,
+    )
+
+
 class TestWordProducts:
+    """The int64 doubling table behind `counts_via_representation`."""
+
     @pytest.mark.parametrize("name", catalog.family_names())
     @pytest.mark.parametrize("order", ["lsb", "msb"])
     def test_matches_exact_products(self, name, order):
+        """Seeded with the identity, the table holds D_{z(n)} with the most
+        significant digit first; on the transposed pair it holds the
+        transposes of the products with the least significant digit first."""
         fam = catalog.get_family(name)
-        stack = ds._word_products(fam, order, 64)
+        d0, d1 = ds._int_matrices(fam)
+        eye = np.eye(fam.dim, dtype=np.int64)
+        if order == "lsb":
+            stack = ds._doubling_table(eye, (d0.T, d1.T), 6).transpose(0, 2, 1)
+        else:
+            stack = ds._doubling_table(eye, (d0, d1), 6)
         assert stack.shape == (64, fam.dim, fam.dim)
         for n in range(64):
             digits = [(n >> i) & 1 for i in range(n.bit_length())]
@@ -238,22 +278,20 @@ class TestWordProducts:
                                          for row in product.rows]
 
     def test_overflow_raises(self):
+        wide = wide_family(1 << 40)
+        rep = LinearRepresentation(family="wide", u=(1,), v=(1,), validated_n=0)
         with pytest.raises(OverflowError):
-            ds._word_products(big_family(), "msb", 64)
+            ds.counts_via_representation(wide, rep, 64)
         with pytest.raises(OverflowError):
-            ds.fit_linear_representation(big_family(), 64)
+            ds.fit_linear_representation(wide, 64)
 
     def test_entry_past_int64_raises(self):
-        huge = catalog.MatrixFamily(
-            name="huge", q=1, d0=RationalMatrix([[1 << 64]]),
-            d1=RationalMatrix([[1]]), poly_mask=0b11,
-        )
         with pytest.raises(OverflowError):
-            ds._word_products(huge, "lsb", 4)
+            ds.fit_linear_representation(wide_family(1 << 64), 4)
 
     def test_count_table_overflow_raises(self):
         rep = LinearRepresentation(family="big", u=(1, 0), v=(1, 1),
-                                   digit_order="msb", validated_n=0)
+                                   validated_n=0)
         with pytest.raises(OverflowError):
             ds.counts_via_representation(big_family(), rep, 64)
 

@@ -17,7 +17,6 @@ from lyapdisp.exactmat import (
     kronecker,
     mat_mul,
     mat_pow,
-    null_space,
     poly_eval,
     poly_residual,
     rank_one_factor,
@@ -170,29 +169,6 @@ class TestRankOneFactor:
             rebuilt = RationalMatrix([[x * y for y in beta] for x in alpha])
             assert rebuilt == a
         assert rejected > 10  # random matrices are almost never rank 1
-
-
-class TestNullSpace:
-    def test_dimensions_and_membership(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            u = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-            v = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-            a = RationalMatrix([[ui * vj for vj in v] for ui in u])
-            basis = null_space(a)
-            if not any(u) or not any(v):
-                assert len(basis) == 4
-                continue
-            assert len(basis) == 3
-            for vec in basis:
-                image = [
-                    sum(a.rows[i][j] * vec[j] for j in range(4))
-                    for i in range(4)
-                ]
-                assert all(x == 0 for x in image)
-
-    def test_full_rank_has_empty_null_space(self):
-        assert null_space(identity(3)) == ()
 
 
 class TestSpectralRadius:
