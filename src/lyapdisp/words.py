@@ -16,13 +16,18 @@ held in float64 when a bound computed before the scan shows every entry
 stays below 2^53, and as Python ints otherwise, so corner values are exact
 either way.  Per-length sums are reduced with math.fsum in a fixed
 chunking, so results are reproducible bit for bit for any worker count.
+Large scans run on one fork pool per process, started by the first of them
+and kept until exit; small ones run in-process.
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import math
 import multiprocessing
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -177,9 +182,12 @@ class _ScanContext:
 
     For a word with n0 zeros and n1 ones, the integer corner is the corner
     value times den * den0**n0 * den1**n1.  `bound` caps |entry| of every
-    row beta^T D_prefix and every corner the scan forms.  The arrays are
-    float64 when the bound is below 2**53 and every scale is 1 (catalog
-    families are integer); otherwise they hold Python ints (`exact`).
+    row beta^T D_prefix and every corner the scan forms.  The last level's
+    corners are formed as row . (D_d w1) without the child row: each partial
+    sum is at most |row| |D_d| |w1|, which is the child's state times |w1|,
+    and the bound covers |D_d| |w1| itself.  The arrays are float64 when the
+    bound is below 2**53 and every scale is 1 (catalog families are
+    integer); otherwise they hold Python ints (`exact`).
     """
 
     q: int
@@ -188,6 +196,8 @@ class _ScanContext:
     d0: np.ndarray
     d1: np.ndarray
     w1: np.ndarray          # D1 * alpha: the corner of prefix+'1' is row . w1
+    d0w1: np.ndarray        # D0 * w1: the corner of prefix+'01' is row . d0w1
+    d1w1: np.ndarray        # D1 * w1: the corner of prefix+'11' is row . d1w1
     beta: np.ndarray
     empty_corner: int       # beta^T alpha, the corner of the empty word
     den: int                # scale of beta and alpha together
@@ -203,10 +213,12 @@ def _entry_bound(q: int, d0, d1, w1, beta, max_len: int) -> int:
     state[r] is the elementwise max of |beta^T D_prefix| over the prefixes of
     one depth that end in exactly r zeros; |x D| <= |x| |D| bounds their
     children.  Every partial sum of a dot product is at most its sum of
-    absolute terms, so the bound covers the intermediate sums as well.
+    absolute terms, so the bound covers the intermediate sums as well.  It
+    also covers |D_d| |w1|, the vectors the last level multiplies by.
     """
     a0, a1, aw, row = (abs(np.array(x, dtype=object)) for x in (d0, d1, w1, beta))
-    bound = max(a0.max(), a1.max(), aw.max(), row.max())
+    bound = max(a0.max(), a1.max(), aw.max(), row.max(),
+                (a0 @ aw).max(), (a1 @ aw).max())
     state = [row] + [0 * row] * (q - 1)
     for _ in range(max_len):
         bound = max(bound, *(max(s.max(), s @ aw) for s in state))
@@ -226,7 +238,10 @@ def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext
     d1, den1 = scaled(fact.d1.rows)
     (alpha,), den_a = scaled([fact.alpha])
     (beta,), den_b = scaled([fact.beta])
-    w1 = [sum(x * a for x, a in zip(row, alpha)) for row in d1]
+    def times(rows, vec):
+        return [sum(x * v for x, v in zip(row, vec)) for row in rows]
+
+    w1 = times(d1, alpha)
     bound = _entry_bound(fact.q, d0, d1, w1, beta, max_len)
     exact = bound >= _FLOAT_EXACT or den_a * den_b * den0 * den1 != 1
     dtype = object if exact else np.float64
@@ -237,6 +252,8 @@ def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext
         d0=np.array(d0, dtype=dtype),
         d1=np.array(d1, dtype=dtype),
         w1=np.array(w1, dtype=dtype),
+        d0w1=np.array(times(d0, w1), dtype=dtype),
+        d1w1=np.array(times(d1, w1), dtype=dtype),
         beta=np.array(beta, dtype=dtype),
         empty_corner=sum(b * a for b, a in zip(beta, alpha)),
         den=den_a * den_b,
@@ -301,8 +318,9 @@ def _emit(ctx: _ScanContext, rows, ones, length: int, tally: _Tally) -> None:
     """Tally the words prefix+'1' of `length` for the prefixes in `rows`.
 
     ones[i] counts the 1s of prefix i, which fixes the scale of its word.
+    One-dimensional `rows` are the corners themselves.
     """
-    corners = rows @ ctx.w1
+    corners = rows if rows.ndim == 1 else rows @ ctx.w1
     words = len(corners)
     nonzero = corners != 0
     live = int(np.count_nonzero(nonzero))
@@ -331,9 +349,11 @@ def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
     end in exactly r zeros: their rows beta^T D_prefix and counts of 1s.
     One level emits the words prefix+'1' and forms the children: every row
     times D1 starts run 0, run r times D0 becomes run r+1 for r < q-1.
-    Children above ROW_CAP rows are split in halves, each finished
-    depth-first.  With `stop`, the frontier states reaching that depth are
-    returned unexpanded; otherwise the walk ends at max_len.
+    Children of the last level are only ever multiplied by w1, so they are
+    formed as their corners, row . (D_d w1).  Children above ROW_CAP rows
+    are split in halves, each finished depth-first.  With `stop`, the
+    frontier states reaching that depth are returned unexpanded; otherwise
+    the walk ends at max_len.
     """
     kept = []
     stack = [(depth, blocks)]
@@ -347,8 +367,12 @@ def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
         _emit(ctx, rows, ones, depth + 1, tally)
         if depth + 1 == ctx.max_len:
             continue
-        children = [(rows @ ctx.d1, ones + 1)]
-        children += [(r @ ctx.d0, o) for r, o in blocks[:-1]]
+        if depth + 2 == ctx.max_len:
+            d0, d1 = ctx.d0w1, ctx.d1w1
+        else:
+            d0, d1 = ctx.d0, ctx.d1
+        children = [(rows @ d1, ones + 1)]
+        children += [(r @ d0, o) for r, o in blocks[:-1]]
         if sum(len(o) for _, o in children) > ROW_CAP:
             cuts = [len(o) // 2 for _, o in children]
             pairs = list(zip(children, cuts))
@@ -401,18 +425,71 @@ def _chunk(ctx: _ScanContext, prefix_len: int, split, index: int):
     return tally.totals()
 
 
-# Each pool worker walks the prefixes itself, so the parent sends only chunk
-# indices and does none of a pooled scan's array work.
-_POOL_SCAN = None
+# A scan of fewer words runs in-process.  On 2 cores a warm two-worker pool
+# breaks even with a serial float64 scan at about 2e5 words: pooled/serial
+# time on g3, g4, h4 was 0.95-1.07 at 1.96e5 words and 0.84-0.99 at 3.2e5.
+POOL_MIN_WORDS = 250_000
 
 
-def _pool_init(ctx, prefix_len):
-    global _POOL_SCAN
-    _POOL_SCAN = (ctx, prefix_len, _split(ctx, prefix_len))
+class _ScanPool:
+    """One process's fork pool, made on first use and kept until exit.
+
+    Pooled scans hold `lock`, so a scan that asks for another worker count,
+    or fails, never replaces the pool under another thread's scan.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.workers = 0
+        self.pool = None
+
+    def get(self, workers: int):
+        if workers != self.workers:
+            self.drop()
+            self.pool = multiprocessing.get_context("fork").Pool(workers)
+            self.workers = workers
+        return self.pool
+
+    def drop(self) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+        self.pool, self.workers = None, 0
 
 
-def _pool_run(index):
-    return _chunk(*_POOL_SCAN, index)
+# The scan pool of each process, by pid.  A forked child inherits its
+# parent's entry, whose handler threads it lacks; it neither uses nor closes
+# that pool and makes its own.
+_POOLS: dict[int, _ScanPool] = {}
+_SCAN_IDS = itertools.count()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _scan_pool() -> _ScanPool:
+    return _POOLS.setdefault(os.getpid(), _ScanPool())
+
+
+@atexit.register
+def _drop_pool() -> None:
+    _scan_pool().drop()
+
+
+# A worker's (scan id, `_split`) of the scan it last served.  Each worker
+# walks the prefixes itself, so the parent does none of a scan's array work.
+_WORKER_SPLIT = (None, None)
+
+
+def _pool_run(job):
+    global _WORKER_SPLIT
+    scan_id, ctx, prefix_len, index = job
+    if _WORKER_SPLIT[0] != scan_id:
+        _WORKER_SPLIT = (scan_id, _split(ctx, prefix_len))
+    return _chunk(ctx, prefix_len, _WORKER_SPLIT[1], index)
 
 
 def _prefix_level_counts(q: int, max_level: int) -> list[int]:
@@ -450,38 +527,52 @@ def scan_corner_stats(
 
     The word tree is expanded level by level (see `_walk`) down to a fixed
     prefix depth; the prefixes there are cut into batches of 8, and the
-    subtree below each batch is one chunk, run serially or on a process
-    pool.  Each chunk reduces its per-length parts with math.fsum, and the
-    chunk totals are fsummed once more, so the result is identical for any
-    thread count.  Rows are float64 when `_entry_bound` keeps every integer
-    the scan forms below 2^53 and Python ints otherwise.  ts requests
-    additional power sums (corner^t per length).
+    subtree below each batch is one chunk.  Each chunk reduces its
+    per-length parts with math.fsum, and the chunk totals are fsummed once
+    more, so the result is identical for any thread count.  Rows are
+    float64 when `_entry_bound` keeps every integer the scan forms below
+    2^53 and Python ints otherwise.  ts requests additional power sums
+    (corner^t per length).
+
+    threads caps the worker processes (default and upper limit: the CPUs
+    this process may run on).  Scans of POOL_MIN_WORDS words or more run
+    on a fork pool that the first of them starts and later scans reuse
+    until the process exits; smaller scans, and all scans with one thread,
+    run in-process.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     ctx = _scan_context(fact, max_len, ts)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    threads = max(1, int(threads))
+    cpus = _usable_cpus()
+    threads = cpus if threads is None else max(1, min(int(threads), cpus))
 
     prefix_len = _pick_prefix_len(ctx.q, max_len)
     chunks = 0
     if max_len > 0:
         chunks = -(-_prefix_level_counts(ctx.q, prefix_len)[prefix_len] // 8)
+    total = sum(word_count(ctx.q, length) for length in range(max_len + 1))
     tally = _Tally(max_len, 2 + len(ctx.ts))
-    if threads == 1 or chunks <= 1:
+    if threads == 1 or total < POOL_MIN_WORDS:
         split = _split(ctx, prefix_len)
         for index in range(-1, chunks):
             tally.merge(_chunk(ctx, prefix_len, split, index))
     else:
         # several chunks per message, as Pool.map does; each chunk still
-        # reduces on its own, so this does not change the result
+        # reduces on its own, so this does not change the result.  Within
+        # one message pickle sends ctx once.
         batch = -(-(chunks + 1) // (4 * threads))
-        mp = multiprocessing.get_context("fork")
-        with mp.Pool(threads, initializer=_pool_init,
-                     initargs=(ctx, prefix_len)) as pool:
-            for totals in pool.imap(_pool_run, range(-1, chunks), chunksize=batch):
-                tally.merge(totals)
+        scan_id = next(_SCAN_IDS)
+        jobs = ((scan_id, ctx, prefix_len, index) for index in range(-1, chunks))
+        pool = _scan_pool()
+        with pool.lock:
+            try:
+                for totals in pool.get(threads).imap(_pool_run, jobs,
+                                                     chunksize=batch):
+                    tally.merge(totals)
+            except BaseException:
+                # the workers may still be busy with this scan, or broken
+                pool.drop()
+                raise
     counts, zeros, sums = tally.totals()
     return ScanStats(
         q=ctx.q,

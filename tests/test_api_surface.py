@@ -27,15 +27,13 @@ SRC = pathlib.Path(lyapdisp.__file__).parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 TREES = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
 
-# Reference implementations that only the tests (and, for word_count, the
-# benchmark's word-count gate) call.
+# Reference implementations that only the tests call.
 ORACLES = {
     "catalog.family_to_dict",     # family-file round trip
     "conjugate.corner_value",     # exact corner value of one word
     "gle.f_closed_form_t0",       # F(s, 0) in closed form
     "words.fold_products",        # exact Fraction traversal of the word tree
     "words.is_chi_word",
-    "words.word_count",
     "words.words_of_length",
 }
 

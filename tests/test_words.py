@@ -1,7 +1,13 @@
 """Word enumeration and the corner-value scan against brute-force oracles."""
 
 import math
+import multiprocessing
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -268,15 +274,17 @@ class TestScanCornerStats:
             assert a == pytest.approx(b, abs=1e-12)
 
     @pytest.mark.parametrize("fact,max_len", [
-        (fact_for("g3"), 21),
+        (fact_for("g3"), 25),
         # chunks grow past ROW_CAP rows and are split
         (fact_for("g5"), 24),
         # the exact path, on Python ints
-        (conjugated_fact_for("g3"), 20),
+        (conjugated_fact_for("g3"), 25),
     ], ids=["g3", "g5-row-cap", "g3-conj-exact"])
-    def test_thread_count_does_not_change_bits(self, fact, max_len):
+    def test_thread_count_does_not_change_bits(self, fact, max_len, two_cpus):
         one = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=1)
+        words._drop_pool()
         two = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=2)
+        assert words._scan_pool().workers == 2
         assert one == two
 
     def test_max_len_zero(self):
@@ -284,6 +292,161 @@ class TestScanCornerStats:
         stats = words.scan_corner_stats(fact, 0, threads=1)
         assert stats.counts == (1,)
         assert stats.sum_ln == (0.0,)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let scans use two workers even on a one-CPU machine."""
+    monkeypatch.setattr(words, "_usable_cpus", lambda: 2)
+
+
+class _InProcessPool:
+    """Stands in for the fork pool: records its size, runs jobs in-process."""
+
+    def __init__(self, made, processes):
+        made.append(processes)
+
+    def imap(self, func, jobs, chunksize):
+        return map(func, jobs)
+
+    def terminate(self):
+        pass
+
+
+class TestScanPool:
+    def test_serial_below_pool_min_words(self, two_cpus):
+        # 1.96e5 words: in-process, whatever the thread count
+        assert sum(words.word_count(2, n) for n in range(25)) < words.POOL_MIN_WORDS
+        words._drop_pool()
+        words.scan_corner_stats(fact_for("g3"), 24, threads=2)
+        assert words._scan_pool().pool is None
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(words, "_POOLS", {})
+        monkeypatch.setattr(words, "_WORKER_SPLIT", (None, None))
+        monkeypatch.setattr(
+            multiprocessing.get_context("fork"), "Pool",
+            lambda processes: _InProcessPool(made, processes),
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        fact = fact_for("g3")
+        serial = words.scan_corner_stats(fact, 25, threads=1)
+        assert words.scan_corner_stats(fact, 25, threads=4096) == serial
+        assert made == [3]
+        # without sched_getaffinity the cap is os.cpu_count(); the default
+        # thread count is the cap
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert words.scan_corner_stats(fact, 25) == serial
+        assert made == [3, 5]
+
+    def test_back_to_back_scans_share_the_pool(self, two_cpus):
+        # each worker keeps the split of the scan it last served; scans of
+        # other families, ts and depths must not reuse it
+        cases = [
+            (fact_for("g3"), 25, (1.0,)),
+            (fact_for("h4"), 25, (1.0,)),
+            (fact_for("h4"), 25, (2.0, -0.5)),
+            (fact_for("h4"), 26, (2.0, -0.5)),
+            (conjugated_fact_for("g3"), 25, (1.0,)),
+            (fact_for("g5"), 21, ()),
+        ]
+        serial = [words.scan_corner_stats(f, n, ts=ts, threads=1)
+                  for f, n, ts in cases]
+        pooled = [words.scan_corner_stats(f, n, ts=ts, threads=2)
+                  for f, n, ts in cases]
+        assert words._scan_pool().workers == 2
+        for one, two in zip(serial, pooled):
+            assert one == two
+
+    def test_failed_scan_drops_the_pool(self, two_cpus, monkeypatch):
+        fact = fact_for("g3")
+        serial = words.scan_corner_stats(fact, 25, threads=1)
+
+        def fail(*args):
+            raise RuntimeError("chunk failed")
+
+        # workers forked now carry the failing _chunk
+        words._drop_pool()
+        with monkeypatch.context() as patch:
+            patch.setattr(words, "_chunk", fail)
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                words.scan_corner_stats(fact, 25, threads=2)
+        assert words._scan_pool().pool is None
+        assert words.scan_corner_stats(fact, 25, threads=2) == serial
+
+        def interrupt(self, totals):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(words._Tally, "merge", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                words.scan_corner_stats(fact, 25, threads=2)
+        assert words._scan_pool().pool is None
+        assert words.scan_corner_stats(fact, 25, threads=2) == serial
+
+    def test_forked_child_makes_its_own_pool(self, two_cpus):
+        fact = fact_for("g3")
+        serial = words.scan_corner_stats(fact, 25, threads=1)
+        words.scan_corner_stats(fact, 25, threads=2)
+        assert words._scan_pool().pool is not None
+
+        def child():
+            stats = words.scan_corner_stats(fact, 25, threads=2)
+            sys.exit(0 if stats == serial else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+        assert proc.exitcode == 0
+
+    def test_threads_take_turns_on_the_pool(self, monkeypatch):
+        # scans from two threads asking for 2 and 3 workers: each switch
+        # replaces the pool, which must not happen under the other's scan
+        monkeypatch.setattr(words, "_usable_cpus", lambda: 3)
+        fact = fact_for("g3")
+        serial = words.scan_corner_stats(fact, 25, threads=1)
+        results = []
+
+        def scans(workers):
+            for _ in range(3):
+                results.append(words.scan_corner_stats(fact, 25, threads=workers))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=scans, args=(n,), daemon=True)
+                       for n in (2, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * 6
+
+    def test_pooled_scan_exits_cleanly(self):
+        code = (
+            "from lyapdisp import catalog, conjugate, words\n"
+            "words._usable_cpus = lambda: 2\n"
+            "fam = catalog.get_family('g3')\n"
+            "fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, 'g3')\n"
+            "words.scan_corner_stats(fact, 25, threads=2)\n"
+            "assert words._scan_pool().pool is not None\n"
+        )
+        src = pathlib.Path(words.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestScanPath:
