@@ -9,6 +9,7 @@ significant digits and object keys are sorted.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -40,8 +41,7 @@ def dumps_fixed(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -53,12 +53,6 @@ def _write(path: str | None, text: str) -> None:
                 handle.write("\n")
     else:
         print(text)
-
-
-def _resolve_family(name: str) -> catalog.MatrixFamily:
-    if name.startswith("@"):
-        return catalog.load_family_file(name[1:])
-    return catalog.resolve_family(name)
 
 
 def _add_common(parser, *, family=False, max_len=False, threads=False,
@@ -194,7 +188,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_exponents(args) -> int:
-    fam = _resolve_family(args.family)
+    fam = catalog.resolve_family(args.family)
     report = gle.exponents(
         fam,
         max_len=args.max_len,
@@ -210,7 +204,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_lt(args) -> int:
-    fam = _resolve_family(args.family)
+    fam = catalog.resolve_family(args.family)
     value = gle.l_of_t(
         fam, args.t, max_len=args.max_len, tol=args.tol, threads=args.threads
     )
@@ -227,7 +221,7 @@ def _cmd_lt(args) -> int:
 
 
 def _cmd_replica(args) -> int:
-    fam = _resolve_family(args.family)
+    fam = catalog.resolve_family(args.family)
     value = gle.replica_exponent(fam, args.t)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -242,7 +236,7 @@ def _cmd_replica(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    fam = _resolve_family(args.family)
+    fam = catalog.resolve_family(args.family)
     config = mcsim.SimConfig(family=fam, k=args.k, trials=args.trials,
                              seed=args.seed)
     if args.t is not None:
@@ -286,7 +280,7 @@ def _cmd_fluctuation(args, kind: str) -> int:
 
 
 def _cmd_dispersion(args) -> int:
-    fam = _resolve_family(args.family)
+    fam = catalog.resolve_family(args.family)
     trend = digitsum.empirical_dispersion(fam, j_max=args.jmax, j_min=args.jmin)
     if args.csv:
         _write(args.csv, "\n".join(trend.csv_rows()))
@@ -303,7 +297,7 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    fam = _resolve_family(args.family)
+    fam = catalog.resolve_family(args.family)
     rep = digitsum.fit_linear_representation(fam, n_check=args.ncheck)
     _write(args.json, dumps_fixed(rep.to_json_dict()))
     return 0
@@ -314,7 +308,7 @@ def _cmd_verify(args) -> int:
     all_rows = []
     failed = False
     for name in names:
-        fam = _resolve_family(name)
+        fam = catalog.resolve_family(name)
         report = gle.exponents(fam, max_len=args.max_len, threads=args.threads)
         rows = catalog.verify_constants(fam, report)
         for row in rows:

@@ -60,7 +60,7 @@ def sentinel_factorization(
         raise exactmat.DimensionMismatch(f"{d0.dim} != {d1.dim}")
     power = exactmat.mat_pow(d0, q)
     alpha, beta = exactmat.rank_one_factor(power)
-    trace = sum((a * b for a, b in zip(alpha, beta)), Fraction(0))
+    trace = exactmat.dot(alpha, beta)
     if trace != 1:
         raise NotIdempotentSimilar(
             f"trace(D0^{q}) = {trace} != 1; D0^{q} is not idempotent"
@@ -80,8 +80,5 @@ def corner_value(fact: SentinelFactorization, word: str) -> Fraction:
             matrix = fact.d1
         else:
             raise ValueError(f"word must be over 0/1, got {symbol!r}")
-        cols = zip(*matrix.rows)
-        row = tuple(
-            sum((r * c for r, c in zip(row, col)), Fraction(0)) for col in cols
-        )
-    return sum((r * a for r, a in zip(row, fact.alpha)), Fraction(0))
+        row = exactmat.row_times(row, zip(*matrix.rows))
+    return exactmat.dot(row, fact.alpha)

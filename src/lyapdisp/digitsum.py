@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import catalog, conjugate
+from . import catalog, conjugate, exactmat
 from .catalog import MatrixFamily
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
 
 LOG2_3 = math.log2(3.0)
 DEFAULT_PERCENTILES = (1, 5, 10, 25, 50, 75, 90, 95, 99, 100)
+HISTOGRAM_BINS = 200
 
 
 class NoRepresentationFound(ValueError):
@@ -152,7 +153,6 @@ def psi(n: int) -> float:
 @dataclass(frozen=True)
 class FluctuationScan:
     name: str
-    j_min: int
     j_max: int
     inf: float
     inf_at: int
@@ -182,7 +182,8 @@ class FluctuationScan:
         return {
             "schema_version": 1,
             "function": self.name,
-            "j_min": self.j_min,
+            # the extremes scan covers every n from 2 = 2^1 up to 2^j_max
+            "j_min": 1,
             "j_max": self.j_max,
             "inf": self.inf,
             "inf_at": self.inf_at,
@@ -269,8 +270,7 @@ def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
     return np.unique(grid)
 
 
-def _scan_statistics(kind: str, j_min: int, j_max: int, samples: int,
-                     n_bins: int) -> FluctuationScan:
+def _scan_statistics(kind: str, j_max: int, samples: int) -> FluctuationScan:
     point = phi if kind == "phi" else psi
     inf_at, sup_at = _scan_extremes(kind, j_max)
 
@@ -304,14 +304,13 @@ def _scan_statistics(kind: str, j_min: int, j_max: int, samples: int,
         idx = min(idx, len(sorted_vals) - 1)
         percentiles.append((float(pct), float(sorted_vals[idx])))
 
-    hist, edges = np.histogram(vals, bins=n_bins, weights=weights)
+    hist, edges = np.histogram(vals, bins=HISTOGRAM_BINS, weights=weights)
     histogram = tuple(
         (float(edges[i]), float(edges[i + 1]), float(hist[i]))
         for i in range(len(hist))
     )
     return FluctuationScan(
         name=kind,
-        j_min=j_min,
         j_max=j_max,
         inf=point(inf_at),
         inf_at=inf_at,
@@ -327,10 +326,8 @@ def _scan_statistics(kind: str, j_min: int, j_max: int, samples: int,
 
 
 def phi_statistics(
-    j_min: int = 1,
     j_max: int = 24,
     samples_per_octave: int = 1 << 16,
-    n_bins: int = 200,
 ) -> FluctuationScan:
     """Extremes over all n <= 2^j_max plus mean/percentiles/density.
 
@@ -340,21 +337,19 @@ def phi_statistics(
     The fractal roughness makes the quadrature error heuristic, roughly
     2e-3 at the default sampling.
     """
-    if not 1 <= j_min < j_max <= 40:
-        raise ValueError("need 1 <= j_min < j_max <= 40")
-    return _scan_statistics("phi", j_min, j_max, samples_per_octave, n_bins)
+    if not 2 <= j_max <= 40:
+        raise ValueError("need 2 <= j_max <= 40")
+    return _scan_statistics("phi", j_max, samples_per_octave)
 
 
 def psi_statistics(
-    j_min: int = 1,
     j_max: int = 24,
     samples_per_octave: int = 1 << 16,
-    n_bins: int = 200,
 ) -> FluctuationScan:
     """Same scan for the odd-coefficient fluctuation; values lie in (0, 1]."""
-    if not 1 <= j_min < j_max <= 38:
-        raise ValueError("need 1 <= j_min < j_max <= 38 (int64 cumulants)")
-    return _scan_statistics("psi", j_min, j_max, samples_per_octave, n_bins)
+    if not 2 <= j_max <= 38:
+        raise ValueError("need 2 <= j_max <= 38 (int64 cumulants)")
+    return _scan_statistics("psi", j_max, samples_per_octave)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +410,10 @@ class LinearRepresentation:
 
 def _int_matrices(fam: MatrixFamily) -> tuple[np.ndarray, np.ndarray]:
     """(D0, D1) as int64 arrays; OverflowError if an entry does not fit."""
-    if any(x.denominator != 1 for mat in (fam.d0, fam.d1)
-           for row in mat.rows for x in row):
+    scaled = [exactmat.int_rows(mat.rows) for mat in (fam.d0, fam.d1)]
+    if any(den != 1 for _, den in scaled):
         raise ValueError("integer matrices required for the int64 tables")
-    return tuple(
-        np.array([[int(x) for x in row] for row in mat.rows], dtype=np.int64)
-        for mat in (fam.d0, fam.d1)
-    )
+    return tuple(np.array(rows, dtype=np.int64) for rows, _ in scaled)
 
 
 def _check_int64(factor: np.ndarray, growth: int) -> None:
@@ -483,13 +475,6 @@ def fit_linear_representation(family, n_check: int = 4096) -> LinearRepresentati
     return rep
 
 
-def _int_scaled(vec) -> tuple[np.ndarray, int]:
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return np.array([int(x * den) for x in vec], dtype=np.int64), den
-
-
 def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
                               n_top: int) -> np.ndarray:
     """count(n) for all n < n_top through the representation, exactly (int64).
@@ -500,9 +485,11 @@ def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
     levels = max(1, (n_top - 1).bit_length())
     if (1 << levels) * fam.dim > 1 << 26:
         raise ValueError("n_top too large for the in-memory level table")
-    u_int, u_den = _int_scaled(rep.u)
-    v_int, v_den = _int_scaled(rep.v)
-    table = _doubling_table(u_int, _int_matrices(fam), levels)
+    (u_int,), u_den = exactmat.int_rows([rep.u])
+    (v_int,), v_den = exactmat.int_rows([rep.v])
+    v_int = np.array(v_int, dtype=np.int64)
+    table = _doubling_table(
+        np.array(u_int, dtype=np.int64), _int_matrices(fam), levels)
     _check_int64(table, int(np.abs(v_int).sum()))
     raw = table[:n_top] @ v_int
     if ((raw % (u_den * v_den)) != 0).any():
@@ -667,6 +654,9 @@ def digit_distribution_compare(
         raise ValueError("need 0 <= b < a")
     if j > 48:
         raise ValueError("j capped at 48")
+    # a * N + b is formed in int64 for N < 2^j
+    if a * ((1 << j) - 1) + b >= 1 << 63:
+        raise ValueError(f"a * (2^{j} - 1) + b must be below 2^63 (int64)")
     rng_test = np.random.Generator(np.random.Philox(key=[seed, (a << 20) | b]))
     # the reference stream is the (a, b) = (1, 0) slot, so comparing (1, 0)
     # against itself gives identical samples and distance exactly zero

@@ -9,6 +9,8 @@ float64 arrays, and `spectral_radius` and `poly_eval` work on floats.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -17,6 +19,9 @@ import numpy as np
 __all__ = [
     "RationalMatrix",
     "identity",
+    "dot",
+    "row_times",
+    "int_rows",
     "mat_mul",
     "mat_pow",
     "kronecker",
@@ -95,9 +100,6 @@ class RationalMatrix:
         )
         return f"RationalMatrix[{body}]"
 
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
-
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.rows for x in row)
 
@@ -111,14 +113,30 @@ def identity(n: int) -> RationalMatrix:
     )
 
 
+def dot(x, y):
+    """Exact sum of x[i] * y[i]; ints stay ints, Fractions stay Fractions."""
+    return sum(map(operator.mul, x, y))
+
+
+def row_times(row, cols) -> tuple:
+    """The exact row product row . M, where cols are the columns of M.
+
+    Passing the rows of M as cols gives the column product M . row instead.
+    """
+    return tuple(dot(row, col) for col in cols)
+
+
+def int_rows(rows) -> tuple[list[list[int]], int]:
+    """(n, den) with rows == n / den exactly: integer rows, common denominator."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
+
+
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim} != {b.dim}")
     bt = tuple(zip(*b.rows))
-    return RationalMatrix(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-        for row in a.rows
-    )
+    return RationalMatrix(row_times(row, bt) for row in a.rows)
 
 
 def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:

@@ -555,7 +555,6 @@ def l_of_t(
     t: float,
     max_len: int | None = None,
     tol: float = 1e-10,
-    accel: bool = True,
     threads: int | None = None,
 ) -> float:
     """Moment exponent L(t) = -ln s(t) where F(s(t), t) = 1."""
@@ -566,7 +565,7 @@ def l_of_t(
         max_len = default_max_len(fam.q)
     fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
     stats = words.scan_corner_stats(fact, max_len, ts=(t,), threads=threads)
-    value, _ = l_from_scan(stats, 0, tol=tol, accel=accel)
+    value, _ = l_from_scan(stats, 0, tol=tol)
     return value
 
 
@@ -574,7 +573,7 @@ def l_of_t(
 # replica route
 # ---------------------------------------------------------------------------
 
-def replica_exponent(family, t: int, tol: float = 1e-13) -> float:
+def replica_exponent(family, t: int) -> float:
     """e^{L(t)} for integer t: spectral radius of (D0^(x)t + D1^(x)t)/2.
 
     (x)t is the t-fold Kronecker power; t = 1 is the plain average.  The
@@ -599,7 +598,7 @@ def replica_exponent(family, t: int, tol: float = 1e-13) -> float:
     for _ in range(t - 1):
         pow0 = exactmat.kronecker(pow0, d0)
         pow1 = exactmat.kronecker(pow1, d1)
-    return exactmat.spectral_radius((pow0 + pow1) / 2, tol=tol)
+    return exactmat.spectral_radius((pow0 + pow1) / 2, tol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +640,10 @@ def regrouped_matrices():
 def _geometric_profile(m: RationalMatrix, beta, alpha) -> tuple[Fraction, Fraction]:
     """Exact (a, g) with beta^T M^k alpha = a * g^k, verified on k = 0..5."""
     values = []
-    vec = list(alpha)
+    vec = alpha
     for _ in range(6):
-        values.append(sum(b * v for b, v in zip(beta, vec)))
-        vec = [sum(m.rows[i][j] * vec[j] for j in range(m.dim)) for i in range(m.dim)]
+        values.append(exactmat.dot(beta, vec))
+        vec = exactmat.row_times(vec, m.rows)  # the column product M . vec
     a = values[0]
     if a == 0:
         raise NoRoot("sentinel cross moments vanish; regrouping not applicable")

@@ -34,6 +34,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import exactmat
 from .conjugate import SentinelFactorization
 
 __all__ = [
@@ -116,24 +117,19 @@ def fold_products(
     d0_cols = tuple(zip(*fact.d0.rows))
     d1_cols = tuple(zip(*fact.d1.rows))
     alpha = fact.alpha
-
-    def corner(row: tuple) -> Fraction:
-        return sum((r * a for r, a in zip(row, alpha)), Fraction(0))
-
-    visitor("", corner(fact.beta))
+    visitor("", exactmat.dot(fact.beta, alpha))
 
     def walk(prefix: list[str], row: tuple, run: int) -> None:
         depth = len(prefix)
         if depth == max_len:
             return
         if run + 1 < q:
-            row0 = tuple(sum(r * c for r, c in zip(row, col)) for col in d0_cols)
             prefix.append("0")
-            walk(prefix, row0, run + 1)
+            walk(prefix, exactmat.row_times(row, d0_cols), run + 1)
             prefix.pop()
-        row1 = tuple(sum(r * c for r, c in zip(row, col)) for col in d1_cols)
+        row1 = exactmat.row_times(row, d1_cols)
         prefix.append("1")
-        visitor("".join(prefix), corner(row1))
+        visitor("".join(prefix), exactmat.dot(row1, alpha))
         walk(prefix, row1, 0)
         prefix.pop()
 
@@ -229,19 +225,12 @@ def _entry_bound(q: int, d0, d1, w1, beta, max_len: int) -> int:
 
 def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext:
     """Scale the family to integers and pick float64 or Python ints."""
-
-    def scaled(rows):
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        return [[int(x * den) for x in row] for row in rows], den
-
-    d0, den0 = scaled(fact.d0.rows)
-    d1, den1 = scaled(fact.d1.rows)
-    (alpha,), den_a = scaled([fact.alpha])
-    (beta,), den_b = scaled([fact.beta])
-    def times(rows, vec):
-        return [sum(x * v for x, v in zip(row, vec)) for row in rows]
-
-    w1 = times(d1, alpha)
+    d0, den0 = exactmat.int_rows(fact.d0.rows)
+    d1, den1 = exactmat.int_rows(fact.d1.rows)
+    (alpha,), den_a = exactmat.int_rows([fact.alpha])
+    (beta,), den_b = exactmat.int_rows([fact.beta])
+    # row_times over the rows of D gives the column product D . w
+    w1 = exactmat.row_times(alpha, d1)
     bound = _entry_bound(fact.q, d0, d1, w1, beta, max_len)
     exact = bound >= _FLOAT_EXACT or den_a * den_b * den0 * den1 != 1
     dtype = object if exact else np.float64
@@ -252,10 +241,10 @@ def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext
         d0=np.array(d0, dtype=dtype),
         d1=np.array(d1, dtype=dtype),
         w1=np.array(w1, dtype=dtype),
-        d0w1=np.array(times(d0, w1), dtype=dtype),
-        d1w1=np.array(times(d1, w1), dtype=dtype),
+        d0w1=np.array(exactmat.row_times(w1, d0), dtype=dtype),
+        d1w1=np.array(exactmat.row_times(w1, d1), dtype=dtype),
         beta=np.array(beta, dtype=dtype),
-        empty_corner=sum(b * a for b, a in zip(beta, alpha)),
+        empty_corner=exactmat.dot(beta, alpha),
         den=den_a * den_b,
         den0=den0,
         den1=den1,
@@ -492,27 +481,16 @@ def _pool_run(job):
     return _chunk(ctx, prefix_len, _WORKER_SPLIT[1], index)
 
 
-def _prefix_level_counts(q: int, max_level: int) -> list[int]:
-    """Number of live prefixes (any ending) per level, by zero-run DP."""
-    state = [1] + [0] * (q - 1)  # state[r] = prefixes ending in run of r zeros
-    totals = [1]
-    for _ in range(max_level):
-        nxt = [0] * q
-        nxt[0] = sum(state)
-        for r in range(1, q):
-            nxt[r] = state[r - 1]
-        state = nxt
-        totals.append(sum(state))
-    return totals
-
-
 def _pick_prefix_len(q: int, max_len: int) -> int:
-    """Chunking depth: enough chunks to balance a pool, 0 for small trees."""
+    """Chunking depth: enough chunks to balance a pool, 0 for small trees.
+
+    Appending '1' maps the live prefixes of length p one to one onto the
+    chi(q) words of length p + 1, so there are word_count(q, p + 1) of them.
+    """
     if max_len <= 18:
         return 0
-    levels = _prefix_level_counts(q, max_len)
     for p in range(1, max_len - 3):
-        if levels[p] >= 192:
+        if word_count(q, p + 1) >= 192:
             return p
     return 0
 
@@ -549,7 +527,7 @@ def scan_corner_stats(
     prefix_len = _pick_prefix_len(ctx.q, max_len)
     chunks = 0
     if max_len > 0:
-        chunks = -(-_prefix_level_counts(ctx.q, prefix_len)[prefix_len] // 8)
+        chunks = -(-word_count(ctx.q, prefix_len + 1) // 8)
     total = sum(word_count(ctx.q, length) for length in range(max_len + 1))
     tally = _Tally(max_len, 2 + len(ctx.ts))
     if threads == 1 or total < POOL_MIN_WORDS:

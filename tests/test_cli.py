@@ -29,6 +29,8 @@ class TestDumpsFixed:
 
     def test_string_escaping(self):
         assert dumps_fixed('a"b') == '"a\\"b"'
+        assert dumps_fixed("a\tb\n") == '"a\\tb\\n"'
+        assert json.loads(dumps_fixed({"k\x01": "\u00e9"})) == {"k\x01": "\u00e9"}
 
 
 class TestCommands:
@@ -211,6 +213,17 @@ class TestCommands:
         assert data["lambda"]["accel"] == pytest.approx(math.log(2) / 2)
 
 
+    def test_family_file_name_with_newline(self, capsys, tmp_path):
+        data = catalog.family_to_dict(catalog.get_family("g2"))
+        data["name"] = "a\nb"
+        fam_path = tmp_path / "newline.json"
+        fam_path.write_text(json.dumps(data))
+        code, out, _ = run(
+            capsys, "fit", "--family", f"@{fam_path}", "--ncheck", "512")
+        assert code == 0
+        assert json.loads(out)["family"] == "a\nb"
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -226,6 +239,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "exponents", "--family", "nosuch")
         assert code == 1
         assert "unknown family" in err
+
+    def test_digits_past_int64_is_one(self, capsys):
+        code, out, err = run(capsys, "digits", "--a", "100003", "--b", "0",
+                             "--j", "48", "--samples", "1000", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "must be below 2^63" in err
 
     def test_broken_family_file_is_one(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

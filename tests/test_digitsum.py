@@ -253,6 +253,14 @@ def wide_family(d1_entry: int) -> catalog.MatrixFamily:
 class TestWordProducts:
     """The int64 doubling table behind `counts_via_representation`."""
 
+    def test_fractional_family_is_refused(self):
+        fam = catalog.get_family("g2")
+        half = RationalMatrix([[x / 2 for x in row] for row in fam.d1.rows])
+        fractional = catalog.MatrixFamily(
+            name="half", q=fam.q, d0=fam.d0, d1=half, poly_mask=0)
+        with pytest.raises(ValueError, match="integer matrices"):
+            ds._int_matrices(fractional)
+
     @pytest.mark.parametrize("name", catalog.family_names())
     @pytest.mark.parametrize("order", ["lsb", "msb"])
     def test_matches_exact_products(self, name, order):
@@ -342,6 +350,17 @@ class TestDigitDistributionCompare:
             ds.digit_distribution_compare(2, 2, j=8)
         with pytest.raises(ValueError):
             ds.digit_distribution_compare(1, 0, j=50)
+
+    def test_products_past_int64_are_refused(self):
+        # 100003 * N wraps around in int64 for most N < 2^48; the largest
+        # allowed a * (2^j - 1) + b is 2^63 - 1
+        with pytest.raises(ValueError, match="2\\^63"):
+            ds.digit_distribution_compare(100003, 0, j=48, n_samples=1000, seed=1)
+        with pytest.raises(ValueError, match="2\\^63"):
+            ds.digit_distribution_compare(2**15 + 1, 0, j=48, n_samples=10)
+        result = ds.digit_distribution_compare(2**15, 2**15 - 1, j=48,
+                                               n_samples=1000)
+        assert result.n_samples == 1000
 
     def test_deterministic(self):
         a = ds.digit_distribution_compare(3, 1, j=12, n_samples=5000)

@@ -35,6 +35,23 @@ def random_matrix(rng, n, lo=-4, hi=4):
     )
 
 
+class TestExactRows:
+    def test_ints_stay_ints(self):
+        product = exactmat.row_times((1, 2), ((3, 4), (5, 6)))
+        assert product == (11, 17)
+        assert all(type(x) is int for x in product)
+        assert type(exactmat.dot((1, 2), (3, 4))) is int
+
+    def test_fractions(self):
+        assert exactmat.dot((Fraction(1, 2), 1), (3, Fraction(1, 3))) == \
+            Fraction(11, 6)
+
+    def test_int_rows_share_one_denominator(self):
+        rows, den = exactmat.int_rows([[Fraction(1, 2), Fraction(-1, 3)], [2, 0]])
+        assert (rows, den) == ([[3, -2], [12, 0]], 6)
+        assert exactmat.int_rows([[1, 2]]) == ([[1, 2]], 1)
+
+
 class TestMatMul:
     def test_identity(self):
         a = RationalMatrix([[1, 2], [3, 4]])
