@@ -55,6 +55,11 @@ def _write(path: str | None, text: str) -> None:
         print(text)
 
 
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write a JSON report, stamped with SCHEMA_VERSION."""
+    _write(path, dumps_fixed(dict(payload, schema_version=SCHEMA_VERSION)))
+
+
 def _add_common(parser, *, family=False, max_len=False, threads=False,
                 tol=False, json_out=True, csv_out=False):
     if family:
@@ -174,9 +179,8 @@ def _cmd_catalog(args) -> int:
             "avg": c.avg_ref,
             "typ": c.typ_ref,
         })
-    payload = {"schema_version": SCHEMA_VERSION, "families": rows}
     if args.json:
-        _write(args.json, dumps_fixed(payload))
+        _write_json(args.json, {"families": rows})
     else:
         for row in rows:
             print(
@@ -198,8 +202,7 @@ def _cmd_exponents(args) -> int:
     )
     if args.csv:
         _write(args.csv, "\n".join(report.series.csv_rows()))
-    text = dumps_fixed(report.to_json_dict())
-    _write(args.json, text)
+    _write_json(args.json, report.to_json_dict())
     return 0
 
 
@@ -209,14 +212,13 @@ def _cmd_lt(args) -> int:
         fam, args.t, max_len=args.max_len, tol=args.tol, threads=args.threads
     )
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "family": fam.name,
         "t": args.t,
         "L": value,
         "exp_L": math.exp(value),
         "L_over_ln2": value / math.log(2.0),
     }
-    _write(args.json, dumps_fixed(payload))
+    _write_json(args.json, payload)
     return 0
 
 
@@ -224,14 +226,13 @@ def _cmd_replica(args) -> int:
     fam = catalog.resolve_family(args.family)
     value = gle.replica_exponent(fam, args.t)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "family": fam.name,
         "t": args.t,
         "exp_L": value,
         "L": math.log(value),
         "L_over_ln2": math.log(value) / math.log(2.0),
     }
-    _write(args.json, dumps_fixed(payload))
+    _write_json(args.json, payload)
     return 0
 
 
@@ -247,7 +248,7 @@ def _cmd_simulate(args) -> int:
         rows = ["trial,log_norm"]
         rows += [f"{i},{v!r}" for i, v in enumerate(result.log_norms.tolist())]
         _write(args.csv, "\n".join(rows))
-    _write(args.json, dumps_fixed(result.to_json_dict()))
+    _write_json(args.json, result.to_json_dict())
     return 0
 
 
@@ -263,8 +264,7 @@ def _cmd_regroup_check(args) -> int:
             "L_closed_form": closed,
             "abs_diff": abs(value - closed),
         })
-    payload = {"schema_version": SCHEMA_VERSION, "samples": rows}
-    _write(args.json, dumps_fixed(payload))
+    _write_json(args.json, {"samples": rows})
     return 0
 
 
@@ -275,7 +275,7 @@ def _cmd_fluctuation(args, kind: str) -> int:
         _write(args.csv, "\n".join(scan.samples_csv_rows()))
     if args.density_csv:
         _write(args.density_csv, "\n".join(scan.histogram_csv_rows()))
-    _write(args.json, dumps_fixed(scan.to_json_dict()))
+    _write_json(args.json, scan.to_json_dict())
     return 0
 
 
@@ -284,7 +284,7 @@ def _cmd_dispersion(args) -> int:
     trend = digitsum.empirical_dispersion(fam, j_max=args.jmax, j_min=args.jmin)
     if args.csv:
         _write(args.csv, "\n".join(trend.csv_rows()))
-    _write(args.json, dumps_fixed(trend.to_json_dict()))
+    _write_json(args.json, trend.to_json_dict())
     return 0
 
 
@@ -292,14 +292,14 @@ def _cmd_digits(args) -> int:
     result = digitsum.digit_distribution_compare(
         args.a, args.b, j=args.j, n_samples=args.samples, seed=args.seed
     )
-    _write(args.json, dumps_fixed(result.to_json_dict()))
+    _write_json(args.json, result.to_json_dict())
     return 0
 
 
 def _cmd_fit(args) -> int:
     fam = catalog.resolve_family(args.family)
     rep = digitsum.fit_linear_representation(fam, n_check=args.ncheck)
-    _write(args.json, dumps_fixed(rep.to_json_dict()))
+    _write_json(args.json, rep.to_json_dict())
     return 0
 
 
@@ -322,9 +322,7 @@ def _cmd_verify(args) -> int:
                 f"tol={row['tol']:.2g}"
             )
     if args.json:
-        _write(args.json, dumps_fixed(
-            {"schema_version": SCHEMA_VERSION, "rows": all_rows}
-        ))
+        _write_json(args.json, {"rows": all_rows})
     return 3 if failed else 0
 
 

@@ -180,7 +180,6 @@ class FluctuationScan:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "function": self.name,
             # the extremes scan covers every n from 2 = 2^1 up to 2^j_max
             "j_min": 1,
@@ -271,6 +270,8 @@ def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
 
 
 def _scan_statistics(kind: str, j_max: int, samples: int) -> FluctuationScan:
+    if samples < 1:
+        raise ValueError("samples_per_octave must be >= 1")
     point = phi if kind == "phi" else psi
     inf_at, sup_at = _scan_extremes(kind, j_max)
 
@@ -399,7 +400,6 @@ class LinearRepresentation:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "family": self.family,
             "u": [str(x) for x in self.u],
             "v": [str(x) for x in self.v],
@@ -518,7 +518,6 @@ class DispersionTrend:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "family": self.family,
             "j_min": self.j_min,
             "j_max": self.j_max,
@@ -595,7 +594,6 @@ class DigitCompare:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "a": self.a,
             "b": self.b,
             "j": self.j,
@@ -652,8 +650,12 @@ def digit_distribution_compare(
     """
     if not 0 <= b < a:
         raise ValueError("need 0 <= b < a")
+    if j < 1:
+        raise ValueError("j must be >= 1")
     if j > 48:
         raise ValueError("j capped at 48")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     # a * N + b is formed in int64 for N < 2^j
     if a * ((1 << j) - 1) + b >= 1 << 63:
         raise ValueError(f"a * (2^{j} - 1) + b must be below 2^63 (int64)")

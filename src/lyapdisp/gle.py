@@ -115,34 +115,23 @@ def wynn_epsilon(partials: Sequence[float]) -> WynnResult:
     if n_terms < 3:
         raise DegenerateSequence(f"need at least 3 partial sums, got {n_terms}")
 
+    # an entry that cannot be formed is NaN, and so is every entry built on
+    # it; the partials themselves are taken as they are, inf included
     prev2 = [0.0] * (n_terms + 1)   # eps[k-1], starts as the zero column
-    prev, usable_prev = list(s), [True] * n_terms
-    usable2 = [True] * (n_terms + 1)
-    best = [(s[-1], 0)]             # (value, column) per usable even column
+    prev = s
+    best = [(s[-1], 0)]             # (value, column) per even column with entries
     for k in range(1, n_terms):
-        width = n_terms - k
-        cur = [0.0] * width
-        usable = [False] * width
-        for n in range(width):
+        cur = []
+        for n in range(n_terms - k):
             diff = prev[n + 1] - prev[n]
-            if (
-                usable_prev[n]
-                and usable_prev[n + 1]
-                and usable2[n + 1]
-                and abs(diff) > WYNN_GUARD
-            ):
-                cur[n] = prev2[n + 1] + 1.0 / diff
-                usable[n] = math.isfinite(cur[n])
-        if k % 2 == 0:
-            pick = next(
-                (cur[n] for n in range(width - 1, -1, -1) if usable[n]), None
-            )
-            if pick is not None:
-                best.append((pick, k))
-        prev2, usable2 = prev, usable_prev
-        prev, usable_prev = cur, usable
-        if not any(usable):
+            eps = prev2[n + 1] + 1.0 / diff if abs(diff) > WYNN_GUARD else math.nan
+            cur.append(eps if math.isfinite(eps) else math.nan)
+        formed = [x for x in cur if not math.isnan(x)]
+        if not formed:
             break
+        if k % 2 == 0:
+            best.append((formed[-1], k))
+        prev2, prev = prev, cur
     if len(best) == 1:
         return WynnResult(estimate=s[-1], error=abs(s[-1] - s[-2]), depth=0)
     diffs = [abs(b[0] - a[0]) for a, b in zip(best, best[1:])]
@@ -280,7 +269,6 @@ class ExponentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "family": self.family,
             "q": self.q,
             "max_len": self.max_len,

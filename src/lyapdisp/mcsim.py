@@ -75,7 +75,6 @@ class SimResult:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema_version": 1,
             "family": self.family,
             "k": self.k,
             "trials": self.trials,

@@ -16,14 +16,15 @@ held in float64 when a bound computed before the scan shows every entry
 stays below 2^53, and as Python ints otherwise, so corner values are exact
 either way.  Per-length sums are reduced with math.fsum in a fixed
 chunking, so results are reproducible bit for bit for any worker count.
-Large scans run on one fork pool per process, started by the first of them
-and kept until exit; small ones run in-process.
+The calling process splits the tree at a fixed prefix depth and runs the
+subtrees below each batch of prefixes itself, or, for large scans, sends
+the batches to one fork pool per process, started by the first such scan
+and kept until exit.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import math
 import multiprocessing
 import os
@@ -373,11 +374,12 @@ def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
 
 
 def _split(ctx: _ScanContext, prefix_len: int):
-    """The words of length <= prefix_len, and the prefixes of length prefix_len.
+    """Split a scan at prefix_len into the short words and batches of prefixes.
 
-    Returns the totals of the short words (the empty word included) and the
-    rows, trailing runs and counts of 1s of the prefixes, in the walk's
-    fixed order.
+    Returns the totals of the words of length <= prefix_len (the empty word
+    included) and one job per batch of 8 prefixes of length prefix_len, in
+    the walk's fixed order.  A job is (ctx, prefix_len, blocks), blocks as
+    in `_walk`; a scan to max_len 0 has none.
     """
     tally = _Tally(ctx.max_len, 2 + len(ctx.ts))
     if ctx.empty_corner:
@@ -385,6 +387,8 @@ def _split(ctx: _ScanContext, prefix_len: int):
         tally.add(0, 1, 0, _sums(ctx, lc))
     else:
         tally.add(0, 1, 1, None)
+    if ctx.max_len == 0:
+        return tally.totals(), []
     beta = ctx.beta[np.newaxis, :]
     root = [(beta, np.zeros(1, dtype=np.int64))]
     root += [(beta[:0], np.zeros(0, dtype=np.int64))] * (ctx.q - 1)
@@ -394,22 +398,19 @@ def _split(ctx: _ScanContext, prefix_len: int):
         for r, (rows, ones) in enumerate(blocks)
     ]
     rows, runs, ones = (np.concatenate(part) for part in zip(*frontier))
-    return tally.totals(), rows, runs, ones
+    jobs = []
+    for start in range(0, len(runs), 8):
+        batch = slice(start, start + 8)
+        b_rows, b_runs, b_ones = rows[batch], runs[batch], ones[batch]
+        blocks = [(b_rows[b_runs == r], b_ones[b_runs == r]) for r in range(ctx.q)]
+        jobs.append((ctx, prefix_len, blocks))
+    return tally.totals(), jobs
 
 
-def _chunk(ctx: _ScanContext, prefix_len: int, split, index: int):
-    """Totals of chunk `index` of a scan split at prefix_len.
-
-    Chunk -1 is the words of length <= prefix_len; chunk i >= 0 is the
-    subtrees below prefixes 8i .. 8i+7 of the split.
-    """
-    short, rows, runs, ones = split
-    if index < 0:
-        return short
-    part = slice(8 * index, 8 * index + 8)
-    rows, runs, ones = rows[part], runs[part], ones[part]
+def _chunk(job):
+    """Totals of the words below one batch of prefixes, a job of `_split`."""
+    ctx, prefix_len, blocks = job
     tally = _Tally(ctx.max_len, 2 + len(ctx.ts))
-    blocks = [(rows[runs == r], ones[runs == r]) for r in range(ctx.q)]
     _walk(ctx, blocks, prefix_len, tally)
     return tally.totals()
 
@@ -445,11 +446,11 @@ class _ScanPool:
         self.pool, self.workers = None, 0
 
 
-# The scan pool of each process, by pid.  A forked child inherits its
-# parent's entry, whose handler threads it lacks; it neither uses nor closes
-# that pool and makes its own.
-_POOLS: dict[int, _ScanPool] = {}
-_SCAN_IDS = itertools.count()
+_POOL = _ScanPool()
+# A forked child inherits the pool but not its handler threads; it neither
+# uses nor closes that pool and makes its own.
+os.register_at_fork(after_in_child=_POOL.__init__)
+atexit.register(_POOL.drop)
 
 
 def _usable_cpus() -> int:
@@ -457,28 +458,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _scan_pool() -> _ScanPool:
-    return _POOLS.setdefault(os.getpid(), _ScanPool())
-
-
-@atexit.register
-def _drop_pool() -> None:
-    _scan_pool().drop()
-
-
-# A worker's (scan id, `_split`) of the scan it last served.  Each worker
-# walks the prefixes itself, so the parent does none of a scan's array work.
-_WORKER_SPLIT = (None, None)
-
-
-def _pool_run(job):
-    global _WORKER_SPLIT
-    scan_id, ctx, prefix_len, index = job
-    if _WORKER_SPLIT[0] != scan_id:
-        _WORKER_SPLIT = (scan_id, _split(ctx, prefix_len))
-    return _chunk(ctx, prefix_len, _WORKER_SPLIT[1], index)
 
 
 def _pick_prefix_len(q: int, max_len: int) -> int:
@@ -503,9 +482,9 @@ def scan_corner_stats(
 ) -> ScanStats:
     """Tally corner-value statistics over all chi(q) words of length <= max_len.
 
-    The word tree is expanded level by level (see `_walk`) down to a fixed
-    prefix depth; the prefixes there are cut into batches of 8, and the
-    subtree below each batch is one chunk.  Each chunk reduces its
+    The calling process expands the word tree level by level (see `_walk`)
+    down to a fixed prefix depth and cuts the prefixes there into batches
+    of 8; the subtree below each batch is one chunk.  Each chunk reduces its
     per-length parts with math.fsum, and the chunk totals are fsummed once
     more, so the result is identical for any thread count.  Rows are
     float64 when `_entry_bound` keeps every integer the scan forms below
@@ -525,31 +504,25 @@ def scan_corner_stats(
     threads = cpus if threads is None else max(1, min(int(threads), cpus))
 
     prefix_len = _pick_prefix_len(ctx.q, max_len)
-    chunks = 0
-    if max_len > 0:
-        chunks = -(-word_count(ctx.q, prefix_len + 1) // 8)
     total = sum(word_count(ctx.q, length) for length in range(max_len + 1))
+    short, jobs = _split(ctx, prefix_len)
     tally = _Tally(max_len, 2 + len(ctx.ts))
+    tally.merge(short)
     if threads == 1 or total < POOL_MIN_WORDS:
-        split = _split(ctx, prefix_len)
-        for index in range(-1, chunks):
-            tally.merge(_chunk(ctx, prefix_len, split, index))
+        for totals in map(_chunk, jobs):
+            tally.merge(totals)
     else:
-        # several chunks per message, as Pool.map does; each chunk still
-        # reduces on its own, so this does not change the result.  Within
-        # one message pickle sends ctx once.
-        batch = -(-(chunks + 1) // (4 * threads))
-        scan_id = next(_SCAN_IDS)
-        jobs = ((scan_id, ctx, prefix_len, index) for index in range(-1, chunks))
-        pool = _scan_pool()
-        with pool.lock:
+        # several jobs per message, as Pool.map does; each still reduces on
+        # its own, so this does not change the result.  Within one message
+        # pickle sends ctx once.
+        batch = -(-len(jobs) // (4 * threads))
+        with _POOL.lock:
             try:
-                for totals in pool.get(threads).imap(_pool_run, jobs,
-                                                     chunksize=batch):
+                for totals in _POOL.get(threads).imap(_chunk, jobs, chunksize=batch):
                     tally.merge(totals)
             except BaseException:
                 # the workers may still be busy with this scan, or broken
-                pool.drop()
+                _POOL.drop()
                 raise
     counts, zeros, sums = tally.totals()
     return ScanStats(

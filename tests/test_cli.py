@@ -200,6 +200,26 @@ class TestCommands:
         assert code == 0
         assert data["validated_n"] == 512
 
+    @pytest.mark.parametrize("argv", [
+        ["catalog"],
+        ["exponents", "--family", "g1", "--max-len", "12"],
+        ["lt", "--family", "g1", "--t", "2"],
+        ["replica", "--family", "g2", "--t", "2"],
+        ["simulate", "--family", "g1", "--k", "16", "--trials", "100"],
+        ["regroup-check", "--t", "1"],
+        ["phi", "--jmax", "12", "--samples", "64"],
+        ["psi", "--jmax", "12", "--samples", "64"],
+        ["dispersion", "--family", "g2", "--jmax", "12"],
+        ["digits", "--j", "12", "--samples", "1000"],
+        ["fit", "--family", "g3", "--ncheck", "512"],
+        ["verify", "--family", "g1"],
+    ], ids=lambda argv: argv[0])
+    def test_every_json_report_has_schema_version(self, capsys, tmp_path, argv):
+        json_path = tmp_path / "out.json"
+        code, _, _ = run(capsys, *argv, "--json", str(json_path))
+        assert code == 0
+        assert '"schema_version":1' in json_path.read_text()
+
     def test_family_file_input(self, capsys, tmp_path):
         fam_path = tmp_path / "custom.json"
         fam_path.write_text(json.dumps(
@@ -246,6 +266,20 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "must be below 2^63" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["phi", "--jmax", "12", "--samples", "0"],
+         "samples_per_octave must be >= 1"),
+        (["psi", "--jmax", "12", "--samples", "-3"],
+         "samples_per_octave must be >= 1"),
+        (["digits", "--j", "0", "--samples", "100"], "j must be >= 1"),
+        (["digits", "--j", "12", "--samples", "0"], "n_samples must be >= 1"),
+    ], ids=["phi-samples-0", "psi-samples-negative", "digits-j-0",
+            "digits-samples-0"])
+    def test_empty_sampling_is_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_broken_family_file_is_one(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,6 +1,7 @@
 """Series engine, Wynn acceleration, F/L machinery, replica, regrouping."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from lyapdisp.gle import (
 )
 
 LN2 = math.log(2.0)
+MAX = sys.float_info.max
 
 
 class TestWynnEpsilon:
@@ -58,6 +60,27 @@ class TestWynnEpsilon:
     def test_too_short(self):
         with pytest.raises(DegenerateSequence):
             gle.wynn_epsilon([1.0, 2.0])
+
+    @pytest.mark.parametrize("partials,want", [
+        # repeated partials: their differences fall below WYNN_GUARD
+        ([1.0, 1.5, 1.75, 1.75, 1.75, 1.75], (2.0, 0.25, 2)),
+        # steps of 5e-306 would accelerate to 2e-305 without the guard
+        ([0.0, 1e-305, 1.5e-305, 1.75e-305, 1.875e-305],
+         (1.875e-305, 1.2500000000000017e-306, 0)),
+        # the only even-column entry overflows to -inf
+        ([-MAX, -MAX + 1e299, -MAX + 3e299],
+         (-1.7976931318623156e308, 2.000000039907852e299, 0)),
+        # an inf or nan partial spoils only the entries built on it
+        ([1.0, 1.5, 1.75, math.inf, 1.9375, 1.96875, 1.984375],
+         (2.0, 0.015625, 2)),
+        ([1.0, 1.5, 1.75, math.nan, 1.9375, 1.96875, 1.984375],
+         (2.0, 0.015625, 2)),
+        ([1.0, 1.5, 1.75, 1.875, 1.9375, 1.96875, math.inf],
+         (1.9375, math.inf, 2)),
+    ], ids=["guard", "tiny-steps", "overflow", "inf", "nan", "inf-last"])
+    def test_entries_that_cannot_be_formed(self, partials, want):
+        result = gle.wynn_epsilon(partials)
+        assert (result.estimate, result.error, result.depth) == want
 
 
 class TestPrefactors:
@@ -143,7 +166,7 @@ class TestExponents:
     def test_json_dict_schema(self):
         report = gle.exponents("g1", lt_samples=(2.0,))
         data = report.to_json_dict()
-        for key in ("schema_version", "family", "q", "max_len", "lambda",
+        for key in ("family", "q", "max_len", "lambda",
                     "kappa", "mu", "sigma2", "L_samples", "replica",
                     "skipped_words"):
             assert key in data

@@ -282,9 +282,9 @@ class TestScanCornerStats:
     ], ids=["g3", "g5-row-cap", "g3-conj-exact"])
     def test_thread_count_does_not_change_bits(self, fact, max_len, two_cpus):
         one = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=1)
-        words._drop_pool()
+        words._POOL.drop()
         two = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=2)
-        assert words._scan_pool().workers == 2
+        assert words._POOL.workers == 2
         assert one == two
 
     def test_max_len_zero(self):
@@ -317,14 +317,13 @@ class TestScanPool:
     def test_serial_below_pool_min_words(self, two_cpus):
         # 1.96e5 words: in-process, whatever the thread count
         assert sum(words.word_count(2, n) for n in range(25)) < words.POOL_MIN_WORDS
-        words._drop_pool()
+        words._POOL.drop()
         words.scan_corner_stats(fact_for("g3"), 24, threads=2)
-        assert words._scan_pool().pool is None
+        assert words._POOL.pool is None
 
     def test_workers_capped_at_usable_cpus(self, monkeypatch):
         made = []
-        monkeypatch.setattr(words, "_POOLS", {})
-        monkeypatch.setattr(words, "_WORKER_SPLIT", (None, None))
+        monkeypatch.setattr(words, "_POOL", words._ScanPool())
         monkeypatch.setattr(
             multiprocessing.get_context("fork"), "Pool",
             lambda processes: _InProcessPool(made, processes),
@@ -343,8 +342,7 @@ class TestScanPool:
         assert made == [3, 5]
 
     def test_back_to_back_scans_share_the_pool(self, two_cpus):
-        # each worker keeps the split of the scan it last served; scans of
-        # other families, ts and depths must not reuse it
+        # scans of other families, ts and depths run on the same workers
         cases = [
             (fact_for("g3"), 25, (1.0,)),
             (fact_for("h4"), 25, (1.0,)),
@@ -357,7 +355,7 @@ class TestScanPool:
                   for f, n, ts in cases]
         pooled = [words.scan_corner_stats(f, n, ts=ts, threads=2)
                   for f, n, ts in cases]
-        assert words._scan_pool().workers == 2
+        assert words._POOL.workers == 2
         for one, two in zip(serial, pooled):
             assert one == two
 
@@ -365,33 +363,45 @@ class TestScanPool:
         fact = fact_for("g3")
         serial = words.scan_corner_stats(fact, 25, threads=1)
 
-        def fail(*args):
-            raise RuntimeError("chunk failed")
+        walk = words._walk
 
-        # workers forked now carry the failing _chunk
-        words._drop_pool()
+        def fail(ctx, blocks, depth, tally, stop=None):
+            # the caller's split walks with a stop; only the chunks fail
+            if stop is None:
+                raise RuntimeError("chunk failed")
+            return walk(ctx, blocks, depth, tally, stop)
+
+        # workers forked now carry the failing _walk
+        words._POOL.drop()
         with monkeypatch.context() as patch:
-            patch.setattr(words, "_chunk", fail)
+            patch.setattr(words, "_walk", fail)
             with pytest.raises(RuntimeError, match="chunk failed"):
                 words.scan_corner_stats(fact, 25, threads=2)
-        assert words._scan_pool().pool is None
+        assert words._POOL.pool is None
         assert words.scan_corner_stats(fact, 25, threads=2) == serial
 
+        merge = words._Tally.merge
+        merges = []
+
         def interrupt(self, totals):
-            raise KeyboardInterrupt
+            # the first merge takes the short words, before the pool runs
+            merges.append(totals)
+            if len(merges) == 2:
+                raise KeyboardInterrupt
+            merge(self, totals)
 
         with monkeypatch.context() as patch:
             patch.setattr(words._Tally, "merge", interrupt)
             with pytest.raises(KeyboardInterrupt):
                 words.scan_corner_stats(fact, 25, threads=2)
-        assert words._scan_pool().pool is None
+        assert words._POOL.pool is None
         assert words.scan_corner_stats(fact, 25, threads=2) == serial
 
     def test_forked_child_makes_its_own_pool(self, two_cpus):
         fact = fact_for("g3")
         serial = words.scan_corner_stats(fact, 25, threads=1)
         words.scan_corner_stats(fact, 25, threads=2)
-        assert words._scan_pool().pool is not None
+        assert words._POOL.pool is not None
 
         def child():
             stats = words.scan_corner_stats(fact, 25, threads=2)
@@ -438,7 +448,7 @@ class TestScanPool:
             "fam = catalog.get_family('g3')\n"
             "fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, 'g3')\n"
             "words.scan_corner_stats(fact, 25, threads=2)\n"
-            "assert words._scan_pool().pool is not None\n"
+            "assert words._POOL.pool is not None\n"
         )
         src = pathlib.Path(words.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
