@@ -1,0 +1,122 @@
+"""Time the digit-sum layer's CLI commands in fresh interpreters.
+
+Each command runs as its own `python -m lyapdisp.cli` process against the
+given source trees, so interpreter start-up and import are part of every
+time, as they are for a user.  The sides alternate which runs first from
+one repetition to the next; one untimed run per command and side comes
+first so that byte-compiling the tree is not timed.  Per command and side
+the file records every wall time, their median, the peak resident set
+size of each process (from its own rusage) and the SHA-1 of its stdout,
+which must agree between sides that claim identical output.
+
+    python3 scripts/bench_layers.py parent=../parent/src change=src \
+        --out BENCH_digitsum.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+COMMANDS = (
+    ("phi", "--jmax", "24"),
+    ("psi", "--jmax", "24"),
+    ("dispersion", "--family", "h4", "--jmax", "20"),
+    ("dispersion", "--family", "g5", "--jmax", "20"),
+)
+REPEAT = 5
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.machine()
+
+
+def run_once(src: str, argv: tuple[str, ...]) -> tuple[float, float, str]:
+    """(wall s, peak RSS MB, stdout SHA-1) of one fresh CLI process."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "lyapdisp.cli", *argv],
+                            env=env, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024.0, hashlib.sha1(out).hexdigest()
+
+
+def bench(sides: dict[str, str]) -> dict:
+    runs = {label: {" ".join(argv): [] for argv in COMMANDS} for label in sides}
+    for label, src in sides.items():
+        for argv in COMMANDS:
+            run_once(src, argv)
+    order = list(sides)
+    for rep in range(REPEAT):
+        for label in order if rep % 2 == 0 else order[::-1]:
+            for argv in COMMANDS:
+                runs[label][" ".join(argv)].append(run_once(sides[label], argv))
+    result = {}
+    for label, per_command in runs.items():
+        result[label] = {}
+        for command, samples in per_command.items():
+            walls = [round(wall, 4) for wall, _, _ in samples]
+            rss = [round(mb, 1) for _, mb, _ in samples]
+            digests = {digest for _, _, digest in samples}
+            result[label][command] = {
+                "wall_s": walls,
+                "median_wall_s": round(statistics.median(walls), 4),
+                "peak_rss_mb": rss,
+                "median_peak_rss_mb": round(statistics.median(rss), 1),
+                "stdout_sha1": sorted(digests),
+            }
+    return result
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("sides", nargs="+", metavar="LABEL=SRC",
+                        help="a label and the src/ directory to import from")
+    parser.add_argument("--out", default="BENCH_digitsum.json")
+    args = parser.parse_args(argv)
+    sides = dict(side.split("=", 1) for side in args.sides)
+    report = {
+        "script": "scripts/bench_layers.py",
+        "repeat": REPEAT,
+        "machine": {
+            "cpus": os.cpu_count(),
+            "processor": cpu_model(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "sides": bench(sides),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for label, per_command in report["sides"].items():
+        for command, row in per_command.items():
+            print(f"{label:>8}  {command:<40} {row['median_wall_s']:8.3f} s "
+                  f"{row['median_peak_rss_mb']:8.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

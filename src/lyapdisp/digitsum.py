@@ -14,17 +14,24 @@ functions they define,
 
 are evaluated through those identities in a form that is bitwise periodic:
 writing n = f * 2^j with f in [1, 2), the power-of-two part cancels in
-exact integer arithmetic and only log2(f) is floating point.
+exact integer arithmetic and only log2(f) is floating point.  Because the
+value at 2n repeats the value at n, the extremes over all n <= 2^j_max are
+found in the top octave [2^(j_max-1), 2^j_max) alone (`_scan_extremes`).
 
 The rest of the module connects counts to the matrix families: GF(2) row
 iteration as the oracle, an exactly validated linear representation
 count(n) = u * D_{z(n)} * v over the binary digits of n, empirical
 dispersion slopes, and the distribution comparison of #(aN + b) samples.
+All counts below 2^levels are built meet-in-the-middle: a table of the
+rows u D_{z(a)} for the high digits times a table of the columns D_{z(b)} v
+for the low ones, in int64 with every product bounded before it is formed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -195,46 +202,80 @@ class FluctuationScan:
         }
 
 
-def _chunk_values(kind: str, ns: np.ndarray, s_vals: np.ndarray) -> np.ndarray:
-    """Phi (kind 'phi') or Psi at each n of ns from S(n) or Sf(n), in numpy."""
-    mant, exp = np.frexp(ns.astype(np.float64))
-    j = exp - 1
-    f = 2.0 * mant
+def _chunk_values(kind: str, j: int, ns: np.ndarray,
+                  s_vals: np.ndarray) -> np.ndarray:
+    """Phi (kind 'phi') or Psi at each n of ns in [2^j, 2^(j+1)), in numpy.
+
+    s_vals holds S(n) or Sf(n).  f = n / 2^j is exact, so only the
+    quotient and log2(f) or f^(-log2 3) are rounded.
+    """
+    f = ns * 2.0**-j
     if kind == "phi":
         return (2 * s_vals - j * ns) / (2.0 * ns) - 0.5 * np.log2(f)
     return s_vals / np.power(3.0, j) * np.power(f, -LOG2_3)
 
 
+def _octave_sums(kind: str, j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(ns, S(n) or Sf(n)) over n in [2^j, 2^(j+1)), in cache-sized chunks."""
+    chunk = 1 << 16
+    lo, top = 1 << j, 1 << (j + 1)
+    # S(2^j) = j 2^(j-1) and Sf(2^j) = 3^j start the running sums
+    running = j << j >> 1 if kind == "phi" else 3**j
+    while lo < top:
+        ns = np.arange(lo, min(lo + chunk, top), dtype=np.int64)
+        pops = np.bitwise_count(ns).astype(np.int64)
+        increments = pops if kind == "phi" else np.int64(1) << pops
+        cums = np.cumsum(increments)
+        yield ns, running + cums - increments
+        running += int(cums[-1])
+        lo += chunk
+
+
+def _first_in_orbit(hits: list[np.ndarray]) -> int:
+    """Smallest n >= 2 whose doubling orbit meets one of the hits.
+
+    That is the smallest odd part of a hit, with the odd part 1 of a power
+    of two standing for n = 2.
+    """
+    ns = np.concatenate(hits)
+    odd = ns >> np.bitwise_count((ns & -ns) - 1)
+    return max(2, int(odd.min()))
+
+
 def _scan_extremes(kind: str, j_max: int) -> tuple[int, int]:
-    """Where the minimum and maximum over every n in [2, 2^j_max] sit.
+    """The smallest n in [2, 2^j_max] at which the minimum and the maximum sit.
+
+    Only the top octave [2^(j_max-1), 2^j_max) is evaluated: `_chunk_values`
+    gives 2n the value of n bit for bit, because S(2n) = 2 S(n) + n doubles
+    the numerator and denominator of (2S - jn) / (2n), and Sf(2n) = 3 Sf(n)
+    over 3^(j+1) is the same rational, and both quotients are correctly
+    rounded from exact operands.  For phi that holds at every allowed j_max
+    (2S - jn < 2^53); for psi while 3^j and Sf(n) stay below 2^53, that is
+    j_max <= 33.  Every n <= 2^j_max then shares its value with the top
+    octave point of its doubling orbit, so the top octave holds every
+    value, and the smallest n taking an extreme is the smallest odd part
+    among the top octave points taking it.  Above j_max = 33 psi's values
+    along an orbit can differ in the last bit, and so can its positions.
 
     Values come from exact summatory counts but float64 numpy formulas,
     which can differ from the scalar `phi`/`psi` in the last bit; callers
     evaluate the scalar formula at the positions returned.
     """
-    chunk = 1 << 20
-    lo = 2
-    top = (1 << j_max) + 1
-    running = summatory_digit_sum(lo) if kind == "phi" else summatory_f(lo)
-    best_min, best_min_at = math.inf, lo
-    best_max, best_max_at = -math.inf, lo
-    while lo < top:
-        hi = min(lo + chunk, top)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        pops = np.bitwise_count(ns).astype(np.int64)
-        increments = pops if kind == "phi" else np.int64(1) << pops
-        cums = np.cumsum(increments)
-        s_vals = running + cums - increments  # S(n) or Sf(n) for each n in chunk
-        values = _chunk_values(kind, ns, s_vals)
-        k = int(values.argmin())
-        if values[k] < best_min:
-            best_min, best_min_at = float(values[k]), int(ns[k])
-        k = int(values.argmax())
-        if values[k] > best_max:
-            best_max, best_max_at = float(values[k]), int(ns[k])
-        running += int(cums[-1])
-        lo = hi
-    return best_min_at, best_max_at
+    j = j_max - 1
+    low, low_hits = math.inf, []
+    high, high_hits = -math.inf, []
+    for ns, s_vals in _octave_sums(kind, j):
+        values = _chunk_values(kind, j, ns, s_vals)
+        chunk_low, chunk_high = values.min(), values.max()
+        if chunk_low < low:
+            low, low_hits = chunk_low, []
+        if chunk_low == low:
+            low_hits.append(ns[values == low])
+        if chunk_high > high:
+            high, high_hits = chunk_high, []
+        if chunk_high == high:
+            high_hits.append(ns[values == high])
+    return _first_in_orbit(low_hits), _first_in_orbit(high_hits)
 
 
 def _summatory_array(kind: str, ns: np.ndarray) -> np.ndarray:
@@ -269,6 +310,36 @@ def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
     return np.unique(grid)
 
 
+def _sample_parts(kind: str, j: int, ns: np.ndarray,
+                  sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_phi_parts` or `_psi_parts` at every n of ns in [2^j, 2^(j+1)).
+
+    Equal bit for bit to the scalar code: f = n / 2^j is exact, phi's
+    quotient (2S - jn) / (2n) has operands below 2^53, psi's quotient is
+    Python's correctly rounded int division (Sf(n) passes 2^53 above
+    j = 33), and log2 and the power are the scalar libm calls, which numpy's
+    own can miss by a last bit.
+    """
+    f = (ns / (1 << j)).tolist()
+    xs = np.fromiter(map(math.log2, f), np.float64, len(ns))
+    if kind == "phi":
+        values = (2 * sums - j * ns) / (2 * ns) - xs / 2.0
+        outside, bound = ~(values <= 0.0), "is above its supremum 0"
+    else:
+        quotients = np.fromiter(
+            map(operator.truediv, sums.tolist(), itertools.repeat(3**j)),
+            np.float64, len(ns))
+        powers = np.fromiter(map(pow, f, itertools.repeat(-LOG2_3)),
+                             np.float64, len(ns))
+        values = quotients * powers
+        outside, bound = ~((values > 0.0) & (values <= 1.0)), "is outside (0, 1]"
+    if outside.any():
+        k = int(outside.argmax())
+        raise ArithmeticError(
+            f"{kind}({int(ns[k])}) = {float(values[k])!r} {bound}")
+    return xs, values
+
+
 def _scan_statistics(kind: str, j_max: int, samples: int) -> FluctuationScan:
     if samples < 1:
         raise ValueError("samples_per_octave must be >= 1")
@@ -276,11 +347,7 @@ def _scan_statistics(kind: str, j_max: int, samples: int) -> FluctuationScan:
     inf_at, sup_at = _scan_extremes(kind, j_max)
 
     ns = _log_uniform_samples(j_max - 1, samples)
-    parts = _phi_parts if kind == "phi" else _psi_parts
-    sums = _summatory_array(kind, ns)
-    pts = [parts(n, s) for n, s in zip(ns.tolist(), sums.tolist())]
-    xs = np.array([x for x, _ in pts])
-    vals = np.array([v for _, v in pts])
+    xs, vals = _sample_parts(kind, j_max - 1, ns, _summatory_array(kind, ns))
 
     # trapezoid over one period; both endpoints sit at powers of two where
     # the fluctuation takes its supremum value exactly
@@ -332,7 +399,8 @@ def phi_statistics(
 ) -> FluctuationScan:
     """Extremes over all n <= 2^j_max plus mean/percentiles/density.
 
-    The infimum and supremum come from an exhaustive exact-summatory scan;
+    The infimum and supremum come from an exact-summatory scan of the top
+    octave, which takes every value of [2, 2^j_max] (see `_scan_extremes`);
     the mean is a trapezoid over one period sampled log-uniformly in the
     top octave, and percentiles approximate the measure of {x : Phi(x) < t}.
     The fractal roughness makes the quadrature error heuristic, roughly
@@ -416,6 +484,11 @@ def _int_matrices(fam: MatrixFamily) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(rows, dtype=np.int64) for rows, _ in scaled)
 
 
+def _abs_sum_max(table: np.ndarray, axis: int) -> int:
+    """Largest sum of absolute values along axis, in Python ints (no wrap)."""
+    return int(np.max(np.abs(table.astype(object)).sum(axis=axis)))
+
+
 def _check_int64(factor: np.ndarray, growth: int) -> None:
     """Raise OverflowError unless a product with `factor` fits in int64.
 
@@ -434,7 +507,7 @@ def _doubling_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
     X(n) is seed times the mats product over the binary digits of n, most
     significant digit first; index 0 is pinned to seed (the empty word).
     """
-    growth = max(int(np.abs(mat).sum(axis=0).max()) for mat in mats)
+    growth = max(_abs_sum_max(mat, 0) for mat in mats)
     table = seed[None]
     for _ in range(levels):
         _check_int64(table, growth)
@@ -443,6 +516,21 @@ def _doubling_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
         new[1::2] = table @ mats[1]
         new[0] = seed
         table = new
+    return table
+
+
+def _column_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
+                  levels: int) -> np.ndarray:
+    """Column b is D_{z(b)} seed for b < 2^levels, in int64.
+
+    z(b) is all `levels` binary digits of b, leading zeros included, most
+    significant first: each level prepends a digit on the left.
+    """
+    growth = max(_abs_sum_max(mat, 1) for mat in mats)
+    table = seed[:, None]
+    for _ in range(levels):
+        _check_int64(table, growth)
+        table = np.concatenate([mats[0] @ table, mats[1] @ table], axis=1)
     return table
 
 
@@ -479,22 +567,34 @@ def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
                               n_top: int) -> np.ndarray:
     """count(n) for all n < n_top through the representation, exactly (int64).
 
-    Levels double the rows U(2n+d) = U(n) D_d from U(0) = u, then each row
-    meets v.  Raises on int64 overflow risk instead of wrapping.
+    Meet in the middle: n = a 2^lo + b with lo = levels // 2.  For a >= 1,
+    count(n) = U(a) W(b), where U(a) = u D_{z(a)} comes from a doubling table
+    of 2^(levels - lo) rows and W(b) = D_{b, lo digits} v from a table of
+    2^lo columns, so all those counts are one product of the two tables.
+    The rows n < 2^lo (a = 0) are U(n) v, read off the same doubling table
+    with its pinned seed.  Raises on int64 overflow risk instead of wrapping.
     """
     levels = max(1, (n_top - 1).bit_length())
     if (1 << levels) * fam.dim > 1 << 26:
-        raise ValueError("n_top too large for the in-memory level table")
+        raise ValueError(
+            f"n_top = {n_top} too large: 2^{levels} counts of a dimension "
+            f"{fam.dim} representation exceed the limit 2^levels * dim <= 2^26")
     (u_int,), u_den = exactmat.int_rows([rep.u])
     (v_int,), v_den = exactmat.int_rows([rep.v])
     v_int = np.array(v_int, dtype=np.int64)
-    table = _doubling_table(
-        np.array(u_int, dtype=np.int64), _int_matrices(fam), levels)
-    _check_int64(table, int(np.abs(v_int).sum()))
-    raw = table[:n_top] @ v_int
-    if ((raw % (u_den * v_den)) != 0).any():
+    mats = _int_matrices(fam)
+    lo = levels // 2
+    rows = _doubling_table(np.array(u_int, dtype=np.int64), mats, levels - lo)
+    cols = _column_table(v_int, mats, lo)
+    _check_int64(rows, max(_abs_sum_max(v_int, 0), _abs_sum_max(cols, 0)))
+    raw = np.concatenate(
+        [rows[: 1 << lo] @ v_int, (rows[1:] @ cols).ravel()])[:n_top]
+    den = u_den * v_den
+    if den == 1:
+        return raw
+    if (raw % den).any():
         raise ArithmeticError("representation does not produce integer counts")
-    return raw // (u_den * v_den)
+    return raw // den
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +649,12 @@ def empirical_dispersion(
     counts = counts_via_representation(fam, rep, 1 << j_max)
     if counts.min() < 1:
         raise ArithmeticError("counts must be positive to take logs")
-    logs = np.log(counts.astype(np.float64))
+    values = counts.astype(np.float64)
+    logs = np.log(values)
     rows = []
     xs, ys_avg, ys_typ = [], [], []
     for j in range(j_min, j_max + 1):
-        block = counts[: 1 << j].astype(np.float64)
-        var = float(block.var())
+        var = float(values[: 1 << j].var())
         var_ln = float(logs[: 1 << j].var())
         ln_n = j * math.log(2.0)
         rows.append((j, var, var_ln, math.log(var) / ln_n, var_ln / ln_n))

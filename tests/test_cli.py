@@ -281,6 +281,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert message in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["psi", "--jmax", "39"], "need 2 <= j_max <= 38"),
+        (["dispersion", "--family", "h4", "--jmax", "24"],
+         "exceed the limit 2^levels * dim <= 2^26"),
+    ], ids=["psi-jmax-39", "dispersion-h4-jmax-24"])
+    def test_out_of_range_is_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
     def test_broken_family_file_is_one(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")

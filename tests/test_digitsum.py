@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,7 +108,62 @@ class TestFluctuationFunctions:
         assert value == ds.psi(6)
 
 
+def full_range_extremes(kind: str, j_max: int) -> tuple[int, int]:
+    """Reference for `ds._scan_extremes`: the first n in [2, 2^j_max] taking
+    the minimum and the maximum, by evaluating every n in 1 M-element chunks
+    with j and f read off each n by frexp."""
+    lo, top, chunk = 2, (1 << j_max) + 1, 1 << 20
+    running = ds.summatory_digit_sum(lo) if kind == "phi" else ds.summatory_f(lo)
+    best_min, best_min_at = math.inf, lo
+    best_max, best_max_at = -math.inf, lo
+    while lo < top:
+        ns = np.arange(lo, min(lo + chunk, top), dtype=np.int64)
+        pops = np.bitwise_count(ns).astype(np.int64)
+        increments = pops if kind == "phi" else np.int64(1) << pops
+        cums = np.cumsum(increments)
+        s_vals = running + cums - increments
+        mant, exp = np.frexp(ns.astype(np.float64))
+        j, f = exp - 1, 2.0 * mant
+        if kind == "phi":
+            values = (2 * s_vals - j * ns) / (2.0 * ns) - 0.5 * np.log2(f)
+        else:
+            values = s_vals / np.power(3.0, j) * np.power(f, -ds.LOG2_3)
+        k = int(values.argmin())
+        if values[k] < best_min:
+            best_min, best_min_at = values[k], int(ns[k])
+        k = int(values.argmax())
+        if values[k] > best_max:
+            best_max, best_max_at = values[k], int(ns[k])
+        running += int(cums[-1])
+        lo += chunk
+    return best_min_at, best_max_at
+
+
 class TestFluctuationScans:
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    @pytest.mark.parametrize("j", [12, 23])
+    def test_chunk_values_are_bitwise_periodic(self, kind, j):
+        """The premise of the one-octave extremes scan: value(2n) == value(n)
+        bit for bit for every n of the octave [2^j, 2^(j+1))."""
+        for ns, sums in ds._octave_sums(kind, j):
+            doubled = 2 * sums + ns if kind == "phi" else 3 * sums
+            here = ds._chunk_values(kind, j, ns, sums)
+            there = ds._chunk_values(kind, j + 1, 2 * ns, doubled)
+            assert np.array_equal(here, there)
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_extremes_match_full_range_scan(self, kind):
+        for j_max in range(2, 21):
+            assert ds._scan_extremes(kind, j_max) == \
+                full_range_extremes(kind, j_max), j_max
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_sup_sits_at_two(self, kind):
+        """Powers of two take the supremum; the smallest of them in the
+        scanned range [2, 2^j_max] is 2, which pins the odd-part rule."""
+        for j_max in range(2, 25):
+            assert ds._scan_extremes(kind, j_max)[1] == 2, j_max
+
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     @pytest.mark.parametrize("j_max", [16, 20])
     def test_extremes_are_scalar_values(self, kind, j_max):
@@ -146,6 +202,25 @@ class TestFluctuationScans:
         assert scan.sample_value.tolist() == [point(n) for n in ns]
         assert scan.sample_x.tolist() == [parts(n, summatory(n))[0] for n in ns]
 
+    @pytest.mark.parametrize("kind,j", [("phi", 39), ("psi", 35), ("psi", 37)])
+    def test_sample_parts_past_2_53(self, kind, j):
+        """Sf(n) passes 2^53 above j = 33; the sampled values still equal the
+        scalar code bit for bit."""
+        parts, summatory = ((ds._phi_parts, ds.summatory_digit_sum)
+                            if kind == "phi" else (ds._psi_parts, ds.summatory_f))
+        ns = np.array(sorted(random_ns(j, 2000)), dtype=np.int64)
+        xs, values = ds._sample_parts(kind, j, ns, ds._summatory_array(kind, ns))
+        expected = [parts(n, summatory(n)) for n in ns.tolist()]
+        assert xs.tolist() == [x for x, _ in expected]
+        assert values.tolist() == [v for _, v in expected]
+
+    def test_sample_range_violations_raise(self):
+        ns = np.array([6, 7], dtype=np.int64)
+        with pytest.raises(ArithmeticError, match="phi\\(6\\)"):
+            ds._sample_parts("phi", 2, ns, ns * ns)
+        with pytest.raises(ArithmeticError, match="psi\\(6\\)"):
+            ds._sample_parts("psi", 2, ns, 0 * ns)
+
     def test_csv_rows(self):
         scan = ds.phi_statistics(j_max=10, samples_per_octave=256)
         rows = scan.samples_csv_rows()
@@ -179,6 +254,42 @@ class TestGf2RowCounts:
             list(ds.gf2_row_counts(0b11, (1 << 18) + 1))
 
 
+def permuted_h4() -> catalog.MatrixFamily:
+    """h4 with its states reordered: P^T D P for a permutation P."""
+    fam = catalog.get_family("h4")
+    perm = [3, 7, 0, 5, 1, 6, 2, 4]
+
+    def permuted(matrix):
+        return RationalMatrix([[matrix.rows[i][j] for j in perm] for i in perm])
+
+    return catalog.MatrixFamily(
+        name="h4-permuted", q=fam.q, d0=permuted(fam.d0),
+        d1=permuted(fam.d1), poly_mask=fam.poly_mask,
+    )
+
+
+def folded_counts(fam: catalog.MatrixFamily, u, v, n_top: int) -> list:
+    """u D_{z(n)} v for every n < n_top by exact products: U(0) = u is the
+    empty word and U(n) = U(n >> 1) D_{n & 1} appends the last digit."""
+    scaled = [exactmat.int_rows(mat.rows) for mat in (fam.d0, fam.d1)]
+    assert all(den == 1 for _, den in scaled)
+    cols = [tuple(zip(*rows)) for rows, _ in scaled]
+    (u_int,), u_den = exactmat.int_rows([u])
+    (v_int,), v_den = exactmat.int_rows([v])
+    rows = [tuple(u_int)]
+    for n in range(1, n_top):
+        rows.append(exactmat.row_times(rows[n >> 1], cols[n & 1]))
+    return [Fraction(exactmat.dot(row, v_int), u_den * v_den) for row in rows]
+
+
+def shear_family() -> catalog.MatrixFamily:
+    """A hand-made 2x2 pair; nothing about it is a count of GF(2) rows."""
+    return catalog.MatrixFamily(
+        name="shear", q=1, d0=RationalMatrix([[1, 1], [0, 1]]),
+        d1=RationalMatrix([[2, 0], [1, 1]]), poly_mask=0b11,
+    )
+
+
 class TestLinearRepresentation:
     def test_binomial_trivial(self):
         rep = ds.fit_linear_representation("g1", 64)
@@ -201,16 +312,7 @@ class TestLinearRepresentation:
         """P^T D P for a permutation P moves the states; beta^T D_w alpha
         stays the count, so the fit still validates."""
         fam = catalog.get_family("h4")
-        perm = [3, 7, 0, 5, 1, 6, 2, 4]
-
-        def permuted(matrix):
-            return RationalMatrix(
-                [[matrix.rows[i][j] for j in perm] for i in perm])
-
-        moved = catalog.MatrixFamily(
-            name="h4-permuted", q=fam.q, d0=permuted(fam.d0),
-            d1=permuted(fam.d1), poly_mask=fam.poly_mask,
-        )
+        moved = permuted_h4()
         rep = ds.fit_linear_representation(moved, 4096)
         assert rep.v != ds.fit_linear_representation(fam, 4096).v
         counts = ds.counts_via_representation(moved, rep, 4096)
@@ -251,7 +353,40 @@ def wide_family(d1_entry: int) -> catalog.MatrixFamily:
 
 
 class TestWordProducts:
-    """The int64 doubling table behind `counts_via_representation`."""
+    """The int64 tables behind `counts_via_representation`."""
+
+    @pytest.mark.parametrize("fam", [
+        *(catalog.get_family(name) for name in catalog.family_names()),
+        permuted_h4(),
+    ], ids=lambda fam: fam.name)
+    def test_counts_match_exact_fold(self, fam):
+        rep = ds.fit_linear_representation(fam)
+        counts = ds.counts_via_representation(fam, rep, 1 << 13)
+        assert counts.tolist() == folded_counts(fam, rep.u, rep.v, 1 << 13)
+
+    @pytest.mark.parametrize("n_top", [1, 2, 3, 1000, 1 << 13])
+    def test_short_words_keep_their_seed(self, n_top):
+        """u D0 != u here, so a count of n < 2^lo read through a leading-zero
+        column would differ; halves in u exercise the common denominator."""
+        fam = shear_family()
+        u, v = (Fraction(1, 2), Fraction(1, 2)), (2, 2)
+        assert exactmat.row_times(u, tuple(zip(*fam.d0.rows))) != u
+        rep = LinearRepresentation(family="shear", u=u, v=v, validated_n=0)
+        counts = ds.counts_via_representation(fam, rep, n_top)
+        assert counts.tolist() == folded_counts(fam, u, v, n_top)
+
+    def test_fractional_counts_raise(self):
+        rep = LinearRepresentation(family="shear", u=(Fraction(1, 2), 0),
+                                   v=(1, 0), validated_n=0)
+        with pytest.raises(ArithmeticError, match="integer counts"):
+            ds.counts_via_representation(shear_family(), rep, 64)
+
+    def test_n_top_limit(self):
+        """2^levels * dim <= 2^26 counts: h4 (dimension 8) reaches 2^23."""
+        fam = catalog.get_family("h4")
+        rep = ds.fit_linear_representation(fam)
+        with pytest.raises(ValueError, match="2\\^levels \\* dim <= 2\\^26"):
+            ds.counts_via_representation(fam, rep, (1 << 23) + 1)
 
     def test_fractional_family_is_refused(self):
         fam = catalog.get_family("g2")
@@ -296,6 +431,20 @@ class TestWordProducts:
     def test_entry_past_int64_raises(self):
         with pytest.raises(OverflowError):
             ds.fit_linear_representation(wide_family(1 << 64), 4)
+
+    def test_column_sum_past_int64_raises(self):
+        """D1's first column sums to 3 * 2^62, which wraps around in int64;
+        the bound must still see it, or count(1) wraps to -2^62."""
+        big = 1 << 62
+        eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        fam = catalog.MatrixFamily(
+            name="tall", q=1, d0=RationalMatrix(eye),
+            d1=RationalMatrix([[big, 0, 0]] * 3), poly_mask=0b11,
+        )
+        rep = LinearRepresentation(family="tall", u=(1, 1, 1), v=(1, 0, 0),
+                                   validated_n=0)
+        with pytest.raises(OverflowError):
+            ds.counts_via_representation(fam, rep, 2)
 
     def test_count_table_overflow_raises(self):
         rep = LinearRepresentation(family="big", u=(1, 0), v=(1, 1),
