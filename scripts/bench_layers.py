@@ -1,4 +1,4 @@
-"""Time the digit-sum layer's CLI commands in fresh interpreters.
+"""Time the digit-sum layer's CLI commands, or the tier-1 tests, per side.
 
 Each command runs as its own `python -m lyapdisp.cli` process against the
 given source trees, so interpreter start-up and import are part of every
@@ -11,6 +11,13 @@ which must agree between sides that claim identical output.
 
     python3 scripts/bench_layers.py parent=../parent/src change=src \
         --out BENCH_digitsum.json
+
+With --tier1 it times the tier-1 test command instead, run in the checkout
+that holds each src/ directory, in the same alternating order after one
+untimed run per side.  Per side the file records every wall time, their
+median and pytest's summary line; a run with failing tests is an error.
+
+    python3 scripts/bench_layers.py parent=../parent/src change=src --tier1
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ COMMANDS = (
     ("dispersion", "--family", "g5", "--jmax", "20"),
 )
 REPEAT = 5
+# PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_REPEAT = 3
 
 
 def cpu_model() -> str:
@@ -90,27 +100,74 @@ def bench(sides: dict[str, str]) -> dict:
     return result
 
 
+def run_tier1(src: str) -> tuple[float, str]:
+    """(wall s, pytest summary line) of the tier-1 tests in src's checkout."""
+    src = os.path.abspath(src)
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=os.path.dirname(src),
+                          env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1]
+    if proc.returncode != 0:
+        raise RuntimeError(f"tier-1 in {src} exited {proc.returncode}: {summary}")
+    # "583 passed, 2 xfailed in 60.27s (0:01:00)" without its time
+    return wall, summary.rsplit(" in ", 1)[0]
+
+
+def bench_tier1(sides: dict[str, str]) -> dict:
+    runs = {label: [] for label in sides}
+    for src in sides.values():
+        run_tier1(src)
+    order = list(sides)
+    for rep in range(TIER1_REPEAT):
+        for label in order if rep % 2 == 0 else order[::-1]:
+            runs[label].append(run_tier1(sides[label]))
+    result = {}
+    for label, samples in runs.items():
+        walls = [round(wall, 2) for wall, _ in samples]
+        result[label] = {
+            "wall_s": walls,
+            "median_wall_s": statistics.median(walls),
+            "summary": sorted({summary for _, summary in samples}),
+        }
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="+", metavar="LABEL=SRC",
                         help="a label and the src/ directory to import from")
-    parser.add_argument("--out", default="BENCH_digitsum.json")
+    parser.add_argument("--tier1", action="store_true",
+                        help="time the tier-1 tests instead of CLI commands")
+    parser.add_argument("--out",
+                        help="default BENCH_digitsum.json, or BENCH_tier1.json")
     args = parser.parse_args(argv)
     sides = dict(side.split("=", 1) for side in args.sides)
     report = {
         "script": "scripts/bench_layers.py",
-        "repeat": REPEAT,
+        "repeat": TIER1_REPEAT if args.tier1 else REPEAT,
         "machine": {
             "cpus": os.cpu_count(),
             "processor": cpu_model(),
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "sides": bench(sides),
     }
-    with open(args.out, "w") as fh:
+    if args.tier1:
+        report["command"] = "PYTHONPATH=src python " + " ".join(TIER1)
+        report["sides"] = bench_tier1(sides)
+    else:
+        report["sides"] = bench(sides)
+    out = args.out or ("BENCH_tier1.json" if args.tier1 else "BENCH_digitsum.json")
+    with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    if args.tier1:
+        for label, row in report["sides"].items():
+            print(f"{label:>8}  tier-1 {row['median_wall_s']:8.2f} s  "
+                  f"{'; '.join(row['summary'])}")
+        return 0
     for label, per_command in report["sides"].items():
         for command, row in per_command.items():
             print(f"{label:>8}  {command:<40} {row['median_wall_s']:8.3f} s "

@@ -35,7 +35,6 @@ __all__ = [
     "resolve_family",
     "family_names",
     "load_family_file",
-    "family_to_dict",
     "verify_constants",
     "UnknownFamily",
     "InvariantViolation",
@@ -422,36 +421,6 @@ def resolve_family(family: str | MatrixFamily) -> MatrixFamily:
 # family definition files
 # ---------------------------------------------------------------------------
 
-def family_to_dict(fam: MatrixFamily) -> dict:
-    """JSON-ready form with exact 'p/q' entry strings (see README for schema)."""
-
-    def entries(matrix: RationalMatrix) -> list[list[str]]:
-        return [[str(x) for x in row] for row in matrix.rows]
-
-    out = {
-        "name": fam.name,
-        "q": fam.q,
-        "dim": fam.dim,
-        "d0": entries(fam.d0),
-        "d1": entries(fam.d1),
-    }
-    if fam.poly_mask:
-        out["poly_mask"] = fam.poly_mask
-    if fam.d0_prime is not None:
-        out["d0_prime"] = entries(fam.d0_prime)
-        out["d1_prime"] = entries(fam.d1_prime)
-    if fam.constants is not None:
-        out["constants"] = {
-            "lambda": fam.constants.lambda_ref,
-            "sigma2": fam.constants.sigma2_ref,
-            "avg": fam.constants.avg_ref,
-            "typ": fam.constants.typ_ref,
-            "minpoly": list(fam.constants.minpoly),
-            "source": fam.constants.source,
-        }
-    return out
-
-
 def _parse_matrix(data, dim: int, label: str) -> RationalMatrix:
     if not isinstance(data, list) or len(data) != dim:
         raise ParseError(f"{label}: expected {dim} rows")
@@ -474,6 +443,40 @@ def _parse_matrix(data, dim: int, label: str) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
+def _parse_constants(c, origin: str) -> ReferenceConstants:
+    """Decimal strings that float() reads, and the minpoly's integers."""
+    if not isinstance(c, dict):
+        raise ParseError(f"{origin}: constants must be an object")
+    for key in ("lambda", "sigma2", "avg", "typ", "minpoly"):
+        if key not in c:
+            raise ParseError(f"{origin}: constants block missing {key!r}")
+    for key in ("lambda", "sigma2", "avg", "typ"):
+        text = c[key]
+        try:
+            float(text)
+            valid = isinstance(text, str)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ParseError(
+                f"{origin}: constants {key} must be a decimal string, "
+                f"got {text!r}")
+    minpoly = c["minpoly"]
+    # JSON true and false load as bools, which isinstance counts as ints
+    if (not isinstance(minpoly, list) or not minpoly
+            or any(type(x) is not int for x in minpoly)):
+        raise ParseError(
+            f"{origin}: constants minpoly must be a non-empty list of integers")
+    return ReferenceConstants(
+        lambda_ref=c["lambda"],
+        sigma2_ref=c["sigma2"],
+        avg_ref=c["avg"],
+        typ_ref=c["typ"],
+        minpoly=tuple(minpoly),
+        source=c.get("source", "user file"),
+    )
+
+
 def family_from_dict(data: dict, origin: str = "<dict>") -> MatrixFamily:
     for key in ("name", "q", "dim", "d0", "d1"):
         if key not in data:
@@ -486,18 +489,7 @@ def family_from_dict(data: dict, origin: str = "<dict>") -> MatrixFamily:
     dim = data["dim"]
     constants = None
     if "constants" in data:
-        c = data["constants"]
-        try:
-            constants = ReferenceConstants(
-                lambda_ref=c["lambda"],
-                sigma2_ref=c["sigma2"],
-                avg_ref=c["avg"],
-                typ_ref=c["typ"],
-                minpoly=tuple(c["minpoly"]),
-                source=c.get("source", "user file"),
-            )
-        except KeyError as exc:
-            raise ParseError(f"{origin}: constants block missing {exc}") from exc
+        constants = _parse_constants(data["constants"], origin)
     fam = MatrixFamily(
         name=str(data["name"]),
         q=data["q"],

@@ -24,7 +24,6 @@ from .exactmat import RationalMatrix
 __all__ = [
     "SentinelFactorization",
     "sentinel_factorization",
-    "corner_value",
     "NotIdempotentSimilar",
 ]
 
@@ -69,16 +68,3 @@ def sentinel_factorization(
         q=q, alpha=alpha, beta=beta, d0=d0, d1=d1, family=family
     )
 
-
-def corner_value(fact: SentinelFactorization, word: str) -> Fraction:
-    """Exact beta^T * D_w * alpha for a binary word w over the original pair."""
-    row = fact.beta
-    for symbol in word:
-        if symbol == "0":
-            matrix = fact.d0
-        elif symbol == "1":
-            matrix = fact.d1
-        else:
-            raise ValueError(f"word must be over 0/1, got {symbol!r}")
-        row = exactmat.row_times(row, zip(*matrix.rows))
-    return exactmat.dot(row, fact.alpha)

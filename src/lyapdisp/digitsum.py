@@ -575,10 +575,12 @@ def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
     with its pinned seed.  Raises on int64 overflow risk instead of wrapping.
     """
     levels = max(1, (n_top - 1).bit_length())
-    if (1 << levels) * fam.dim > 1 << 26:
+    if levels > 23:
+        # the tables are small; memory goes to the counts and the arrays
+        # formed from them, about 32 bytes per count whatever the dimension
         raise ValueError(
-            f"n_top = {n_top} too large: 2^{levels} counts of a dimension "
-            f"{fam.dim} representation exceed the limit 2^levels * dim <= 2^26")
+            f"n_top = {n_top} too large: 2^{levels} counts exceed the limit "
+            f"2^23, at about 32 bytes of memory per count")
     (u_int,), u_den = exactmat.int_rows([rep.u])
     (v_int,), v_den = exactmat.int_rows([rep.v])
     v_int = np.array(v_int, dtype=np.int64)

@@ -369,9 +369,10 @@ def _slab_values(q: int, power_sums, zeros, t: float, s: float) -> list[float]:
 def _f_from_sums(q, power_sums, zeros, s, t, accel) -> float:
     """Truncated F(s, t) = sum over words of (s/2)^{l(w)+q} phi(w)^t.
 
-    The closed form at t = 0 is `f_closed_form_t0`; accel applies the
-    epsilon process to the by-length partial sums, which is how the slowly
-    decaying truncation tail at s near the crossing point is squeezed out.
+    At t = 0 its limit is (s/2)^q (1 - s/2) / (1 - s + (s/2)^(q+1)) in
+    closed form.  accel applies the epsilon process to the by-length partial
+    sums, which is how the slowly decaying truncation tail at s near the
+    crossing point is squeezed out.
     """
     slabs = _slab_values(q, power_sums, zeros, t, s)
     total = math.fsum(slabs)
@@ -384,11 +385,6 @@ def _f_from_sums(q, power_sums, zeros, s, t, accel) -> float:
             partials.append(acc)
         total = wynn_epsilon(partials).estimate
     return total
-
-
-def f_closed_form_t0(q: int, s: float) -> float:
-    half = 0.5 * s
-    return half**q * (1.0 - half) / (1.0 - s + half ** (q + 1))
 
 
 def _brent(f, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:

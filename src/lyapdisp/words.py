@@ -6,10 +6,9 @@ The word set indexing every series in this package is
                         whose last symbol is 1}
 
 Each word w is weighted by the exact corner value beta^T * D_w * alpha of
-the sentinel factorization.  `fold_products` is the reference traversal
-(exact Fractions handed to a visitor); `scan_corner_stats` is the
-workhorse used by the series code.  It expands the word tree one level at
-a time with numpy: the rows beta^T * D_prefix of all live prefixes of one
+the sentinel factorization.  `scan_corner_stats` is the one traversal of
+the word tree, and every series value comes from it.  It expands the tree
+one level at a time with numpy: the rows beta^T * D_prefix of all live prefixes of one
 depth, grouped by their trailing run of zeros, give the corners of the
 next word length as one matrix-vector product.  Rows are scaled integers,
 held in float64 when a bound computed before the scan shows every entry
@@ -30,8 +29,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,23 +38,9 @@ from .conjugate import SentinelFactorization
 
 __all__ = [
     "word_count",
-    "words_of_length",
-    "is_chi_word",
-    "fold_products",
     "scan_corner_stats",
     "ScanStats",
 ]
-
-
-def is_chi_word(word: str, q: int) -> bool:
-    """Membership test: empty, or no 0^q factor and rightmost symbol 1."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if word == "":
-        return True
-    if word[-1] != "1":
-        return False
-    return "0" * q not in word
 
 
 def word_count(q: int, length: int) -> int:
@@ -73,68 +57,6 @@ def word_count(q: int, length: int) -> int:
     for ell in range(1, length + 1):
         counts.append(sum(counts[max(0, ell - q) : ell]))
     return counts[length]
-
-
-def words_of_length(q: int, length: int) -> Iterator[str]:
-    """Yield the chi(q) words of exactly this length in lexicographic order."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if length == 0:
-        yield ""
-        return
-
-    def extend(prefix: list[str], run: int, remaining: int) -> Iterator[str]:
-        if remaining == 0:
-            if prefix[-1] == "1":
-                yield "".join(prefix)
-            return
-        if run + 1 < q:
-            prefix.append("0")
-            yield from extend(prefix, run + 1, remaining - 1)
-            prefix.pop()
-        prefix.append("1")
-        yield from extend(prefix, 0, remaining - 1)
-        prefix.pop()
-
-    yield from extend([], 0, length)
-
-
-def fold_products(
-    fact: SentinelFactorization,
-    max_len: int,
-    visitor: Callable[[str, Fraction], None],
-) -> None:
-    """Visit every chi(q) word of length <= max_len with its exact corner value.
-
-    The corner value beta^T * D_w * alpha is maintained incrementally: one
-    row-vector times matrix multiply per appended symbol.  Traversal is
-    depth-first lexicographic ('0' branch before '1'); the empty word comes
-    first with corner beta^T * alpha.  Visitor exceptions propagate and abort
-    the traversal.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    q = fact.q
-    d0_cols = tuple(zip(*fact.d0.rows))
-    d1_cols = tuple(zip(*fact.d1.rows))
-    alpha = fact.alpha
-    visitor("", exactmat.dot(fact.beta, alpha))
-
-    def walk(prefix: list[str], row: tuple, run: int) -> None:
-        depth = len(prefix)
-        if depth == max_len:
-            return
-        if run + 1 < q:
-            prefix.append("0")
-            walk(prefix, exactmat.row_times(row, d0_cols), run + 1)
-            prefix.pop()
-        row1 = exactmat.row_times(row, d1_cols)
-        prefix.append("1")
-        visitor("".join(prefix), exactmat.dot(row1, alpha))
-        walk(prefix, row1, 0)
-        prefix.pop()
-
-    walk([], fact.beta, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,170 @@
+"""Reference implementations that the tests check the package against.
+
+Nothing in `src/lyapdisp` calls these: each is an independent second route
+to a number the package computes another way.
+
+- `words_of_length` and `is_chi_word` enumerate and test chi(q) words one
+  string at a time.
+- `fold_products` visits every chi(q) word with its exact corner value,
+  depth first; `corner_value` computes one word's corner, and `corner`
+  any row . D_w . column.  All three walk a row through the word one symbol
+  at a time on integer-scaled matrices and divide by the scale once, so
+  they are exact without carrying a `Fraction` per entry.  None of them
+  uses the scan's internals.
+- `f_closed_form_t0` is F(s, 0) in closed form.
+- `family_to_dict` writes a family in the family-file schema.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Iterator
+
+from lyapdisp import exactmat
+from lyapdisp.catalog import MatrixFamily
+from lyapdisp.conjugate import SentinelFactorization
+from lyapdisp.exactmat import RationalMatrix
+
+
+def is_chi_word(word: str, q: int) -> bool:
+    """Membership test: empty, or no 0^q factor and rightmost symbol 1."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if word == "":
+        return True
+    if word[-1] != "1":
+        return False
+    return "0" * q not in word
+
+
+def words_of_length(q: int, length: int) -> Iterator[str]:
+    """Yield the chi(q) words of exactly this length in lexicographic order."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if length == 0:
+        yield ""
+        return
+
+    def extend(prefix: list[str], run: int, remaining: int) -> Iterator[str]:
+        if remaining == 0:
+            if prefix[-1] == "1":
+                yield "".join(prefix)
+            return
+        if run + 1 < q:
+            prefix.append("0")
+            yield from extend(prefix, run + 1, remaining - 1)
+            prefix.pop()
+        prefix.append("1")
+        yield from extend(prefix, 0, remaining - 1)
+        prefix.pop()
+
+    yield from extend([], 0, length)
+
+
+def _int_steps(d0: RationalMatrix, d1: RationalMatrix) -> dict:
+    """symbol -> (columns of the integer matrix N, den) with D = N / den."""
+    steps = {}
+    for symbol, matrix in (("0", d0), ("1", d1)):
+        rows, den = exactmat.int_rows(matrix.rows)
+        steps[symbol] = (tuple(zip(*rows)), den)
+    return steps
+
+
+def corner(row, col, d0: RationalMatrix, d1: RationalMatrix,
+           word: str) -> Fraction:
+    """Exact row . D_w . col for a binary word w over the pair (d0, d1)."""
+    steps = _int_steps(d0, d1)
+    (row,), den_row = exactmat.int_rows([row])
+    (col,), den_col = exactmat.int_rows([col])
+    scale = den_row * den_col
+    for symbol in word:
+        if symbol not in steps:
+            raise ValueError(f"word must be over 0/1, got {symbol!r}")
+        cols, den = steps[symbol]
+        row = exactmat.row_times(row, cols)
+        scale *= den
+    return Fraction(exactmat.dot(row, col), scale)
+
+
+def corner_value(fact: SentinelFactorization, word: str) -> Fraction:
+    """Exact beta^T * D_w * alpha for a binary word w over the original pair."""
+    return corner(fact.beta, fact.alpha, fact.d0, fact.d1, word)
+
+
+def fold_products(
+    fact: SentinelFactorization,
+    max_len: int,
+    visitor: Callable[[str, Fraction], None],
+) -> None:
+    """Visit every chi(q) word of length <= max_len with its exact corner value.
+
+    With D0 = N0 / den0, D1 = N1 / den1 and beta, alpha scaled to integers
+    by den together, the row beta^T D_prefix is kept as its integer row and
+    each corner is handed over once as the Fraction
+    (integer corner) / (den * den0^n0 * den1^n1) for a word of n0 zeros and
+    n1 ones.  Traversal is depth-first lexicographic ('0' branch before
+    '1'); the empty word comes first with corner beta^T * alpha.  Visitor
+    exceptions propagate and abort the traversal.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    q = fact.q
+    steps = _int_steps(fact.d0, fact.d1)
+    d0_cols, den0 = steps["0"]
+    d1_cols, den1 = steps["1"]
+    (alpha,), den_alpha = exactmat.int_rows([fact.alpha])
+    (beta,), den_beta = exactmat.int_rows([fact.beta])
+    den = den_alpha * den_beta
+    visitor("", Fraction(exactmat.dot(beta, alpha), den))
+
+    def walk(prefix: list[str], row: tuple, run: int, scale: int) -> None:
+        if len(prefix) == max_len:
+            return
+        if run + 1 < q:
+            prefix.append("0")
+            walk(prefix, exactmat.row_times(row, d0_cols), run + 1, scale * den0)
+            prefix.pop()
+        row1 = exactmat.row_times(row, d1_cols)
+        scale1 = scale * den1
+        prefix.append("1")
+        visitor("".join(prefix), Fraction(exactmat.dot(row1, alpha), scale1))
+        walk(prefix, row1, 0, scale1)
+        prefix.pop()
+
+    walk([], beta, 0, den)
+
+
+def f_closed_form_t0(q: int, s: float) -> float:
+    """F(s, 0): (s/2)^q (1 - s/2) / (1 - s + (s/2)^(q+1))."""
+    half = 0.5 * s
+    return half**q * (1.0 - half) / (1.0 - s + half ** (q + 1))
+
+
+def family_to_dict(fam: MatrixFamily) -> dict:
+    """JSON-ready form with exact 'p/q' entry strings (see README for schema)."""
+
+    def entries(matrix: RationalMatrix) -> list[list[str]]:
+        return [[str(x) for x in row] for row in matrix.rows]
+
+    out = {
+        "name": fam.name,
+        "q": fam.q,
+        "dim": fam.dim,
+        "d0": entries(fam.d0),
+        "d1": entries(fam.d1),
+    }
+    if fam.poly_mask:
+        out["poly_mask"] = fam.poly_mask
+    if fam.d0_prime is not None:
+        out["d0_prime"] = entries(fam.d0_prime)
+        out["d1_prime"] = entries(fam.d1_prime)
+    if fam.constants is not None:
+        out["constants"] = {
+            "lambda": fam.constants.lambda_ref,
+            "sigma2": fam.constants.sigma2_ref,
+            "avg": fam.constants.avg_ref,
+            "typ": fam.constants.typ_ref,
+            "minpoly": list(fam.constants.minpoly),
+            "source": fam.constants.source,
+        }
+    return out

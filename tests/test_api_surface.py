@@ -4,9 +4,9 @@ A public function that only tests call is a second path to the same number
 that nothing else keeps honest.  So each module's public names (its
 `__all__` plus every top-level definition without a leading underscore) and
 the public methods and properties of its classes must be referenced
-somewhere in `src/lyapdisp` outside their own definition.  The exceptions
-are the reference implementations the tests check the fast paths against,
-listed in ORACLES.
+somewhere in `src/lyapdisp` outside their own definition, with no
+exceptions.  The reference implementations the tests check the package
+against live in `tests/oracles.py`, outside the package.
 
 References are found by name in the syntax tree: a bare name or an
 attribute read.  An import, a string in `__all__` or a keyword argument is
@@ -26,16 +26,6 @@ import lyapdisp
 SRC = pathlib.Path(lyapdisp.__file__).parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 TREES = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
-
-# Reference implementations that only the tests call.
-ORACLES = {
-    "catalog.family_to_dict",     # family-file round trip
-    "conjugate.corner_value",     # exact corner value of one word
-    "gle.f_closed_form_t0",       # F(s, 0) in closed form
-    "words.fold_products",        # exact Fraction traversal of the word tree
-    "words.is_chi_word",
-    "words.words_of_length",
-}
 
 
 def _references(node) -> Counter:
@@ -90,7 +80,6 @@ def test_public_names_have_callers(module):
     uncalled = sorted(
         name for name in public
         if not name.startswith("_")
-        and f"{module}.{name}" not in ORACLES
         and _callers(name, definitions.get(name)) == 0
     )
     assert not uncalled, f"public names of {module} nothing in src calls: {uncalled}"
@@ -108,9 +97,3 @@ def test_public_methods_have_callers(module):
                     and _callers(member.name, member) == 0):
                 uncalled.append(f"{node.name}.{member.name}")
     assert not uncalled, f"methods in {module} nothing in src calls: {uncalled}"
-
-
-def test_oracles_exist():
-    for entry in ORACLES:
-        module, name = entry.split(".")
-        assert hasattr(_module(module), name), entry

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from lyapdisp import catalog, exactmat, gle
+from oracles import family_to_dict
 from lyapdisp.catalog import (
     InvariantViolation,
     ParseError,
     ReferenceConstants,
     UnknownFamily,
     family_from_dict,
-    family_to_dict,
     get_family,
     load_family_file,
     verify_constants,
@@ -247,6 +247,20 @@ class TestFamilyFiles:
         with pytest.raises(ParseError, match=key):
             load_family_file_from(tmp_path, data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", 0.43),
+        ("sigma2", "0.1x"),
+        ("minpoly", ["x", 2]),
+        ("minpoly", [1, True]),
+        ("minpoly", []),
+    ])
+    def test_malformed_constants_rejected(self, tmp_path, key, value):
+        data = family_to_dict(get_family("g2"))
+        load_family_file_from(tmp_path, data)  # the unaltered file loads
+        data["constants"][key] = value
+        with pytest.raises(ParseError, match=f"constants {key} must be"):
+            load_family_file_from(tmp_path, data)
+
     def test_parse_errors(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -264,6 +278,11 @@ class TestFamilyFiles:
             "name": "x", "q": 1, "dim": 1, "d0": [[0.5]], "d1": [["1"]],
         }))
         with pytest.raises(ParseError, match="p/q"):
+            load_family_file(str(path))
+        data = family_to_dict(get_family("g2"))
+        data["constants"] = 0.43
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="constants must be an object"):
             load_family_file(str(path))
 
 

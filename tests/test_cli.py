@@ -7,6 +7,7 @@ import pytest
 
 from lyapdisp import catalog, mcsim
 from lyapdisp.cli import dumps_fixed, main
+from oracles import family_to_dict
 
 
 def run(capsys, *args):
@@ -223,7 +224,7 @@ class TestCommands:
     def test_family_file_input(self, capsys, tmp_path):
         fam_path = tmp_path / "custom.json"
         fam_path.write_text(json.dumps(
-            catalog.family_to_dict(catalog.get_family("g1"))
+            family_to_dict(catalog.get_family("g1"))
         ))
         code, out, _ = run(
             capsys, "exponents", "--family", f"@{fam_path}"
@@ -234,7 +235,7 @@ class TestCommands:
 
 
     def test_family_file_name_with_newline(self, capsys, tmp_path):
-        data = catalog.family_to_dict(catalog.get_family("g2"))
+        data = family_to_dict(catalog.get_family("g2"))
         data["name"] = "a\nb"
         fam_path = tmp_path / "newline.json"
         fam_path.write_text(json.dumps(data))
@@ -284,7 +285,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,message", [
         (["psi", "--jmax", "39"], "need 2 <= j_max <= 38"),
         (["dispersion", "--family", "h4", "--jmax", "24"],
-         "exceed the limit 2^levels * dim <= 2^26"),
+         "2^24 counts exceed the limit 2^23"),
     ], ids=["psi-jmax-39", "dispersion-h4-jmax-24"])
     def test_out_of_range_is_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -304,7 +305,7 @@ class TestExitCodes:
         assert "FAIL" not in out
 
     def test_verify_failure_is_three(self, capsys, tmp_path):
-        data = catalog.family_to_dict(catalog.get_family("g1"))
+        data = family_to_dict(catalog.get_family("g1"))
         data["name"] = "wrong"
         data["constants"]["lambda"] = "0.9999999999"
         path = tmp_path / "wrong.json"

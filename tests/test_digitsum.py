@@ -382,11 +382,14 @@ class TestWordProducts:
             ds.counts_via_representation(shear_family(), rep, 64)
 
     def test_n_top_limit(self):
-        """2^levels * dim <= 2^26 counts: h4 (dimension 8) reaches 2^23."""
-        fam = catalog.get_family("h4")
-        rep = ds.fit_linear_representation(fam)
-        with pytest.raises(ValueError, match="2\\^levels \\* dim <= 2\\^26"):
-            ds.counts_via_representation(fam, rep, (1 << 23) + 1)
+        """At most 2^23 counts, whatever the dimension: h4 (8) and g1 (1)."""
+        for name in ("h4", "g1"):
+            fam = catalog.get_family(name)
+            rep = ds.fit_linear_representation(fam)
+            with pytest.raises(
+                ValueError, match="2\\^24 counts exceed the limit 2\\^23"
+            ):
+                ds.counts_via_representation(fam, rep, (1 << 23) + 1)
 
     def test_fractional_family_is_refused(self):
         fam = catalog.get_family("g2")

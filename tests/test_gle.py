@@ -17,6 +17,7 @@ from lyapdisp.gle import (
     Overflow,
     TruncationUnstable,
 )
+from oracles import f_closed_form_t0
 
 LN2 = math.log(2.0)
 MAX = sys.float_info.max
@@ -200,7 +201,7 @@ class TestFEval:
                 # raw truncation at s = 0.9 still carries ~1e-3 of tail, so
                 # the comparison runs accelerated
                 assert f_value(stats, 0, s) == pytest.approx(
-                    gle.f_closed_form_t0(stats.q, s), abs=1e-6
+                    f_closed_form_t0(stats.q, s), abs=1e-6
                 )
 
     def test_f_one_zero_is_one_accelerated(self, g3_scan):

@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+import oracles
 from lyapdisp import catalog, conjugate, exactmat, words
 from lyapdisp.exactmat import RationalMatrix
 
@@ -58,16 +59,16 @@ class TestWordsOfLength:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("length", range(0, 13))
     def test_matches_brute_force(self, q, length):
-        assert list(words.words_of_length(q, length)) == brute_words(q, length)
+        assert list(oracles.words_of_length(q, length)) == brute_words(q, length)
 
     def test_q1_is_all_ones(self):
         for k in range(8):
             expected = ["1" * k] if k else [""]
-            assert list(words.words_of_length(1, k)) == expected
+            assert list(oracles.words_of_length(1, k)) == expected
 
     def test_spec_examples(self):
-        assert list(words.words_of_length(2, 3)) == ["011", "101", "111"]
-        assert len(list(words.words_of_length(3, 4))) == 7
+        assert list(oracles.words_of_length(2, 3)) == ["011", "101", "111"]
+        assert len(list(oracles.words_of_length(3, 4))) == 7
 
 
 class TestWordCount:
@@ -86,40 +87,40 @@ class TestWordCount:
         for length in range(17):
             assert words.word_count(q, length) == len(brute_words(q, length))
             assert words.word_count(q, length) == sum(
-                1 for _ in words.words_of_length(q, length)
+                1 for _ in oracles.words_of_length(q, length)
             )
 
     def test_membership_helper(self):
-        assert words.is_chi_word("", 2)
-        assert words.is_chi_word("101", 2)
-        assert not words.is_chi_word("1001", 2)
-        assert not words.is_chi_word("10", 2)
+        assert oracles.is_chi_word("", 2)
+        assert oracles.is_chi_word("101", 2)
+        assert not oracles.is_chi_word("1001", 2)
+        assert not oracles.is_chi_word("10", 2)
 
 
 class TestFoldProducts:
     def test_empty_word_only(self):
         fact = fact_for("g2")
         seen = []
-        words.fold_products(fact, 0, lambda w, c: seen.append((w, c)))
+        oracles.fold_products(fact, 0, lambda w, c: seen.append((w, c)))
         assert seen == [("", Fraction(1))]
 
     def test_binomial_powers_of_two(self):
         fact = fact_for("g1")
         seen = {}
-        words.fold_products(fact, 10, seen.__setitem__)
+        oracles.fold_products(fact, 10, seen.__setitem__)
         assert seen == {"1" * k: Fraction(2**k) for k in range(11)}
 
     def test_trinomial_closed_form(self):
         fact = fact_for("g2")
         seen = {}
-        words.fold_products(fact, 12, seen.__setitem__)
+        oracles.fold_products(fact, 12, seen.__setitem__)
         for k in range(13):
             assert seen["1" * k] == Fraction(2 ** (k + 2) - (-1) ** k, 3)
 
     def test_visits_each_chi_word_once_in_order(self):
         fact = fact_for("g3")
         visited = []
-        words.fold_products(fact, 7, lambda w, c: visited.append(w))
+        oracles.fold_products(fact, 7, lambda w, c: visited.append(w))
 
         # depth-first lexicographic reference walk
         expected = []
@@ -143,22 +144,40 @@ class TestFoldProducts:
         for name in ("g2", "g3", "h4", "g5"):
             fact = fact_for(name)
             collected = []
-            words.fold_products(fact, 10, lambda w, c: collected.append((w, c)))
+            oracles.fold_products(fact, 10, lambda w, c: collected.append((w, c)))
+            # every matrix and vector as integers over its own scale
+            dim = fact.d0.dim
+            d0, den0 = exactmat.int_rows(fact.d0.rows)
+            d1, den1 = exactmat.int_rows(fact.d1.rows)
+            cols = {"0": (tuple(zip(*d0)), den0), "1": (tuple(zip(*d1)), den1)}
+            (beta,), den_beta = exactmat.int_rows([fact.beta])
+            (alpha,), den_alpha = exactmat.int_rows([fact.alpha])
             for word, corner in rng.choices(collected, k=260):
-                matrix = exactmat.identity(fact.d0.dim)
+                matrix = [[int(i == j) for j in range(dim)] for i in range(dim)]
+                scale = den_beta * den_alpha
                 for symbol in word:
-                    matrix = exactmat.mat_mul(
-                        matrix, fact.d0 if symbol == "0" else fact.d1
-                    )
+                    symbol_cols, den = cols[symbol]
+                    matrix = [exactmat.row_times(row, symbol_cols) for row in matrix]
+                    scale *= den
                 expected = sum(
-                    (
-                        fact.beta[i] * matrix.rows[i][j] * fact.alpha[j]
-                        for i in range(fact.d0.dim)
-                        for j in range(fact.d0.dim)
-                    ),
-                    Fraction(0),
+                    beta[i] * matrix[i][j] * alpha[j]
+                    for i in range(dim)
+                    for j in range(dim)
                 )
-                assert corner == expected
+                assert corner == Fraction(expected, scale)
+
+    def test_fractional_rows_give_the_same_corners(self):
+        # the conjugated g3 has non-integer rows, so every corner is divided
+        # by a scale other than 1; its corners are those of g3
+        fact = conjugated_fact_for("g3")
+        assert exactmat.int_rows(fact.d0.rows)[1] > 1
+        assert exactmat.int_rows(fact.d1.rows)[1] > 1
+        seen, conj = {}, {}
+        oracles.fold_products(fact_for("g3"), 12, seen.__setitem__)
+        oracles.fold_products(fact, 12, conj.__setitem__)
+        assert list(conj) == list(seen)
+        assert conj == seen
+        assert all(type(c) is Fraction for c in conj.values())
 
     def test_visitor_errors_propagate(self):
         fact = fact_for("g2")
@@ -171,7 +190,7 @@ class TestFoldProducts:
                 raise Boom
 
         with pytest.raises(Boom):
-            words.fold_products(fact, 10, visitor)
+            oracles.fold_products(fact, 10, visitor)
 
 
 def reference_stats(fact, max_len, ts=()):
@@ -193,7 +212,7 @@ def reference_stats(fact, max_len, ts=()):
         for idx, t in enumerate(ts):
             pows[idx][len(word)].append(math.exp(t * value))
 
-    words.fold_products(fact, max_len, visit)
+    oracles.fold_products(fact, max_len, visit)
     return (
         counts,
         zeros,
