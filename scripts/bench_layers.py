@@ -6,8 +6,12 @@ time, as they are for a user.  The sides alternate which runs first from
 one repetition to the next; one untimed run per command and side comes
 first so that byte-compiling the tree is not timed.  Per command and side
 the file records every wall time, their median, the peak resident set
-size of each process (from its own rusage) and the SHA-1 of its stdout,
-which must agree between sides that claim identical output.
+size of each process (from its own rusage) and the SHA-1 of its stdout and
+of each file it writes (`phi`/`psi` write their --csv and --density-csv
+tables to a temporary directory per side).  Sides that claim identical
+output must agree on all of these; `identical_outputs` records per command
+whether they do, and the script exits 1 after writing the file if one
+does not.
 
     python3 scripts/bench_layers.py parent=../parent/src change=src \
         --out BENCH_digitsum.json
@@ -30,13 +34,17 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 
+# {out} is the side's temporary directory for the files a command writes
 COMMANDS = (
-    ("phi", "--jmax", "24"),
-    ("psi", "--jmax", "24"),
+    ("phi", "--jmax", "24", "--csv", "{out}/phi.csv",
+     "--density-csv", "{out}/phi-density.csv"),
+    ("psi", "--jmax", "24", "--csv", "{out}/psi.csv",
+     "--density-csv", "{out}/psi-density.csv"),
     ("dispersion", "--family", "h4", "--jmax", "20"),
     ("dispersion", "--family", "g5", "--jmax", "20"),
 )
@@ -57,47 +65,76 @@ def cpu_model() -> str:
     return platform.machine()
 
 
-def run_once(src: str, argv: tuple[str, ...]) -> tuple[float, float, str]:
-    """(wall s, peak RSS MB, stdout SHA-1) of one fresh CLI process."""
+def sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+def run_once(src: str, argv: tuple[str, ...],
+             out: str) -> tuple[float, float, str, tuple[str, ...]]:
+    """(wall s, peak RSS MB, stdout SHA-1, SHA-1 of each written file) of
+    one fresh CLI process, with {out} in argv set to the directory out."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = tuple(arg.format(out=out) for arg in argv)
+    written = [arg for arg in argv if arg.startswith(out + os.sep)]
+    for path in written:
+        if os.path.exists(path):
+            os.remove(path)
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "lyapdisp.cli", *argv],
                             env=env, stdout=subprocess.PIPE)
-    out = proc.stdout.read()
+    stdout = proc.stdout.read()
     proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}")
-    return wall, usage.ru_maxrss / 1024.0, hashlib.sha1(out).hexdigest()
+    files = []
+    for path in written:
+        with open(path, "rb") as fh:
+            files.append(sha1(fh.read()))
+    return wall, usage.ru_maxrss / 1024.0, sha1(stdout), tuple(files)
 
 
 def bench(sides: dict[str, str]) -> dict:
     runs = {label: {" ".join(argv): [] for argv in COMMANDS} for label in sides}
-    for label, src in sides.items():
-        for argv in COMMANDS:
-            run_once(src, argv)
-    order = list(sides)
-    for rep in range(REPEAT):
-        for label in order if rep % 2 == 0 else order[::-1]:
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = {label: os.path.join(tmp, label) for label in sides}
+        for label, src in sides.items():
+            os.mkdir(outs[label])
             for argv in COMMANDS:
-                runs[label][" ".join(argv)].append(run_once(sides[label], argv))
+                run_once(src, argv, outs[label])
+        order = list(sides)
+        for rep in range(REPEAT):
+            for label in order if rep % 2 == 0 else order[::-1]:
+                for argv in COMMANDS:
+                    runs[label][" ".join(argv)].append(
+                        run_once(sides[label], argv, outs[label]))
     result = {}
     for label, per_command in runs.items():
         result[label] = {}
         for command, samples in per_command.items():
-            walls = [round(wall, 4) for wall, _, _ in samples]
-            rss = [round(mb, 1) for _, mb, _ in samples]
-            digests = {digest for _, _, digest in samples}
+            walls = [round(wall, 4) for wall, _, _, _ in samples]
+            rss = [round(mb, 1) for _, mb, _, _ in samples]
             result[label][command] = {
                 "wall_s": walls,
                 "median_wall_s": round(statistics.median(walls), 4),
                 "peak_rss_mb": rss,
                 "median_peak_rss_mb": round(statistics.median(rss), 1),
-                "stdout_sha1": sorted(digests),
+                "stdout_sha1": sorted({digest for _, _, digest, _ in samples}),
+                "files_sha1": sorted({files for _, _, _, files in samples}),
             }
     return result
+
+
+def identical_outputs(sides: dict) -> dict[str, bool]:
+    """Per command: every run on every side wrote the same stdout and files."""
+    return {
+        command: len({(digest, files) for row in sides.values()
+                      for digest in row[command]["stdout_sha1"]
+                      for files in row[command]["files_sha1"]}) == 1
+        for command in next(iter(sides.values()))
+    }
 
 
 def run_tier1(src: str) -> tuple[float, str]:
@@ -159,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         report["sides"] = bench_tier1(sides)
     else:
         report["sides"] = bench(sides)
+        report["identical_outputs"] = identical_outputs(report["sides"])
     out = args.out or ("BENCH_tier1.json" if args.tier1 else "BENCH_digitsum.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -170,8 +208,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     for label, per_command in report["sides"].items():
         for command, row in per_command.items():
-            print(f"{label:>8}  {command:<40} {row['median_wall_s']:8.3f} s "
+            print(f"{label:>8}  {command.split(' --csv')[0]:<40} "
+                  f"{row['median_wall_s']:8.3f} s "
                   f"{row['median_peak_rss_mb']:8.1f} MB")
+    differ = [cmd for cmd, same in report["identical_outputs"].items() if not same]
+    if differ:
+        print(f"outputs differ between sides: {differ}", file=sys.stderr)
+        return 1
     return 0
 
 

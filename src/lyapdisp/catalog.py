@@ -63,7 +63,6 @@ class ReferenceConstants:
     avg_ref: str
     typ_ref: str
     minpoly: tuple[int, ...]
-    source: str = "published tabulation"
 
     @staticmethod
     def decimal_places(text: str) -> int:
@@ -473,7 +472,6 @@ def _parse_constants(c, origin: str) -> ReferenceConstants:
         avg_ref=c["avg"],
         typ_ref=c["typ"],
         minpoly=tuple(minpoly),
-        source=c.get("source", "user file"),
     )
 
 

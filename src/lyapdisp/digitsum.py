@@ -14,9 +14,13 @@ functions they define,
 
 are evaluated through those identities in a form that is bitwise periodic:
 writing n = f * 2^j with f in [1, 2), the power-of-two part cancels in
-exact integer arithmetic and only log2(f) is floating point.  Because the
-value at 2n repeats the value at n, the extremes over all n <= 2^j_max are
-found in the top octave [2^(j_max-1), 2^j_max) alone (`_scan_extremes`).
+exact integer arithmetic and only log2(f) is floating point.  One formula,
+`_sample_parts`, evaluates every reported value: `phi(n)` and `psi(n)`
+are its one-point calls on Python ints, exact for any n >= 1.  Because
+the value at 2n repeats the value at n, the extremes over all
+n <= 2^j_max are found in the top octave [2^(j_max-1), 2^j_max) alone,
+and the same single pass over that octave (`_scan_extremes`) supplies the
+exact summatory values at the sampled points.
 
 The rest of the module connects counts to the matrix families: GF(2) row
 iteration as the oracle, an exactly validated linear representation
@@ -105,29 +109,10 @@ def summatory_f(n: int) -> int:
     return rec(n)
 
 
-def _split_power_of_two(n: int) -> tuple[int, float]:
-    """n = f * 2^j with f in [1, 2); the division is exact for n < 2^53."""
-    j = n.bit_length() - 1
-    return j, n / (1 << j)
-
-
-def _phi_parts(n: int, s: int) -> tuple[float, float]:
-    """(log2 f, Phi) at n = f * 2^j from the exact S(n) = s; see `phi`."""
-    j, f = _split_power_of_two(n)
-    x = math.log2(f)
-    value = (2 * s - j * n) / (2 * n) - x / 2.0
-    if not value <= 0.0:
-        raise ArithmeticError(f"phi({n}) = {value!r} is above its supremum 0")
-    return x, value
-
-
-def _psi_parts(n: int, s: int) -> tuple[float, float]:
-    """(log2 f, Psi) at n = f * 2^j from the exact Sf(n) = s; see `psi`."""
-    j, f = _split_power_of_two(n)
-    value = (s / 3**j) * f**-LOG2_3
-    if not 0.0 < value <= 1.0:
-        raise ArithmeticError(f"psi({n}) = {value!r} is outside (0, 1]")
-    return math.log2(f), value
+def _point(kind: str, n: int, s: int) -> float:
+    """Phi or Psi at one n from its exact S(n) or Sf(n), on Python ints."""
+    ns, sums = np.array([n], dtype=object), np.array([s], dtype=object)
+    return float(_sample_parts(kind, n.bit_length() - 1, ns, sums)[1][0])
 
 
 def phi(n: int) -> float:
@@ -137,9 +122,7 @@ def phi(n: int) -> float:
     value at 2n is bit-identical to the value at n and the supremum 0 is
     attained exactly at powers of two.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _phi_parts(n, summatory_digit_sum(n))[1]
+    return _point("phi", n, summatory_digit_sum(n))
 
 
 def psi(n: int) -> float:
@@ -148,9 +131,7 @@ def psi(n: int) -> float:
     Computed as (Sf(n) / 3^j) * f^{-log2 3}; at powers of two Sf(2^j) = 3^j
     collapses the first factor to exactly 1.0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _psi_parts(n, summatory_f(n))[1]
+    return _point("psi", n, summatory_f(n))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +223,10 @@ def _first_in_orbit(hits: list[np.ndarray]) -> int:
     return max(2, int(odd.min()))
 
 
-def _scan_extremes(kind: str, j_max: int) -> tuple[int, int]:
-    """The smallest n in [2, 2^j_max] at which the minimum and the maximum sit.
+def _scan_extremes(kind: str, j_max: int,
+                   samples: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The smallest n in [2, 2^j_max] at which the minimum and the maximum
+    sit, and S(n) or Sf(n) at each of the sorted top-octave points samples.
 
     Only the top octave [2^(j_max-1), 2^j_max) is evaluated: `_chunk_values`
     gives 2n the value of n bit for bit, because S(2n) = 2 S(n) + n doubles
@@ -258,13 +241,16 @@ def _scan_extremes(kind: str, j_max: int) -> tuple[int, int]:
     along an orbit can differ in the last bit, and so can its positions.
 
     Values come from exact summatory counts but float64 numpy formulas,
-    which can differ from the scalar `phi`/`psi` in the last bit; callers
-    evaluate the scalar formula at the positions returned.
+    which can differ from `_sample_parts` in the last bit; callers evaluate
+    that formula at the positions returned.
     """
     j = j_max - 1
     low, low_hits = math.inf, []
     high, high_hits = -math.inf, []
+    sums = np.empty_like(samples)
     for ns, s_vals in _octave_sums(kind, j):
+        start, stop = np.searchsorted(samples, (ns[0], ns[-1] + 1))
+        sums[start:stop] = s_vals[samples[start:stop] - ns[0]]
         values = _chunk_values(kind, j, ns, s_vals)
         chunk_low, chunk_high = values.min(), values.max()
         if chunk_low < low:
@@ -275,32 +261,7 @@ def _scan_extremes(kind: str, j_max: int) -> tuple[int, int]:
             high, high_hits = chunk_high, []
         if chunk_high == high:
             high_hits.append(ns[values == high])
-    return _first_in_orbit(low_hits), _first_in_orbit(high_hits)
-
-
-def _summatory_array(kind: str, ns: np.ndarray) -> np.ndarray:
-    """S(n) (kind 'phi') or Sf(n) ('psi') for every n in ns, exactly in int64.
-
-    The n' < n that agree with n above a set bit p of n and have a 0 at p
-    are 2^p numbers sharing the i set bits of n above p, so
-    S(n) = sum_p (i 2^p + p 2^(p-1)) and Sf(n) = sum_p 2^i 3^p over the set
-    bits p of n.  S(n) <= 40 * 2^39 < 2^45 for n <= 2^40, while
-    Sf(n) <= 3^39 < 2^63 needs n <= 2^39.
-    """
-    ns = np.asarray(ns, dtype=np.int64)
-    top = int(ns.max())
-    if top > 1 << (40 if kind == "phi" else 39):
-        raise OverflowError(f"{kind} summatory values of n = {top} exceed int64")
-    total = np.zeros_like(ns)
-    above = np.zeros_like(ns)
-    for p in range(top.bit_length() - 1, -1, -1):
-        bit = (ns >> p) & 1
-        if kind == "phi":
-            total += bit * ((above << p) + (p << p >> 1))
-        else:
-            total += bit * (np.int64(3**p) << above)
-        above += bit
-    return total
+    return _first_in_orbit(low_hits), _first_in_orbit(high_hits), sums
 
 
 def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
@@ -312,18 +273,21 @@ def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
 
 def _sample_parts(kind: str, j: int, ns: np.ndarray,
                   sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_phi_parts` or `_psi_parts` at every n of ns in [2^j, 2^(j+1)).
+    """(log2 f, Phi or Psi) at every n = f 2^j of ns in [2^j, 2^(j+1)).
 
-    Equal bit for bit to the scalar code: f = n / 2^j is exact, phi's
-    quotient (2S - jn) / (2n) has operands below 2^53, psi's quotient is
-    Python's correctly rounded int division (Sf(n) passes 2^53 above
-    j = 33), and log2 and the power are the scalar libm calls, which numpy's
+    The one formula behind every reported value, from the exact S(n) or
+    Sf(n) in sums.  f = n / 2^j is exact below 2^53 and correctly rounded
+    above; the quotients (2S - jn) / (2n) and Sf(n) / 3^j are correctly
+    rounded, whether from int64 operands below 2^53 or, for object arrays
+    of Python ints, by Python's int division (Sf(n) passes 2^53 above
+    j = 33); log2 and the power are the scalar libm calls, which numpy's
     own can miss by a last bit.
     """
     f = (ns / (1 << j)).tolist()
     xs = np.fromiter(map(math.log2, f), np.float64, len(ns))
     if kind == "phi":
-        values = (2 * sums - j * ns) / (2 * ns) - xs / 2.0
+        quotients = np.asarray((2 * sums - j * ns) / (2 * ns), dtype=np.float64)
+        values = quotients - xs / 2.0
         outside, bound = ~(values <= 0.0), "is above its supremum 0"
     else:
         quotients = np.fromiter(
@@ -344,16 +308,14 @@ def _scan_statistics(kind: str, j_max: int, samples: int) -> FluctuationScan:
     if samples < 1:
         raise ValueError("samples_per_octave must be >= 1")
     point = phi if kind == "phi" else psi
-    inf_at, sup_at = _scan_extremes(kind, j_max)
-
     ns = _log_uniform_samples(j_max - 1, samples)
-    xs, vals = _sample_parts(kind, j_max - 1, ns, _summatory_array(kind, ns))
+    inf_at, sup_at, sums = _scan_extremes(kind, j_max, ns)
+    xs, vals = _sample_parts(kind, j_max - 1, ns, sums)
 
     # trapezoid over one period; both endpoints sit at powers of two where
-    # the fluctuation takes its supremum value exactly
-    edge = point(1 << (j_max - 1))
+    # the fluctuation takes its supremum value exactly, and ns[0] = 2^(j_max-1)
     xs_closed = np.concatenate([xs, [1.0]])
-    vals_closed = np.concatenate([vals, [edge]])
+    vals_closed = np.concatenate([vals, vals[:1]])
     widths = np.diff(xs_closed)
     mean = float(np.sum(widths * (vals_closed[:-1] + vals_closed[1:]) / 2.0))
 

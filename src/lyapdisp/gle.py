@@ -84,6 +84,13 @@ class DimensionCap(ValueError):
     pass
 
 
+def _check_finite(ts: Sequence[float]) -> None:
+    """ValueError naming the first non-finite t, before any scan."""
+    bad = next((t for t in ts if not math.isfinite(t)), None)
+    if bad is not None:
+        raise ValueError(f"t must be finite, got {bad!r}")
+
+
 def default_max_len(q: int) -> int:
     return DEFAULT_MAX_LEN.get(q, 28)
 
@@ -306,6 +313,7 @@ def exponents(
     root-found for each requested sample t from power sums collected in the
     same scan.
     """
+    _check_finite(lt_samples)
     fam = catalog.resolve_family(family)
     if max_len is None:
         max_len = default_max_len(fam.q)
@@ -542,6 +550,7 @@ def l_of_t(
     threads: int | None = None,
 ) -> float:
     """Moment exponent L(t) = -ln s(t) where F(s(t), t) = 1."""
+    _check_finite((t,))
     if tol <= 0:
         raise ValueError("tol must be positive")
     fam = catalog.resolve_family(family)
@@ -648,6 +657,7 @@ def quadrinomial_regroup_L(t: float, tol: float = 1e-12) -> float:
     the closed geometric sums of r_i(s) ((s/2)^2)^k |b_j^T M^k a_i|^t.  L(t)
     is -ln of the smallest s in (0, 2) where det(I - F) vanishes.
     """
+    _check_finite((t,))
     if tol <= 0:
         raise ValueError("tol must be positive")
     _, m, _, a1, b1, a2, b2 = regrouped_matrices()

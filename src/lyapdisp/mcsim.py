@@ -180,6 +180,8 @@ def simulate_moment(config: SimConfig, t: float) -> SimResult:
     magnitude, the sample mean of norm^t is taken in log space, and the
     standard error is a bootstrap over trials rather than a CLT formula.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if abs(t) > 4:
         raise ValueError("simulate_moment is limited to |t| <= 4")
     log_norms, degenerate = log_product_norms(config)

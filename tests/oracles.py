@@ -13,10 +13,14 @@ to a number the package computes another way.
   uses the scan's internals.
 - `f_closed_form_t0` is F(s, 0) in closed form.
 - `family_to_dict` writes a family in the family-file schema.
+- `phi_parts` and `psi_parts` are the scalar (log2 f, Phi) and
+  (log2 f, Psi) at one n from its exact summatory value, in plain Python
+  floats and ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -165,6 +169,33 @@ def family_to_dict(fam: MatrixFamily) -> dict:
             "avg": fam.constants.avg_ref,
             "typ": fam.constants.typ_ref,
             "minpoly": list(fam.constants.minpoly),
-            "source": fam.constants.source,
         }
     return out
+
+
+LOG2_3 = math.log2(3.0)
+
+
+def split_power_of_two(n: int) -> tuple[int, float]:
+    """n = f * 2^j with f in [1, 2); the division is exact for n < 2^53."""
+    j = n.bit_length() - 1
+    return j, n / (1 << j)
+
+
+def phi_parts(n: int, s: int) -> tuple[float, float]:
+    """(log2 f, Phi) at n = f * 2^j from the exact S(n) = s."""
+    j, f = split_power_of_two(n)
+    x = math.log2(f)
+    value = (2 * s - j * n) / (2 * n) - x / 2.0
+    if not value <= 0.0:
+        raise ArithmeticError(f"phi({n}) = {value!r} is above its supremum 0")
+    return x, value
+
+
+def psi_parts(n: int, s: int) -> tuple[float, float]:
+    """(log2 f, Psi) at n = f * 2^j from the exact Sf(n) = s."""
+    j, f = split_power_of_two(n)
+    value = (s / 3**j) * f**-LOG2_3
+    if not 0.0 < value <= 1.0:
+        raise ArithmeticError(f"psi({n}) = {value!r} is outside (0, 1]")
+    return math.log2(f), value

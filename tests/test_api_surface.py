@@ -3,15 +3,15 @@
 A public function that only tests call is a second path to the same number
 that nothing else keeps honest.  So each module's public names (its
 `__all__` plus every top-level definition without a leading underscore) and
-the public methods and properties of its classes must be referenced
-somewhere in `src/lyapdisp` outside their own definition, with no
-exceptions.  The reference implementations the tests check the package
+the public methods, properties and annotated fields of its classes must
+be referenced somewhere in `src/lyapdisp` outside their own definition,
+with no exceptions.  The reference implementations the tests check the package
 against live in `tests/oracles.py`, outside the package.
 
 References are found by name in the syntax tree: a bare name or an
 attribute read.  An import, a string in `__all__` or a keyword argument is
-not a reference.  Methods are matched by attribute name alone, so a method
-sharing its name with another object's attribute passes unnoticed.
+not a reference.  Methods and fields are matched by attribute name alone,
+so one sharing its name with another object's attribute passes unnoticed.
 """
 
 import ast
@@ -85,15 +85,38 @@ def test_public_names_have_callers(module):
     assert not uncalled, f"public names of {module} nothing in src calls: {uncalled}"
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_public_methods_have_callers(module):
-    uncalled = []
+def _class_members(module, kind):
+    """(class, name, node) for each public member of type kind of the
+    module's public classes."""
     for node in TREES[module].body:
         if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue
         for member in node.body:
-            if (isinstance(member, ast.FunctionDef)
-                    and not member.name.startswith("_")
-                    and _callers(member.name, member) == 0):
-                uncalled.append(f"{node.name}.{member.name}")
+            if not isinstance(member, kind):
+                continue
+            if isinstance(member, ast.FunctionDef):
+                name = member.name
+            elif isinstance(member.target, ast.Name):
+                name = member.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                yield node.name, name, member
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_methods_have_callers(module):
+    uncalled = [f"{cls}.{name}"
+                for cls, name, member in _class_members(module, ast.FunctionDef)
+                if _callers(name, member) == 0]
     assert not uncalled, f"methods in {module} nothing in src calls: {uncalled}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_fields_are_read(module):
+    """An annotated class field (a dataclass field) nothing reads is data
+    the package carries for no one."""
+    unread = [f"{cls}.{name}"
+              for cls, name, member in _class_members(module, ast.AnnAssign)
+              if _callers(name, member) == 0]
+    assert not unread, f"fields in {module} nothing in src reads: {unread}"

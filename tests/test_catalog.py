@@ -142,6 +142,13 @@ class TestFamilyFiles:
             assert clone.d0_prime == fam.d0_prime
             assert clone.constants.minpoly == fam.constants.minpoly
 
+    def test_constants_source_still_loads(self):
+        # older files carry a free-text "source"; it is ignored on load
+        fam = get_family("g2")
+        data = family_to_dict(fam)
+        data["constants"]["source"] = "published tabulation"
+        assert family_from_dict(data).constants == fam.constants
+
     def test_resolve_family_reads_at_paths(self, tmp_path):
         path = tmp_path / "family.json"
         path.write_text(json.dumps(family_to_dict(get_family("g2"))))

@@ -292,6 +292,18 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "g2", "--k", "4", "--trials", "20",
+         "--t", "nan"],
+        ["lt", "--family", "g2", "--max-len", "8", "--t", "nan"],
+        ["exponents", "--family", "g2", "--max-len", "8", "--t", "inf"],
+        ["regroup-check", "--t", "nan"],
+    ], ids=["simulate", "lt", "exponents", "regroup-check"])
+    def test_non_finite_t_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "t must be finite" in err
+
     def test_broken_family_file_is_one(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")

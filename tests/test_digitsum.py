@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from lyapdisp import catalog, conjugate, exactmat, digitsum as ds
 from lyapdisp.digitsum import LinearRepresentation, NoRepresentationFound
 from lyapdisp.exactmat import RationalMatrix
@@ -38,29 +39,6 @@ class TestSummatoryFunctions:
             assert ds.summatory_f(2**j) == 3**j
 
 
-class TestSummatoryArrays:
-    def test_all_small_n(self):
-        ns = np.arange(1, (1 << 14) + 1)
-        assert ds._summatory_array("phi", ns).tolist() == \
-            [ds.summatory_digit_sum(n) for n in ns.tolist()]
-        assert ds._summatory_array("psi", ns).tolist() == \
-            [ds.summatory_f(n) for n in ns.tolist()]
-
-    @pytest.mark.parametrize("kind,lo_bits", [
-        ("phi", 37), ("phi", 39), ("psi", 37),
-    ])
-    def test_top_octaves(self, kind, lo_bits):
-        # the top sampled octaves that phi (j_max 40) and psi (38) allow
-        scalar = ds.summatory_digit_sum if kind == "phi" else ds.summatory_f
-        ns = random_ns(lo_bits)
-        assert ds._summatory_array(kind, np.array(ns)).tolist() == \
-            [scalar(n) for n in ns]
-
-    def test_f_past_int64_raises(self):
-        with pytest.raises(OverflowError):
-            ds._summatory_array("psi", np.array([(1 << 39) + 1]))
-
-
 class TestFluctuationFunctions:
     def test_phi_zero_at_powers(self):
         for j in range(1, 30):
@@ -74,8 +52,8 @@ class TestFluctuationFunctions:
         for n in (3, 5, 7, 11, 100, 12345, 999999):
             assert ds.phi(n) == ds.phi(2 * n)
             assert ds.psi(n) == ds.psi(2 * n)
-            x_n = ds._phi_parts(n, ds.summatory_digit_sum(n))[0]
-            assert x_n == ds._phi_parts(2 * n, ds.summatory_digit_sum(2 * n))[0]
+            x_n = oracles.phi_parts(n, ds.summatory_digit_sum(n))[0]
+            assert x_n == oracles.phi_parts(2 * n, ds.summatory_digit_sum(2 * n))[0]
 
     def test_matches_definition(self):
         for n in (3, 6, 17, 1000, 54321):
@@ -100,12 +78,23 @@ class TestFluctuationFunctions:
 
     def test_sample_fields(self):
         # x is the fractional part of log2(n), the abscissa of the samples
-        x, value = ds._phi_parts(6, ds.summatory_digit_sum(6))
+        x, value = oracles.phi_parts(6, ds.summatory_digit_sum(6))
         assert x == pytest.approx(math.log2(1.5))
         assert value == ds.phi(6)
-        x, value = ds._psi_parts(6, ds.summatory_f(6))
+        x, value = oracles.psi_parts(6, ds.summatory_f(6))
         assert x == pytest.approx(math.log2(1.5))
         assert value == ds.psi(6)
+
+    @pytest.mark.parametrize("bits", [54, 64, 65, 88, 89, 90])
+    def test_scalar_values_equal_oracle_past_2_53(self, bits):
+        """phi(n) and psi(n) stay exact where n, S(n) or Sf(n) leave the
+        float64 and int64 ranges: past 2^53, past 2^63 and near 2^89."""
+        rng = random.Random(bits)
+        ns = [(1 << (bits - 1)) + 1, (1 << bits) - 1]
+        ns += [rng.randrange(1 << (bits - 1), 1 << bits) for _ in range(50)]
+        for n in ns:
+            assert ds.phi(n) == oracles.phi_parts(n, ds.summatory_digit_sum(n))[1]
+            assert ds.psi(n) == oracles.psi_parts(n, ds.summatory_f(n))[1]
 
 
 def full_range_extremes(kind: str, j_max: int) -> tuple[int, int]:
@@ -154,7 +143,8 @@ class TestFluctuationScans:
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_extremes_match_full_range_scan(self, kind):
         for j_max in range(2, 21):
-            assert ds._scan_extremes(kind, j_max) == \
+            samples = ds._log_uniform_samples(j_max - 1, 64)
+            assert ds._scan_extremes(kind, j_max, samples)[:2] == \
                 full_range_extremes(kind, j_max), j_max
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
@@ -162,7 +152,8 @@ class TestFluctuationScans:
         """Powers of two take the supremum; the smallest of them in the
         scanned range [2, 2^j_max] is 2, which pins the odd-part rule."""
         for j_max in range(2, 25):
-            assert ds._scan_extremes(kind, j_max)[1] == 2, j_max
+            samples = np.array([1 << (j_max - 1)], dtype=np.int64)
+            assert ds._scan_extremes(kind, j_max, samples)[1] == 2, j_max
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     @pytest.mark.parametrize("j_max", [16, 20])
@@ -195,21 +186,43 @@ class TestFluctuationScans:
     def test_samples_equal_scalar_values(self, kind):
         stats = ds.phi_statistics if kind == "phi" else ds.psi_statistics
         point = ds.phi if kind == "phi" else ds.psi
-        parts, summatory = ((ds._phi_parts, ds.summatory_digit_sum)
-                            if kind == "phi" else (ds._psi_parts, ds.summatory_f))
+        parts, summatory = ((oracles.phi_parts, ds.summatory_digit_sum)
+                            if kind == "phi" else (oracles.psi_parts, ds.summatory_f))
         scan = stats(j_max=16)
         ns = scan.sample_n.tolist()
+        expected = [parts(n, summatory(n)) for n in ns]
         assert scan.sample_value.tolist() == [point(n) for n in ns]
-        assert scan.sample_x.tolist() == [parts(n, summatory(n))[0] for n in ns]
+        assert scan.sample_value.tolist() == [v for _, v in expected]
+        assert scan.sample_x.tolist() == [x for x, _ in expected]
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_samples_across_chunks(self, kind):
+        """At j_max = 20 the top octave spans eight 65536-point chunks of
+        the sweep; the sums it reads off at samples on either side of every
+        chunk edge, and the values formed from them, equal the oracle."""
+        parts, summatory = ((oracles.phi_parts, ds.summatory_digit_sum)
+                            if kind == "phi" else (oracles.psi_parts, ds.summatory_f))
+        j, chunk = 19, 1 << 16
+        edges = [(1 << j) + k * chunk + d for k in range(9) for d in (-1, 0, 1)]
+        samples = np.unique(np.concatenate([
+            ds._log_uniform_samples(j, 1000),
+            np.clip(edges, 1 << j, (1 << (j + 1)) - 1)])).astype(np.int64)
+        _, _, sums = ds._scan_extremes(kind, j + 1, samples)
+        assert sums.tolist() == [summatory(n) for n in samples.tolist()]
+        xs, values = ds._sample_parts(kind, j, samples, sums)
+        expected = [parts(n, summatory(n)) for n in samples.tolist()]
+        assert xs.tolist() == [x for x, _ in expected]
+        assert values.tolist() == [v for _, v in expected]
 
     @pytest.mark.parametrize("kind,j", [("phi", 39), ("psi", 35), ("psi", 37)])
     def test_sample_parts_past_2_53(self, kind, j):
         """Sf(n) passes 2^53 above j = 33; the sampled values still equal the
-        scalar code bit for bit."""
-        parts, summatory = ((ds._phi_parts, ds.summatory_digit_sum)
-                            if kind == "phi" else (ds._psi_parts, ds.summatory_f))
+        scalar oracle bit for bit."""
+        parts, summatory = ((oracles.phi_parts, ds.summatory_digit_sum)
+                            if kind == "phi" else (oracles.psi_parts, ds.summatory_f))
         ns = np.array(sorted(random_ns(j, 2000)), dtype=np.int64)
-        xs, values = ds._sample_parts(kind, j, ns, ds._summatory_array(kind, ns))
+        sums = np.array([summatory(n) for n in ns.tolist()], dtype=np.int64)
+        xs, values = ds._sample_parts(kind, j, ns, sums)
         expected = [parts(n, summatory(n)) for n in ns.tolist()]
         assert xs.tolist() == [x for x, _ in expected]
         assert values.tolist() == [v for _, v in expected]

@@ -23,6 +23,10 @@ LN2 = math.log(2.0)
 MAX = sys.float_info.max
 
 
+def refuse_scan(*args, **kwargs):
+    raise AssertionError("no word-tree scan expected")
+
+
 class TestWynnEpsilon:
     def test_exact_geometric_terminates_at_depth_two(self):
         partials, acc = [], 0.0
@@ -157,6 +161,12 @@ class TestExponents:
         assert dict(report.replica)[1] == pytest.approx(1.5, abs=1e-12)
         assert dict(report.replica)[2] == pytest.approx(2.5, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_refused_before_the_scan(self, t, monkeypatch):
+        monkeypatch.setattr(words, "scan_corner_stats", refuse_scan)
+        with pytest.raises(ValueError, match="t must be finite"):
+            gle.exponents("g1", max_len=8, lt_samples=(1.0, t))
+
     def test_accel_off_returns_raw(self):
         report = gle.exponents("g1", accel=False)
         assert report.lam.accel == report.lam.raw
@@ -249,6 +259,13 @@ class TestLOfT:
         fam = catalog.MatrixFamily(name="dead", q=1, d0=d0, d1=d1, poly_mask=0)
         with pytest.raises(NoBracket):
             gle.l_of_t(fam, 1.0, max_len=12)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf])
+    def test_non_finite_t_refused_before_the_scan(self, t, monkeypatch):
+        # nan used to report F(1e-12, nan) overflowing after a full scan
+        monkeypatch.setattr(words, "scan_corner_stats", refuse_scan)
+        with pytest.raises(ValueError, match="t must be finite"):
+            gle.l_of_t("g1", t, max_len=8)
 
     @pytest.mark.parametrize("t", [45.0, 60.0])
     def test_no_bracket_when_root_is_at_the_lower_end(self, t):
@@ -484,3 +501,9 @@ class TestQuadrinomialRegrouping:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             gle.quadrinomial_regroup_L(1.0, tol=-1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t(self, t):
+        # nan used to be reported as "no zero on (0, 2)"
+        with pytest.raises(ValueError, match="t must be finite"):
+            gle.quadrinomial_regroup_L(t)

@@ -180,6 +180,15 @@ class TestSimulateMoment:
         with pytest.raises(ValueError):
             mcsim.simulate_moment(SimConfig("g1", k=8, trials=10), 5.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_refused_before_the_trials(self, t, monkeypatch):
+        # nan used to exit 0 with a null moment_rate
+        def refuse(config):
+            raise AssertionError("no trials expected")
+        monkeypatch.setattr(mcsim, "log_product_norms", refuse)
+        with pytest.raises(ValueError, match="t must be finite"):
+            mcsim.simulate_moment(SimConfig("g1", k=8, trials=10), t)
+
     def test_json_dict(self):
         result = mcsim.simulate_moment(SimConfig("g1", k=8, trials=50), 1.0)
         data = result.to_json_dict()
