@@ -16,6 +16,16 @@ does not.
     python3 scripts/bench_layers.py parent=../parent/src change=src \
         --out BENCH_digitsum.json
 
+With --conjugated it times `exponents --max-len 18` on diagonally
+conjugated copies of h4, g5 and g6 instead, in the same way.  The script
+writes the three family files once per run, each under D -> Q^-1 D Q for a
+random positive diagonal Q with entries a/b, a and b uniform on 1..9
+(drawn from a fixed seed, the way the benchmark's crosscheck workload
+draws them), and every run of every side reads the same files.
+
+    python3 scripts/bench_layers.py parent=../parent/src change=src \
+        --conjugated --out BENCH_conjugated.json
+
 With --tier1 it times the tier-1 test command instead, run in the checkout
 that holds each src/ directory, in the same alternating order after one
 untimed run per side.  Per side the file records every wall time, their
@@ -31,11 +41,13 @@ import hashlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,6 +60,13 @@ COMMANDS = (
     ("dispersion", "--family", "h4", "--jmax", "20"),
     ("dispersion", "--family", "g5", "--jmax", "20"),
 )
+# {fam} is the directory of the conjugated family files
+CONJUGATED = ("h4", "g5", "g6")
+CONJUGATED_COMMANDS = tuple(
+    ("exponents", "--family", f"@{{fam}}/{name}-conj.json", "--max-len", "18")
+    for name in CONJUGATED
+)
+CONJUGATED_SEED = 1
 REPEAT = 5
 # PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -69,12 +88,13 @@ def sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-def run_once(src: str, argv: tuple[str, ...],
-             out: str) -> tuple[float, float, str, tuple[str, ...]]:
+def run_once(src: str, argv: tuple[str, ...], out: str,
+             fam: str = "") -> tuple[float, float, str, tuple[str, ...]]:
     """(wall s, peak RSS MB, stdout SHA-1, SHA-1 of each written file) of
-    one fresh CLI process, with {out} in argv set to the directory out."""
+    one fresh CLI process, with {out} in argv set to the directory out and
+    {fam} to the directory fam."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = tuple(arg.format(out=out) for arg in argv)
+    argv = tuple(arg.format(out=out, fam=fam) for arg in argv)
     written = [arg for arg in argv if arg.startswith(out + os.sep)]
     for path in written:
         if os.path.exists(path):
@@ -96,20 +116,41 @@ def run_once(src: str, argv: tuple[str, ...],
     return wall, usage.ru_maxrss / 1024.0, sha1(stdout), tuple(files)
 
 
-def bench(sides: dict[str, str]) -> dict:
-    runs = {label: {" ".join(argv): [] for argv in COMMANDS} for label in sides}
+def write_conjugated(src: str, directory: str) -> None:
+    """Write CONJUGATED under a seeded random diagonal similarity, as JSON
+    family files named <family>-conj.json, built from src's catalog."""
+    sys.path.insert(0, os.path.abspath(src))
+    from lyapdisp import catalog
+
+    rng = random.Random(CONJUGATED_SEED)
+    for name in CONJUGATED:
+        fam = catalog.get_family(name)
+        diag = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for _ in range(fam.dim)]
+
+        def conj(matrix):
+            return [[str(matrix.rows[i][j] * diag[j] / diag[i])
+                     for j in range(fam.dim)] for i in range(fam.dim)]
+
+        with open(os.path.join(directory, f"{name}-conj.json"), "w") as fh:
+            json.dump({"name": f"{name}-conj", "q": fam.q, "dim": fam.dim,
+                       "d0": conj(fam.d0), "d1": conj(fam.d1)}, fh)
+
+
+def bench(sides: dict[str, str], commands=COMMANDS, fam: str = "") -> dict:
+    runs = {label: {" ".join(argv): [] for argv in commands} for label in sides}
     with tempfile.TemporaryDirectory() as tmp:
         outs = {label: os.path.join(tmp, label) for label in sides}
         for label, src in sides.items():
             os.mkdir(outs[label])
-            for argv in COMMANDS:
-                run_once(src, argv, outs[label])
+            for argv in commands:
+                run_once(src, argv, outs[label], fam)
         order = list(sides)
         for rep in range(REPEAT):
             for label in order if rep % 2 == 0 else order[::-1]:
-                for argv in COMMANDS:
+                for argv in commands:
                     runs[label][" ".join(argv)].append(
-                        run_once(sides[label], argv, outs[label]))
+                        run_once(sides[label], argv, outs[label], fam))
     result = {}
     for label, per_command in runs.items():
         result[label] = {}
@@ -175,10 +216,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="+", metavar="LABEL=SRC",
                         help="a label and the src/ directory to import from")
-    parser.add_argument("--tier1", action="store_true",
-                        help="time the tier-1 tests instead of CLI commands")
-    parser.add_argument("--out",
-                        help="default BENCH_digitsum.json, or BENCH_tier1.json")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--tier1", action="store_true",
+                      help="time the tier-1 tests instead of CLI commands")
+    mode.add_argument("--conjugated", action="store_true",
+                      help="time exponents on conjugated family files")
+    parser.add_argument("--out", help="default BENCH_digitsum.json, "
+                        "BENCH_tier1.json or BENCH_conjugated.json")
     args = parser.parse_args(argv)
     sides = dict(side.split("=", 1) for side in args.sides)
     report = {
@@ -194,10 +238,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.tier1:
         report["command"] = "PYTHONPATH=src python " + " ".join(TIER1)
         report["sides"] = bench_tier1(sides)
+    elif args.conjugated:
+        report["conjugated_seed"] = CONJUGATED_SEED
+        with tempfile.TemporaryDirectory() as fam:
+            write_conjugated(next(iter(sides.values())), fam)
+            report["sides"] = bench(sides, CONJUGATED_COMMANDS, fam)
     else:
         report["sides"] = bench(sides)
+    if not args.tier1:
         report["identical_outputs"] = identical_outputs(report["sides"])
-    out = args.out or ("BENCH_tier1.json" if args.tier1 else "BENCH_digitsum.json")
+    out = args.out or ("BENCH_tier1.json" if args.tier1 else
+                       "BENCH_conjugated.json" if args.conjugated else
+                       "BENCH_digitsum.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -342,9 +342,32 @@ _HANDLERS = {
 }
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Write '--opt -inf' as '--opt=-inf'.
+
+    argparse takes a word that starts with '-' for an option unless it looks
+    like a plain negative number, so '-inf', '-nan' and '-1e3' would never
+    reach the option's own checks.
+    """
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return _HANDLERS[args.command](args)
     except (

@@ -57,8 +57,15 @@ def sentinel_factorization(
         raise ValueError("q must be >= 1")
     if d0.dim != d1.dim:
         raise exactmat.DimensionMismatch(f"{d0.dim} != {d1.dim}")
-    power = exactmat.mat_pow(d0, q)
-    alpha, beta = exactmat.rank_one_factor(power)
+    # D0^q = N^q / den^q: multiply integer rows, divide once
+    rows, den = exactmat.int_rows(d0.rows)
+    cols = tuple(zip(*rows))
+    power = rows
+    for _ in range(q - 1):
+        power = [exactmat.row_times(row, cols) for row in power]
+    scale = den**q
+    alpha, beta = exactmat.rank_one_factor(RationalMatrix(
+        [Fraction(x, scale) for x in row] for row in power))
     trace = exactmat.dot(alpha, beta)
     if trace != 1:
         raise NotIdempotentSimilar(

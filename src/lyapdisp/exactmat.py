@@ -3,8 +3,11 @@
 Matrices are small (catalog families are at most 8x8) and products of them
 grow exponentially, so the factorizations and powers behind the corner
 values are kept as exact `fractions.Fraction` values end to end.
-Floating point appears only on the replica route: `kronecker` multiplies
-float64 arrays, and `spectral_radius` and `poly_eval` work on floats.
+`int_pair` turns a pair and its corner vectors into integer rows for the
+word scan, balancing away the denominators by a diagonal similarity where
+one can.  Floating point appears only on the replica route: `kronecker`
+multiplies float64 arrays, and `spectral_radius` and `poly_eval` work on
+floats.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "dot",
     "row_times",
     "int_rows",
+    "diagonal_balance",
+    "int_pair",
     "mat_mul",
     "mat_pow",
     "kronecker",
@@ -130,6 +135,110 @@ def int_rows(rows) -> tuple[list[list[int]], int]:
     """(n, den) with rows == n / den exactly: integer rows, common denominator."""
     den = math.lcm(*(x.denominator for row in rows for x in row))
     return [[int(x * den) for x in row] for row in rows], den
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime b > 1 such that every number is a product of their powers.
+
+    Factor refinement by gcds alone, so no number is factored: a base
+    element may be composite, but then every number holds its primes in the
+    same proportion.  Each split replaces b and n by gcd(b, n), b / gcd and
+    n / gcd, which lowers the product of all pending numbers, so it ends.
+    """
+    base = []
+    todo = [n for n in numbers if n > 1]
+    while todo:
+        n = todo.pop()
+        for k, b in enumerate(base):
+            g = math.gcd(n, b)
+            if g > 1:
+                del base[k]
+                todo += [x for x in (g, b // g, n // g) if x > 1]
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _valuation(b: int, n: int) -> int:
+    """The exponent of b in the nonzero int n."""
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e
+
+
+def diagonal_balance(*matrices) -> tuple[Fraction, ...] | None:
+    """A positive diagonal P with P D P^-1 integer for every D given, or None.
+
+    (P D P^-1)[i, j] = P_i D_ij / P_j.  Write P_i = prod b^x_b(i) over a
+    coprime base of the entries' numerators and denominators: an integer
+    analogue of diagonal balancing (Parlett & Reinsch, Numer. Math. 13,
+    1969).  For each base element b that divides a denominator, every
+    nonzero D_ij asks for x(j) - x(i) <= v_b(D_ij), a system of difference
+    constraints that Bellman-Ford solves from x = 0.  A negative cycle, such
+    as a diagonal entry with b in its denominator, means no such P exists:
+    the product of D's entries around a cycle is the same in every diagonal
+    conjugate.  Integer matrices give P = I.  Each matrix is given as rows
+    of Fractions.
+    """
+    n = len(matrices[0])
+    entries = [(i, j, x) for rows in matrices for i, row in enumerate(rows)
+               for j, x in enumerate(row) if x]
+    dens = {x.denominator for _, _, x in entries if x.denominator > 1}
+    diag = [Fraction(1)] * n
+    if not dens:
+        return tuple(diag)
+    numbers = dens | {abs(x.numerator) for _, _, x in entries}
+    for b in _coprime_base(numbers):
+        if not any(den % b == 0 for den in dens):
+            continue
+        weight = {}
+        for i, j, x in entries:
+            w = _valuation(b, x.numerator) - _valuation(b, x.denominator)
+            weight[i, j] = min(w, weight.get((i, j), w))
+        x = [0] * n
+        for _ in range(n + 1):
+            changed = False
+            for (i, j), w in weight.items():
+                if x[i] + w < x[j]:
+                    x[j] = x[i] + w
+                    changed = True
+            if not changed:
+                break
+        else:
+            return None
+        diag = [p * Fraction(b) ** e for p, e in zip(diag, x)]
+    return tuple(diag)
+
+
+def int_pair(d0, d1, alpha, beta):
+    """Integer rows of a pair and of its corner vectors, balanced where possible.
+
+    The corner beta^T D_w alpha is the same for (P D0 P^-1, P D1 P^-1,
+    P alpha, P^-T beta) and any positive diagonal P, and for alpha and beta
+    scaled by s and 1/s.  With the P of `diagonal_balance`, when there is
+    one, both matrices become integer, and alpha is scaled to a primitive
+    integer vector.  If alpha beta^T is an integer matrix, as D0^q is in a
+    sentinel factorization, beta is then integer too: some integer
+    combination of the entries of alpha is 1.  Returns ((N0, den0),
+    (N1, den1), (a, b, den)) with D0 = N0 / den0, D1 = N1 / den1, and
+    alpha, beta integer rows a, b that are scaled by den together.  d0, d1
+    are rows of Fractions; alpha, beta are sequences of Fractions.
+    """
+    diag = diagonal_balance(d0, d1)
+    if diag is not None:
+        d0, d1 = ([[diag[i] * x / diag[j] for j, x in enumerate(row)]
+                   for i, row in enumerate(rows)] for rows in (d0, d1))
+        alpha = [p * x for p, x in zip(diag, alpha)]
+        (a,), den_a = int_rows([alpha])
+        s = Fraction(den_a, math.gcd(*a) or 1)
+        alpha = [x * s for x in alpha]
+        beta = [x / (p * s) for p, x in zip(diag, beta)]
+    (a,), den_a = int_rows([alpha])
+    (b,), den_b = int_rows([beta])
+    return int_rows(d0), int_rows(d1), (a, b, den_a * den_b)
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

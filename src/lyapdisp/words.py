@@ -11,14 +11,15 @@ the word tree, and every series value comes from it.  It expands the tree
 one level at a time with numpy: the rows beta^T * D_prefix of all live prefixes of one
 depth, grouped by their trailing run of zeros, give the corners of the
 next word length as one matrix-vector product.  Rows are scaled integers,
-held in float64 when a bound computed before the scan shows every entry
-stays below 2^53, and as Python ints otherwise, so corner values are exact
-either way.  Per-length sums are reduced with math.fsum in a fixed
-chunking, so results are reproducible bit for bit for any worker count.
-The calling process splits the tree at a fixed prefix depth and runs the
-subtrees below each batch of prefixes itself, or, for large scans, sends
-the batches to one fork pool per process, started by the first such scan
-and kept until exit.
+so corner values are exact.  They are held in float64 when a bound computed
+before the scan shows every entry stays below 2^53 and the matrices are
+integer, or a rational pair has an integral diagonal conjugate, which is
+scanned instead; otherwise they are Python ints.  Per-length sums are
+reduced with math.fsum in a fixed chunking, so results are reproducible bit
+for bit for any worker count.  The calling process splits the tree at a
+fixed prefix depth and runs the subtrees below each batch of prefixes
+itself, or, for large scans, sends the batches to one fork pool per
+process, started by the first such scan and kept until exit.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ class _ScanContext:
     corners are formed as row . (D_d w1) without the child row: each partial
     sum is at most |row| |D_d| |w1|, which is the child's state times |w1|,
     and the bound covers |D_d| |w1| itself.  The arrays are float64 when the
-    bound is below 2**53 and every scale is 1 (catalog families are
-    integer); otherwise they hold Python ints (`exact`).
+    bound is below 2**53 and every scale is 1: catalog families, and rational
+    families that `exactmat.int_pair` balances to an integer pair.  Otherwise
+    they hold Python ints (`exact`).
     """
 
     q: int
@@ -147,15 +149,17 @@ def _entry_bound(q: int, d0, d1, w1, beta, max_len: int) -> int:
 
 
 def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext:
-    """Scale the family to integers and pick float64 or Python ints."""
-    d0, den0 = exactmat.int_rows(fact.d0.rows)
-    d1, den1 = exactmat.int_rows(fact.d1.rows)
-    (alpha,), den_a = exactmat.int_rows([fact.alpha])
-    (beta,), den_b = exactmat.int_rows([fact.beta])
+    """Scale the family to integers and pick float64 or Python ints.
+
+    A rational pair with an integral diagonal conjugate is scanned as that
+    conjugate (`exactmat.int_pair`), which has the same corners.
+    """
+    (d0, den0), (d1, den1), (alpha, beta, den) = exactmat.int_pair(
+        fact.d0.rows, fact.d1.rows, fact.alpha, fact.beta)
     # row_times over the rows of D gives the column product D . w
     w1 = exactmat.row_times(alpha, d1)
     bound = _entry_bound(fact.q, d0, d1, w1, beta, max_len)
-    exact = bound >= _FLOAT_EXACT or den_a * den_b * den0 * den1 != 1
+    exact = bound >= _FLOAT_EXACT or den * den0 * den1 != 1
     dtype = object if exact else np.float64
     return _ScanContext(
         q=fact.q,
@@ -168,7 +172,7 @@ def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext
         d1w1=np.array(exactmat.row_times(w1, d1), dtype=dtype),
         beta=np.array(beta, dtype=dtype),
         empty_corner=exactmat.dot(beta, alpha),
-        den=den_a * den_b,
+        den=den,
         den0=den0,
         den1=den1,
         bound=bound,
@@ -409,8 +413,9 @@ def scan_corner_stats(
     of 8; the subtree below each batch is one chunk.  Each chunk reduces its
     per-length parts with math.fsum, and the chunk totals are fsummed once
     more, so the result is identical for any thread count.  Rows are
-    float64 when `_entry_bound` keeps every integer the scan forms below
-    2^53 and Python ints otherwise.  ts requests additional power sums
+    float64 when the pair is integer, or balances to an integer pair, and
+    `_entry_bound` keeps every integer the scan forms below 2^53; they are
+    Python ints otherwise.  ts requests additional power sums
     (corner^t per length).
 
     threads caps the worker processes (default and upper limit: the CPUs

@@ -11,6 +11,7 @@ to a number the package computes another way.
   at a time on integer-scaled matrices and divide by the scale once, so
   they are exact without carrying a `Fraction` per entry.  None of them
   uses the scan's internals.
+- `fraction_power_factor` factors D0^q formed by `Fraction` matrix powers.
 - `f_closed_form_t0` is F(s, 0) in closed form.
 - `family_to_dict` writes a family in the family-file schema.
 - `phi_parts` and `psi_parts` are the scalar (log2 f, Phi) and
@@ -20,6 +21,7 @@ to a number the package computes another way.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -65,6 +67,7 @@ def words_of_length(q: int, length: int) -> Iterator[str]:
     yield from extend([], 0, length)
 
 
+@functools.lru_cache(maxsize=8)
 def _int_steps(d0: RationalMatrix, d1: RationalMatrix) -> dict:
     """symbol -> (columns of the integer matrix N, den) with D = N / den."""
     steps = {}
@@ -136,6 +139,11 @@ def fold_products(
         prefix.pop()
 
     walk([], beta, 0, den)
+
+
+def fraction_power_factor(d0: RationalMatrix, q: int):
+    """(alpha, beta) with D0^q = alpha beta^T, the power taken on Fractions."""
+    return exactmat.rank_one_factor(exactmat.mat_pow(d0, q))
 
 
 def f_closed_form_t0(q: int, s: float) -> float:

@@ -304,6 +304,24 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "t must be finite" in err
 
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    @pytest.mark.parametrize("argv", [
+        ["lt", "--family", "g2", "--max-len", "8", "--t"],
+        ["exponents", "--family", "g2", "--max-len", "8", "--t"],
+        ["simulate", "--family", "g2", "--k", "4", "--trials", "20", "--t"],
+    ], ids=["lt", "exponents", "simulate"])
+    def test_signed_non_finite_t_is_one(self, capsys, argv, value):
+        # argparse would read "-inf" as an option and exit 2
+        code, out, err = run(capsys, *argv, value)
+        assert (code, out) == (1, "")
+        assert "t must be finite" in err
+
+    def test_signed_values_keep_their_meaning(self, capsys):
+        assert run(capsys, "lt", "--family", "g1", "--max-len", "12",
+                   "--t", "-1e0")[:2] == \
+            run(capsys, "lt", "--family", "g1", "--max-len", "12",
+                "--t=-1")[:2]
+
     def test_broken_family_file_is_one(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")

@@ -49,6 +49,21 @@ class TestSentinelFactorization:
         )
         assert rebuilt == power
 
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    def test_integer_power_gives_the_fraction_power_factors(self, name):
+        fam = catalog.get_family(name)
+        diag = [Fraction(2 * i + 3, i + 2) for i in range(fam.dim)]
+        pairs = [(fam.d0, fam.d1)]
+        pairs.append(tuple(
+            RationalMatrix([[m.rows[i][j] * diag[j] / diag[i]
+                             for j in range(fam.dim)] for i in range(fam.dim)])
+            for m in (fam.d0, fam.d1)))
+        for d0, d1 in pairs:
+            fact = sentinel_factorization(d0, d1, fam.q)
+            alpha, beta = oracles.fraction_power_factor(d0, fam.q)
+            assert (fact.alpha, fact.beta) == (alpha, beta)
+            assert all(type(x) is Fraction for x in fact.alpha + fact.beta)
+
 
 class TestCornerValue:
     def test_empty_word(self):

@@ -1,12 +1,16 @@
 """Exact matrix algebra: hand-checked values plus randomized round trips."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from lyapdisp import exactmat, gle
+import oracles
+from lyapdisp import catalog, exactmat, gle
+from lyapdisp.conjugate import sentinel_factorization
 from lyapdisp.exactmat import (
     DimensionMismatch,
     NonConvergence,
@@ -50,6 +54,91 @@ class TestExactRows:
         rows, den = exactmat.int_rows([[Fraction(1, 2), Fraction(-1, 3)], [2, 0]])
         assert (rows, den) == ([[3, -2], [12, 0]], 6)
         assert exactmat.int_rows([[1, 2]]) == ([[1, 2]], 1)
+
+
+def diagonal_conjugate(matrix: RationalMatrix, diag) -> RationalMatrix:
+    """Q^-1 D Q for Q = diag(diag)."""
+    n = matrix.dim
+    return RationalMatrix([[matrix.rows[i][j] * diag[j] / diag[i]
+                            for j in range(n)] for i in range(n)])
+
+
+def all_words(max_len: int):
+    for length in range(max_len + 1):
+        for bits in product("01", repeat=length):
+            yield "".join(bits)
+
+
+# two primes of about 60 bits: 2^61 - 1 and the largest prime below 2^59
+P61 = 2**61 - 1
+P59 = 2**59 - 55
+
+
+class TestDiagonalBalance:
+    def test_fractional_diagonal_entry_is_infeasible(self):
+        d0 = RationalMatrix([["1/2", 1], [1, 0]])
+        assert exactmat.diagonal_balance(d0.rows, D0_TRI.rows) is None
+
+    def test_cycle_with_a_denominator_is_infeasible(self):
+        # D[0,1] D[1,0] = 1/2 in every diagonal conjugate
+        d1 = RationalMatrix([[0, "1/2"], [1, 0]])
+        assert exactmat.diagonal_balance(D0_TRI.rows, d1.rows) is None
+
+    def test_integer_pair_comes_back_unchanged(self):
+        fam = catalog.get_family("h4")
+        assert exactmat.diagonal_balance(fam.d0.rows, fam.d1.rows) == \
+            (1,) * fam.dim
+        alpha, beta = (1,) + (0,) * 7, (1,) * 8
+        pair = exactmat.int_pair(fam.d0.rows, fam.d1.rows,
+                                 [Fraction(x) for x in alpha],
+                                 [Fraction(x) for x in beta])
+        assert pair == (exactmat.int_rows(fam.d0.rows),
+                        exactmat.int_rows(fam.d1.rows),
+                        (list(alpha), list(beta), 1))
+
+    def test_undoes_a_diagonal_conjugation(self):
+        diag = [Fraction(1), Fraction(1, 6), Fraction(4, 15)]
+        d0 = diagonal_conjugate(D0_QUAD, diag)
+        diag = exactmat.diagonal_balance(d0.rows)
+        assert diag is not None
+        balanced = diagonal_conjugate(d0, [1 / p for p in diag])
+        assert all(x.denominator == 1 for row in balanced.rows for x in row)
+
+    @pytest.mark.parametrize("name", ["g3", "h4", "g5"])
+    def test_corners_of_the_balanced_pair(self, name):
+        fam = catalog.get_family(name)
+        rng = random.Random(name)
+        diag = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                for _ in range(fam.dim)]
+        d0, d1 = (diagonal_conjugate(m, diag) for m in (fam.d0, fam.d1))
+        fact = sentinel_factorization(d0, d1, fam.q)
+        (n0, den0), (n1, den1), (a, b, den) = exactmat.int_pair(
+            d0.rows, d1.rows, fact.alpha, fact.beta)
+        assert (den0, den1, den) == (1, 1, 1)
+        int0, int1 = RationalMatrix(n0), RationalMatrix(n1)
+        for word in all_words(10):
+            assert oracles.corner(b, a, int0, int1, word) == \
+                oracles.corner(fact.beta, fact.alpha, d0, d1, word)
+
+    def test_two_large_primes_are_not_factored(self):
+        # Q = diag(1, P61 P59, 1): the balancer only takes gcds, so the
+        # 120-bit denominator never needs its factors
+        fam = catalog.get_family("g3")
+        diag = [Fraction(1), Fraction(P61 * P59), Fraction(1)]
+        d0, d1 = (diagonal_conjugate(m, diag) for m in (fam.d0, fam.d1))
+        start = time.perf_counter()
+        balanced = exactmat.diagonal_balance(d0.rows, d1.rows)
+        assert time.perf_counter() - start < 0.1
+        assert balanced is not None
+        for m in (d0, d1):
+            back = diagonal_conjugate(m, [1 / p for p in balanced])
+            assert all(x.denominator == 1 for row in back.rows for x in row)
+        # the same denominator on the diagonal cannot be balanced
+        d1 = RationalMatrix([[Fraction(1, P61 * P59), 1, 0], [1, 0, 1],
+                             [0, 1, 1]])
+        start = time.perf_counter()
+        assert exactmat.diagonal_balance(d0.rows, d1.rows) is None
+        assert time.perf_counter() - start < 0.1
 
 
 class TestMatMul:

@@ -35,14 +35,16 @@ def fact_for(name: str):
     return conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
 
 
-def conjugated_fact_for(name: str):
-    """The family under D -> Q^-1 D Q for a fixed positive rational diagonal Q.
+def conjugated_fact_for(name: str, diag=None):
+    """The family under D -> Q^-1 D Q for a positive rational diagonal Q.
 
-    Corner values are unchanged, but the scaled integer rows grow far past
-    2^53 by depth 18, so scans of it take the exact path.
+    Corner values are unchanged.  The default Q = diag((2i + 3) / (i + 2))
+    puts every prime up to dim + 1 in a denominator.  Scans balance the pair
+    back to an integer one and take the float64 path.
     """
     fam = catalog.get_family(name)
-    diag = [Fraction(2 * i + 3, i + 2) for i in range(fam.dim)]
+    if diag is None:
+        diag = [Fraction(2 * i + 3, i + 2) for i in range(fam.dim)]
 
     def conj(matrix):
         return RationalMatrix([
@@ -52,6 +54,35 @@ def conjugated_fact_for(name: str):
 
     return conjugate.sentinel_factorization(
         conj(fam.d0), conj(fam.d1), fam.q, f"{name}-conj"
+    )
+
+
+def random_diagonal(dim: int, rng: random.Random) -> list[Fraction]:
+    """Entries a/b with a, b uniform on 1..9, as perfbench's crosscheck
+    workload draws them for its conjugated family files."""
+    return [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(dim)]
+
+
+def unbalanceable_fact_for(name: str):
+    """The family under D -> Q^-1 D Q for Q = I + E01 / 3.
+
+    The conjugate has a diagonal entry with 3 in its denominator, so no
+    diagonal conjugate of it is integer, and scans of it take the exact
+    path.  Needs dim >= 2.
+    """
+    fam = catalog.get_family(name)
+    shear = [[Fraction(int(i == j)) for j in range(fam.dim)]
+             for i in range(fam.dim)]
+    shear[0][1] = Fraction(1, 3)
+    q = RationalMatrix(shear)
+    shear[0][1] = Fraction(-1, 3)
+    q_inv = RationalMatrix(shear)
+
+    def conj(matrix):
+        return exactmat.mat_mul(exactmat.mat_mul(q_inv, matrix), q)
+
+    return conjugate.sentinel_factorization(
+        conj(fam.d0), conj(fam.d1), fam.q, f"{name}-shear"
     )
 
 
@@ -297,7 +328,7 @@ class TestScanCornerStats:
         # chunks grow past ROW_CAP rows and are split
         (fact_for("g5"), 24),
         # the exact path, on Python ints
-        (conjugated_fact_for("g3"), 25),
+        (unbalanceable_fact_for("g3"), 25),
     ], ids=["g3", "g5-row-cap", "g3-conj-exact"])
     def test_thread_count_does_not_change_bits(self, fact, max_len, two_cpus):
         one = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=1)
@@ -367,7 +398,7 @@ class TestScanPool:
             (fact_for("h4"), 25, (1.0,)),
             (fact_for("h4"), 25, (2.0, -0.5)),
             (fact_for("h4"), 26, (2.0, -0.5)),
-            (conjugated_fact_for("g3"), 25, (1.0,)),
+            (unbalanceable_fact_for("g3"), 25, (1.0,)),
             (fact_for("g5"), 21, ()),
         ]
         serial = [words.scan_corner_stats(f, n, ts=ts, threads=1)
@@ -480,7 +511,11 @@ class TestScanPool:
 
 class TestScanPath:
     def test_conjugated_family_takes_exact_path(self):
-        assert words._scan_context(conjugated_fact_for("g3"), 19, ()).exact
+        # a conjugate with no integral diagonal conjugate stays on Python ints
+        fact = unbalanceable_fact_for("g3")
+        assert exactmat.diagonal_balance(fact.d0.rows, fact.d1.rows) is None
+        assert words._scan_context(fact, 19, ()).exact
+        assert not words._scan_context(conjugated_fact_for("g3"), 19, ()).exact
         assert not words._scan_context(fact_for("g3"), 19, ()).exact
 
     def test_deep_integer_family_takes_exact_path(self):
@@ -522,10 +557,29 @@ class TestScanPath:
         assert largest <= ctx.bound < 2**53
         assert not ctx.exact
 
-    @pytest.mark.parametrize("name", ["g3", "h4", "g5"])
+    @pytest.mark.parametrize("name", catalog.family_names())
     def test_conjugated_sums_match_parent(self, name):
+        # a diagonal conjugate balances back to an integer pair with the
+        # same corners, so its scan is the parent's bit for bit
         ts = (2.0, -0.5)
-        conj = words.scan_corner_stats(conjugated_fact_for(name), 19, ts=ts)
+        base = words.scan_corner_stats(fact_for(name), 19, ts=ts, threads=1)
+        rng = random.Random(name)
+        dim = catalog.get_family(name).dim
+        facts = [conjugated_fact_for(name)]
+        facts += [conjugated_fact_for(name, random_diagonal(dim, rng))
+                  for _ in range(3)]
+        for fact in facts:
+            assert not words._scan_context(fact, 19, ts).exact
+            for threads in (1, 2):
+                assert words.scan_corner_stats(
+                    fact, 19, ts=ts, threads=threads) == base
+
+    @pytest.mark.parametrize("name", ["g3", "h4", "g5"])
+    def test_unbalanceable_sums_match_parent(self, name):
+        ts = (2.0, -0.5)
+        fact = unbalanceable_fact_for(name)
+        assert words._scan_context(fact, 19, ts).exact
+        conj = words.scan_corner_stats(fact, 19, ts=ts)
         base = words.scan_corner_stats(fact_for(name), 19, ts=ts)
         assert_matches(
             conj, list(base.counts), list(base.zero_words), base.sum_ln,
