@@ -32,6 +32,19 @@ untimed run per side.  Per side the file records every wall time, their
 median and pytest's summary line; a run with failing tests is an error.
 
     python3 scripts/bench_layers.py parent=../parent/src change=src --tier1
+
+With --scan it times `words.scan_corner_stats` itself, in one long-lived
+process per side: every family at the benchmark depth (28, or 25 for
+q = 3), without t samples and with the benchmark's 10-point L(t) grid, at
+threads 1 and 2.  Each case runs once untimed per side, then REPEAT times
+per side with the sides alternating which runs first.  Per case the file
+records each side's wall times and median words/s, whether both sides
+counted the same words, whether each side's scans were identical at 1
+and 2 threads, and the largest relative difference of sum_ln, sum_ln2 and
+pow_sums between the first side and each other side; the script exits 1
+after writing the file if counts or one side's runs differ.
+
+    python3 scripts/bench_layers.py parent=../parent/src change=src --scan
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import random
@@ -71,6 +85,25 @@ REPEAT = 5
 # PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 TIER1_REPEAT = 3
+# --scan: the benchmark's verify depth per q and its lt-curve t grid
+SCAN_MAX_LEN = {1: 28, 2: 28, 3: 25}
+SCAN_GRID = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+SCAN_THREADS = (1, 2)
+# A side's scan process: reads one JSON case per line, answers one line of
+# the wall time and the ScanStats fields.
+SCAN_WORKER = """
+import json, sys, time
+from lyapdisp import catalog, conjugate, words
+for line in sys.stdin:
+    name, max_len, ts, threads = json.loads(line)
+    fam = catalog.get_family(name)
+    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, name)
+    start = time.perf_counter()
+    stats = words.scan_corner_stats(fact, max_len, ts=ts, threads=threads)
+    wall = time.perf_counter() - start
+    print(json.dumps([wall, stats.counts, stats.sum_ln, stats.sum_ln2,
+                      stats.pow_sums]), flush=True)
+"""
 
 
 def cpu_model() -> str:
@@ -212,6 +245,97 @@ def bench_tier1(sides: dict[str, str]) -> dict:
     return result
 
 
+def scan_cases(src: str) -> list[tuple[str, int, tuple]]:
+    """(family, max_len, ts) for every case of --scan, from src's catalog."""
+    sys.path.insert(0, os.path.abspath(src))
+    from lyapdisp import catalog
+
+    return [(name, SCAN_MAX_LEN[catalog.get_family(name).q], ts)
+            for name in catalog.family_names()
+            for ts in ((), SCAN_GRID)]
+
+
+def max_rel_diff(got, want) -> float:
+    """Largest |got - want| / |want| over paired floats; inf where want is 0
+    and got is not."""
+    worst = 0.0
+    for a, b in zip(got, want):
+        if a != b:
+            worst = max(worst, abs(a - b) / abs(b) if b else math.inf)
+    return worst
+
+
+def bench_scan(sides: dict[str, str]) -> dict:
+    workers = {
+        label: subprocess.Popen(
+            [sys.executable, "-c", SCAN_WORKER], text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        for label, src in sides.items()
+    }
+
+    def scan(label, case):
+        """(wall s, [counts, sum_ln, sum_ln2, pow_sums]) of one scan."""
+        workers[label].stdin.write(json.dumps(case) + "\n")
+        workers[label].stdin.flush()
+        wall, *stats = json.loads(workers[label].stdout.readline())
+        return wall, stats
+
+    order = list(sides)
+    first = order[0]
+    cases = {}
+    try:
+        for name, max_len, ts in scan_cases(sides[first]):
+            # every result of one side at any thread count
+            results = {label: [] for label in order}
+            for threads in SCAN_THREADS:
+                case = (name, max_len, ts, threads)
+                runs = {label: [] for label in order}
+                for label in order:
+                    results[label].append(scan(label, case)[1])
+                for rep in range(REPEAT):
+                    for label in order if rep % 2 == 0 else order[::-1]:
+                        runs[label].append(scan(label, case))
+                words = sum(results[first][0][0])
+                cases[f"{name} L={max_len} ts={len(ts)} threads={threads}"] = {
+                    label: {
+                        "wall_s": [round(wall, 4) for wall, _ in samples],
+                        "median_words_per_s": round(words / statistics.median(
+                            wall for wall, _ in samples)),
+                    }
+                    for label, samples in runs.items()
+                }
+                for label, samples in runs.items():
+                    results[label] += [stats for _, stats in samples]
+            counts, sum_ln, sum_ln2, pow_sums = results[first][0]
+            cases[f"{name} L={max_len} ts={len(ts)}"] = {
+                "words": sum(counts),
+                "counts_agree": all(results[label][0][0] == counts
+                                    for label in order),
+                # every scan of the side, at threads 1 and 2, gave one result
+                "identical_across_runs": {
+                    label: all(stats == results[label][0]
+                               for stats in results[label])
+                    for label in order
+                },
+                "max_rel_diff": {
+                    label: {
+                        "sum_ln": max_rel_diff(results[label][0][1], sum_ln),
+                        "sum_ln2": max_rel_diff(results[label][0][2], sum_ln2),
+                        "pow_sums": max_rel_diff(
+                            [x for row in results[label][0][3] for x in row],
+                            [x for row in pow_sums for x in row]),
+                    }
+                    for label in order[1:]
+                },
+            }
+    finally:
+        for proc in workers.values():
+            proc.stdin.close()
+            proc.wait()
+    return cases
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="+", metavar="LABEL=SRC",
@@ -221,8 +345,11 @@ def main(argv: list[str] | None = None) -> int:
                       help="time the tier-1 tests instead of CLI commands")
     mode.add_argument("--conjugated", action="store_true",
                       help="time exponents on conjugated family files")
+    mode.add_argument("--scan", action="store_true",
+                      help="time word scans at the benchmark depth")
     parser.add_argument("--out", help="default BENCH_digitsum.json, "
-                        "BENCH_tier1.json or BENCH_conjugated.json")
+                        "BENCH_tier1.json, BENCH_conjugated.json or "
+                        "BENCH_scan.json")
     args = parser.parse_args(argv)
     sides = dict(side.split("=", 1) for side in args.sides)
     report = {
@@ -238,6 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.tier1:
         report["command"] = "PYTHONPATH=src python " + " ".join(TIER1)
         report["sides"] = bench_tier1(sides)
+    elif args.scan:
+        report["cases"] = bench_scan(sides)
     elif args.conjugated:
         report["conjugated_seed"] = CONJUGATED_SEED
         with tempfile.TemporaryDirectory() as fam:
@@ -245,14 +374,33 @@ def main(argv: list[str] | None = None) -> int:
             report["sides"] = bench(sides, CONJUGATED_COMMANDS, fam)
     else:
         report["sides"] = bench(sides)
-    if not args.tier1:
+    if not (args.tier1 or args.scan):
         report["identical_outputs"] = identical_outputs(report["sides"])
     out = args.out or ("BENCH_tier1.json" if args.tier1 else
                        "BENCH_conjugated.json" if args.conjugated else
+                       "BENCH_scan.json" if args.scan else
                        "BENCH_digitsum.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    if args.scan:
+        for key, row in report["cases"].items():
+            if "threads" in key:
+                print(f"{key:<32} " + "  ".join(
+                    f"{label} {side['median_words_per_s'] / 1e6:7.2f} Mwords/s"
+                    for label, side in row.items()))
+            else:
+                print(f"{key:<32} counts agree {row['counts_agree']}, "
+                      f"max rel diff {row['max_rel_diff']}")
+        broken = [key for key, row in report["cases"].items()
+                  if "threads" not in key and not (
+                      row["counts_agree"]
+                      and all(row["identical_across_runs"].values()))]
+        if broken:
+            print(f"counts differ or a side's runs differ: {broken}",
+                  file=sys.stderr)
+            return 1
+        return 0
     if args.tier1:
         for label, row in report["sides"].items():
             print(f"{label:>8}  tier-1 {row['median_wall_s']:8.2f} s  "

@@ -679,13 +679,21 @@ class DigitCompare:
 
 
 def _standardized_moments(values: np.ndarray, j: int) -> tuple[float, float, float]:
-    center = j / 2.0
-    scale = math.sqrt(j) / 2.0
-    z = (values - center) / scale
-    mean = float(z.mean())
-    var = float(z.var())
-    sd = math.sqrt(var)
-    skew = float(((z - mean) ** 3).mean() / sd**3) if sd > 0 else 0.0
+    """Mean, variance and skewness of (values - j/2) / (sqrt(j)/2).
+
+    The values are small non-negative ints, so their power sums are exact
+    integers from one bincount, and each moment takes only the few roundings
+    of its last divisions and square root.
+    """
+    counts = np.bincount(values).tolist()
+    n = len(values)
+    s1, s2, s3 = (sum(c * v**p for v, c in enumerate(counts)) for p in (1, 2, 3))
+    # n^2 and n^3 times the second and third central moments
+    m2 = n * s2 - s1 * s1
+    m3 = n * n * s3 - 3 * n * s1 * s2 + 2 * s1**3
+    mean = (2 * s1 - j * n) / n / math.sqrt(j)
+    var = 4 * m2 / (j * n * n)
+    skew = m3 / m2 / math.sqrt(m2) if m2 > 0 else 0.0
     return mean, var, skew
 
 

@@ -8,18 +8,23 @@ The word set indexing every series in this package is
 Each word w is weighted by the exact corner value beta^T * D_w * alpha of
 the sentinel factorization.  `scan_corner_stats` is the one traversal of
 the word tree, and every series value comes from it.  It expands the tree
-one level at a time with numpy: the rows beta^T * D_prefix of all live prefixes of one
-depth, grouped by their trailing run of zeros, give the corners of the
-next word length as one matrix-vector product.  Rows are scaled integers,
-so corner values are exact.  They are held in float64 when a bound computed
-before the scan shows every entry stays below 2^53 and the matrices are
-integer, or a rational pair has an integral diagonal conjugate, which is
-scanned instead; otherwise they are Python ints.  Per-length sums are
-reduced with math.fsum in a fixed chunking, so results are reproducible bit
-for bit for any worker count.  The calling process splits the tree at a
-fixed prefix depth and runs the subtrees below each batch of prefixes
-itself, or, for large scans, sends the batches to one fork pool per
-process, started by the first such scan and kept until exit.
+one level at a time with numpy: the rows beta^T * D_prefix of all live
+prefixes of one depth, grouped by their trailing run of zeros, give the
+corners of the next word length as one matrix-vector product.  Within
+LEAF levels of the last length no more rows are formed: the corner of
+prefix+u+'1' is row . (D_u w1), so one product of the rows with a table of
+the vectors D_u w1 of all short suffixes u gives every word below them.
+Rows and tables are scaled integers, so corner values are exact.  They are
+held in float64 when a bound computed before the scan shows every entry
+stays below 2^53 and the matrices are integer, or a rational pair has an
+integral diagonal conjugate, which is scanned instead; otherwise they are
+Python ints, and each corner is rounded once to the float64 it stands for.
+Per-length sums are reduced with math.fsum in a fixed chunking, so results
+are reproducible bit for bit for any worker count.  The calling process
+splits the tree at a fixed prefix depth and runs the subtrees below each
+batch of prefixes itself, or, for large scans, sends the batches to one
+fork pool per process, started by the first such scan and kept until
+exit.
 """
 
 from __future__ import annotations
@@ -92,6 +97,14 @@ class ScanStats:
 # A level whose children outnumber this many rows is halved and each half is
 # finished depth-first, which keeps a scan worker's frontier to a few MB.
 ROW_CAP = 2048
+# A frontier within this many levels of max_len forms no more rows: every
+# word below it is read off a suffix table (see `_leaf`).  Serial g4, h4
+# (L=28), g5 and g6 (L=25) scans took 318-385, 206-257, 227-251 and
+# 221-244 ms in all with 2, 4, 6 and 8 leaf levels, and 471-731, 376-401,
+# 289-313 and 252-312 ms for g4, h4, g5 with 10 t samples (best of 5,
+# 2-3 rounds, 2-core Xeon).  Six is as fast as eight and keeps a leaf's
+# largest group of words 2.6-4x smaller.
+LEAF = 6
 # float64 represents every integer below 2**53 exactly
 _FLOAT_EXACT = 2**53
 
@@ -102,13 +115,15 @@ class _ScanContext:
 
     For a word with n0 zeros and n1 ones, the integer corner is the corner
     value times den * den0**n0 * den1**n1.  `bound` caps |entry| of every
-    row beta^T D_prefix and every corner the scan forms.  The last level's
-    corners are formed as row . (D_d w1) without the child row: each partial
-    sum is at most |row| |D_d| |w1|, which is the child's state times |w1|,
-    and the bound covers |D_d| |w1| itself.  The arrays are float64 when the
-    bound is below 2**53 and every scale is 1: catalog families, and rational
-    families that `exactmat.int_pair` balances to an integer pair.  Otherwise
-    they hold Python ints (`exact`).
+    row beta^T D_prefix, suffix-table entry and corner the scan forms.  The
+    arrays are float64 when the bound is below 2**53 and every scale is 1:
+    catalog families, and rational families that `exactmat.int_pair`
+    balances to an integer pair.  Otherwise they hold Python ints (`exact`).
+
+    suffixes[r][k] = (table, ones) serves the prefixes that end in exactly
+    r zeros, for k < min(LEAF, max_len): the rows of `table` are D_u w1 for
+    every suffix u of length k that may follow them (0^r u 1 has no factor
+    0^q), and ones counts the 1s of u + '1'.
     """
 
     q: int
@@ -117,8 +132,7 @@ class _ScanContext:
     d0: np.ndarray
     d1: np.ndarray
     w1: np.ndarray          # D1 * alpha: the corner of prefix+'1' is row . w1
-    d0w1: np.ndarray        # D0 * w1: the corner of prefix+'01' is row . d0w1
-    d1w1: np.ndarray        # D1 * w1: the corner of prefix+'11' is row . d1w1
+    suffixes: tuple         # per run, per suffix length: (D_u w1 rows, ones)
     beta: np.ndarray
     empty_corner: int       # beta^T alpha, the corner of the empty word
     den: int                # scale of beta and alpha together
@@ -128,18 +142,34 @@ class _ScanContext:
     exact: bool
 
 
+def _suffix_levels(q: int, d0, d1, w1, levels: int) -> list:
+    """(D_u w1, ones of u + '1', leading zeros of u) for the chi suffixes u.
+
+    Level k lists every u of length k for which u + '1' has no factor 0^q,
+    in exact ints.  Prepending a symbol to u multiplies D_u w1 by its matrix.
+    """
+    out = [[(tuple(w1), 1, 0)]]
+    while len(out) < levels:
+        out.append(
+            [(exactmat.row_times(v, d1), ones + 1, 0) for v, ones, _ in out[-1]]
+            + [(exactmat.row_times(v, d0), ones, lead + 1)
+               for v, ones, lead in out[-1] if lead + 1 < q])
+    return out[:levels]
+
+
 def _entry_bound(q: int, d0, d1, w1, beta, max_len: int) -> int:
     """Bound on |entry| of every row and corner a scan to max_len forms.
 
     state[r] is the elementwise max of |beta^T D_prefix| over the prefixes of
     one depth that end in exactly r zeros; |x D| <= |x| |D| bounds their
     children.  Every partial sum of a dot product is at most its sum of
-    absolute terms, so the bound covers the intermediate sums as well.  It
-    also covers |D_d| |w1|, the vectors the last level multiplies by.
+    absolute terms, so the bound covers the intermediate sums as well.  A
+    leaf corner row . (D_u w1) has partial sums of at most
+    |row| |D_u| |w1|, the state of prefix+u times |w1|, which is covered
+    for every prefix+u shorter than max_len.
     """
     a0, a1, aw, row = (abs(np.array(x, dtype=object)) for x in (d0, d1, w1, beta))
-    bound = max(a0.max(), a1.max(), aw.max(), row.max(),
-                (a0 @ aw).max(), (a1 @ aw).max())
+    bound = max(a0.max(), a1.max(), aw.max(), row.max())
     state = [row] + [0 * row] * (q - 1)
     for _ in range(max_len):
         bound = max(bound, *(max(s.max(), s @ aw) for s in state))
@@ -158,9 +188,20 @@ def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext
         fact.d0.rows, fact.d1.rows, fact.alpha, fact.beta)
     # row_times over the rows of D gives the column product D . w
     w1 = exactmat.row_times(alpha, d1)
-    bound = _entry_bound(fact.q, d0, d1, w1, beta, max_len)
+    levels = _suffix_levels(fact.q, d0, d1, w1, min(LEAF, max_len))
+    bound = max([_entry_bound(fact.q, d0, d1, w1, beta, max_len)]
+                + [abs(x) for level in levels for v, _, _ in level for x in v])
     exact = bound >= _FLOAT_EXACT or den * den0 * den1 != 1
     dtype = object if exact else np.float64
+    # the u that may follow r zeros: r + leading zeros of u stays below q
+    suffixes = tuple(
+        tuple((np.array([v for v, _, lead in level if r + lead < fact.q],
+                        dtype=dtype).reshape(-1, len(w1)),
+               np.array([n for _, n, lead in level if r + lead < fact.q],
+                        dtype=np.int64))
+              for level in levels)
+        for r in range(fact.q)
+    )
     return _ScanContext(
         q=fact.q,
         max_len=max_len,
@@ -168,8 +209,7 @@ def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext
         d0=np.array(d0, dtype=dtype),
         d1=np.array(d1, dtype=dtype),
         w1=np.array(w1, dtype=dtype),
-        d0w1=np.array(exactmat.row_times(w1, d0), dtype=dtype),
-        d1w1=np.array(exactmat.row_times(w1, d1), dtype=dtype),
+        suffixes=suffixes,
         beta=np.array(beta, dtype=dtype),
         empty_corner=exactmat.dot(beta, alpha),
         den=den,
@@ -191,8 +231,8 @@ def _fsum(parts) -> float:
 class _Tally:
     """Per-length word counts and the float parts still to be fsummed.
 
-    A part is [sum ln, sum ln^2, sum phi^t for each t] over one level of
-    one frontier block, or a whole chunk's per-length totals.
+    A part is [sum ln, sum ln^2, sum phi^t for each t] over one emitted
+    group of words, or a whole chunk's per-length totals.
     """
 
     def __init__(self, max_len: int, width: int):
@@ -225,18 +265,17 @@ def _sums(ctx: _ScanContext, lc: np.ndarray) -> list[float]:
     sums = [lc.sum(), (lc * lc).sum()]
     if ctx.ts:
         # phi^t overflows to inf past e^709.78; callers check for it
+        powers = np.multiply.outer(ctx.ts, lc)
         with np.errstate(over="ignore"):
-            sums.extend(np.exp(np.multiply.outer(ctx.ts, lc)).sum(axis=1))
+            sums.extend(np.exp(powers, out=powers).sum(axis=1))
     return [float(s) for s in sums]
 
 
-def _emit(ctx: _ScanContext, rows, ones, length: int, tally: _Tally) -> None:
-    """Tally the words prefix+'1' of `length` for the prefixes in `rows`.
+def _emit(ctx: _ScanContext, corners, ones, length: int, tally: _Tally) -> None:
+    """Tally words of `length` by their integer corners.
 
-    ones[i] counts the 1s of prefix i, which fixes the scale of its word.
-    One-dimensional `rows` are the corners themselves.
+    ones[i] counts the 1s of word i, which fixes the scale of its corner.
     """
-    corners = rows if rows.ndim == 1 else rows @ ctx.w1
     words = len(corners)
     nonzero = corners != 0
     live = int(np.count_nonzero(nonzero))
@@ -245,16 +284,32 @@ def _emit(ctx: _ScanContext, rows, ones, length: int, tally: _Tally) -> None:
         ones = ones[nonzero]
     if ctx.exact:
         # corner / scale is one correctly rounded int division, so ln phi
-        # carries no cancellation from the logs of large scales
+        # carries no cancellation from the logs of large scales, and it is
+        # the float the float64 path holds whenever that path could
         scale = [ctx.den * ctx.den0 ** (length - k) * ctx.den1 ** k
                  for k in range(length + 1)]
-        lc = np.fromiter(
-            (math.log(c / scale[k]) for c, k in zip(corners, (ones + 1).tolist())),
+        corners = np.fromiter(
+            (c / scale[k] for c, k in zip(corners, ones.tolist())),
             dtype=np.float64, count=live,
         )
-    else:
-        lc = np.log(corners)
+    lc = np.log(corners)
     tally.add(length, words, words - live, _sums(ctx, lc) if live else None)
+
+
+def _leaf(ctx: _ScanContext, blocks, depth: int, tally: _Tally) -> None:
+    """Tally every word below the prefixes in `blocks` from the suffix tables.
+
+    The corner of prefix+u+'1' is row . (D_u w1), so one product of each
+    run's rows with its table of one suffix length gives the corners of
+    all words of that length below them; they go to `_emit` together.
+    """
+    for k in range(ctx.max_len - depth):
+        pairs = [(tables[k], block) for tables, block in zip(ctx.suffixes, blocks)]
+        corners = np.concatenate([(table @ rows.T).ravel()
+                                  for (table, _), (rows, _) in pairs])
+        ones = np.concatenate([np.add.outer(u_ones, prefix_ones).ravel()
+                               for (_, u_ones), (_, prefix_ones) in pairs])
+        _emit(ctx, corners, ones, depth + k + 1, tally)
 
 
 def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
@@ -265,11 +320,10 @@ def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
     end in exactly r zeros: their rows beta^T D_prefix and counts of 1s.
     One level emits the words prefix+'1' and forms the children: every row
     times D1 starts run 0, run r times D0 becomes run r+1 for r < q-1.
-    Children of the last level are only ever multiplied by w1, so they are
-    formed as their corners, row . (D_d w1).  Children above ROW_CAP rows
-    are split in halves, each finished depth-first.  With `stop`, the
-    frontier states reaching that depth are returned unexpanded; otherwise
-    the walk ends at max_len.
+    Children above ROW_CAP rows are split in halves, each finished
+    depth-first.  A frontier within LEAF levels of max_len forms no
+    children: `_leaf` tallies all words below it at once.  With `stop`,
+    the frontier states reaching that depth are returned unexpanded.
     """
     kept = []
     stack = [(depth, blocks)]
@@ -278,17 +332,14 @@ def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
         if depth == stop:
             kept.append(blocks)
             continue
+        if ctx.max_len - depth <= LEAF:
+            _leaf(ctx, blocks, depth, tally)
+            continue
         rows = np.concatenate([b[0] for b in blocks])
         ones = np.concatenate([b[1] for b in blocks])
-        _emit(ctx, rows, ones, depth + 1, tally)
-        if depth + 1 == ctx.max_len:
-            continue
-        if depth + 2 == ctx.max_len:
-            d0, d1 = ctx.d0w1, ctx.d1w1
-        else:
-            d0, d1 = ctx.d0, ctx.d1
-        children = [(rows @ d1, ones + 1)]
-        children += [(r @ d0, o) for r, o in blocks[:-1]]
+        _emit(ctx, rows @ ctx.w1, ones + 1, depth + 1, tally)
+        children = [(rows @ ctx.d1, ones + 1)]
+        children += [(r @ ctx.d0, o) for r, o in blocks[:-1]]
         if sum(len(o) for _, o in children) > ROW_CAP:
             cuts = [len(o) // 2 for _, o in children]
             pairs = list(zip(children, cuts))
@@ -308,11 +359,8 @@ def _split(ctx: _ScanContext, prefix_len: int):
     in `_walk`; a scan to max_len 0 has none.
     """
     tally = _Tally(ctx.max_len, 2 + len(ctx.ts))
-    if ctx.empty_corner:
-        lc = np.array([math.log(ctx.empty_corner / ctx.den)])
-        tally.add(0, 1, 0, _sums(ctx, lc))
-    else:
-        tally.add(0, 1, 1, None)
+    empty = np.array([ctx.empty_corner], dtype=ctx.w1.dtype)
+    _emit(ctx, empty, np.zeros(1, dtype=np.int64), 0, tally)
     if ctx.max_len == 0:
         return tally.totals(), []
     beta = ctx.beta[np.newaxis, :]
@@ -342,8 +390,12 @@ def _chunk(job):
 
 
 # A scan of fewer words runs in-process.  On 2 cores a warm two-worker pool
-# breaks even with a serial float64 scan at about 2e5 words: pooled/serial
-# time on g3, g4, h4 was 0.95-1.07 at 1.96e5 words and 0.84-0.99 at 3.2e5.
+# breaks even with a serial float64 scan between about 2e5 and 5e5 words:
+# pooled/serial time on g3, g4, h4, with and without 10 t samples, was
+# 0.73-1.94 at 1.96e5 words, 0.73-1.16 at 3.2e5, 0.80-1.12 at 5.1e5 and
+# 0.60-0.80 at 1.35e6.  At the benchmark depth (BENCH_scan.json) it was
+# 0.48-0.67 with t samples and 0.71-0.90 without, except 1.20 for g3
+# without them, a 1.35e6-word scan of 26 ms.
 POOL_MIN_WORDS = 250_000
 
 

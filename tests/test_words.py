@@ -323,14 +323,31 @@ class TestScanCornerStats:
         for a, b in zip(stats.sum_ln, sum_ln):
             assert a == pytest.approx(b, abs=1e-12)
 
-    @pytest.mark.parametrize("fact,max_len", [
-        (fact_for("g3"), 25),
-        # chunks grow past ROW_CAP rows and are split
-        (fact_for("g5"), 24),
+    @pytest.mark.parametrize("name", ["g2", "g3", "g5"])
+    @pytest.mark.parametrize("max_len", [0, 1, 5, 6, 7, 13])
+    def test_leaf_matches_fold_aggregates(self, name, max_len):
+        # q = 1, 2, 3 around the depth LEAF where the walk forms no rows
+        # and reads every word off the suffix tables, on both paths
+        ts = (2.0, -0.5)
+        fact = fact_for(name)
+        stats = words.scan_corner_stats(fact, max_len, ts=ts, threads=1)
+        assert_matches(stats, *reference_stats(fact, max_len, ts))
+        exact = unbalanceable_fact_for(name)
+        assert words._scan_context(exact, max_len, ts).exact
+        exact_stats = words.scan_corner_stats(exact, max_len, ts=ts, threads=1)
+        assert_matches(exact_stats, *reference_stats(exact, max_len, ts))
+        assert exact_stats == stats
+
+    @pytest.mark.parametrize("fact,max_len,splits", [
+        (fact_for("g3"), 25, False),
+        # chunks grow past ROW_CAP rows above the leaf and are split
+        (fact_for("g5"), 24, True),
         # the exact path, on Python ints
-        (unbalanceable_fact_for("g3"), 25),
+        (unbalanceable_fact_for("g3"), 25, False),
     ], ids=["g3", "g5-row-cap", "g3-conj-exact"])
-    def test_thread_count_does_not_change_bits(self, fact, max_len, two_cpus):
+    def test_thread_count_does_not_change_bits(self, fact, max_len, splits,
+                                               two_cpus):
+        assert (row_cap_splits(fact, max_len) > 0) == splits
         one = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=1)
         words._POOL.drop()
         two = words.scan_corner_stats(fact, max_len, ts=(1.0,), threads=2)
@@ -342,6 +359,19 @@ class TestScanCornerStats:
         stats = words.scan_corner_stats(fact, 0, threads=1)
         assert stats.counts == (1,)
         assert stats.sum_ln == (0.0,)
+
+
+def row_cap_splits(fact, max_len):
+    """Chunks of a scan whose frontier is split at ROW_CAP above the leaf."""
+    ctx = words._scan_context(fact, max_len, ())
+    prefix_len = words._pick_prefix_len(ctx.q, max_len)
+    _, jobs = words._split(ctx, prefix_len)
+    tally = words._Tally(max_len, 2)
+    return sum(
+        len(words._walk(ctx, blocks, prefix_len, tally,
+                        stop=max_len - words.LEAF)) > 1
+        for _, _, blocks in jobs
+    )
 
 
 @pytest.fixture
@@ -554,6 +584,25 @@ class TestScanPath:
                 if run + 1 < fact.q:
                     stack.append((times(row, d0), run + 1, depth + 1))
         ctx = words._scan_context(fact, max_len, ())
+        # every suffix-table entry: D_u w1 for each u with |u| < LEAF that
+        # may follow r zeros, i.e. 0^r u 1 has no factor 0^q
+        cols = {"0": [[int(x) for x in row] for row in ctx.d0],
+                "1": [[int(x) for x in row] for row in ctx.d1]}
+        for r, tables in enumerate(ctx.suffixes):
+            assert len(tables) == words.LEAF
+            for k, (table, ones) in enumerate(tables):
+                want = []
+                for u in map("".join, product("01", repeat=k)):
+                    if "0" * fact.q in "0" * r + u + "1":
+                        continue
+                    vec = [int(x) for x in ctx.w1]
+                    for symbol in reversed(u):
+                        vec = list(exactmat.row_times(vec, cols[symbol]))
+                    want.append((vec, u.count("1") + 1))
+                got = [([int(x) for x in row], int(n))
+                       for row, n in zip(table, ones)]
+                assert sorted(got) == sorted(want)
+                largest = max(largest, *(abs(x) for vec, _ in want for x in vec))
         assert largest <= ctx.bound < 2**53
         assert not ctx.exact
 
@@ -576,12 +625,12 @@ class TestScanPath:
 
     @pytest.mark.parametrize("name", ["g3", "h4", "g5"])
     def test_unbalanceable_sums_match_parent(self, name):
+        # the exact path rounds each corner / scale to the float the float64
+        # path holds and takes the same log of it, so the sums agree bit for bit
         ts = (2.0, -0.5)
         fact = unbalanceable_fact_for(name)
         assert words._scan_context(fact, 19, ts).exact
-        conj = words.scan_corner_stats(fact, 19, ts=ts)
-        base = words.scan_corner_stats(fact_for(name), 19, ts=ts)
-        assert_matches(
-            conj, list(base.counts), list(base.zero_words), base.sum_ln,
-            base.sum_ln2, base.pow_sums,
-        )
+        base = words.scan_corner_stats(fact_for(name), 19, ts=ts, threads=1)
+        for threads in (1, 2):
+            assert words.scan_corner_stats(
+                fact, 19, ts=ts, threads=threads) == base
