@@ -30,7 +30,6 @@ from .exactmat import RationalMatrix
 __all__ = [
     "MatrixFamily",
     "ReferenceConstants",
-    "FAMILY_NAMES",
     "get_family",
     "resolve_family",
     "family_names",
@@ -390,17 +389,14 @@ _register(
     ),
 )
 
-FAMILY_NAMES: tuple[str, ...] = tuple(_FAMILIES)
-
-
 def family_names() -> tuple[str, ...]:
-    return FAMILY_NAMES
+    return tuple(_FAMILIES)
 
 
 def get_family(name: str) -> MatrixFamily:
     key = name.lower()
     if key not in _ALIASES:
-        raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+        raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(_FAMILIES)}")
     return _FAMILIES[_ALIASES[key]]
 
 

@@ -222,10 +222,12 @@ def int_pair(d0, d1, alpha, beta):
     one, both matrices become integer, and alpha is scaled to a primitive
     integer vector.  If alpha beta^T is an integer matrix, as D0^q is in a
     sentinel factorization, beta is then integer too: some integer
-    combination of the entries of alpha is 1.  Returns ((N0, den0),
-    (N1, den1), (a, b, den)) with D0 = N0 / den0, D1 = N1 / den1, and
-    alpha, beta integer rows a, b that are scaled by den together.  d0, d1
-    are rows of Fractions; alpha, beta are sequences of Fractions.
+    combination of the entries of alpha is 1.  Returns (N0, N1, den_d,
+    (a, b, den)) with D0 = N0 / den_d and D1 = N1 / den_d over one common
+    denominator, and alpha, beta integer rows a, b that are scaled by den
+    together, so the integer corner b^T N_w a of a word of length l is its
+    corner value times den * den_d**l.  d0, d1 are rows of Fractions;
+    alpha, beta are sequences of Fractions.
     """
     diag = diagonal_balance(d0, d1)
     if diag is not None:
@@ -238,7 +240,8 @@ def int_pair(d0, d1, alpha, beta):
         beta = [x / (p * s) for p, x in zip(diag, beta)]
     (a,), den_a = int_rows([alpha])
     (b,), den_b = int_rows([beta])
-    return int_rows(d0), int_rows(d1), (a, b, den_a * den_b)
+    n, den_d = int_rows([*d0, *d1])
+    return n[:len(d0)], n[len(d0):], den_d, (a, b, den_a * den_b)
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -328,11 +331,9 @@ def spectral_radius(
     x = np.full(n, 1.0 / np.sqrt(n))
     rayleigh = float(x @ shifted @ x)
     for _ in range(max_iterations):
+        # x >= 0 with norm 1 and (a + I) x >= x, so norm(y) >= 1
         y = shifted @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0  # a + I cannot vanish, defensive only
-        x = y / norm
+        x = y / np.linalg.norm(y)
         new_rayleigh = float(x @ shifted @ x)
         if abs(new_rayleigh - rayleigh) < tol:
             return new_rayleigh - 1.0

@@ -14,11 +14,13 @@ corners of the next word length as one matrix-vector product.  Within
 LEAF levels of the last length no more rows are formed: the corner of
 prefix+u+'1' is row . (D_u w1), so one product of the rows with a table of
 the vectors D_u w1 of all short suffixes u gives every word below them.
-Rows and tables are scaled integers, so corner values are exact.  They are
-held in float64 when a bound computed before the scan shows every entry
-stays below 2^53 and the matrices are integer, or a rational pair has an
-integral diagonal conjugate, which is scanned instead; otherwise they are
-Python ints, and each corner is rounded once to the float64 it stands for.
+Rows and tables are scaled integers, so corner values are exact.  Both
+matrices share one denominator, so the scale of a corner depends on the
+word's length alone.  Rows are held in float64 when a bound computed
+before the scan shows every entry stays below 2^53 and the matrices are
+integer, or a rational pair has an integral diagonal conjugate, which is
+scanned instead; otherwise they are Python ints, and each corner is
+rounded once to the float64 it stands for.
 Per-length sums are reduced with math.fsum in a fixed chunking, so results
 are reproducible bit for bit for any worker count.  The calling process
 splits the tree at a fixed prefix depth and runs the subtrees below each
@@ -113,17 +115,16 @@ _FLOAT_EXACT = 2**53
 class _ScanContext:
     """One family's scan inputs: matrices scaled to integers, in the scan dtype.
 
-    For a word with n0 zeros and n1 ones, the integer corner is the corner
-    value times den * den0**n0 * den1**n1.  `bound` caps |entry| of every
-    row beta^T D_prefix, suffix-table entry and corner the scan forms.  The
-    arrays are float64 when the bound is below 2**53 and every scale is 1:
-    catalog families, and rational families that `exactmat.int_pair`
-    balances to an integer pair.  Otherwise they hold Python ints (`exact`).
+    The integer corner of a word of length l is the corner value times
+    scales[l].  `bound` caps |entry| of every row beta^T D_prefix,
+    suffix-table entry and corner the scan forms.  The arrays are float64
+    when the bound is below 2**53 and every scale is 1: catalog families,
+    and rational families that `exactmat.int_pair` balances to an integer
+    pair.  Otherwise they hold Python ints (`exact`).
 
-    suffixes[r][k] = (table, ones) serves the prefixes that end in exactly
-    r zeros, for k < min(LEAF, max_len): the rows of `table` are D_u w1 for
-    every suffix u of length k that may follow them (0^r u 1 has no factor
-    0^q), and ones counts the 1s of u + '1'.
+    suffixes[r][k] serves the prefixes that end in exactly r zeros, for
+    k < min(LEAF, max_len): its rows are D_u w1 for every suffix u of
+    length k that may follow them (0^r u 1 has no factor 0^q).
     """
 
     q: int
@@ -132,28 +133,26 @@ class _ScanContext:
     d0: np.ndarray
     d1: np.ndarray
     w1: np.ndarray          # D1 * alpha: the corner of prefix+'1' is row . w1
-    suffixes: tuple         # per run, per suffix length: (D_u w1 rows, ones)
+    suffixes: tuple         # per run, per suffix length: D_u w1 rows
     beta: np.ndarray
     empty_corner: int       # beta^T alpha, the corner of the empty word
-    den: int                # scale of beta and alpha together
-    den0: int               # scale of D0
-    den1: int               # scale of D1
+    scales: tuple[int, ...]  # den * den_d**l for each word length l
     bound: int
     exact: bool
 
 
 def _suffix_levels(q: int, d0, d1, w1, levels: int) -> list:
-    """(D_u w1, ones of u + '1', leading zeros of u) for the chi suffixes u.
+    """(D_u w1, leading zeros of u) for the chi suffixes u.
 
     Level k lists every u of length k for which u + '1' has no factor 0^q,
     in exact ints.  Prepending a symbol to u multiplies D_u w1 by its matrix.
     """
-    out = [[(tuple(w1), 1, 0)]]
+    out = [[(tuple(w1), 0)]]
     while len(out) < levels:
         out.append(
-            [(exactmat.row_times(v, d1), ones + 1, 0) for v, ones, _ in out[-1]]
-            + [(exactmat.row_times(v, d0), ones, lead + 1)
-               for v, ones, lead in out[-1] if lead + 1 < q])
+            [(exactmat.row_times(v, d1), 0) for v, _ in out[-1]]
+            + [(exactmat.row_times(v, d0), lead + 1)
+               for v, lead in out[-1] if lead + 1 < q])
     return out[:levels]
 
 
@@ -184,21 +183,19 @@ def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext
     A rational pair with an integral diagonal conjugate is scanned as that
     conjugate (`exactmat.int_pair`), which has the same corners.
     """
-    (d0, den0), (d1, den1), (alpha, beta, den) = exactmat.int_pair(
+    d0, d1, den_d, (alpha, beta, den) = exactmat.int_pair(
         fact.d0.rows, fact.d1.rows, fact.alpha, fact.beta)
     # row_times over the rows of D gives the column product D . w
     w1 = exactmat.row_times(alpha, d1)
     levels = _suffix_levels(fact.q, d0, d1, w1, min(LEAF, max_len))
     bound = max([_entry_bound(fact.q, d0, d1, w1, beta, max_len)]
-                + [abs(x) for level in levels for v, _, _ in level for x in v])
-    exact = bound >= _FLOAT_EXACT or den * den0 * den1 != 1
+                + [abs(x) for level in levels for v, _ in level for x in v])
+    exact = bound >= _FLOAT_EXACT or den * den_d != 1
     dtype = object if exact else np.float64
     # the u that may follow r zeros: r + leading zeros of u stays below q
     suffixes = tuple(
-        tuple((np.array([v for v, _, lead in level if r + lead < fact.q],
-                        dtype=dtype).reshape(-1, len(w1)),
-               np.array([n for _, n, lead in level if r + lead < fact.q],
-                        dtype=np.int64))
+        tuple(np.array([v for v, lead in level if r + lead < fact.q],
+                       dtype=dtype).reshape(-1, len(w1))
               for level in levels)
         for r in range(fact.q)
     )
@@ -212,9 +209,7 @@ def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext
         suffixes=suffixes,
         beta=np.array(beta, dtype=dtype),
         empty_corner=exactmat.dot(beta, alpha),
-        den=den,
-        den0=den0,
-        den1=den1,
+        scales=tuple(den * den_d**length for length in range(max_len + 1)),
         bound=bound,
         exact=exact,
     )
@@ -271,27 +266,18 @@ def _sums(ctx: _ScanContext, lc: np.ndarray) -> list[float]:
     return [float(s) for s in sums]
 
 
-def _emit(ctx: _ScanContext, corners, ones, length: int, tally: _Tally) -> None:
-    """Tally words of `length` by their integer corners.
-
-    ones[i] counts the 1s of word i, which fixes the scale of its corner.
-    """
+def _emit(ctx: _ScanContext, corners, length: int, tally: _Tally) -> None:
+    """Tally words of `length` by their integer corners."""
     words = len(corners)
     nonzero = corners != 0
     live = int(np.count_nonzero(nonzero))
     if live < words:
         corners = corners[nonzero]
-        ones = ones[nonzero]
     if ctx.exact:
         # corner / scale is one correctly rounded int division, so ln phi
         # carries no cancellation from the logs of large scales, and it is
         # the float the float64 path holds whenever that path could
-        scale = [ctx.den * ctx.den0 ** (length - k) * ctx.den1 ** k
-                 for k in range(length + 1)]
-        corners = np.fromiter(
-            (c / scale[k] for c, k in zip(corners, ones.tolist())),
-            dtype=np.float64, count=live,
-        )
+        corners = (corners / ctx.scales[length]).astype(np.float64)
     lc = np.log(corners)
     tally.add(length, words, words - live, _sums(ctx, lc) if live else None)
 
@@ -304,20 +290,17 @@ def _leaf(ctx: _ScanContext, blocks, depth: int, tally: _Tally) -> None:
     all words of that length below them; they go to `_emit` together.
     """
     for k in range(ctx.max_len - depth):
-        pairs = [(tables[k], block) for tables, block in zip(ctx.suffixes, blocks)]
-        corners = np.concatenate([(table @ rows.T).ravel()
-                                  for (table, _), (rows, _) in pairs])
-        ones = np.concatenate([np.add.outer(u_ones, prefix_ones).ravel()
-                               for (_, u_ones), (_, prefix_ones) in pairs])
-        _emit(ctx, corners, ones, depth + k + 1, tally)
+        corners = np.concatenate([(tables[k] @ rows.T).ravel()
+                                  for tables, rows in zip(ctx.suffixes, blocks)])
+        _emit(ctx, corners, depth + k + 1, tally)
 
 
 def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
           stop: int | None = None) -> list:
     """Expand a frontier level by level, tallying every word below it.
 
-    blocks[r] = (rows, ones) holds the live prefixes of length `depth` that
-    end in exactly r zeros: their rows beta^T D_prefix and counts of 1s.
+    blocks[r] holds the rows beta^T D_prefix of the live prefixes of length
+    `depth` that end in exactly r zeros.
     One level emits the words prefix+'1' and forms the children: every row
     times D1 starts run 0, run r times D0 becomes run r+1 for r < q-1.
     Children above ROW_CAP rows are split in halves, each finished
@@ -335,16 +318,13 @@ def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
         if ctx.max_len - depth <= LEAF:
             _leaf(ctx, blocks, depth, tally)
             continue
-        rows = np.concatenate([b[0] for b in blocks])
-        ones = np.concatenate([b[1] for b in blocks])
-        _emit(ctx, rows @ ctx.w1, ones + 1, depth + 1, tally)
-        children = [(rows @ ctx.d1, ones + 1)]
-        children += [(r @ ctx.d0, o) for r, o in blocks[:-1]]
-        if sum(len(o) for _, o in children) > ROW_CAP:
-            cuts = [len(o) // 2 for _, o in children]
-            pairs = list(zip(children, cuts))
-            stack.append((depth + 1, [(r[c:], o[c:]) for (r, o), c in pairs]))
-            stack.append((depth + 1, [(r[:c], o[:c]) for (r, o), c in pairs]))
+        rows = np.concatenate(blocks)
+        _emit(ctx, rows @ ctx.w1, depth + 1, tally)
+        children = [rows @ ctx.d1] + [r @ ctx.d0 for r in blocks[:-1]]
+        if sum(map(len, children)) > ROW_CAP:
+            cuts = [len(c) // 2 for c in children]
+            stack.append((depth + 1, [c[k:] for c, k in zip(children, cuts)]))
+            stack.append((depth + 1, [c[:k] for c, k in zip(children, cuts)]))
         else:
             stack.append((depth + 1, children))
     return kept
@@ -360,23 +340,22 @@ def _split(ctx: _ScanContext, prefix_len: int):
     """
     tally = _Tally(ctx.max_len, 2 + len(ctx.ts))
     empty = np.array([ctx.empty_corner], dtype=ctx.w1.dtype)
-    _emit(ctx, empty, np.zeros(1, dtype=np.int64), 0, tally)
+    _emit(ctx, empty, 0, tally)
     if ctx.max_len == 0:
         return tally.totals(), []
     beta = ctx.beta[np.newaxis, :]
-    root = [(beta, np.zeros(1, dtype=np.int64))]
-    root += [(beta[:0], np.zeros(0, dtype=np.int64))] * (ctx.q - 1)
+    root = [beta] + [beta[:0]] * (ctx.q - 1)
     frontier = [
-        (rows, np.full(len(ones), r), ones)
+        (rows, np.full(len(rows), r))
         for blocks in _walk(ctx, root, 0, tally, stop=prefix_len)
-        for r, (rows, ones) in enumerate(blocks)
+        for r, rows in enumerate(blocks)
     ]
-    rows, runs, ones = (np.concatenate(part) for part in zip(*frontier))
+    rows, runs = (np.concatenate(part) for part in zip(*frontier))
     jobs = []
     for start in range(0, len(runs), 8):
         batch = slice(start, start + 8)
-        b_rows, b_runs, b_ones = rows[batch], runs[batch], ones[batch]
-        blocks = [(b_rows[b_runs == r], b_ones[b_runs == r]) for r in range(ctx.q)]
+        b_rows, b_runs = rows[batch], runs[batch]
+        blocks = [b_rows[b_runs == r] for r in range(ctx.q)]
         jobs.append((ctx, prefix_len, blocks))
     return tally.totals(), jobs
 

@@ -123,7 +123,7 @@ class TestCriterion05QThreeFamilies:
 
 
 class TestCriterion06ReplicaAverages:
-    @pytest.mark.parametrize("name", catalog.FAMILY_NAMES)
+    @pytest.mark.parametrize("name", catalog.family_names())
     def test_replica_and_minimal_polynomial(self, reports, name):
         fam = catalog.get_family(name)
         xi = dict(reports[name].replica)[2]
@@ -142,7 +142,7 @@ class TestCriterion06ReplicaAverages:
 
 
 class TestCriterion07DerivativeConsistency:
-    @pytest.mark.parametrize("name", catalog.FAMILY_NAMES)
+    @pytest.mark.parametrize("name", catalog.family_names())
     def test_finite_differences_reproduce_series(self, reports, name):
         rep = reports[name]
         l_minus, _ = l_sample(rep, -FD_H)

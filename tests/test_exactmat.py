@@ -92,8 +92,8 @@ class TestDiagonalBalance:
         pair = exactmat.int_pair(fam.d0.rows, fam.d1.rows,
                                  [Fraction(x) for x in alpha],
                                  [Fraction(x) for x in beta])
-        assert pair == (exactmat.int_rows(fam.d0.rows),
-                        exactmat.int_rows(fam.d1.rows),
+        assert pair == (exactmat.int_rows(fam.d0.rows)[0],
+                        exactmat.int_rows(fam.d1.rows)[0], 1,
                         (list(alpha), list(beta), 1))
 
     def test_undoes_a_diagonal_conjugation(self):
@@ -112,9 +112,9 @@ class TestDiagonalBalance:
                 for _ in range(fam.dim)]
         d0, d1 = (diagonal_conjugate(m, diag) for m in (fam.d0, fam.d1))
         fact = sentinel_factorization(d0, d1, fam.q)
-        (n0, den0), (n1, den1), (a, b, den) = exactmat.int_pair(
+        n0, n1, den_d, (a, b, den) = exactmat.int_pair(
             d0.rows, d1.rows, fact.alpha, fact.beta)
-        assert (den0, den1, den) == (1, 1, 1)
+        assert (den_d, den) == (1, 1)
         int0, int1 = RationalMatrix(n0), RationalMatrix(n1)
         for word in all_words(10):
             assert oracles.corner(b, a, int0, int1, word) == \

@@ -544,7 +544,14 @@ class TestScanPath:
         # a conjugate with no integral diagonal conjugate stays on Python ints
         fact = unbalanceable_fact_for("g3")
         assert exactmat.diagonal_balance(fact.d0.rows, fact.d1.rows) is None
-        assert words._scan_context(fact, 19, ()).exact
+        ctx = words._scan_context(fact, 19, ())
+        assert ctx.exact
+        # D0 and D1 have denominators 3 and 9: one common denominator 9,
+        # so a corner of length l is scaled by den * 9**l
+        _, _, den_d, _ = exactmat.int_pair(fact.d0.rows, fact.d1.rows,
+                                           fact.alpha, fact.beta)
+        assert den_d == 9
+        assert ctx.scales[:3] == (3, 27, 243)
         assert not words._scan_context(conjugated_fact_for("g3"), 19, ()).exact
         assert not words._scan_context(fact_for("g3"), 19, ()).exact
 
@@ -590,7 +597,7 @@ class TestScanPath:
                 "1": [[int(x) for x in row] for row in ctx.d1]}
         for r, tables in enumerate(ctx.suffixes):
             assert len(tables) == words.LEAF
-            for k, (table, ones) in enumerate(tables):
+            for k, table in enumerate(tables):
                 want = []
                 for u in map("".join, product("01", repeat=k)):
                     if "0" * fact.q in "0" * r + u + "1":
@@ -598,11 +605,10 @@ class TestScanPath:
                     vec = [int(x) for x in ctx.w1]
                     for symbol in reversed(u):
                         vec = list(exactmat.row_times(vec, cols[symbol]))
-                    want.append((vec, u.count("1") + 1))
-                got = [([int(x) for x in row], int(n))
-                       for row, n in zip(table, ones)]
+                    want.append(vec)
+                got = [[int(x) for x in row] for row in table]
                 assert sorted(got) == sorted(want)
-                largest = max(largest, *(abs(x) for vec, _ in want for x in vec))
+                largest = max(largest, *(abs(x) for vec in want for x in vec))
         assert largest <= ctx.bound < 2**53
         assert not ctx.exact
 
