@@ -17,11 +17,17 @@ does not.
         --out BENCH_digitsum.json
 
 With --conjugated it times `exponents --max-len 18` on diagonally
-conjugated copies of h4, g5 and g6 instead, in the same way.  The script
-writes the three family files once per run, each under D -> Q^-1 D Q for a
-random positive diagonal Q with entries a/b, a and b uniform on 1..9
-(drawn from a fixed seed, the way the benchmark's crosscheck workload
-draws them), and every run of every side reads the same files.
+conjugated copies of h4, g5 and g6 instead, in the same way, and
+`exponents --max-len 22` on a sheared copy of h4.  The script writes the
+family files once per run and every run of every side reads the same
+files.  The diagonal copies are under D -> Q^-1 D Q for a random positive
+diagonal Q with entries a/b, a and b uniform on 1..9 (drawn from a fixed
+seed, the way the benchmark's crosscheck workload draws them); scans
+balance them back to integer pairs and take the float64 path.  The
+sheared copy is under Q = I + E01 / 3, which leaves a 3 in a diagonal
+denominator, so its scans take the exact Python-int path.  Of the
+built-in families only g2 and h4 stay nonnegative under that shear, as a
+family file must, and g2 has one word per length.
 
     python3 scripts/bench_layers.py parent=../parent/src change=src \
         --conjugated --out BENCH_conjugated.json
@@ -71,14 +77,22 @@ COMMANDS = (
      "--density-csv", "{out}/phi-density.csv"),
     ("psi", "--jmax", "24", "--csv", "{out}/psi.csv",
      "--density-csv", "{out}/psi-density.csv"),
+    ("phi", "--jmax", "28", "--csv", "{out}/phi28.csv",
+     "--density-csv", "{out}/phi28-density.csv"),
+    ("psi", "--jmax", "28", "--csv", "{out}/psi28.csv",
+     "--density-csv", "{out}/psi28-density.csv"),
     ("dispersion", "--family", "h4", "--jmax", "20"),
     ("dispersion", "--family", "g5", "--jmax", "20"),
 )
 # {fam} is the directory of the conjugated family files
 CONJUGATED = ("h4", "g5", "g6")
+SHEARED = ("h4",)
 CONJUGATED_COMMANDS = tuple(
     ("exponents", "--family", f"@{{fam}}/{name}-conj.json", "--max-len", "18")
     for name in CONJUGATED
+) + tuple(
+    ("exponents", "--family", f"@{{fam}}/{name}-shear.json", "--max-len", "22")
+    for name in SHEARED
 )
 CONJUGATED_SEED = 1
 REPEAT = 5
@@ -150,24 +164,38 @@ def run_once(src: str, argv: tuple[str, ...], out: str,
 
 
 def write_conjugated(src: str, directory: str) -> None:
-    """Write CONJUGATED under a seeded random diagonal similarity, as JSON
-    family files named <family>-conj.json, built from src's catalog."""
+    """Write CONJUGATED under a seeded random diagonal similarity and
+    SHEARED under Q = I + E01 / 3, as JSON family files named
+    <family>-conj.json and <family>-shear.json, built from src's catalog."""
     sys.path.insert(0, os.path.abspath(src))
     from lyapdisp import catalog
+
+    def write(fam, suffix, conj):
+        with open(os.path.join(directory, f"{fam.name}-{suffix}.json"),
+                  "w") as fh:
+            json.dump({"name": f"{fam.name}-{suffix}", "q": fam.q,
+                       "dim": fam.dim, "d0": conj(fam.d0.rows),
+                       "d1": conj(fam.d1.rows)}, fh)
 
     rng = random.Random(CONJUGATED_SEED)
     for name in CONJUGATED:
         fam = catalog.get_family(name)
         diag = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                 for _ in range(fam.dim)]
+        write(fam, "conj", lambda rows: [
+            [str(rows[i][j] * diag[j] / diag[i]) for j in range(fam.dim)]
+            for i in range(fam.dim)])
 
-        def conj(matrix):
-            return [[str(matrix.rows[i][j] * diag[j] / diag[i])
-                     for j in range(fam.dim)] for i in range(fam.dim)]
+    def shear(rows):
+        # Q^-1 D Q: row 0 less row 1 / 3, then column 1 plus column 0 / 3
+        rows = [list(row) for row in rows]
+        rows[0] = [a - b / 3 for a, b in zip(rows[0], rows[1])]
+        for row in rows:
+            row[1] += row[0] / 3
+        return [[str(x) for x in row] for row in rows]
 
-        with open(os.path.join(directory, f"{name}-conj.json"), "w") as fh:
-            json.dump({"name": f"{name}-conj", "q": fam.q, "dim": fam.dim,
-                       "d0": conj(fam.d0), "d1": conj(fam.d1)}, fh)
+    for name in SHEARED:
+        write(catalog.get_family(name), "shear", shear)
 
 
 def bench(sides: dict[str, str], commands=COMMANDS, fam: str = "") -> dict:

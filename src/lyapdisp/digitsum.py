@@ -18,9 +18,20 @@ exact integer arithmetic and only log2(f) is floating point.  One formula,
 `_sample_parts`, evaluates every reported value: `phi(n)` and `psi(n)`
 are its one-point calls on Python ints, exact for any n >= 1.  Because
 the value at 2n repeats the value at n, the extremes over all
-n <= 2^j_max are found in the top octave [2^(j_max-1), 2^j_max) alone,
-and the same single pass over that octave (`_scan_extremes`) supplies the
-exact summatory values at the sampled points.
+n <= 2^j_max are found in the top octave [2^(j_max-1), 2^j_max) alone.
+That octave is cut into chunks of 2^b points, and for n = h 2^b + l with
+l < 2^b the block identities
+
+    S(n)  = S(h 2^b) + #(h) l + S(l)
+    Sf(n) = Sf(h 2^b) + 2^#(h) Sf(l)
+
+give every sum from one int64 table of S(l) or Sf(l) and the chunk
+starts: the sampled points' sums by a gather, each chunk's interval of
+values, and each chunk's full sums where that interval reaches within
+SCAN_SLACK = 2^-40 of an extreme, the only chunks `_scan_extremes`
+evaluates.  The slack exceeds the rounding of the values and of the
+bounds, each a few ulps of an O(1) number, and runtime checks back it.
+The int64 sums hold up to the j_max caps, 40 for phi and 38 for psi.
 
 The rest of the module connects counts to the matrix families: GF(2) row
 iteration as the oracle, an exactly validated linear representation
@@ -67,6 +78,10 @@ __all__ = [
 LOG2_3 = math.log2(3.0)
 DEFAULT_PERCENTILES = (1, 5, 10, 25, 50, 75, 90, 95, 99, 100)
 HISTOGRAM_BINS = 200
+# the extremes scan evaluates the top octave in chunks of 2^CHUNK_BITS
+# points, only where a chunk's bound comes within SCAN_SLACK of a level
+CHUNK_BITS = 16
+SCAN_SLACK = 2.0**-40
 
 
 class NoRepresentationFound(ValueError):
@@ -196,20 +211,73 @@ def _chunk_values(kind: str, j: int, ns: np.ndarray,
     return s_vals / np.power(3.0, j) * np.power(f, -LOG2_3)
 
 
-def _octave_sums(kind: str, j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(ns, S(n) or Sf(n)) over n in [2^j, 2^(j+1)), in cache-sized chunks."""
-    chunk = 1 << 16
-    lo, top = 1 << j, 1 << (j + 1)
+def _low_sums(kind: str, b: int) -> np.ndarray:
+    """S(l) or Sf(l) for every l < 2^b, in int64."""
+    pops = np.bitwise_count(np.arange(1 << b, dtype=np.int64)).astype(np.int64)
+    increments = pops if kind == "phi" else np.int64(1) << pops
+    return np.cumsum(increments) - increments
+
+
+def _block_sums(kind: str, starts, pops, ls: np.ndarray,
+                low: np.ndarray) -> np.ndarray:
+    """S or Sf at h 2^b + l, l < 2^b, from S or Sf at h 2^b (starts),
+    #(h) (pops), l (ls) and S(l) or Sf(l) (low)."""
+    if kind == "phi":
+        return starts + pops * ls + low    # S(h 2^b) + #(h) l + S(l)
+    return starts + (low << pops)          # Sf(h 2^b) + 2^#(h) Sf(l)
+
+
+def _chunk_starts(kind: str, j: int, b: int) -> Iterator[
+        tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(h, #(h), S(h 2^b) or Sf(h 2^b)) for the chunks [h 2^b, (h+1) 2^b)
+    of the octave [2^j, 2^(j+1)), in blocks of at most 2^CHUNK_BITS chunks."""
+    block = 1 << CHUNK_BITS
+    lo, top = 1 << (j - b), 1 << (j - b + 1)
     # S(2^j) = j 2^(j-1) and Sf(2^j) = 3^j start the running sums
     running = j << j >> 1 if kind == "phi" else 3**j
     while lo < top:
-        ns = np.arange(lo, min(lo + chunk, top), dtype=np.int64)
-        pops = np.bitwise_count(ns).astype(np.int64)
-        increments = pops if kind == "phi" else np.int64(1) << pops
+        hs = np.arange(lo, min(lo + block, top), dtype=np.int64)
+        pops = np.bitwise_count(hs).astype(np.int64)
+        if kind == "phi":
+            # S((h+1) 2^b) - S(h 2^b) = #(h) 2^b + S(2^b), S(2^b) = b 2^(b-1)
+            increments = (pops << b) + (b << b >> 1)
+        else:
+            # Sf((h+1) 2^b) - Sf(h 2^b) = 2^#(h) 3^b
+            increments = 3**b << pops
         cums = np.cumsum(increments)
-        yield ns, running + cums - increments
+        yield hs, pops, running + cums - increments
         running += int(cums[-1])
-        lo += chunk
+        lo += block
+
+
+def _chunk_bounds(kind: str, j: int, b: int, low: np.ndarray) -> Iterator[
+        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """`_chunk_starts` with a lower and an upper bound of each chunk's
+    values appended; low is `_low_sums(kind, b)`.
+
+    The bounds hold for the exact values of `_chunk_values`' formula; see
+    `_scan_extremes`.
+    """
+    if kind == "phi":
+        # exact extremes of (2k - j) l + 2 S(l) over l < 2^b for each k = #(h)
+        ls = np.arange(1 << b, dtype=np.int64)
+        tails = np.array([(t.min(), t.max()) for t in (
+            (2 * k - j) * ls + 2 * low for k in range(j - b + 2))])
+    for hs, pops, starts in _chunk_starts(kind, j, b):
+        # f runs over [f0, f1) in the chunk
+        f0, f1 = hs * 2.0**(b - j), (hs + 1) * 2.0**(b - j)
+        if kind == "phi":
+            numer = 2 * starts - j * (hs << b)
+            den0, den1 = 2.0 * (hs << b), 2.0 * ((hs + 1) << b)
+            n_lo, n_hi = numer + tails[pops, 0], numer + tails[pops, 1]
+            lower = np.minimum(n_lo / den0, n_lo / den1) - 0.5 * np.log2(f1)
+            upper = np.maximum(n_hi / den0, n_hi / den1) - 0.5 * np.log2(f0)
+        else:
+            scale = np.power(3.0, j)
+            lower = starts / scale * np.power(f1, -LOG2_3)
+            # Sf((h+1) 2^b) = Sf(h 2^b) + 2^#(h) 3^b
+            upper = (starts + (3**b << pops)) / scale * np.power(f0, -LOG2_3)
+        yield hs, pops, starts, lower, upper
 
 
 def _first_in_orbit(hits: list[np.ndarray]) -> int:
@@ -228,7 +296,7 @@ def _scan_extremes(kind: str, j_max: int,
     """The smallest n in [2, 2^j_max] at which the minimum and the maximum
     sit, and S(n) or Sf(n) at each of the sorted top-octave points samples.
 
-    Only the top octave [2^(j_max-1), 2^j_max) is evaluated: `_chunk_values`
+    Only the top octave [2^(j_max-1), 2^j_max) is searched: `_chunk_values`
     gives 2n the value of n bit for bit, because S(2n) = 2 S(n) + n doubles
     the numerator and denominator of (2S - jn) / (2n), and Sf(2n) = 3 Sf(n)
     over 3^(j+1) is the same rational, and both quotients are correctly
@@ -240,27 +308,85 @@ def _scan_extremes(kind: str, j_max: int,
     among the top octave points taking it.  Above j_max = 33 psi's values
     along an orbit can differ in the last bit, and so can its positions.
 
+    The octave is cut into chunks [h 2^b, (h+1) 2^b) of 2^b = 2^16 points
+    (one chunk up to j_max = 17), and `_chunk_values` is evaluated only on
+    the chunks that can hold an extreme.  For n = h 2^b + l with l < 2^b,
+
+        S(n)  = S(h 2^b) + #(h) l + S(l)
+        Sf(n) = Sf(h 2^b) + 2^#(h) Sf(l),
+
+    so one table of S(l) or Sf(l) gives each chunk's sums from its start,
+    and the starts come from one cumulative sum over the chunks
+    (`_chunk_starts`).  Each chunk's values lie in an interval
+    [lower, upper]: for psi, Sf(n) / 3^j rises and f^(-log2 3) falls
+    across the chunk, so its two ends bound it; for phi, 2S - jn is
+    2 S(h 2^b) - j h 2^b plus (2#(h) - j) l + 2 S(l), whose exact integer
+    extremes over l are taken once per value of #(h), divided by the two
+    ends of 2n's range, less log2(f)/2 at the two ends of f's.  The values
+    at the chunk starts are attained, so the minimum is at most the
+    smallest of them and the maximum at least the largest; only chunks
+    whose interval reaches within SCAN_SLACK = 2^-40 of those levels are
+    evaluated, and their ties collected as in a full sweep.  Values and
+    bounds are O(1) (|Phi| < 1/4, Psi in (0, 1], bounds at most 3 in
+    magnitude, 3 only when one chunk spans the octave) and each comes
+    from exact integers by a few correctly rounded operations and one
+    log2 or power within a few ulps, so each is within 2^-47 of the exact
+    value of its formula; the slack covers both errors 64 times over.  An evaluated chunk outside its interval by more than
+    the slack, or extremes found beyond the levels by more than the slack,
+    raise ArithmeticError.
+
+    Everything is int64: S(n) < 2^45 and |2S - jn| < 2^53 below 2^40, and
+    Sf(n) <= 3^j_max < 2^61 for j_max <= 38, the caps of `phi_statistics`
+    and `psi_statistics`.  No more than one chunk's points, or one block of
+    2^16 chunks' bounds, is held at a time.
+
     Values come from exact summatory counts but float64 numpy formulas,
     which can differ from `_sample_parts` in the last bit; callers evaluate
     that formula at the positions returned.
     """
     j = j_max - 1
+    b = min(CHUNK_BITS, j)
+    low_sums = _low_sums(kind, b)
+    ls = np.arange(1 << b, dtype=np.int64)
+    level_low, level_high = math.inf, -math.inf
+    for hs, _, starts in _chunk_starts(kind, j, b):
+        values = _chunk_values(kind, j, hs << b, starts)
+        level_low = min(level_low, values.min())
+        level_high = max(level_high, values.max())
     low, low_hits = math.inf, []
     high, high_hits = -math.inf, []
     sums = np.empty_like(samples)
-    for ns, s_vals in _octave_sums(kind, j):
-        start, stop = np.searchsorted(samples, (ns[0], ns[-1] + 1))
-        sums[start:stop] = s_vals[samples[start:stop] - ns[0]]
-        values = _chunk_values(kind, j, ns, s_vals)
-        chunk_low, chunk_high = values.min(), values.max()
-        if chunk_low < low:
-            low, low_hits = chunk_low, []
-        if chunk_low == low:
-            low_hits.append(ns[values == low])
-        if chunk_high > high:
-            high, high_hits = chunk_high, []
-        if chunk_high == high:
-            high_hits.append(ns[values == high])
+    for hs, pops, starts, lower, upper in _chunk_bounds(kind, j, b, low_sums):
+        start, stop = np.searchsorted(samples, (hs[0] << b, (hs[-1] + 1) << b))
+        at = samples[start:stop]
+        chunk, l = (at >> b) - hs[0], at & ((1 << b) - 1)
+        sums[start:stop] = _block_sums(
+            kind, starts[chunk], pops[chunk], l, low_sums[l])
+        candidates = ((lower <= level_low + SCAN_SLACK)
+                      | (upper >= level_high - SCAN_SLACK))
+        for k in np.flatnonzero(candidates):
+            ns = (hs[k] << b) + ls
+            values = _chunk_values(
+                kind, j, ns, _block_sums(kind, starts[k], pops[k], ls, low_sums))
+            chunk_low, chunk_high = values.min(), values.max()
+            if not (lower[k] - SCAN_SLACK <= chunk_low
+                    and chunk_high <= upper[k] + SCAN_SLACK):
+                raise ArithmeticError(
+                    f"{kind} on [{int(ns[0])}, {int(ns[-1])}] spans "
+                    f"[{chunk_low!r}, {chunk_high!r}], outside its bound "
+                    f"[{lower[k]!r}, {upper[k]!r}]")
+            if chunk_low < low:
+                low, low_hits = chunk_low, []
+            if chunk_low == low:
+                low_hits.append(ns[values == low])
+            if chunk_high > high:
+                high, high_hits = chunk_high, []
+            if chunk_high == high:
+                high_hits.append(ns[values == high])
+    if not (low <= level_low + SCAN_SLACK and high >= level_high - SCAN_SLACK):
+        raise ArithmeticError(
+            f"{kind} extremes {low!r}, {high!r} miss the chunk-start levels "
+            f"{level_low!r}, {level_high!r}")
     return _first_in_orbit(low_hits), _first_in_orbit(high_hits), sums
 
 
@@ -268,7 +394,11 @@ def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
     # stay below 2^{j+1}: the top endpoint wraps around to x = 0
     grid = np.round(2.0 ** (j + np.arange(samples + 1) / samples)).astype(np.int64)
     grid = np.clip(grid, 1 << j, (1 << (j + 1)) - 1)
-    return np.unique(grid)
+    steps = np.diff(grid)
+    if (steps < 0).any():
+        # 2^x rounds monotonically in IEEE arithmetic; sort if a libm does not
+        return np.unique(grid)
+    return grid[np.concatenate(([True], steps > 0))]
 
 
 def _sample_parts(kind: str, j: int, ns: np.ndarray,

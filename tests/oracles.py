@@ -17,6 +17,9 @@ to a number the package computes another way.
 - `phi_parts` and `psi_parts` are the scalar (log2 f, Phi) and
   (log2 f, Psi) at one n from its exact summatory value, in plain Python
   floats and ints.
+- `octave_sums` and `sweep_extremes` are the unpruned top-octave sweep:
+  every point's running digit-sum total, and `digitsum._chunk_values` on
+  every chunk, which `digitsum._scan_extremes` must match.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from lyapdisp import exactmat
+import numpy as np
+
+from lyapdisp import digitsum, exactmat
 from lyapdisp.catalog import MatrixFamily
 from lyapdisp.conjugate import SentinelFactorization
 from lyapdisp.exactmat import RationalMatrix
@@ -207,3 +212,45 @@ def psi_parts(n: int, s: int) -> tuple[float, float]:
     if not 0.0 < value <= 1.0:
         raise ArithmeticError(f"psi({n}) = {value!r} is outside (0, 1]")
     return math.log2(f), value
+
+
+def octave_sums(kind: str, j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(ns, S(n) or Sf(n)) over n in [2^j, 2^(j+1)) in 2^16-point chunks,
+    by a running sum of every point's digit sum."""
+    chunk = 1 << 16
+    lo, top = 1 << j, 1 << (j + 1)
+    # S(2^j) = j 2^(j-1) and Sf(2^j) = 3^j start the running sums
+    running = j << j >> 1 if kind == "phi" else 3**j
+    while lo < top:
+        ns = np.arange(lo, min(lo + chunk, top), dtype=np.int64)
+        pops = np.bitwise_count(ns).astype(np.int64)
+        increments = pops if kind == "phi" else np.int64(1) << pops
+        cums = np.cumsum(increments)
+        yield ns, running + cums - increments
+        running += int(cums[-1])
+        lo += chunk
+
+
+def sweep_extremes(kind: str, j_max: int,
+                   samples: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """What `digitsum._scan_extremes` returns, from `digitsum._chunk_values`
+    on every chunk of `octave_sums` over the top octave, none skipped."""
+    j = j_max - 1
+    low, low_hits = math.inf, []
+    high, high_hits = -math.inf, []
+    sums = np.empty_like(samples)
+    for ns, s_vals in octave_sums(kind, j):
+        start, stop = np.searchsorted(samples, (ns[0], ns[-1] + 1))
+        sums[start:stop] = s_vals[samples[start:stop] - ns[0]]
+        values = digitsum._chunk_values(kind, j, ns, s_vals)
+        chunk_low, chunk_high = values.min(), values.max()
+        if chunk_low < low:
+            low, low_hits = chunk_low, []
+        if chunk_low == low:
+            low_hits.append(ns[values == low])
+        if chunk_high > high:
+            high, high_hits = chunk_high, []
+        if chunk_high == high:
+            high_hits.append(ns[values == high])
+    return (digitsum._first_in_orbit(low_hits),
+            digitsum._first_in_orbit(high_hits), sums)

@@ -134,7 +134,7 @@ class TestFluctuationScans:
     def test_chunk_values_are_bitwise_periodic(self, kind, j):
         """The premise of the one-octave extremes scan: value(2n) == value(n)
         bit for bit for every n of the octave [2^j, 2^(j+1))."""
-        for ns, sums in ds._octave_sums(kind, j):
+        for ns, sums in oracles.octave_sums(kind, j):
             doubled = 2 * sums + ns if kind == "phi" else 3 * sums
             here = ds._chunk_values(kind, j, ns, sums)
             there = ds._chunk_values(kind, j + 1, 2 * ns, doubled)
@@ -146,6 +146,66 @@ class TestFluctuationScans:
             samples = ds._log_uniform_samples(j_max - 1, 64)
             assert ds._scan_extremes(kind, j_max, samples)[:2] == \
                 full_range_extremes(kind, j_max), j_max
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    @pytest.mark.parametrize("j_max", [21, 22, 23, 24])
+    def test_pruned_scan_matches_full_sweep(self, kind, j_max):
+        """Skipping chunks changes nothing: the positions and the sums at
+        the default samples equal those of a sweep over every chunk."""
+        samples = ds._log_uniform_samples(j_max - 1, 1 << 16)
+        inf_at, sup_at, sums = ds._scan_extremes(kind, j_max, samples)
+        want_inf_at, want_sup_at, want_sums = oracles.sweep_extremes(
+            kind, j_max, samples)
+        assert (inf_at, sup_at) == (want_inf_at, want_sup_at)
+        assert np.array_equal(sums, want_sums)
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_chunk_values_lie_in_their_bounds(self, kind):
+        """Every chunk's values, from the full sweep, lie within
+        SCAN_SLACK of the interval `_chunk_bounds` gives it, and the
+        starts and digit sums it reports are the sweep's."""
+        for j_max in range(12, 21):
+            j = j_max - 1
+            b = min(ds.CHUNK_BITS, j)
+            # at most 8 chunks here, so one block
+            (hs, pops, starts, lower, upper), = ds._chunk_bounds(
+                kind, j, b, ds._low_sums(kind, b))
+            swept = list(oracles.octave_sums(kind, j))
+            assert len(swept) == len(hs)
+            assert pops.tolist() == [h.bit_count() for h in hs.tolist()]
+            for k, (ns, sums) in enumerate(swept):
+                assert ns[0] == hs[k] << b and sums[0] == starts[k]
+                values = ds._chunk_values(kind, j, ns, sums)
+                assert lower[k] - ds.SCAN_SLACK <= values.min(), (j_max, k)
+                assert values.max() <= upper[k] + ds.SCAN_SLACK, (j_max, k)
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_wrong_bounds_raise(self, kind, monkeypatch):
+        """The runtime checks behind the pruning: an evaluated chunk below
+        its lower bound, or no chunk reaching the levels, raises."""
+        bounds = ds._chunk_bounds
+        samples = ds._log_uniform_samples(19, 64)
+
+        def shifted(lower_by, upper_by):
+            def wrong(*args):
+                for hs, pops, starts, lower, upper in bounds(*args):
+                    yield hs, pops, starts, lower + lower_by, upper + upper_by
+            return wrong
+
+        monkeypatch.setattr(ds, "_chunk_bounds", shifted(1.0, 0.0))
+        with pytest.raises(ArithmeticError, match="outside its bound"):
+            ds._scan_extremes(kind, 20, samples)
+        monkeypatch.setattr(ds, "_chunk_bounds", shifted(1.0, -1.0))
+        with pytest.raises(ArithmeticError, match="miss the chunk-start"):
+            ds._scan_extremes(kind, 20, samples)
+
+    @pytest.mark.parametrize("j", [1, 3, 10, 23])
+    def test_log_uniform_samples_are_the_sorted_distinct_grid(self, j):
+        for count in (1, 7, 64, 1 << 16):
+            grid = np.round(2.0 ** (j + np.arange(count + 1) / count))
+            want = np.unique(np.clip(grid.astype(np.int64), 1 << j,
+                                     (1 << (j + 1)) - 1))
+            assert np.array_equal(ds._log_uniform_samples(j, count), want)
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_sup_sits_at_two(self, kind):
