@@ -211,11 +211,28 @@ def _chunk_values(kind: str, j: int, ns: np.ndarray,
     return s_vals / np.power(3.0, j) * np.power(f, -LOG2_3)
 
 
+def _prefix_sums(kind: str, lo: int, top: int, block: int) -> Iterator[
+        tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(h, #(h), S(h) or Sf(h)) for h in [lo, top), in int64 blocks of at
+    most `block` points, by a running sum carried from block to block."""
+    if lo == 0:
+        running = 0
+    else:
+        running = (summatory_digit_sum if kind == "phi" else summatory_f)(lo)
+    while lo < top:
+        hs = np.arange(lo, min(lo + block, top), dtype=np.int64)
+        pops = np.bitwise_count(hs).astype(np.int64)
+        increments = pops if kind == "phi" else np.int64(1) << pops
+        cums = np.cumsum(increments)
+        yield hs, pops, running + cums - increments
+        running += int(cums[-1])
+        lo += block
+
+
 def _low_sums(kind: str, b: int) -> np.ndarray:
     """S(l) or Sf(l) for every l < 2^b, in int64."""
-    pops = np.bitwise_count(np.arange(1 << b, dtype=np.int64)).astype(np.int64)
-    increments = pops if kind == "phi" else np.int64(1) << pops
-    return np.cumsum(increments) - increments
+    (_, _, sums), = _prefix_sums(kind, 0, 1 << b, 1 << b)
+    return sums
 
 
 def _block_sums(kind: str, starts, pops, ls: np.ndarray,
@@ -231,23 +248,14 @@ def _chunk_starts(kind: str, j: int, b: int) -> Iterator[
         tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(h, #(h), S(h 2^b) or Sf(h 2^b)) for the chunks [h 2^b, (h+1) 2^b)
     of the octave [2^j, 2^(j+1)), in blocks of at most 2^CHUNK_BITS chunks."""
-    block = 1 << CHUNK_BITS
-    lo, top = 1 << (j - b), 1 << (j - b + 1)
-    # S(2^j) = j 2^(j-1) and Sf(2^j) = 3^j start the running sums
-    running = j << j >> 1 if kind == "phi" else 3**j
-    while lo < top:
-        hs = np.arange(lo, min(lo + block, top), dtype=np.int64)
-        pops = np.bitwise_count(hs).astype(np.int64)
+    for hs, pops, sums in _prefix_sums(kind, 1 << (j - b), 1 << (j - b + 1),
+                                       1 << CHUNK_BITS):
         if kind == "phi":
-            # S((h+1) 2^b) - S(h 2^b) = #(h) 2^b + S(2^b), S(2^b) = b 2^(b-1)
-            increments = (pops << b) + (b << b >> 1)
+            # S(h 2^b) = 2^b S(h) + h S(2^b), S(2^b) = b 2^(b-1)
+            yield hs, pops, (sums << b) + hs * (b << b >> 1)
         else:
-            # Sf((h+1) 2^b) - Sf(h 2^b) = 2^#(h) 3^b
-            increments = 3**b << pops
-        cums = np.cumsum(increments)
-        yield hs, pops, running + cums - increments
-        running += int(cums[-1])
-        lo += block
+            # Sf(h 2^b) = 3^b Sf(h)
+            yield hs, pops, sums * 3**b
 
 
 def _chunk_bounds(kind: str, j: int, b: int, low: np.ndarray) -> Iterator[
@@ -316,7 +324,8 @@ def _scan_extremes(kind: str, j_max: int,
         Sf(n) = Sf(h 2^b) + 2^#(h) Sf(l),
 
     so one table of S(l) or Sf(l) gives each chunk's sums from its start,
-    and the starts come from one cumulative sum over the chunks
+    and the starts S(h 2^b) = 2^b S(h) + h b 2^(b-1) and
+    Sf(h 2^b) = 3^b Sf(h) come from one running sum over h
     (`_chunk_starts`).  Each chunk's values lie in an interval
     [lower, upper]: for psi, Sf(n) / 3^j rises and f^(-log2 3) falls
     across the chunk, so its two ends bound it; for phi, 2S - jn is
@@ -331,9 +340,10 @@ def _scan_extremes(kind: str, j_max: int,
     magnitude, 3 only when one chunk spans the octave) and each comes
     from exact integers by a few correctly rounded operations and one
     log2 or power within a few ulps, so each is within 2^-47 of the exact
-    value of its formula; the slack covers both errors 64 times over.  An evaluated chunk outside its interval by more than
-    the slack, or extremes found beyond the levels by more than the slack,
-    raise ArithmeticError.
+    value of its formula; the slack covers both errors 64 times over.
+    An evaluated chunk outside its interval by more than the slack, or
+    extremes found beyond the levels by more than the slack, raise
+    ArithmeticError.
 
     Everything is int64: S(n) < 2^45 and |2S - jn| < 2^53 below 2^40, and
     Sf(n) <= 3^j_max < 2^61 for j_max <= 38, the caps of `phi_statistics`
@@ -394,11 +404,8 @@ def _log_uniform_samples(j: int, samples: int) -> np.ndarray:
     # stay below 2^{j+1}: the top endpoint wraps around to x = 0
     grid = np.round(2.0 ** (j + np.arange(samples + 1) / samples)).astype(np.int64)
     grid = np.clip(grid, 1 << j, (1 << (j + 1)) - 1)
-    steps = np.diff(grid)
-    if (steps < 0).any():
-        # 2^x rounds monotonically in IEEE arithmetic; sort if a libm does not
-        return np.unique(grid)
-    return grid[np.concatenate(([True], steps > 0))]
+    # non-decreasing: neighbouring 2^x differ far beyond pow's rounding
+    return grid[np.concatenate(([True], np.diff(grid) > 0))]
 
 
 def _sample_parts(kind: str, j: int, ns: np.ndarray,

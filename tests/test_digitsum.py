@@ -160,6 +160,20 @@ class TestFluctuationScans:
         assert np.array_equal(sums, want_sums)
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_pruned_scan_carries_sums_across_blocks(self, kind, monkeypatch):
+        """With 8-point chunks in blocks of 8 chunks, the running sums cross
+        up to 2047 block boundaries and still give the sweep's positions
+        and sample sums, which touch every chunk."""
+        monkeypatch.setattr(ds, "CHUNK_BITS", 3)
+        for j_max in range(10, 19):
+            samples = ds._log_uniform_samples(j_max - 1, 1 << 16)
+            inf_at, sup_at, sums = ds._scan_extremes(kind, j_max, samples)
+            want_inf_at, want_sup_at, want_sums = oracles.sweep_extremes(
+                kind, j_max, samples)
+            assert (inf_at, sup_at) == (want_inf_at, want_sup_at), j_max
+            assert np.array_equal(sums, want_sums), j_max
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_chunk_values_lie_in_their_bounds(self, kind):
         """Every chunk's values, from the full sweep, lie within
         SCAN_SLACK of the interval `_chunk_bounds` gives it, and the
