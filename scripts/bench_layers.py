@@ -1,4 +1,4 @@
-"""Time the digit-sum layer's CLI commands, or the tier-1 tests, per side.
+"""Time the digit-sum layer's CLI commands, or another layer's, per side.
 
 Each command runs as its own `python -m lyapdisp.cli` process against the
 given source trees, so interpreter start-up and import are part of every
@@ -31,6 +31,14 @@ family file must, and g2 has one word per length.
 
     python3 scripts/bench_layers.py parent=../parent/src change=src \
         --conjugated --out BENCH_conjugated.json
+
+With --mc it times the Monte Carlo layer instead, in the same way:
+`simulate --csv` on h4 and g5 at the benchmark's crosscheck settings (k 256,
+5,000 trials), h4 at the default 100,000 trials, `simulate --t 2` on g3 at
+the benchmark's settings and at the defaults, and `fit` on h4 and g5, whose
+GF(2) row counts are its exact check.
+
+    python3 scripts/bench_layers.py parent=../parent/src change=src --mc
 
 With --tier1 it times the tier-1 test command instead, run in the checkout
 that holds each src/ directory, in the same alternating order after one
@@ -95,6 +103,18 @@ CONJUGATED_COMMANDS = tuple(
     for name in SHEARED
 )
 CONJUGATED_SEED = 1
+MC_COMMANDS = (
+    ("simulate", "--family", "h4", "--k", "256", "--trials", "5000",
+     "--csv", "{out}/sim-h4.csv"),
+    ("simulate", "--family", "g5", "--k", "256", "--trials", "5000",
+     "--csv", "{out}/sim-g5.csv"),
+    ("simulate", "--family", "h4", "--csv", "{out}/sim-h4-default.csv"),
+    ("simulate", "--family", "g3", "--k", "256", "--trials", "5000",
+     "--t", "2"),
+    ("simulate", "--family", "g3", "--t", "2"),
+    ("fit", "--family", "h4"),
+    ("fit", "--family", "g5"),
+)
 REPEAT = 5
 # PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -375,9 +395,11 @@ def main(argv: list[str] | None = None) -> int:
                       help="time exponents on conjugated family files")
     mode.add_argument("--scan", action="store_true",
                       help="time word scans at the benchmark depth")
+    mode.add_argument("--mc", action="store_true",
+                      help="time simulate and fit commands")
     parser.add_argument("--out", help="default BENCH_digitsum.json, "
-                        "BENCH_tier1.json, BENCH_conjugated.json or "
-                        "BENCH_scan.json")
+                        "BENCH_tier1.json, BENCH_conjugated.json, "
+                        "BENCH_scan.json or BENCH_mc.json")
     args = parser.parse_args(argv)
     sides = dict(side.split("=", 1) for side in args.sides)
     report = {
@@ -400,6 +422,8 @@ def main(argv: list[str] | None = None) -> int:
         with tempfile.TemporaryDirectory() as fam:
             write_conjugated(next(iter(sides.values())), fam)
             report["sides"] = bench(sides, CONJUGATED_COMMANDS, fam)
+    elif args.mc:
+        report["sides"] = bench(sides, MC_COMMANDS)
     else:
         report["sides"] = bench(sides)
     if not (args.tier1 or args.scan):
@@ -407,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out or ("BENCH_tier1.json" if args.tier1 else
                        "BENCH_conjugated.json" if args.conjugated else
                        "BENCH_scan.json" if args.scan else
+                       "BENCH_mc.json" if args.mc else
                        "BENCH_digitsum.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

@@ -9,6 +9,7 @@ significant digits and object keys are sorted.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -83,7 +84,9 @@ def _add_common(parser, *, family=False, max_len=False, threads=False,
                             help="write the CSV table to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lyapdisp",
         description=(

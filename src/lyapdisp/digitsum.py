@@ -525,25 +525,34 @@ def psi_statistics(
 # ---------------------------------------------------------------------------
 
 def gf2_row_counts(mask: int, n_max: int) -> Iterator[int]:
-    """Popcounts of p(x)^n mod 2 for n = 0 .. n_max-1.
+    """Popcounts of p(x)^n mod 2 for n = 0 .. n_max-1, in order.
 
     p is the bitset `mask` (bit i is the coefficient of x^i, as in
-    `MatrixFamily.poly_mask`).  Multiplication by p is carry-free: XOR of
-    the current row shifted by each exponent of p, on machine-word-parallel
-    int bitsets.
+    `MatrixFamily.poly_mask`).  Over GF(2) squaring is the Frobenius map,
+    p(x)^2 = p(x^2), so p^(2n) is p^n with its exponents doubled and has the
+    same popcount: count(2n) = count(n) is read back, and only the odd rows
+    are formed, by p^(n+2) = p^n * p(x^2).  That product is carry-free: XOR
+    of the row shifted by each exponent of p(x^2), on machine-word-parallel
+    int bitsets.  The counts are exact and use nothing but p.
     """
     if mask <= 0:
         raise ValueError("polynomial must be nonzero")
     if n_max > 1 << 18:
         raise ValueError("n_max capped at 2^18 (quadratic bit cost)")
-    shifts = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-    row = 1
-    for _ in range(n_max):
-        yield row.bit_count()
-        acc = 0
-        for i in shifts:
-            acc ^= row << i
-        row = acc
+    shifts = [2 * i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    counts = []
+    row = mask
+    for n in range(n_max):
+        if n & 1:
+            count = row.bit_count()
+            acc = 0
+            for i in shifts:
+                acc ^= row << i
+            row = acc
+        else:
+            count = counts[n >> 1] if n else 1
+        counts.append(count)
+        yield count
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ For nonnegative matrices the infinity norm of a product P is max(P 1), so
 each trial carries one vector, the product applied to the ones vector from
 the right (m^2 work per digit rather than m^3), and the vector is
 renormalized whenever its largest entry exceeds 2^100 so nothing overflows.
+Each step forms both products D0 v and D1 v for the whole block and keeps
+one per trial by weighting them with the trial's digit as 0.0 or 1.0.  The
+weighting is exact, not an approximation: every entry is finite and >= 0,
+so x * 1 = x, x * 0 = +0 and x + 0 = x, and the block equals a per-trial
+selection of the two products bit for bit.  That needs the products to stay
+finite, so a family whose 2^100 * ||D_d||_inf reaches half the float
+maximum is refused.
 Digits come from a counter-based Philox stream keyed by the seed; trial i
 always consumes the same fixed slice of the stream, so results are
 reproducible and independent of how trials would be partitioned across
@@ -33,6 +40,10 @@ __all__ = [
 ]
 
 RENORM_THRESHOLD = 2.0**100
+# a step starts with entries <= RENORM_THRESHOLD, so its products stay below
+# RENORM_THRESHOLD * MAX_ROW_SUM, half the float maximum: the other half is
+# room for the rounding of those sums and of the row sums
+MAX_ROW_SUM = np.finfo(np.float64).max / 2 / RENORM_THRESHOLD
 BOOTSTRAP_RESAMPLES = 200
 
 
@@ -111,7 +122,14 @@ def log_product_norms(config: SimConfig) -> tuple[np.ndarray, int]:
     The digit matrices must be nonnegative: then the norm is the largest
     entry of the product times the ones vector, which is built right to
     left, D_{z_j} applied for j = k-1 .. 0 to an (m, trials) block of
-    vectors.  Raises ValueError on a negative entry.
+    vectors.  Each step computes D1 v and D0 v for the block and adds them
+    weighted by the digit (1.0 or 0.0) and its complement, which equals
+    picking one per trial exactly while every entry is finite and >= 0.
+    A step starts with entries at most 2^100, so its products are at most
+    2^100 times the larger infinity norm (largest row sum) of D0 and D1.
+    Raises ValueError on a negative entry, or when that bound is not below
+    half the float maximum, where a product could reach inf and inf * 0
+    would give NaN.
 
     Returns (log norms over non-degenerate trials, number of degenerate
     trials whose product was exactly zero).
@@ -123,17 +141,30 @@ def log_product_norms(config: SimConfig) -> tuple[np.ndarray, int]:
             "needs nonnegative matrices"
         )
     d0, d1 = fam.d0.to_float(), fam.d1.to_float()
+    row_sum = max(d0.sum(axis=1).max(), d1.sum(axis=1).max())
+    if not row_sum < MAX_ROW_SUM:
+        raise ValueError(
+            f"family {fam.name} has a row sum of {row_sum:.3g}; 2^100 times it "
+            "must stay below half the float maximum"
+        )
     digits = np.ascontiguousarray(
         _digit_matrix(config.seed, config.trials, config.k).T, dtype=bool)
     vec = np.ones((fam.dim, config.trials))
     log_acc = np.zeros(config.trials)
     for j in range(config.k - 1, -1, -1):
-        vec = np.where(digits[j], d1 @ vec, d0 @ vec)
+        on = digits[j].astype(np.float64)
+        by_one = d1 @ vec
+        by_one *= on
+        vec = d0 @ vec
+        vec *= 1.0 - on
+        vec += by_one
         norms = vec.max(axis=0)
         big = norms > RENORM_THRESHOLD
         if big.any():
-            vec[:, big] /= norms[big]
-            log_acc[big] += np.log(norms[big])
+            # x / 1 = x and ln 1 = 0: the other trials are left as they are
+            scale = np.where(big, norms, 1.0)
+            vec /= scale
+            log_acc += np.log(scale)
     norms = vec.max(axis=0)
     alive = norms > 0.0
     degenerate = int(config.trials - alive.sum())

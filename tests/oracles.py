@@ -20,6 +20,11 @@ to a number the package computes another way.
 - `octave_sums` and `sweep_extremes` are the unpruned top-octave sweep:
   every point's running digit-sum total, and `digitsum._chunk_values` on
   every chunk, which `digitsum._scan_extremes` must match.
+- `gf2_row_counts_direct` multiplies the GF(2) row by p once per n, with no
+  Frobenius step; `digitsum.gf2_row_counts` must yield the same counts.
+- `log_product_norms_where` is the Monte Carlo kernel that picks each
+  trial's product with `np.where`; `mcsim.log_product_norms` must return
+  the same arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from lyapdisp import digitsum, exactmat
+from lyapdisp import catalog, digitsum, exactmat, mcsim
 from lyapdisp.catalog import MatrixFamily
 from lyapdisp.conjugate import SentinelFactorization
 from lyapdisp.exactmat import RationalMatrix
@@ -254,3 +259,39 @@ def sweep_extremes(kind: str, j_max: int,
             high_hits.append(ns[values == high])
     return (digitsum._first_in_orbit(low_hits),
             digitsum._first_in_orbit(high_hits), sums)
+
+
+def gf2_row_counts_direct(mask: int, n_max: int) -> Iterator[int]:
+    """Popcounts of p(x)^n mod 2 for n < n_max, one multiplication by p per
+    n: XOR of the row shifted by each exponent of p."""
+    shifts = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    row = 1
+    for _ in range(n_max):
+        yield row.bit_count()
+        acc = 0
+        for i in shifts:
+            acc ^= row << i
+        row = acc
+
+
+def log_product_norms_where(config) -> tuple[np.ndarray, int]:
+    """What `mcsim.log_product_norms` returns, each step selecting D1 v or
+    D0 v per trial with `np.where` and renormalizing only the trials past
+    the threshold."""
+    fam = catalog.resolve_family(config.family)
+    d0, d1 = fam.d0.to_float(), fam.d1.to_float()
+    digits = np.ascontiguousarray(
+        mcsim._digit_matrix(config.seed, config.trials, config.k).T,
+        dtype=bool)
+    vec = np.ones((fam.dim, config.trials))
+    log_acc = np.zeros(config.trials)
+    for j in range(config.k - 1, -1, -1):
+        vec = np.where(digits[j], d1 @ vec, d0 @ vec)
+        norms = vec.max(axis=0)
+        big = norms > mcsim.RENORM_THRESHOLD
+        if big.any():
+            vec[:, big] /= norms[big]
+            log_acc[big] += np.log(norms[big])
+    norms = vec.max(axis=0)
+    alive = norms > 0.0
+    return log_acc[alive] + np.log(norms[alive]), int(config.trials - alive.sum())

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from lyapdisp import catalog, mcsim
-from lyapdisp.cli import dumps_fixed, main
+from lyapdisp.cli import build_parser, dumps_fixed, main
 from oracles import family_to_dict
 
 
@@ -362,3 +362,41 @@ class TestExitCodes:
         rows = json.loads(out_path.read_text())["rows"]
         assert all(row["pass"] for row in rows)
         assert {row["quantity"] for row in rows} >= {"lambda", "sigma2"}
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process, built on first use."""
+
+    SUBCOMMANDS = ("catalog", "exponents", "lt", "replica", "simulate",
+                   "regroup-check", "phi", "psi", "dispersion", "digits",
+                   "fit", "verify")
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_appended_values_do_not_leak(self, capsys):
+        for ts in (["0.5", "1"], ["2"], ["0.5", "1"]):
+            argv = ["regroup-check"]
+            for t in ts:
+                argv += ["--t", t]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert [row["t"] for row in json.loads(out)["samples"]] == \
+                [float(t) for t in ts]
+        code, out, _ = run(capsys, "regroup-check")
+        assert [row["t"] for row in json.loads(out)["samples"]] == \
+            [0.0, 0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("command", (None,) + SUBCOMMANDS)
+    def test_help_unchanged(self, capsys, command):
+        """--help after other commands ran prints what a new parser prints."""
+        run(capsys, "regroup-check", "--t", "1")
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        shown = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args(argv)
+        assert shown == capsys.readouterr().out
+        assert shown.startswith("usage: lyapdisp")

@@ -340,6 +340,22 @@ class TestGf2RowCounts:
         with pytest.raises(ValueError):
             list(ds.gf2_row_counts(0b11, (1 << 18) + 1))
 
+    def test_matches_direct_products_every_small_mask(self):
+        for mask in range(1, 256):
+            assert list(ds.gf2_row_counts(mask, 1024)) == \
+                list(oracles.gf2_row_counts_direct(mask, 1024)), hex(mask)
+
+    @pytest.mark.parametrize("name", catalog.family_names())
+    def test_matches_direct_products_builtin_masks(self, name):
+        mask = catalog.get_family(name).poly_mask
+        assert list(ds.gf2_row_counts(mask, 4096)) == \
+            list(oracles.gf2_row_counts_direct(mask, 4096))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 8, 9])
+    def test_yields_exactly_n_max_counts(self, n_max):
+        assert list(ds.gf2_row_counts(0b1011, n_max)) == \
+            list(oracles.gf2_row_counts_direct(0b1011, n_max))
+
 
 def permuted_h4() -> catalog.MatrixFamily:
     """h4 with its states reordered: P^T D P for a permutation P."""

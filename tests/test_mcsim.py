@@ -1,23 +1,28 @@
 """Monte Carlo machinery: exactness of the bookkeeping and determinism."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from lyapdisp import catalog, exactmat, mcsim
+from lyapdisp.cli import dumps_fixed
 from lyapdisp.exactmat import RationalMatrix
 from lyapdisp.mcsim import DegenerateProduct, SimConfig
 
 LN2 = math.log(2.0)
 
 
-def conjugated_family(name: str) -> catalog.MatrixFamily:
-    """The family under D -> Q^-1 D Q for a positive rational diagonal Q:
-    still nonnegative, with entries that are not exact floats."""
+def conjugated_family(name: str, diag=None) -> catalog.MatrixFamily:
+    """The family under D -> Q^-1 D Q for a positive rational diagonal Q,
+    by default with entries (2i+3)/(i+2): still nonnegative, with entries
+    that are not exact floats."""
     fam = catalog.get_family(name)
-    diag = [Fraction(2 * i + 3, i + 2) for i in range(fam.dim)]
+    if diag is None:
+        diag = [Fraction(2 * i + 3, i + 2) for i in range(fam.dim)]
 
     def conj(matrix):
         return RationalMatrix([
@@ -98,11 +103,8 @@ class TestLogProductNorms:
         assert np.abs(log_norms - ones * LN2).max() < 1e-10
 
     def test_degenerate_products_flagged(self):
-        d0 = RationalMatrix([[1, 0], [0, 0]])
-        d1 = RationalMatrix([[0, 1], [0, 0]])  # d1 @ d1 = 0
-        fam = catalog.MatrixFamily(name="nil", q=1, d0=d0, d1=d1, poly_mask=0)
         # only words of the shape 0^a or 0^a 1 survive, so k must stay small
-        config = SimConfig(fam, k=4, trials=200, seed=1)
+        config = SimConfig(nil_family(), k=4, trials=200, seed=1)
         log_norms, degenerate = mcsim.log_product_norms(config)
         assert degenerate > 0
         assert log_norms.size == 200 - degenerate
@@ -123,6 +125,107 @@ class TestLogProductNorms:
         )
         with pytest.raises(DegenerateProduct):
             mcsim.log_product_norms(SimConfig(fam, k=3, trials=8, seed=1))
+
+
+def nil_family() -> catalog.MatrixFamily:
+    """Only words of the shape 0^a or 0^a 1 have a nonzero product."""
+    d0 = RationalMatrix([[1, 0], [0, 0]])
+    d1 = RationalMatrix([[0, 1], [0, 0]])  # d1 @ d1 = 0
+    return catalog.MatrixFamily(name="nil", q=1, d0=d0, d1=d1, poly_mask=0)
+
+
+def scaled_family_file(tmp_path, name: str, power: int) -> str:
+    """@path of a family file holding the family conjugated by
+    Q = diag(1, 2^-power, 1, ...): a valid family whose entry D[1][0] is
+    scaled by 2^power."""
+    diag = [Fraction(1)] * catalog.get_family(name).dim
+    diag[1] = Fraction(1, 2**power)
+    path = tmp_path / f"{name}-scaled-{power}.json"
+    path.write_text(json.dumps(
+        oracles.family_to_dict(conjugated_family(name, diag))))
+    return f"@{path}"
+
+
+class TestMatchesWhereKernel:
+    """The digit-weighted step gives the np.where kernel's arrays bit for
+    bit: x * 1 = x, x * 0 = +0 and x + 0 = x on finite x >= 0."""
+
+    @staticmethod
+    def assert_same(config):
+        log_norms, degenerate = mcsim.log_product_norms(config)
+        want_norms, want_degenerate = oracles.log_product_norms_where(config)
+        assert np.array_equal(log_norms, want_norms)
+        assert degenerate == want_degenerate
+
+    @pytest.mark.parametrize("seed", [5, 20080318])
+    @pytest.mark.parametrize("name", catalog.family_names())
+    def test_builtins_at_benchmark_size(self, name, seed):
+        self.assert_same(SimConfig(name, k=256, trials=5000, seed=seed))
+
+    @pytest.mark.parametrize("name,k", [
+        ("g2", 1), ("h4", 1), ("g1", 1024), ("g3", 1024), ("h4", 1024),
+    ])
+    def test_one_digit_and_many_renormalizations(self, name, k):
+        self.assert_same(SimConfig(name, k=k, trials=700, seed=8))
+
+    def test_trials_not_a_multiple_of_64(self):
+        self.assert_same(SimConfig("g5", k=200, trials=1001, seed=2))
+
+    def test_conjugated_family_file(self, tmp_path):
+        path = tmp_path / "h4-conj.json"
+        path.write_text(json.dumps(oracles.family_to_dict(conjugated_family("h4"))))
+        config = SimConfig(f"@{path}", k=256, trials=2000, seed=3)
+        rows = catalog.resolve_family(config.family).d0.rows
+        assert any(x.denominator > 1 for row in rows for x in row)
+        self.assert_same(config)
+
+    def test_degenerate_products(self):
+        self.assert_same(SimConfig(nil_family(), k=4, trials=200, seed=1))
+
+    def test_entries_just_inside_the_bound(self, tmp_path):
+        # row sum 2^900: a step's products reach 2^1000, below the limit
+        self.assert_same(SimConfig(
+            scaled_family_file(tmp_path, "g2", 900), k=64, trials=300, seed=4))
+
+    @pytest.mark.parametrize("t", [None, 2.0])
+    def test_simulate_json_unchanged(self, monkeypatch, t):
+        config = SimConfig("g3", k=256, trials=3000, seed=7)
+
+        def report():
+            result = (mcsim.simulate(config) if t is None
+                      else mcsim.simulate_moment(config, t))
+            return dumps_fixed(result.to_json_dict()), result.log_norms
+
+        text, log_norms = report()
+        monkeypatch.setattr(mcsim, "log_product_norms",
+                            oracles.log_product_norms_where)
+        want_text, want_norms = report()
+        assert text == want_text
+        assert np.array_equal(log_norms, want_norms)
+
+
+class TestRowSumBound:
+    def test_family_file_past_the_bound_refused(self, tmp_path):
+        # row sum 2^960: 2^100 times it is past the float maximum
+        config = SimConfig(scaled_family_file(tmp_path, "g2", 960), k=8,
+                           trials=10, seed=1)
+        with pytest.raises(ValueError, match="half the float maximum"):
+            mcsim.log_product_norms(config)
+
+    def test_limit_is_half_the_float_maximum_over_two_to_the_100(self):
+        row_sum = mcsim.MAX_ROW_SUM
+        assert row_sum * mcsim.RENORM_THRESHOLD * 2 == np.finfo(np.float64).max
+        edge = catalog.MatrixFamily(
+            name="edge", q=1, poly_mask=0,
+            d0=RationalMatrix([[Fraction(float(row_sum))]]),
+            d1=RationalMatrix([[1]]))
+        with pytest.raises(ValueError, match="row sum"):
+            mcsim.log_product_norms(SimConfig(edge, k=2, trials=4))
+        below = float(np.nextafter(row_sum, 0.0))
+        inside = catalog.MatrixFamily(
+            name="inside", q=1, poly_mask=0,
+            d0=RationalMatrix([[Fraction(below)]]), d1=RationalMatrix([[1]]))
+        TestMatchesWhereKernel.assert_same(SimConfig(inside, k=40, trials=64))
 
 
 class TestSimulate:
