@@ -17,7 +17,7 @@ does not.
         --out BENCH_digitsum.json
 
 With --conjugated it times `exponents --max-len 18` on diagonally
-conjugated copies of h4, g5 and g6 instead, in the same way, and
+conjugated copies of all 8 built-in families instead, in the same way, and
 `exponents --max-len 22` on a sheared copy of h4.  The script writes the
 family files once per run and every run of every side reads the same
 files.  The diagonal copies are under D -> Q^-1 D Q for a random positive
@@ -27,7 +27,10 @@ balance them back to integer pairs and take the float64 path.  The
 sheared copy is under Q = I + E01 / 3, which leaves a 3 in a diagonal
 denominator, so its scans take the exact Python-int path.  Of the
 built-in families only g2 and h4 stay nonnegative under that shear, as a
-family file must, and g2 has one word per length.
+family file must, and g2 has one word per length.  Per side and family
+file it also records `exactmat.diagonal_balance` timed in process: the
+median over the side's REPEAT processes of each process's median call, in
+microseconds.
 
     python3 scripts/bench_layers.py parent=../parent/src change=src \
         --conjugated --out BENCH_conjugated.json
@@ -93,7 +96,7 @@ COMMANDS = (
     ("dispersion", "--family", "g5", "--jmax", "20"),
 )
 # {fam} is the directory of the conjugated family files
-CONJUGATED = ("h4", "g5", "g6")
+CONJUGATED = ("g1", "g2", "g3", "h3", "g4", "h4", "g5", "g6")
 SHEARED = ("h4",)
 CONJUGATED_COMMANDS = tuple(
     ("exponents", "--family", f"@{{fam}}/{name}-conj.json", "--max-len", "18")
@@ -103,6 +106,23 @@ CONJUGATED_COMMANDS = tuple(
     for name in SHEARED
 )
 CONJUGATED_SEED = 1
+# --conjugated: a side's process calls exactmat.diagonal_balance argv[1]
+# times on each family file after it and prints {family: median µs}
+BALANCE_CALLS = 101
+BALANCE_WORKER = """
+import json, statistics, sys, time
+from lyapdisp import catalog, exactmat
+medians = {}
+for path in sys.argv[2:]:
+    fam = catalog.load_family_file(path)
+    walls = []
+    for _ in range(int(sys.argv[1])):
+        start = time.perf_counter()
+        exactmat.diagonal_balance(fam.d0.rows, fam.d1.rows)
+        walls.append(time.perf_counter() - start)
+    medians[fam.name] = round(statistics.median(walls) * 1e6, 1)
+print(json.dumps(medians))
+"""
 MC_COMMANDS = (
     ("simulate", "--family", "h4", "--k", "256", "--trials", "5000",
      "--csv", "{out}/sim-h4.csv"),
@@ -247,6 +267,26 @@ def bench(sides: dict[str, str], commands=COMMANDS, fam: str = "") -> dict:
                 "files_sha1": sorted({files for _, _, _, files in samples}),
             }
     return result
+
+
+def bench_balance(sides: dict[str, str], directory: str) -> dict:
+    """Per side and family file in directory: the median over REPEAT
+    processes, the sides alternating, of BALANCE_WORKER's median µs."""
+    paths = sorted(os.path.join(directory, name)
+                   for name in os.listdir(directory))
+    runs = {label: [] for label in sides}
+    order = list(sides)
+    for rep in range(REPEAT):
+        for label in order if rep % 2 == 0 else order[::-1]:
+            proc = subprocess.run(
+                [sys.executable, "-c", BALANCE_WORKER, str(BALANCE_CALLS),
+                 *paths], env=dict(os.environ, PYTHONPATH=os.path.abspath(
+                     sides[label])), capture_output=True, text=True,
+                check=True)
+            runs[label].append(json.loads(proc.stdout))
+    return {label: {name: statistics.median(run[name] for run in samples)
+                    for name in samples[0]}
+            for label, samples in runs.items()}
 
 
 def identical_outputs(sides: dict) -> dict[str, bool]:
@@ -422,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         with tempfile.TemporaryDirectory() as fam:
             write_conjugated(next(iter(sides.values())), fam)
             report["sides"] = bench(sides, CONJUGATED_COMMANDS, fam)
+            report["diagonal_balance_us"] = bench_balance(sides, fam)
     elif args.mc:
         report["sides"] = bench(sides, MC_COMMANDS)
     else:

@@ -62,7 +62,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _add_common(parser, *, family=False, max_len=False, threads=False,
-                tol=False, json_out=True, csv_out=False):
+                tol=False, csv_out=False):
     if family:
         parser.add_argument(
             "--family", required=True,
@@ -76,9 +76,8 @@ def _add_common(parser, *, family=False, max_len=False, threads=False,
                             help="worker processes for the word scan")
     if tol:
         parser.add_argument("--tol", type=float, default=1e-10)
-    if json_out:
-        parser.add_argument("--json", metavar="PATH", default=None,
-                            help="write the JSON report here instead of stdout")
+    parser.add_argument("--json", metavar="PATH", default=None,
+                        help="write the JSON report here instead of stdout")
     if csv_out:
         parser.add_argument("--csv", metavar="PATH", default=None,
                             help="write the CSV table to this path")

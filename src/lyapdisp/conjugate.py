@@ -41,6 +41,8 @@ class SentinelFactorization:
     beta: tuple[Fraction, ...]
     d0: RationalMatrix
     d1: RationalMatrix
+    # perfbench's per-family scan rates read this.  test_api_surface matches
+    # fields by name and SimResult.family shares it, so test_gle pins it.
     family: str = ""
 
 

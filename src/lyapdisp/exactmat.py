@@ -5,9 +5,11 @@ grow exponentially, so the factorizations and powers behind the corner
 values are kept as exact `fractions.Fraction` values end to end.
 `int_pair` turns a pair and its corner vectors into integer rows for the
 word scan, balancing away the denominators by a diagonal similarity where
-one can.  Floating point appears only on the replica route: `kronecker`
-multiplies float64 arrays, and `spectral_radius` and `poly_eval` work on
-floats.
+one can.  `diagonal_balance` finds that similarity by one gcd relaxation
+over the rationals: a difference constraint per prime and nonzero entry,
+every prime solved at once within dim + 1 rounds, no number factored.
+Floating point appears only on the replica route: `kronecker` multiplies
+float64 arrays, and `spectral_radius` and `poly_eval` work on floats.
 """
 
 from __future__ import annotations
@@ -137,80 +139,40 @@ def int_rows(rows) -> tuple[list[list[int]], int]:
     return [[int(x * den) for x in row] for row in rows], den
 
 
-def _coprime_base(numbers) -> list[int]:
-    """Pairwise coprime b > 1 such that every number is a product of their powers.
-
-    Factor refinement by gcds alone, so no number is factored: a base
-    element may be composite, but then every number holds its primes in the
-    same proportion.  Each split replaces b and n by gcd(b, n), b / gcd and
-    n / gcd, which lowers the product of all pending numbers, so it ends.
-    """
-    base = []
-    todo = [n for n in numbers if n > 1]
-    while todo:
-        n = todo.pop()
-        for k, b in enumerate(base):
-            g = math.gcd(n, b)
-            if g > 1:
-                del base[k]
-                todo += [x for x in (g, b // g, n // g) if x > 1]
-                break
-        else:
-            base.append(n)
-    return base
-
-
-def _valuation(b: int, n: int) -> int:
-    """The exponent of b in the nonzero int n."""
-    e = 0
-    while n % b == 0:
-        n //= b
-        e += 1
-    return e
-
-
 def diagonal_balance(*matrices) -> tuple[Fraction, ...] | None:
     """A positive diagonal P with P D P^-1 integer for every D given, or None.
 
-    (P D P^-1)[i, j] = P_i D_ij / P_j.  Write P_i = prod b^x_b(i) over a
-    coprime base of the entries' numerators and denominators: an integer
-    analogue of diagonal balancing (Parlett & Reinsch, Numer. Math. 13,
-    1969).  For each base element b that divides a denominator, every
-    nonzero D_ij asks for x(j) - x(i) <= v_b(D_ij), a system of difference
-    constraints that Bellman-Ford solves from x = 0.  A negative cycle, such
-    as a diagonal entry with b in its denominator, means no such P exists:
-    the product of D's entries around a cycle is the same in every diagonal
-    conjugate.  Integer matrices give P = I.  Each matrix is given as rows
-    of Fractions.
+    (P D P^-1)[i, j] = P_i D_ij / P_j is an integer exactly when
+    v_p(P_j) <= v_p(P_i) + v_p(D_ij) at every prime p: one system of
+    difference constraints per prime, an integer analogue of diagonal
+    balancing (Parlett & Reinsch, Numer. Math. 13, 1969).  One Bellman-Ford
+    relaxation over the positive rationals solves every system at once and
+    factors nothing: from P = 1, each nonzero D_ij sets P_j to
+    gcd(P_j, P_i D_ij), where gcd(a/b, c/d) = gcd(a, c) / lcm(b, d) takes
+    the smaller exponent at every prime.  When P exists, this reaches the
+    greatest one with no positive exponent and then stops changing, within
+    dim rounds.  If P still changes in round dim + 1, some prime has a
+    negative cycle and no P exists: the product of the entries around a
+    cycle is the same in every diagonal conjugate, so it must be an
+    integer, and a fractional diagonal entry is one such cycle.  Integer
+    matrices give P = I.  Each matrix is given as rows of Fractions.
     """
     n = len(matrices[0])
     entries = [(i, j, x) for rows in matrices for i, row in enumerate(rows)
                for j, x in enumerate(row) if x]
-    dens = {x.denominator for _, _, x in entries if x.denominator > 1}
     diag = [Fraction(1)] * n
-    if not dens:
-        return tuple(diag)
-    numbers = dens | {abs(x.numerator) for _, _, x in entries}
-    for b in _coprime_base(numbers):
-        if not any(den % b == 0 for den in dens):
-            continue
-        weight = {}
+    for _ in range(n + 1):
+        changed = False
         for i, j, x in entries:
-            w = _valuation(b, x.numerator) - _valuation(b, x.denominator)
-            weight[i, j] = min(w, weight.get((i, j), w))
-        x = [0] * n
-        for _ in range(n + 1):
-            changed = False
-            for (i, j), w in weight.items():
-                if x[i] + w < x[j]:
-                    x[j] = x[i] + w
-                    changed = True
-            if not changed:
-                break
-        else:
-            return None
-        diag = [p * Fraction(b) ** e for p, e in zip(diag, x)]
-    return tuple(diag)
+            y = diag[i] * x
+            p = Fraction(math.gcd(diag[j].numerator, y.numerator),
+                         math.lcm(diag[j].denominator, y.denominator))
+            if p != diag[j]:
+                diag[j] = p
+                changed = True
+        if not changed:
+            return tuple(diag)
+    return None
 
 
 def int_pair(d0, d1, alpha, beta):

@@ -25,6 +25,10 @@ to a number the package computes another way.
 - `log_product_norms_where` is the Monte Carlo kernel that picks each
   trial's product with `np.where`; `mcsim.log_product_norms` must return
   the same arrays bit for bit.
+- `diagonal_balance_by_base` balances a pair one element of a coprime
+  base at a time, with b-adic valuations and an integer Bellman-Ford per
+  element; `exactmat.diagonal_balance` must return the same tuple, or
+  None with it.
 """
 
 from __future__ import annotations
@@ -295,3 +299,75 @@ def log_product_norms_where(config) -> tuple[np.ndarray, int]:
     norms = vec.max(axis=0)
     alive = norms > 0.0
     return log_acc[alive] + np.log(norms[alive]), int(config.trials - alive.sum())
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime b > 1 such that every number is a product of their powers.
+
+    Factor refinement by gcds alone, so no number is factored: a base
+    element may be composite, but then every number holds its primes in the
+    same proportion.  Each split replaces b and n by gcd(b, n), b / gcd and
+    n / gcd, which lowers the product of all pending numbers, so it ends.
+    """
+    base = []
+    todo = [n for n in numbers if n > 1]
+    while todo:
+        n = todo.pop()
+        for k, b in enumerate(base):
+            g = math.gcd(n, b)
+            if g > 1:
+                del base[k]
+                todo += [x for x in (g, b // g, n // g) if x > 1]
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _valuation(b: int, n: int) -> int:
+    """The exponent of b in the nonzero int n."""
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e
+
+
+def diagonal_balance_by_base(*matrices) -> tuple[Fraction, ...] | None:
+    """What `exactmat.diagonal_balance` returns, one coprime base element
+    at a time.
+
+    Write P_i = prod b^x_b(i) over a coprime base of the entries'
+    numerators and denominators.  For each b that divides a denominator,
+    every nonzero D_ij asks for x(j) - x(i) <= v_b(D_ij), a system of
+    difference constraints that Bellman-Ford solves from x = 0 in at most
+    dim + 1 rounds, or finds a negative cycle and returns None.
+    """
+    n = len(matrices[0])
+    entries = [(i, j, x) for rows in matrices for i, row in enumerate(rows)
+               for j, x in enumerate(row) if x]
+    dens = {x.denominator for _, _, x in entries if x.denominator > 1}
+    diag = [Fraction(1)] * n
+    if not dens:
+        return tuple(diag)
+    numbers = dens | {abs(x.numerator) for _, _, x in entries}
+    for b in _coprime_base(numbers):
+        if not any(den % b == 0 for den in dens):
+            continue
+        weight = {}
+        for i, j, x in entries:
+            w = _valuation(b, x.numerator) - _valuation(b, x.denominator)
+            weight[i, j] = min(w, weight.get((i, j), w))
+        x = [0] * n
+        for _ in range(n + 1):
+            changed = False
+            for (i, j), w in weight.items():
+                if x[i] + w < x[j]:
+                    x[j] = x[i] + w
+                    changed = True
+            if not changed:
+                break
+        else:
+            return None
+        diag = [p * Fraction(b) ** e for p, e in zip(diag, x)]
+    return tuple(diag)

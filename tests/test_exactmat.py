@@ -1,5 +1,6 @@
 """Exact matrix algebra: hand-checked values plus randomized round trips."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -139,6 +140,57 @@ class TestDiagonalBalance:
         start = time.perf_counter()
         assert exactmat.diagonal_balance(d0.rows, d1.rows) is None
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("hi", [9, 1000])
+    @pytest.mark.parametrize("name", catalog.family_names())
+    def test_matches_the_coprime_base_oracle(self, name, hi):
+        fam = catalog.get_family(name)
+        rng = random.Random(f"{name}-{hi}")
+        for _ in range(25):
+            diag = [Fraction(rng.randint(1, hi), rng.randint(1, hi))
+                    for _ in range(fam.dim)]
+            rows = [diagonal_conjugate(m, diag).rows for m in (fam.d0, fam.d1)]
+            balanced = exactmat.diagonal_balance(*rows)
+            assert balanced is not None
+            assert balanced == oracles.diagonal_balance_by_base(*rows)
+
+    @pytest.mark.parametrize("rows, feasible", [
+        # a P61 P59 factor around the cycle 0 -> 1 -> 2 -> 0, product 3
+        ([[1, Fraction(P61 * P59, 7), 0], [0, 0, Fraction(21, P59)],
+          [Fraction(1, P61), 0, 0]], True),
+        # a fractional diagonal entry
+        ([["1/3", 1, 0], [0, 0, 1], [1, 0, 0]], False),
+        # the 2-cycle D[1, 2] D[2, 1] = 2/3
+        ([[1, 0, 0], [0, 0, "2/9"], [0, 3, 0]], False),
+    ])
+    def test_edge_cases_match_the_oracle(self, rows, feasible):
+        rows = RationalMatrix(rows).rows
+        balanced = exactmat.diagonal_balance(rows)
+        assert (balanced is not None) == feasible
+        assert balanced == oracles.diagonal_balance_by_base(rows)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_chain_against_the_relaxation_order_balances(self, n):
+        # D[k, k-1] = 1 / (k-th prime): the relaxation visits row 1 first,
+        # so the denominators move one edge per round, n - 1 edges in all
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        rows = [[Fraction(1, primes[i - 1]) if j == i - 1 else Fraction(0)
+                 for j in range(n)] for i in range(n)]
+        balanced = exactmat.diagonal_balance(rows)
+        assert balanced == oracles.diagonal_balance_by_base(rows)
+        assert balanced[-1] == 1
+        assert balanced[0] == Fraction(1, math.prod(primes[:n - 1]))
+        back = diagonal_conjugate(RationalMatrix(rows),
+                                  [1 / p for p in balanced])
+        assert all(x.denominator == 1 for row in back.rows for x in row)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_cycle_with_product_one_half_is_infeasible(self, n):
+        rows = [[Fraction(1, 2) if (i, j) == (n - 1, 0) else
+                 Fraction(int(j == i + 1)) for j in range(n)]
+                for i in range(n)]
+        assert exactmat.diagonal_balance(rows) is None
+        assert oracles.diagonal_balance_by_base(rows) is None
 
 
 class TestMatMul:

@@ -1,5 +1,6 @@
 """Series engine, Wynn acceleration, F/L machinery, replica, regrouping."""
 
+import json
 import math
 import sys
 from collections import Counter
@@ -17,7 +18,7 @@ from lyapdisp.gle import (
     Overflow,
     TruncationUnstable,
 )
-from oracles import f_closed_form_t0
+from oracles import f_closed_form_t0, family_to_dict
 
 LN2 = math.log(2.0)
 MAX = sys.float_info.max
@@ -166,6 +167,32 @@ class TestExponents:
         monkeypatch.setattr(words, "scan_corner_stats", refuse_scan)
         with pytest.raises(ValueError, match="t must be finite"):
             gle.exponents("g1", max_len=8, lt_samples=(1.0, t))
+
+    def test_scan_gets_the_family_name(self, tmp_path, monkeypatch):
+        # the benchmark's per-family scan rates read fact.family
+        fam = catalog.get_family("g3")
+        diag = [Fraction(k + 2, 2 * k + 3) for k in range(fam.dim)]
+
+        def conj(m):
+            return RationalMatrix([[m[i, j] * diag[j] / diag[i]
+                                    for j in range(fam.dim)]
+                                   for i in range(fam.dim)])
+
+        path = tmp_path / "g3-conj.json"
+        path.write_text(json.dumps(family_to_dict(catalog.MatrixFamily(
+            name="g3-conj", q=fam.q, d0=conj(fam.d0), d1=conj(fam.d1),
+            poly_mask=0))))
+        seen = []
+        scan = words.scan_corner_stats
+
+        def spy(fact, *args, **kwargs):
+            seen.append(fact.family)
+            return scan(fact, *args, **kwargs)
+
+        monkeypatch.setattr(words, "scan_corner_stats", spy)
+        gle.exponents("g3", max_len=10, threads=1)
+        gle.exponents(f"@{path}", max_len=10, threads=1)
+        assert seen == ["g3", "g3-conj"]
 
     def test_accel_off_returns_raw(self):
         report = gle.exponents("g1", accel=False)
