@@ -23,11 +23,11 @@ family files once per run and every run of every side reads the same
 files.  The diagonal copies are under D -> Q^-1 D Q for a random positive
 diagonal Q with entries a/b, a and b uniform on 1..9 (drawn from a fixed
 seed, the way the benchmark's crosscheck workload draws them); scans
-balance them back to integer pairs and take the float64 path.  The
-sheared copy is under Q = I + E01 / 3, which leaves a 3 in a diagonal
-denominator, so its scans take the exact Python-int path.  Of the
-built-in families only g2 and h4 stay nonnegative under that shear, as a
-family file must, and g2 has one word per length.  Per side and family
+balance them back to integer pairs.  The sheared copy is under
+Q = I + E01 / 3, which leaves a 3 in a diagonal denominator, so it has no
+integral diagonal conjugate and scans round its fractions to float64.  Of
+the built-in families only g2 and h4 stay nonnegative under that shear, as
+a family file must, and g2 has one word per length.  Per side and family
 file it also records `exactmat.diagonal_balance` timed in process: the
 median over the side's REPEAT processes of each process's median call, in
 microseconds.

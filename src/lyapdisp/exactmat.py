@@ -3,10 +3,10 @@
 Matrices are small (catalog families are at most 8x8) and products of them
 grow exponentially, so the factorizations and powers behind the corner
 values are kept as exact `fractions.Fraction` values end to end.
-`int_pair` turns a pair and its corner vectors into integer rows for the
-word scan, balancing away the denominators by a diagonal similarity where
-one can.  `diagonal_balance` finds that similarity by one gcd relaxation
-over the rationals: a difference constraint per prime and nonzero entry,
+`balanced_pair` hands the word scan a pair and its corner vectors with
+the denominators balanced away by a diagonal similarity where one can.
+`diagonal_balance` finds that similarity by one gcd relaxation over the
+rationals: a difference constraint per prime and nonzero entry,
 every prime solved at once within dim + 1 rounds, no number factored.
 Floating point appears only on the replica route: `kronecker` multiplies
 float64 arrays, and `spectral_radius` and `poly_eval` work on floats.
@@ -28,7 +28,7 @@ __all__ = [
     "row_times",
     "int_rows",
     "diagonal_balance",
-    "int_pair",
+    "balanced_pair",
     "mat_mul",
     "mat_pow",
     "kronecker",
@@ -175,8 +175,8 @@ def diagonal_balance(*matrices) -> tuple[Fraction, ...] | None:
     return None
 
 
-def int_pair(d0, d1, alpha, beta):
-    """Integer rows of a pair and of its corner vectors, balanced where possible.
+def balanced_pair(d0, d1, alpha, beta):
+    """A pair and its corner vectors with the same corners, integer where possible.
 
     The corner beta^T D_w alpha is the same for (P D0 P^-1, P D1 P^-1,
     P alpha, P^-T beta) and any positive diagonal P, and for alpha and beta
@@ -184,12 +184,10 @@ def int_pair(d0, d1, alpha, beta):
     one, both matrices become integer, and alpha is scaled to a primitive
     integer vector.  If alpha beta^T is an integer matrix, as D0^q is in a
     sentinel factorization, beta is then integer too: some integer
-    combination of the entries of alpha is 1.  Returns (N0, N1, den_d,
-    (a, b, den)) with D0 = N0 / den_d and D1 = N1 / den_d over one common
-    denominator, and alpha, beta integer rows a, b that are scaled by den
-    together, so the integer corner b^T N_w a of a word of length l is its
-    corner value times den * den_d**l.  d0, d1 are rows of Fractions;
-    alpha, beta are sequences of Fractions.
+    combination of the entries of alpha is 1.  So a diagonal conjugate of
+    an integer pair balances to an integer pair with the same corners; a
+    pair with no such P comes back as given.  Takes and returns d0, d1 as
+    rows of Fractions and alpha, beta as sequences of Fractions.
     """
     diag = diagonal_balance(d0, d1)
     if diag is not None:
@@ -200,10 +198,7 @@ def int_pair(d0, d1, alpha, beta):
         s = Fraction(den_a, math.gcd(*a) or 1)
         alpha = [x * s for x in alpha]
         beta = [x / (p * s) for p, x in zip(diag, beta)]
-    (a,), den_a = int_rows([alpha])
-    (b,), den_b = int_rows([beta])
-    n, den_d = int_rows([*d0, *d1])
-    return n[:len(d0)], n[len(d0):], den_d, (a, b, den_a * den_b)
+    return d0, d1, alpha, beta
 
 
 def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

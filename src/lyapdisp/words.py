@@ -5,8 +5,8 @@ The word set indexing every series in this package is
     chi(q) = {empty} + {all finite binary words with no factor 0^q
                         whose last symbol is 1}
 
-Each word w is weighted by the exact corner value beta^T * D_w * alpha of
-the sentinel factorization.  `scan_corner_stats` is the one traversal of
+Each word w is weighted by the corner value beta^T * D_w * alpha of the
+sentinel factorization.  `scan_corner_stats` is the one traversal of
 the word tree, and every series value comes from it.  It expands the tree
 one level at a time with numpy: the rows beta^T * D_prefix of all live
 prefixes of one depth, grouped by their trailing run of zeros, give the
@@ -14,13 +14,19 @@ corners of the next word length as one matrix-vector product.  Within
 LEAF levels of the last length no more rows are formed: the corner of
 prefix+u+'1' is row . (D_u w1), so one product of the rows with a table of
 the vectors D_u w1 of all short suffixes u gives every word below them.
-Rows and tables are scaled integers, so corner values are exact.  Both
-matrices share one denominator, so the scale of a corner depends on the
-word's length alone.  Rows are held in float64 when a bound computed
-before the scan shows every entry stays below 2^53 and the matrices are
-integer, or a rational pair has an integral diagonal conjugate, which is
-scanned instead; otherwise they are Python ints, and each corner is
-rounded once to the float64 it stands for.
+
+Everything is float64: the pair is balanced to an integer pair where a
+diagonal conjugate allows it (`exactmat.balanced_pair`) and rounded once.
+D0, D1, alpha and beta must be nonnegative, so no sum cancels and a float64
+product of nonnegative matrices is componentwise within relative error
+gamma_n = n u / (1 - n u), u = 2^-53, of the exact one (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., section 3.5).  A corner of
+length l, l + 1 dot products of length dim over l + 2 rounded factors, is
+within about ((l + 1)(dim + 1) + 1) u of exact, relative, and exact for an
+integer pair while below 2^53.  The bound needs normal floats, so a scan
+whose nonzero corners could fall below 2^-1022 is refused, and a corner
+that overflows raises OverflowError.
+
 Per-length sums are reduced with math.fsum in a fixed chunking, so results
 are reproducible bit for bit for any worker count.  The calling process
 splits the tree at a fixed prefix depth and runs the subtrees below each
@@ -107,20 +113,11 @@ ROW_CAP = 2048
 # 2-3 rounds, 2-core Xeon).  Six is as fast as eight and keeps a leaf's
 # largest group of words 2.6-4x smaller.
 LEAF = 6
-# float64 represents every integer below 2**53 exactly
-_FLOAT_EXACT = 2**53
 
 
 @dataclass(frozen=True)
 class _ScanContext:
-    """One family's scan inputs: matrices scaled to integers, in the scan dtype.
-
-    The integer corner of a word of length l is the corner value times
-    scales[l].  `bound` caps |entry| of every row beta^T D_prefix,
-    suffix-table entry and corner the scan forms.  The arrays are float64
-    when the bound is below 2**53 and every scale is 1: catalog families,
-    and rational families that `exactmat.int_pair` balances to an integer
-    pair.  Otherwise they hold Python ints (`exact`).
+    """One family's scan inputs: the balanced pair rounded to float64.
 
     suffixes[r][k] serves the prefixes that end in exactly r zeros, for
     k < min(LEAF, max_len): its rows are D_u w1 for every suffix u of
@@ -135,84 +132,55 @@ class _ScanContext:
     w1: np.ndarray          # D1 * alpha: the corner of prefix+'1' is row . w1
     suffixes: tuple         # per run, per suffix length: D_u w1 rows
     beta: np.ndarray
-    empty_corner: int       # beta^T alpha, the corner of the empty word
-    scales: tuple[int, ...]  # den * den_d**l for each word length l
-    bound: int
-    exact: bool
 
 
 def _suffix_levels(q: int, d0, d1, w1, levels: int) -> list:
     """(D_u w1, leading zeros of u) for the chi suffixes u.
 
-    Level k lists every u of length k for which u + '1' has no factor 0^q,
-    in exact ints.  Prepending a symbol to u multiplies D_u w1 by its matrix.
+    Level k lists every u of length k for which u + '1' has no factor 0^q.
+    Prepending a symbol to u multiplies D_u w1 by its matrix.
     """
-    out = [[(tuple(w1), 0)]]
+    out = [[(w1, 0)]]
     while len(out) < levels:
         out.append(
-            [(exactmat.row_times(v, d1), 0) for v, _ in out[-1]]
-            + [(exactmat.row_times(v, d0), lead + 1)
-               for v, lead in out[-1] if lead + 1 < q])
+            [(d1 @ v, 0) for v, _ in out[-1]]
+            + [(d0 @ v, lead + 1) for v, lead in out[-1] if lead + 1 < q])
     return out[:levels]
 
 
-def _entry_bound(q: int, d0, d1, w1, beta, max_len: int) -> int:
-    """Bound on |entry| of every row and corner a scan to max_len forms.
-
-    state[r] is the elementwise max of |beta^T D_prefix| over the prefixes of
-    one depth that end in exactly r zeros; |x D| <= |x| |D| bounds their
-    children.  Every partial sum of a dot product is at most its sum of
-    absolute terms, so the bound covers the intermediate sums as well.  A
-    leaf corner row . (D_u w1) has partial sums of at most
-    |row| |D_u| |w1|, the state of prefix+u times |w1|, which is covered
-    for every prefix+u shorter than max_len.
-    """
-    a0, a1, aw, row = (abs(np.array(x, dtype=object)) for x in (d0, d1, w1, beta))
-    bound = max(a0.max(), a1.max(), aw.max(), row.max())
-    state = [row] + [0 * row] * (q - 1)
-    for _ in range(max_len):
-        bound = max(bound, *(max(s.max(), s @ aw) for s in state))
-        ones = np.maximum.reduce([s @ a1 for s in state])
-        state = [ones] + [s @ a0 for s in state[:-1]]
-    return bound
-
-
 def _scan_context(fact: SentinelFactorization, max_len: int, ts) -> _ScanContext:
-    """Scale the family to integers and pick float64 or Python ints.
+    """Balance the family (`exactmat.balanced_pair`) and round it to float64.
 
-    A rational pair with an integral diagonal conjugate is scanned as that
-    conjugate (`exactmat.int_pair`), which has the same corners.
+    A diagonal conjugate of an integer pair balances to an integer pair
+    with the same corners, and scans bit for bit as its parent below 2^53.
+    Raises the ValueError and FloatingPointError of `scan_corner_stats`.
     """
-    d0, d1, den_d, (alpha, beta, den) = exactmat.int_pair(
+    d0, d1, alpha, beta = exactmat.balanced_pair(
         fact.d0.rows, fact.d1.rows, fact.alpha, fact.beta)
-    # row_times over the rows of D gives the column product D . w
-    w1 = exactmat.row_times(alpha, d1)
+    entries = [x for row in (*d0, *d1) for x in row]
+    if min(entries + [*alpha, *beta]) < 0:
+        raise ValueError(f"family {fact.family!r} has a negative entry; the "
+                         "scan's error bound needs nonnegative matrices")
+    # every nonzero row entry and corner is at least one path product: an
+    # entry of beta, at most max_len matrix entries and an entry of alpha
+    least = (min([1, *filter(None, alpha)]) * min([1, *filter(None, beta)])
+             * min([1, *filter(None, entries)]) ** max_len)
+    if least * 2**1022 < 1:
+        raise FloatingPointError(f"family {fact.family!r}: a nonzero corner "
+                                 f"could fall below 2^-1022 by length {max_len}")
+    d0, d1, alpha, beta = (np.array(x, dtype=np.float64)
+                           for x in (d0, d1, alpha, beta))
+    w1 = d1 @ alpha
     levels = _suffix_levels(fact.q, d0, d1, w1, min(LEAF, max_len))
-    bound = max([_entry_bound(fact.q, d0, d1, w1, beta, max_len)]
-                + [abs(x) for level in levels for v, _ in level for x in v])
-    exact = bound >= _FLOAT_EXACT or den * den_d != 1
-    dtype = object if exact else np.float64
     # the u that may follow r zeros: r + leading zeros of u stays below q
     suffixes = tuple(
-        tuple(np.array([v for v, lead in level if r + lead < fact.q],
-                       dtype=dtype).reshape(-1, len(w1))
+        tuple(np.array([v for v, lead in level if r + lead < fact.q])
+              .reshape(-1, len(w1))
               for level in levels)
         for r in range(fact.q)
     )
-    return _ScanContext(
-        q=fact.q,
-        max_len=max_len,
-        ts=tuple(float(t) for t in ts),
-        d0=np.array(d0, dtype=dtype),
-        d1=np.array(d1, dtype=dtype),
-        w1=np.array(w1, dtype=dtype),
-        suffixes=suffixes,
-        beta=np.array(beta, dtype=dtype),
-        empty_corner=exactmat.dot(beta, alpha),
-        scales=tuple(den * den_d**length for length in range(max_len + 1)),
-        bound=bound,
-        exact=exact,
-    )
+    return _ScanContext(q=fact.q, max_len=max_len, ts=tuple(map(float, ts)),
+                        d0=d0, d1=d1, w1=w1, suffixes=suffixes, beta=beta)
 
 
 def _fsum(parts) -> float:
@@ -267,19 +235,17 @@ def _sums(ctx: _ScanContext, lc: np.ndarray) -> list[float]:
 
 
 def _emit(ctx: _ScanContext, corners, length: int, tally: _Tally) -> None:
-    """Tally words of `length` by their integer corners."""
+    """Tally words of `length` by their corners; OverflowError on inf or NaN."""
     words = len(corners)
     nonzero = corners != 0
     live = int(np.count_nonzero(nonzero))
     if live < words:
         corners = corners[nonzero]
-    if ctx.exact:
-        # corner / scale is one correctly rounded int division, so ln phi
-        # carries no cancellation from the logs of large scales, and it is
-        # the float the float64 path holds whenever that path could
-        corners = (corners / ctx.scales[length]).astype(np.float64)
-    lc = np.log(corners)
-    tally.add(length, words, words - live, _sums(ctx, lc) if live else None)
+    sums = _sums(ctx, np.log(corners)) if live else None
+    # corners are >= 0, so sum ln is finite unless some corner is inf or NaN
+    if live and not math.isfinite(sums[0]):
+        raise OverflowError(f"a corner of length {length} is not a finite float64")
+    tally.add(length, words, words - live, sums)
 
 
 def _leaf(ctx: _ScanContext, blocks, depth: int, tally: _Tally) -> None:
@@ -295,6 +261,8 @@ def _leaf(ctx: _ScanContext, blocks, depth: int, tally: _Tally) -> None:
         _emit(ctx, corners, depth + k + 1, tally)
 
 
+# an overflow, and inf * 0 = NaN after it, reach a corner: `_emit` raises
+@np.errstate(over="ignore", invalid="ignore")
 def _walk(ctx: _ScanContext, blocks, depth: int, tally: _Tally,
           stop: int | None = None) -> list:
     """Expand a frontier level by level, tallying every word below it.
@@ -339,8 +307,8 @@ def _split(ctx: _ScanContext, prefix_len: int):
     in `_walk`; a scan to max_len 0 has none.
     """
     tally = _Tally(ctx.max_len, 2 + len(ctx.ts))
-    empty = np.array([ctx.empty_corner], dtype=ctx.w1.dtype)
-    _emit(ctx, empty, 0, tally)
+    # the empty word's corner is beta^T alpha = trace(D0^q) = 1
+    _emit(ctx, np.ones(1), 0, tally)
     if ctx.max_len == 0:
         return tally.totals(), []
     beta = ctx.beta[np.newaxis, :]
@@ -443,11 +411,13 @@ def scan_corner_stats(
     down to a fixed prefix depth and cuts the prefixes there into batches
     of 8; the subtree below each batch is one chunk.  Each chunk reduces its
     per-length parts with math.fsum, and the chunk totals are fsummed once
-    more, so the result is identical for any thread count.  Rows are
-    float64 when the pair is integer, or balances to an integer pair, and
-    `_entry_bound` keeps every integer the scan forms below 2^53; they are
-    Python ints otherwise.  ts requests additional power sums
-    (corner^t per length).
+    more, so the result is identical for any thread count.  ts requests
+    additional power sums (corner^t per length).
+
+    Corners carry the error bound of the module docstring.  Raises
+    ValueError on a negative entry of D0, D1, alpha or beta,
+    FloatingPointError if a nonzero corner could fall below 2^-1022, and
+    OverflowError if a corner is not a finite float64.
 
     threads caps the worker processes (default and upper limit: the CPUs
     this process may run on).  Scans of POOL_MIN_WORDS words or more run

@@ -25,6 +25,9 @@ to a number the package computes another way.
 - `log_product_norms_where` is the Monte Carlo kernel that picks each
   trial's product with `np.where`; `mcsim.log_product_norms` must return
   the same arrays bit for bit.
+- `slab_sums` is the exact sum of corner^t over the chi(q) words of each
+  length at an integer t >= 1, from a linear recurrence on Kronecker
+  powers; the scan's `pow_sums` must lie within their stated bound of it.
 - `diagonal_balance_by_base` balances a pair one element of a coprime
   base at a time, with b-adic valuations and an integer Bellman-Ford per
   element; `exactmat.diagonal_balance` must return the same tuple, or
@@ -153,6 +156,45 @@ def fold_products(
         prefix.pop()
 
     walk([], beta, 0, den)
+
+
+def _kron(a, b) -> list:
+    """The Kronecker product of two matrices given as rows."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def slab_sums(fact: SentinelFactorization, t: int, max_len: int) -> list[Fraction]:
+    """G_l = sum of corner(w)^t over the chi(q) words w of length l, exactly.
+
+    For an integer t >= 1, corner(w)^t = B^T D_w^(x)t A with A, B the t-th
+    Kronecker powers of alpha, beta.  A word of length l >= 1 is one block
+    0^(i-1) 1, i <= min(q, l), followed by a word of length l - i, so the
+    sum v_l of D_w^(x)t A over the words of length l obeys
+    v_l = sum_i K0^(i-1) K1 v_(l-i), v_0 = A, K = D^(x)t, and G_l = B^T v_l.
+    With D0, D1 = N0, N1 / den over one denominator, v_l is kept as the
+    integer vector den^(t l) (den_alpha)^t v_l.  Returns [G_0, ..., G_max_len].
+    """
+    dim = fact.d0.dim
+    n, den = exactmat.int_rows([*fact.d0.rows, *fact.d1.rows])
+    (alpha,), den_alpha = exactmat.int_rows([fact.alpha])
+    (beta,), den_beta = exactmat.int_rows([fact.beta])
+    k0, k1, a, b = n[:dim], n[dim:], [alpha], [beta]
+    for _ in range(t - 1):
+        k0, k1 = _kron(k0, n[:dim]), _kron(k1, n[dim:])
+        a, b = _kron(a, [alpha]), _kron(b, [beta])
+    # blocks[i - 1] = K0^(i-1) K1, as rows
+    blocks = [k1]
+    for _ in range(fact.q - 1):
+        cols = tuple(zip(*blocks[-1]))
+        blocks.append([exactmat.row_times(row, cols) for row in k0])
+    vs = [a[0]]
+    for length in range(1, max_len + 1):
+        parts = [exactmat.row_times(vs[length - i], block)
+                 for i, block in enumerate(blocks[:length], start=1)]
+        vs.append([sum(xs) for xs in zip(*parts)])
+    scale = (den_alpha * den_beta) ** t
+    return [Fraction(exactmat.dot(b[0], v), scale * den ** (t * length))
+            for length, v in enumerate(vs)]
 
 
 def fraction_power_factor(d0: RationalMatrix, q: int):

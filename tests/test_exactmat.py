@@ -90,12 +90,12 @@ class TestDiagonalBalance:
         assert exactmat.diagonal_balance(fam.d0.rows, fam.d1.rows) == \
             (1,) * fam.dim
         alpha, beta = (1,) + (0,) * 7, (1,) * 8
-        pair = exactmat.int_pair(fam.d0.rows, fam.d1.rows,
-                                 [Fraction(x) for x in alpha],
-                                 [Fraction(x) for x in beta])
-        assert pair == (exactmat.int_rows(fam.d0.rows)[0],
-                        exactmat.int_rows(fam.d1.rows)[0], 1,
-                        (list(alpha), list(beta), 1))
+        pair = exactmat.balanced_pair(fam.d0.rows, fam.d1.rows,
+                                      [Fraction(x) for x in alpha],
+                                      [Fraction(x) for x in beta])
+        assert pair == ([list(row) for row in fam.d0.rows],
+                        [list(row) for row in fam.d1.rows],
+                        list(alpha), list(beta))
 
     def test_undoes_a_diagonal_conjugation(self):
         diag = [Fraction(1), Fraction(1, 6), Fraction(4, 15)]
@@ -113,9 +113,9 @@ class TestDiagonalBalance:
                 for _ in range(fam.dim)]
         d0, d1 = (diagonal_conjugate(m, diag) for m in (fam.d0, fam.d1))
         fact = sentinel_factorization(d0, d1, fam.q)
-        n0, n1, den_d, (a, b, den) = exactmat.int_pair(
+        n0, n1, a, b = exactmat.balanced_pair(
             d0.rows, d1.rows, fact.alpha, fact.beta)
-        assert (den_d, den) == (1, 1)
+        assert all(x.denominator == 1 for xs in (*n0, *n1, a, b) for x in xs)
         int0, int1 = RationalMatrix(n0), RationalMatrix(n1)
         for word in all_words(10):
             assert oracles.corner(b, a, int0, int1, word) == \

@@ -57,6 +57,13 @@ def conjugated_fact_for(name: str, diag=None):
     )
 
 
+def fractional_fact():
+    """A family whose rank-1 idempotent d0 has non-integer entries."""
+    d0 = RationalMatrix([["1/2", 1], ["1/4", "1/2"]])
+    d1 = RationalMatrix([[1, 2], [1, 1]])
+    return conjugate.sentinel_factorization(d0, d1, 1, "fractional")
+
+
 def random_diagonal(dim: int, rng: random.Random) -> list[Fraction]:
     """Entries a/b with a, b uniform on 1..9, as perfbench's crosscheck
     workload draws them for its conjugated family files."""
@@ -67,8 +74,9 @@ def unbalanceable_fact_for(name: str):
     """The family under D -> Q^-1 D Q for Q = I + E01 / 3.
 
     The conjugate has a diagonal entry with 3 in its denominator, so no
-    diagonal conjugate of it is integer, and scans of it take the exact
-    path.  Needs dim >= 2.
+    diagonal conjugate of it is integer, and scans round its fractions to
+    float64.  Of the built-ins, g2 and h4 stay nonnegative under Q; g3 and
+    g5 do not, and scans refuse them.  Needs dim >= 2.
     """
     fam = catalog.get_family(name)
     shear = [[Fraction(int(i == j)) for j in range(fam.dim)]
@@ -253,6 +261,32 @@ def reference_stats(fact, max_len, ts=()):
     )
 
 
+def assert_within_bound(stats, dim, counts, zeros, sum_ln, sum_ln2, pow_sums):
+    """stats within the scan's error bound of sums of correctly rounded corners.
+
+    A corner of length l is within e_l = ((l + 1)(dim + 1) + 2) 2^-53 of
+    exact, relative (the `words` docstring, plus the other side's one
+    rounding), so each ln phi moves by at most e_l.  Over the live words of
+    one length, with A = sum |ln phi| <= sqrt(n sum ln^2) and
+    M = max |ln phi| <= sqrt(sum ln^2): sum ln moves by n e_l, sum ln^2 by
+    2 A e_l, and sum phi^t by |t| (e_l + 2 M 2^-52) relative, the last term
+    for the rounding of t ln phi.  64 ulps of each sum cover np.log, np.exp
+    and the pairwise summation on both sides.
+    """
+    u = 2.0**-53
+    assert list(stats.counts) == counts
+    assert list(stats.zero_words) == zeros
+    for length, (live, ln, ln2) in enumerate(zip(
+            (c - z for c, z in zip(counts, zeros)), sum_ln, sum_ln2)):
+        e = ((length + 1) * (dim + 1) + 2) * u
+        span, top = math.sqrt(live * ln2), math.sqrt(ln2)
+        assert abs(stats.sum_ln[length] - ln) <= live * e + 64 * u * span
+        assert abs(stats.sum_ln2[length] - ln2) <= 2 * span * e + 64 * u * ln2
+        for t, got, want in zip(stats.ts, stats.pow_sums, pow_sums):
+            assert abs(got[length] - want[length]) <= want[length] * (
+                abs(t) * (e + 4 * top * u) + 64 * u)
+
+
 def assert_matches(stats, counts, zeros, sum_ln, sum_ln2, pow_sums, rel=1e-14):
     assert list(stats.counts) == counts
     assert list(stats.zero_words) == zeros
@@ -298,10 +332,7 @@ class TestScanCornerStats:
             ]
 
     def test_fractional_entries_use_exact_offsets(self):
-        # rank-1 idempotent d0 with non-integer entries
-        d0 = RationalMatrix([["1/2", 1], ["1/4", "1/2"]])
-        d1 = RationalMatrix([[1, 2], [1, 1]])
-        fact = conjugate.sentinel_factorization(d0, d1, 1, "fractional")
+        fact = fractional_fact()
         stats = words.scan_corner_stats(fact, 9, ts=(1.5,), threads=1)
         counts, zeros, sum_ln, sum_ln2, pow_sums = reference_stats(
             fact, 9, (1.5,)
@@ -327,24 +358,30 @@ class TestScanCornerStats:
     @pytest.mark.parametrize("max_len", [0, 1, 5, 6, 7, 13])
     def test_leaf_matches_fold_aggregates(self, name, max_len):
         # q = 1, 2, 3 around the depth LEAF where the walk forms no rows
-        # and reads every word off the suffix tables, on both paths
+        # and reads every word off the suffix tables
         ts = (2.0, -0.5)
         fact = fact_for(name)
         stats = words.scan_corner_stats(fact, max_len, ts=ts, threads=1)
         assert_matches(stats, *reference_stats(fact, max_len, ts))
-        exact = unbalanceable_fact_for(name)
-        assert words._scan_context(exact, max_len, ts).exact
-        exact_stats = words.scan_corner_stats(exact, max_len, ts=ts, threads=1)
-        assert_matches(exact_stats, *reference_stats(exact, max_len, ts))
-        assert exact_stats == stats
+
+    @pytest.mark.parametrize("name", ["g2", "h4"])
+    @pytest.mark.parametrize("max_len", [0, 1, 5, 6, 7, 13])
+    def test_sheared_leaf_within_bound(self, name, max_len):
+        # the same depths on the nonnegative shears, whose fractions are
+        # rounded to float64: q = 1 and 2
+        ts = (2.0, -0.5)
+        fact = unbalanceable_fact_for(name)
+        stats = words.scan_corner_stats(fact, max_len, ts=ts, threads=1)
+        assert_within_bound(stats, fact.d0.dim,
+                            *reference_stats(fact, max_len, ts))
 
     @pytest.mark.parametrize("fact,max_len,splits", [
         (fact_for("g3"), 25, False),
         # chunks grow past ROW_CAP rows above the leaf and are split
         (fact_for("g5"), 24, True),
-        # the exact path, on Python ints
-        (unbalanceable_fact_for("g3"), 25, False),
-    ], ids=["g3", "g5-row-cap", "g3-conj-exact"])
+        # a pair with no integral diagonal conjugate, rounded to float64
+        (unbalanceable_fact_for("h4"), 25, False),
+    ], ids=["g3", "g5-row-cap", "h4-shear"])
     def test_thread_count_does_not_change_bits(self, fact, max_len, splits,
                                                two_cpus):
         assert (row_cap_splits(fact, max_len) > 0) == splits
@@ -428,7 +465,7 @@ class TestScanPool:
             (fact_for("h4"), 25, (1.0,)),
             (fact_for("h4"), 25, (2.0, -0.5)),
             (fact_for("h4"), 26, (2.0, -0.5)),
-            (unbalanceable_fact_for("g3"), 25, (1.0,)),
+            (unbalanceable_fact_for("h4"), 25, (1.0,)),
             (fact_for("g5"), 21, ()),
         ]
         serial = [words.scan_corner_stats(f, n, ts=ts, threads=1)
@@ -540,33 +577,51 @@ class TestScanPool:
 
 
 class TestScanPath:
-    def test_conjugated_family_takes_exact_path(self):
-        # a conjugate with no integral diagonal conjugate stays on Python ints
-        fact = unbalanceable_fact_for("g3")
+    def test_unbalanceable_pair_is_scanned_as_given(self):
+        # a pair with no integral diagonal conjugate is rounded as it is; a
+        # diagonal conjugate of an integer pair is scanned on an integer pair
+        fact = unbalanceable_fact_for("h4")
         assert exactmat.diagonal_balance(fact.d0.rows, fact.d1.rows) is None
         ctx = words._scan_context(fact, 19, ())
-        assert ctx.exact
-        # D0 and D1 have denominators 3 and 9: one common denominator 9,
-        # so a corner of length l is scaled by den * 9**l
-        _, _, den_d, _ = exactmat.int_pair(fact.d0.rows, fact.d1.rows,
-                                           fact.alpha, fact.beta)
-        assert den_d == 9
-        assert ctx.scales[:3] == (3, 27, 243)
-        assert not words._scan_context(conjugated_fact_for("g3"), 19, ()).exact
-        assert not words._scan_context(fact_for("g3"), 19, ()).exact
+        assert ctx.d0.tolist() == fact.d0.to_float().tolist()
+        assert ctx.d1.tolist() == fact.d1.to_float().tolist()
+        conj = words._scan_context(conjugated_fact_for("g3"), 19, ())
+        for field in ("d0", "d1", "w1", "beta"):
+            assert all(x.is_integer() for x in getattr(conj, field).flat)
 
-    def test_deep_integer_family_takes_exact_path(self):
+    def test_deep_integer_family_within_bound(self):
         # g2's corner on 1^k is (2^(k+2) - (-1)^k) / 3, past 2^53 from k = 52
         fact = fact_for("g2")
-        assert not words._scan_context(fact, 50, ()).exact
-        assert words._scan_context(fact, 60, ()).exact
         stats = words.scan_corner_stats(fact, 60, threads=1)
         for k in range(61):
             corner = (2 ** (k + 2) - (-1) ** k) // 3
             assert stats.sum_ln[k] == pytest.approx(math.log(corner), rel=1e-14)
 
+    def test_corners_past_the_float_range_raise(self):
+        # g1's corner on 1^k is 2^k: 2^1023 is the largest power of two a
+        # float64 holds
+        fact = fact_for("g1")
+        stats = words.scan_corner_stats(fact, 1023, threads=1)
+        assert stats.sum_ln[1023] == pytest.approx(1023 * math.log(2), rel=1e-15)
+        with pytest.raises(OverflowError):
+            words.scan_corner_stats(fact, 1024, threads=1)
+
+    def test_corners_that_could_underflow_are_refused(self):
+        # the corner of 1^k is 2^-60k: 2^-1020 at k = 17 is a normal float,
+        # 2^-1080 at k = 18 is below even the subnormals
+        tiny = conjugate.sentinel_factorization(
+            RationalMatrix([[1]]), RationalMatrix([[Fraction(1, 2**60)]]), 1,
+            "tiny")
+        stats = words.scan_corner_stats(tiny, 17, threads=1)
+        assert stats.sum_ln == pytest.approx(
+            [-60 * k * math.log(2) for k in range(18)], rel=1e-15)
+        with pytest.raises(FloatingPointError):
+            words.scan_corner_stats(tiny, 18, threads=1)
+
     @pytest.mark.parametrize("name", catalog.family_names())
     def test_entry_bound_covers_every_row(self, name):
+        # every row and corner of a scan to 14 is an integer below 2^53, so
+        # the float64 scan of a built-in is exact there
         max_len = 14
         fact = fact_for(name)
         d0 = [[int(x) for x in row] for row in fact.d0.rows]
@@ -609,8 +664,7 @@ class TestScanPath:
                 got = [[int(x) for x in row] for row in table]
                 assert sorted(got) == sorted(want)
                 largest = max(largest, *(abs(x) for vec in want for x in vec))
-        assert largest <= ctx.bound < 2**53
-        assert not ctx.exact
+        assert largest < 2**53
 
     @pytest.mark.parametrize("name", catalog.family_names())
     def test_conjugated_sums_match_parent(self, name):
@@ -624,19 +678,41 @@ class TestScanPath:
         facts += [conjugated_fact_for(name, random_diagonal(dim, rng))
                   for _ in range(3)]
         for fact in facts:
-            assert not words._scan_context(fact, 19, ts).exact
             for threads in (1, 2):
                 assert words.scan_corner_stats(
                     fact, 19, ts=ts, threads=threads) == base
 
     @pytest.mark.parametrize("name", ["g3", "h4", "g5"])
     def test_unbalanceable_sums_match_parent(self, name):
-        # the exact path rounds each corner / scale to the float the float64
-        # path holds and takes the same log of it, so the sums agree bit for bit
+        # the shear has the parent's corners, rounded from fractions: the
+        # sums agree within the scan's bound.  g3 and g5 turn signed under
+        # it, and the bound needs nonnegative entries.
         ts = (2.0, -0.5)
         fact = unbalanceable_fact_for(name)
-        assert words._scan_context(fact, 19, ts).exact
+        if name != "h4":
+            with pytest.raises(ValueError, match="negative entry"):
+                words.scan_corner_stats(fact, 19, ts=ts, threads=1)
+            return
         base = words.scan_corner_stats(fact_for(name), 19, ts=ts, threads=1)
         for threads in (1, 2):
-            assert words.scan_corner_stats(
-                fact, 19, ts=ts, threads=threads) == base
+            stats = words.scan_corner_stats(fact, 19, ts=ts, threads=threads)
+            assert_within_bound(stats, fact.d0.dim, list(base.counts),
+                                list(base.zero_words), base.sum_ln,
+                                base.sum_ln2, base.pow_sums)
+
+    @pytest.mark.parametrize("fact", [
+        *map(fact_for, catalog.family_names()), unbalanceable_fact_for("h4"),
+        fractional_fact(),
+    ], ids=[*catalog.family_names(), "h4-shear", "fractional"])
+    def test_pow_sums_match_exact_slabs(self, fact):
+        # sum phi^t per length at t = 1, 2 against the exact sums of the
+        # Kronecker-power recurrence: each term is within t (e + 2 M 2^-52)
+        # relative (see assert_within_bound), M <= sqrt(sum ln^2)
+        stats = words.scan_corner_stats(fact, 20, ts=(1.0, 2.0), threads=1)
+        u = 2.0**-53
+        for t, got in zip((1, 2), stats.pow_sums):
+            for length, want in enumerate(oracles.slab_sums(fact, t, 20)):
+                e = ((length + 1) * (fact.d0.dim + 1) + 1) * u
+                top = math.sqrt(stats.sum_ln2[length])
+                assert abs(got[length] - want) <= float(want) * (
+                    t * (e + 4 * top * u) + 64 * u)
