@@ -62,6 +62,22 @@ pow_sums between the first side and each other side; the script exits 1
 after writing the file if counts or one side's runs differ.
 
     python3 scripts/bench_layers.py parent=../parent/src change=src --scan
+
+With --lt it times the layers above the scan, in one long-lived process per
+side: `gle.exponents` at the benchmark's `exponents` settings (depth 28,
+the 10-point t grid, one thread) on g3, h3, g4 and h4, and the one-sample
+`gle.l_of_t` of `lt --family g3 --t 2` (default depth).  Each process
+replaces `words.scan_corner_stats` with the family's ScanStats, scanned
+once before any timing, so a call times the factorization, lambda, kappa
+and mu, the L(t) root finding and the replica, but no scan.  A run times
+LT_CALLS calls and reports their median; each case runs once untimed per
+side, then REPEAT runs per side with the sides alternating which runs
+first.  Per case the file records each side's run medians and their
+median, and whether every call on every side gave the same samples (or
+the same error) and the same lambda, kappa and mu; the script exits 1
+after writing the file if one did not.
+
+    python3 scripts/bench_layers.py parent=../parent/src change=src --lt
 """
 
 from __future__ import annotations
@@ -157,6 +173,46 @@ for line in sys.stdin:
     wall = time.perf_counter() - start
     print(json.dumps([wall, stats.counts, stats.sum_ln, stats.sum_ln2,
                       stats.pow_sums]), flush=True)
+"""
+
+# --lt: (kind, family, max_len or None for the default, ts)
+LT_CASES = tuple(("exponents", name, 28, SCAN_GRID)
+                 for name in ("g3", "h3", "g4", "h4")) + (
+    ("lt", "g3", None, (2.0,)),
+)
+LT_CALLS = 11
+# A side's process for --lt: reads one JSON case per line, answers one line
+# of the median wall time of LT_CALLS calls and the last call's outcome.
+LT_WORKER = """
+import json, statistics, sys, time
+from lyapdisp import catalog, conjugate, gle, words
+scan = words.scan_corner_stats
+scanned = {}
+words.scan_corner_stats = lambda fact, max_len, ts=(), threads=None: (
+    scanned[fact.family, max_len, tuple(ts)])
+for line in sys.stdin:
+    kind, name, max_len, ts, calls = json.loads(line)
+    fam = catalog.get_family(name)
+    depth = gle.default_max_len(fam.q) if max_len is None else max_len
+    if (name, depth, tuple(ts)) not in scanned:
+        fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, name)
+        scanned[name, depth, tuple(ts)] = scan(fact, depth, ts=ts, threads=1)
+    walls = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        try:
+            if kind == "lt":
+                out = gle.l_of_t(name, ts[0], max_len=max_len)
+            else:
+                report = gle.exponents(name, max_len=max_len, threads=1,
+                                       lt_samples=ts)
+                out = [report.l_samples] + [
+                    [v.accel, v.err, v.depth]
+                    for v in (report.lam, report.kappa, report.mu)]
+        except ArithmeticError as exc:
+            out = [type(exc).__name__, str(exc)]
+        walls.append(time.perf_counter() - start)
+    print(json.dumps([statistics.median(walls), out]), flush=True)
 """
 
 
@@ -424,6 +480,50 @@ def bench_scan(sides: dict[str, str]) -> dict:
     return cases
 
 
+def bench_lt(sides: dict[str, str]) -> dict:
+    workers = {
+        label: subprocess.Popen(
+            [sys.executable, "-c", LT_WORKER], text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        for label, src in sides.items()
+    }
+
+    def run(label, case, calls):
+        """(median wall s, outcome as JSON text) of one run."""
+        workers[label].stdin.write(json.dumps([*case, calls]) + "\n")
+        workers[label].stdin.flush()
+        wall, out = json.loads(workers[label].stdout.readline())
+        return wall, json.dumps(out)
+
+    order = list(sides)
+    cases = {}
+    try:
+        for case in LT_CASES:
+            kind, name, max_len, ts = case
+            outcomes = {run(label, case, 1)[1] for label in order}
+            runs = {label: [] for label in order}
+            for rep in range(REPEAT):
+                for label in order if rep % 2 == 0 else order[::-1]:
+                    wall, out = run(label, case, LT_CALLS)
+                    runs[label].append(round(wall * 1e3, 3))
+                    outcomes.add(out)
+            key = (f"{kind} {name} L={max_len or 'default'} "
+                   f"t={','.join(map(str, ts))}")
+            cases[key] = {
+                "sides": {label: {"median_ms": statistics.median(walls),
+                                  "run_median_ms": walls}
+                          for label, walls in runs.items()},
+                "identical_outcomes": len(outcomes) == 1,
+                "outcome": json.loads(min(outcomes)),
+            }
+    finally:
+        for proc in workers.values():
+            proc.stdin.close()
+            proc.wait()
+    return cases
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="+", metavar="LABEL=SRC",
@@ -437,9 +537,11 @@ def main(argv: list[str] | None = None) -> int:
                       help="time word scans at the benchmark depth")
     mode.add_argument("--mc", action="store_true",
                       help="time simulate and fit commands")
+    mode.add_argument("--lt", action="store_true",
+                      help="time exponents and lt on precomputed scans")
     parser.add_argument("--out", help="default BENCH_digitsum.json, "
                         "BENCH_tier1.json, BENCH_conjugated.json, "
-                        "BENCH_scan.json or BENCH_mc.json")
+                        "BENCH_scan.json, BENCH_mc.json or BENCH_lt.json")
     args = parser.parse_args(argv)
     sides = dict(side.split("=", 1) for side in args.sides)
     report = {
@@ -457,6 +559,9 @@ def main(argv: list[str] | None = None) -> int:
         report["sides"] = bench_tier1(sides)
     elif args.scan:
         report["cases"] = bench_scan(sides)
+    elif args.lt:
+        report["lt_calls"] = LT_CALLS
+        report["cases"] = bench_lt(sides)
     elif args.conjugated:
         report["conjugated_seed"] = CONJUGATED_SEED
         with tempfile.TemporaryDirectory() as fam:
@@ -467,12 +572,13 @@ def main(argv: list[str] | None = None) -> int:
         report["sides"] = bench(sides, MC_COMMANDS)
     else:
         report["sides"] = bench(sides)
-    if not (args.tier1 or args.scan):
+    if not (args.tier1 or args.scan or args.lt):
         report["identical_outputs"] = identical_outputs(report["sides"])
     out = args.out or ("BENCH_tier1.json" if args.tier1 else
                        "BENCH_conjugated.json" if args.conjugated else
                        "BENCH_scan.json" if args.scan else
                        "BENCH_mc.json" if args.mc else
+                       "BENCH_lt.json" if args.lt else
                        "BENCH_digitsum.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -493,6 +599,18 @@ def main(argv: list[str] | None = None) -> int:
         if broken:
             print(f"counts differ or a side's runs differ: {broken}",
                   file=sys.stderr)
+            return 1
+        return 0
+    if args.lt:
+        for key, row in report["cases"].items():
+            print(f"{key:<44} " + "  ".join(
+                f"{label} {side['median_ms']:8.3f} ms"
+                for label, side in row["sides"].items())
+                  + f"  identical {row['identical_outcomes']}")
+        differ = [key for key, row in report["cases"].items()
+                  if not row["identical_outcomes"]]
+        if differ:
+            print(f"outcomes differ: {differ}", file=sys.stderr)
             return 1
         return 0
     if args.tier1:

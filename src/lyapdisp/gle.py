@@ -16,6 +16,16 @@ function F(s, t) = sum_w (s/2)^{l(w)+q} phi(w)^t crosses 1, found by
 Brent's bracketed root finder, and (for integer t) as the log spectral radius
 of the averaged t-fold Kronecker powers.  The three-letter-alphabet
 regrouping check for the quadrinomial family lives here too.
+
+Every epsilon table is built by `wynn_epsilon`, several sequences at once:
+lambda, kappa and mu as one three-row table, and the L(t) samples of one
+call in lockstep.  Each sample is solved twice, at full depth and four
+lengths shallower, and each solve is a generator that yields the s at which
+it needs the accelerated F; every round, the pending requests of all
+solves become the rows of one table, shorter rows padded with NaN on the
+left.  The padding changes no row's result, and numpy's float64 arithmetic
+rounds as Python's does, so every root, error and exception is bit for bit
+what solving the samples one after the other gives.
 """
 
 from __future__ import annotations
@@ -23,7 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
+
+import numpy as np
 
 from . import catalog, conjugate, exactmat, words
 from .exactmat import RationalMatrix
@@ -106,45 +119,74 @@ class WynnResult:
     depth: int     # even column the estimate came from (0 = no acceleration)
 
 
-def wynn_epsilon(partials: Sequence[float]) -> WynnResult:
-    """Accelerate a sequence of partial sums with the epsilon algorithm.
+def wynn_epsilon(rows: Sequence[Sequence[float]]) -> list[WynnResult]:
+    """Accelerate sequences of partial sums with the epsilon algorithm.
 
-    Builds the table eps[k+1][n] = eps[k-1][n+1] + 1/(eps[k][n+1]-eps[k][n]),
-    never dividing by a difference below an absolute guard of 1e-300 (a tiny
-    difference means the previous column already converged, typically
-    exactly).  Even columns are the extrapolants; once a column has converged
-    to working precision, deeper columns divide by rounding noise and
-    degrade, so the returned entry is the one whose successive even-column
-    difference is smallest, and that difference is the error estimate.
+    Builds the table eps[k+1][n] = eps[k-1][n+1] + 1/(eps[k][n+1]-eps[k][n])
+    of each row, never dividing by a difference below an absolute guard of
+    1e-300 (a tiny difference means the previous column already converged,
+    typically exactly).  Even columns are the extrapolants; once a column
+    has converged to working precision, deeper columns divide by rounding
+    noise and degrade, so the returned entry is the one whose successive
+    even-column difference is smallest, and that difference is the error
+    estimate.
+
+    All rows are built as one numpy table.  Row i fills the right end of an
+    array as wide as the longest row and the rest is NaN.  An entry that
+    cannot be formed (a difference within the guard, or a result that is
+    not finite) is NaN, and so is every entry built on it, so an entry that
+    touches the padding is NaN and the others are exactly those of the
+    row's own table: numpy's float64 +, -, / and abs round as Python's do.
+    A column with no entry left ends the row's table, and every later
+    column of it is NaN, so each row's even columns, their last entries and
+    its estimate, error and depth are bit for bit those of the row alone.
     """
-    s = [float(x) for x in partials]
-    n_terms = len(s)
-    if n_terms < 3:
-        raise DegenerateSequence(f"need at least 3 partial sums, got {n_terms}")
-
-    # an entry that cannot be formed is NaN, and so is every entry built on
-    # it; the partials themselves are taken as they are, inf included
-    prev2 = [0.0] * (n_terms + 1)   # eps[k-1], starts as the zero column
-    prev = s
-    best = [(s[-1], 0)]             # (value, column) per even column with entries
-    for k in range(1, n_terms):
-        cur = []
-        for n in range(n_terms - k):
-            diff = prev[n + 1] - prev[n]
-            eps = prev2[n + 1] + 1.0 / diff if abs(diff) > WYNN_GUARD else math.nan
-            cur.append(eps if math.isfinite(eps) else math.nan)
-        formed = [x for x in cur if not math.isnan(x)]
-        if not formed:
-            break
-        if k % 2 == 0:
-            best.append((formed[-1], k))
-        prev2, prev = prev, cur
-    if len(best) == 1:
-        return WynnResult(estimate=s[-1], error=abs(s[-1] - s[-2]), depth=0)
-    diffs = [abs(b[0] - a[0]) for a, b in zip(best, best[1:])]
-    j = min(range(len(diffs)), key=diffs.__getitem__)
-    estimate, depth = best[j + 1]
-    return WynnResult(estimate=estimate, error=diffs[j], depth=depth)
+    for row in rows:
+        if len(row) < 3:
+            raise DegenerateSequence(f"need at least 3 partial sums, got {len(row)}")
+    width = max(map(len, rows))
+    table = np.full((len(rows), width), np.nan)
+    for i, row in enumerate(rows):
+        table[i, width - len(row):] = row
+    prev2 = np.zeros((len(rows), width + 1))   # eps[k-1], starts as the zero column
+    prev = table
+    evens = []                                  # eps[2], eps[4], ... as formed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, width):
+            diff = prev[:, 1:] - prev[:, :-1]
+            formed = np.abs(diff) > WYNN_GUARD
+            cur = prev2[:, 1:width - k + 1] + 1.0 / diff
+            formed &= np.isfinite(cur)
+            if not formed.any():
+                break
+            cur = np.where(formed, cur, np.nan)
+            if k % 2 == 0:
+                evens.append(cur)
+            prev2, prev = prev, cur
+    # each even column's last formed entry per row, if it has one
+    even = np.full((len(evens), len(rows), width), np.nan)
+    for j, cur in enumerate(evens):
+        even[j, :, width - cur.shape[1]:] = cur
+    formed = ~np.isnan(even[:, :, ::-1])
+    lasts = np.take_along_axis(even[:, :, ::-1],
+                               formed.argmax(axis=2)[:, :, np.newaxis], axis=2)
+    results = []
+    for (second, last), values, has in zip(table[:, -2:].tolist(),
+                                           lasts[:, :, 0].T.tolist(),
+                                           formed.any(axis=2).T.tolist()):
+        # (value, column) per even column with entries; column 0 is the last
+        # partial sum, inf or NaN included
+        best = [(last, 0)] + [(value, 2 * j + 2) for j, value in enumerate(values)
+                              if has[j]]
+        if len(best) == 1:
+            results.append(WynnResult(estimate=last, error=abs(last - second),
+                                      depth=0))
+            continue
+        diffs = [abs(b[0] - a[0]) for a, b in zip(best, best[1:])]
+        j = min(range(len(diffs)), key=diffs.__getitem__)
+        estimate, depth = best[j + 1]
+        results.append(WynnResult(estimate=estimate, error=diffs[j], depth=depth))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +278,23 @@ class AcceleratedValue:
     depth: int        # epsilon-table column used
 
 
-def _accelerate(partials: Sequence[float], accel: bool) -> AcceleratedValue:
+def _accelerate(series: MomentSeries, accel: bool) -> list[AcceleratedValue]:
+    """lambda, kappa and mu from their partial sums, in one Wynn table."""
+    rows = [series.partials(which) for which in ("lambda", "kappa", "mu")]
+    if not accel:
+        return [_unaccelerated(partials) for partials in rows]
+    # a vanishing column difference means exact convergence; the estimate is
+    # still only representable to double precision, so floor the error there
+    return [AcceleratedValue(raw=partials[-1], accel=wynn.estimate,
+                             err=max(wynn.error, abs(wynn.estimate) * 5e-16),
+                             depth=wynn.depth)
+            for partials, wynn in zip(rows, wynn_epsilon(rows))]
+
+
+def _unaccelerated(partials: Sequence[float]) -> AcceleratedValue:
+    """The last partial sum; its error is the geometric continuation of the
+    last raw increment."""
     raw = partials[-1]
-    if accel:
-        wynn = wynn_epsilon(partials)
-        # a vanishing column difference means exact convergence; the estimate
-        # is still only representable to double precision, so floor the
-        # error there
-        err = max(wynn.error, abs(wynn.estimate) * 5e-16)
-        return AcceleratedValue(raw=raw, accel=wynn.estimate, err=err,
-                                depth=wynn.depth)
-    # without acceleration the error is the geometric continuation of the
-    # last raw increment
     if len(partials) < 3:
         return AcceleratedValue(raw=raw, accel=raw, err=float("nan"), depth=0)
     inc1 = partials[-1] - partials[-2]
@@ -323,9 +370,7 @@ def exponents(
     )
     series = moments_from_scan(fam.name, stats)
 
-    lam = _accelerate(series.partials("lambda"), accel)
-    kappa = _accelerate(series.partials("kappa"), accel)
-    mu = _accelerate(series.partials("mu"), accel)
+    lam, kappa, mu = _accelerate(series, accel)
     pref = float(sigma2_prefactor(fam.q))
     sigma2 = sigma2_from_moments(lam.accel, kappa.accel, mu.accel, fam.q)
     sigma2_err = (
@@ -334,10 +379,10 @@ def exponents(
         + mu.err
     )
 
-    l_samples = []
-    for k, t in enumerate(stats.ts):
-        value, err = l_from_scan(stats, k, tol=lt_tol)
-        l_samples.append((t, value, err))
+    l_samples = [
+        (t, value, err) for t, (value, err) in zip(
+            stats.ts, _l_samples(stats, range(len(stats.ts)), lt_tol, True))
+    ]
 
     replica = []
     for t in (1, 2):
@@ -364,50 +409,40 @@ def exponents(
 # the generating function F(s, t) and L(t)
 # ---------------------------------------------------------------------------
 
-def _slab_values(q: int, power_sums, zeros, t: float, s: float) -> list[float]:
-    """Per-length terms (s/2)^{l+q} * sum of phi^t, zero corners count at t=0."""
-    half_s = 0.5 * s
-    slabs = []
-    for l, g in enumerate(power_sums):
-        total = g + (zeros[l] if t == 0.0 else 0.0)
-        slabs.append(half_s ** (l + q) * total)
-    return slabs
+def _f_slabs(q: int, power_sums, zeros, s: float, t: float):
+    """Per-length terms of F(s, t) and their fsum, the truncated F.
 
-
-def _f_from_sums(q, power_sums, zeros, s, t, accel) -> float:
-    """Truncated F(s, t) = sum over words of (s/2)^{l(w)+q} phi(w)^t.
-
-    At t = 0 its limit is (s/2)^q (1 - s/2) / (1 - s + (s/2)^(q+1)) in
-    closed form.  accel applies the epsilon process to the by-length partial
-    sums, which is how the slowly decaying truncation tail at s near the
-    crossing point is squeezed out.
+    F(s, t) = sum over words of (s/2)^{l(w)+q} phi(w)^t, so the term of
+    length l is (s/2)^{l+q} times the sum of phi^t; zero corners count at
+    t = 0.  At t = 0 the limit is (s/2)^q (1 - s/2) / (1 - s + (s/2)^(q+1))
+    in closed form.  Raises Overflow if the sum is not finite.
     """
-    slabs = _slab_values(q, power_sums, zeros, t, s)
+    half_s = 0.5 * s
+    extra = zeros if t == 0.0 else [0.0] * len(power_sums)
+    slabs = [half_s ** (l + q) * (g + z)
+             for l, (g, z) in enumerate(zip(power_sums, extra))]
     total = math.fsum(slabs)
     if not math.isfinite(total):
         raise Overflow(f"F({s}, {t}) overflows at this truncation")
-    if accel and len(slabs) >= 3:
-        partials, acc = [], 0.0
-        for x in slabs:
-            acc += x
-            partials.append(acc)
-        total = wynn_epsilon(partials).estimate
-    return total
+    return slabs, total
 
 
-def _brent(f, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
+def _brent(a: float, b: float, f_a: float, f_b: float, tol: float):
     """A point within tol/2 of a root of f between a and b.
 
-    f_a = f(a) and f_b = f(b) must not have the same sign, else NoBracket; a
-    root is an exact zero of f or a point where its sign changes.  This is
-    Brent's method (Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4): b is the best point so far and [b, c] always holds a root;
-    each step tries inverse quadratic or secant interpolation and bisects
-    instead when the interpolant leaves the bracket or the bracket shrinks
-    too slowly.  No step is shorter than tol/4, so once b is that close to
-    the root the next point lands across it.  The search stops at an exact
-    zero or when |c - b| <= tol/2 (two ulps, if tol is below that), and
-    returns b, the end with the smaller |f|.
+    A generator: it yields every point at which it needs f, takes f there
+    by send() and returns the point (`_solve` drives it with a function,
+    `_solve_lockstep` with batched evaluations).  f_a = f(a) and f_b = f(b)
+    must not have the same sign, else NoBracket; a root is an exact zero of
+    f or a point where its sign changes.  This is Brent's method (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4): b is the
+    best point so far and [b, c] always holds a root; each step tries
+    inverse quadratic or secant interpolation and bisects instead when the
+    interpolant leaves the bracket or the bracket shrinks too slowly.  No
+    step is shorter than tol/4, so once b is that close to the root the
+    next point lands across it.  The search stops at an exact zero or when
+    |c - b| <= tol/2 (two ulps, if tol is below that), and returns b, the
+    end with the smaller |f|.
     """
     if (f_a < 0.0) == (f_b < 0.0) and f_a != 0.0 and f_b != 0.0:
         raise NoBracket(
@@ -446,23 +481,35 @@ def _brent(f, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
             d = e = m
         a, f_a = b, f_b
         b += d if abs(d) > min_step else math.copysign(min_step, m)
-        f_b = f(b)
+        f_b = yield b
+
+
+def _solve(steps, f) -> float:
+    """The point a search such as `_brent` returns, f evaluated as it asks."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as done:
+        return done.value
 
 
 # bracket of the raw solve for s(t) = e^{-L(t)}: L(t) from -ln 2 to 27.6
 S_LO, S_HI = 1e-12, 2.0 * (1.0 - 1e-12)
 
 
-def _brent_root(q, power_sums, zeros, t, tol, accel) -> float:
+def _root_steps(q, power_sums, zeros, t, tol, accel):
     """Root of F(s, t) = 1 in s, within tol/2 of where F crosses 1.
 
-    The raw truncated sum is strictly increasing in s, so [1e-12, 2) brackets
-    the root unless F is already >= 1 at the lower end (L(t) above
-    -ln 1e-12 = 27.6) or still below 1 at the upper one; either raises
-    NoBracket, and so does a root within tol/2 of the lower end, where the
-    solve cannot tell it from the end itself.  Acceleration refines the root
-    afterwards in a small interval around the raw one: inside the
-    convergence region the epsilon process approximates the true
+    A generator, run by `_solve_lockstep`: it yields each s at which it
+    needs the accelerated F, takes F(s, t) - 1 there by send() and returns
+    the root.  The raw truncated sum is strictly increasing in s, so
+    [1e-12, 2) brackets the root unless F is already >= 1 at the lower end
+    (L(t) above -ln 1e-12 = 27.6) or still below 1 at the upper one; either
+    raises NoBracket, and so does a root within tol/2 of the lower end,
+    where the solve cannot tell it from the end itself.  Acceleration
+    refines the root afterwards in a small interval around the raw one:
+    inside the convergence region the epsilon process approximates the true
     (untruncated) F, but far outside it produces antilimits, so it must not
     be used for the global bracket.
     """
@@ -470,7 +517,7 @@ def _brent_root(q, power_sums, zeros, t, tol, accel) -> float:
     def ln_f_raw(s: float) -> float:
         # ln F has the sign of F - 1 and is far nearer linear in s than F, so
         # Brent needs fewer steps; an underflowed F = 0 maps to ln(5e-324)
-        value = _f_from_sums(q, power_sums, zeros, s, t, False)
+        value = _f_slabs(q, power_sums, zeros, s, t)[1]
         return math.log(max(value, math.ulp(0.0)))
 
     f_lo, f_hi = ln_f_raw(S_LO), ln_f_raw(S_HI)
@@ -484,7 +531,7 @@ def _brent_root(q, power_sums, zeros, t, tol, accel) -> float:
             f"F({S_LO:g}, {t}) = {math.exp(f_lo)} >= 1; L({t}) exceeds "
             f"-ln {S_LO:g} = {-math.log(S_LO):.1f}"
         )
-    root = _brent(ln_f_raw, S_LO, S_HI, f_lo, f_hi, tol)
+    root = _solve(_brent(S_LO, S_HI, f_lo, f_hi, tol), ln_f_raw)
     if root - 0.5 * tol <= S_LO:
         # the sign change is not told apart from the end of the bracket
         raise NoBracket(
@@ -494,18 +541,104 @@ def _brent_root(q, power_sums, zeros, t, tol, accel) -> float:
         )
     if not accel:
         return root
-
-    def f_acc(s: float) -> float:
-        return _f_from_sums(q, power_sums, zeros, s, t, True) - 1.0
-
     delta = 0.02
     for _ in range(4):
         lo = max(root * (1.0 - delta), S_LO)
         hi = min(root * (1.0 + delta), S_HI)
-        if (f_lo := f_acc(lo)) < 0.0 < (f_hi := f_acc(hi)):
-            return _brent(f_acc, lo, hi, f_lo, f_hi, tol)
+        if (f_lo := (yield lo)) < 0.0 < (f_hi := (yield hi)):
+            return (yield from _brent(lo, hi, f_lo, f_hi, tol))
         delta *= 4.0
     return root  # acceleration did not improve the bracket; raw root stands
+
+
+def _solve_lockstep(problems, tol: float, accel: bool) -> list:
+    """`_root_steps` for every (q, power_sums, zeros, t), side by side.
+
+    Returns per problem its root, or the exception its solve raised.  Each
+    round, every solve still running has asked for the accelerated F at one
+    s: its by-length partial sums become one row of a single `wynn_epsilon`
+    table (F of fewer than three terms is its fsum, unaccelerated), and each
+    solve gets its own estimate back.  A row's result does not depend on
+    the other rows, so each solve takes the steps it would take alone.
+    """
+    searches = [_root_steps(*problem, tol, accel) for problem in problems]
+    outcomes: list = [None] * len(problems)
+    asked = {}   # solve -> the s it waits at
+
+    def resume(i, reply) -> None:
+        try:
+            asked[i] = searches[i].send(reply)
+        except StopIteration as done:
+            outcomes[i] = done.value
+        except Exception as exc:   # the caller raises it in its turn
+            outcomes[i] = exc
+
+    for i in range(len(problems)):
+        resume(i, None)
+    while asked:
+        waiting = dict(asked)
+        asked.clear()
+        rows, replies = {}, {}
+        for i, s in waiting.items():
+            q, power_sums, zeros, t = problems[i]
+            try:
+                slabs, total = _f_slabs(q, power_sums, zeros, s, t)
+            except Exception as exc:   # F is evaluated for this solve alone
+                outcomes[i] = exc
+                continue
+            if len(slabs) < 3:
+                replies[i] = total - 1.0
+            else:
+                rows[i] = list(accumulate(slabs, initial=0.0))[1:]
+        if rows:
+            for i, wynn in zip(rows, wynn_epsilon(list(rows.values()))):
+                replies[i] = wynn.estimate - 1.0
+        for i, reply in replies.items():
+            resume(i, reply)
+    return outcomes
+
+
+def _l_samples(stats: ScanStats, t_indices, tol: float, accel: bool):
+    """`l_from_scan` of each t_index, every solve of them in one lockstep.
+
+    The samples are read in order, so the first that fails raises what it
+    would raise alone: its full-depth solve's error, then its shallow
+    solve's, then TruncationUnstable.
+    """
+    problems = []
+    for k in t_indices:
+        sums = stats.pow_sums[k]
+        problems.append((stats.q, sums, stats.zero_words, stats.ts[k]))
+        if len(sums) > 8:
+            problems.append((stats.q, sums[:-4], stats.zero_words[:-4],
+                             stats.ts[k]))
+    outcomes = iter(_solve_lockstep(problems, tol, accel))
+
+    def root() -> float:
+        out = next(outcomes)
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    samples = []
+    for k in t_indices:
+        t = stats.ts[k]
+        value = -math.log(root())
+        if len(stats.pow_sums[k]) > 8:
+            shallow = -math.log(root())
+            # the epsilon process itself carries a noise floor of about 1e-8
+            # on near-geometric data, so the depth check cannot be held below it
+            threshold = max(10.0 * tol, 1e-8)
+            if abs(value - shallow) > threshold:
+                raise TruncationUnstable(
+                    f"L({t}) moved by {abs(value - shallow):.3e} when the last 4 "
+                    f"length slabs were dropped (tol {tol:.1e})"
+                )
+            err = abs(value - shallow)
+        else:
+            err = float("nan")
+        samples.append((value, err))
+    return samples
 
 
 def l_from_scan(
@@ -516,30 +649,12 @@ def l_from_scan(
     Solves F(s, t) = 1 with a bracketed Brent step (F is strictly increasing
     in s), then re-solves with the deepest four length slabs dropped;
     disagreement beyond max(10*tol, 1e-8) raises TruncationUnstable,
-    otherwise it is reported as the error.
+    otherwise it is reported as the error.  This is the one-sample call of
+    the solver that `exponents` runs on all its samples at once: the two
+    solves share each round's Wynn table (see the module docstring), and
+    the result is bit for bit that of solving them one after the other.
     """
-    t = stats.ts[t_index]
-    sums = stats.pow_sums[t_index]
-    zeros = stats.zero_words
-    root = _brent_root(stats.q, sums, zeros, t, tol, accel)
-    value = -math.log(root)
-    if len(sums) > 8:
-        shallow_root = _brent_root(
-            stats.q, sums[:-4], zeros[:-4], t, tol, accel
-        )
-        shallow = -math.log(shallow_root)
-        # the epsilon process itself carries a noise floor of about 1e-8
-        # on near-geometric data, so the depth check cannot be held below it
-        threshold = max(10.0 * tol, 1e-8)
-        if abs(value - shallow) > threshold:
-            raise TruncationUnstable(
-                f"L({t}) moved by {abs(value - shallow):.3e} when the last 4 "
-                f"length slabs were dropped (tol {tol:.1e})"
-            )
-        err = abs(value - shallow)
-    else:
-        err = float("nan")
-    return value, err
+    return _l_samples(stats, (t_index,), tol, accel)[0]
 
 
 def l_of_t(
@@ -689,7 +804,8 @@ def quadrinomial_regroup_L(t: float, tol: float = 1e-12) -> float:
         except ZeroDivisionError:
             continue
         if prev_v is not None and (value == 0.0 or (prev_v > 0.0) != (value > 0.0)):
-            root = _brent(det_i_minus_f, prev_s, s, prev_v, value, tol)
+            root = _solve(_brent(prev_s, s, prev_v, value, tol),
+                          det_i_minus_f)
             return -math.log(root)
         prev_s, prev_v = s, value
     raise NoRoot(f"det(I - F(s, {t})) has no zero on (0, 2) at this resolution")

@@ -30,14 +30,15 @@ that overflows raises OverflowError.
 Per-length sums are reduced with math.fsum in a fixed chunking, so results
 are reproducible bit for bit for any worker count.  The calling process
 splits the tree at a fixed prefix depth and runs the subtrees below each
-batch of prefixes itself, or, for large scans, sends the batches to one
-fork pool per process, started by the first such scan and kept until
-exit.
+batch of prefixes itself, or, for large scans, sends each worker of one
+fork pool per process a single task with its share of the batches; the
+first such scan starts the pool and it is kept until exit.
 """
 
 from __future__ import annotations
 
 import atexit
+import bisect
 import math
 import multiprocessing
 import os
@@ -67,10 +68,15 @@ def word_count(q: int, length: int) -> int:
         raise ValueError("q must be >= 1")
     if length < 0:
         raise ValueError("length must be >= 0")
+    return _word_counts(q, length)[length]
+
+
+def _word_counts(q: int, max_len: int) -> list[int]:
+    """word_count(q, l) for every l from 0 to max_len, in one pass."""
     counts = [1]
-    for ell in range(1, length + 1):
+    for ell in range(1, max_len + 1):
         counts.append(sum(counts[max(0, ell - q) : ell]))
-    return counts[length]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,11 @@ def _chunk(job):
     return tally.totals()
 
 
+def _chunks(jobs) -> list:
+    """`_chunk` of every job in one pool task: a worker's share of a scan."""
+    return [_chunk(job) for job in jobs]
+
+
 # A scan of fewer words runs in-process.  On 2 cores a warm two-worker pool
 # breaks even with a serial float64 scan between about 2e5 and 5e5 words:
 # pooled/serial time on g3, g4, h4, with and without 10 t samples, was
@@ -389,14 +400,16 @@ def _pick_prefix_len(q: int, max_len: int) -> int:
     """Chunking depth: enough chunks to balance a pool, 0 for small trees.
 
     Appending '1' maps the live prefixes of length p one to one onto the
-    chi(q) words of length p + 1, so there are word_count(q, p + 1) of them.
+    chi(q) words of length p + 1, so there are word_count(q, p + 1) of them:
+    the least p from 1 to max_len - 4 with 192 or more, or 0 if none has.
+    Counts never fall with the length, so a bisection finds it in
+    O(log max_len) counts (for q = 1 there is one word per length).
     """
     if max_len <= 18:
         return 0
-    for p in range(1, max_len - 3):
-        if word_count(q, p + 1) >= 192:
-            return p
-    return 0
+    depths = range(1, max_len - 3)
+    k = bisect.bisect_left(depths, 192, key=lambda p: word_count(q, p + 1))
+    return depths[k] if k < len(depths) else 0
 
 
 def scan_corner_stats(
@@ -431,23 +444,24 @@ def scan_corner_stats(
     cpus = _usable_cpus()
     threads = cpus if threads is None else max(1, min(int(threads), cpus))
 
-    prefix_len = _pick_prefix_len(ctx.q, max_len)
-    total = sum(word_count(ctx.q, length) for length in range(max_len + 1))
-    short, jobs = _split(ctx, prefix_len)
+    short, jobs = _split(ctx, _pick_prefix_len(ctx.q, max_len))
     tally = _Tally(max_len, 2 + len(ctx.ts))
     tally.merge(short)
-    if threads == 1 or total < POOL_MIN_WORDS:
+    if threads == 1 or sum(_word_counts(ctx.q, max_len)) < POOL_MIN_WORDS:
         for totals in map(_chunk, jobs):
             tally.merge(totals)
     else:
-        # several jobs per message, as Pool.map does; each still reduces on
-        # its own, so this does not change the result.  Within one message
-        # pickle sends ctx once.
-        batch = -(-len(jobs) // (4 * threads))
+        # one message per worker: an interleaved share of the jobs, so that
+        # neighbouring (similar) subtrees spread over the workers, and pickle
+        # sends ctx once per share.  Each job still reduces on its own and
+        # math.fsum of the parts is correctly rounded in any order, so
+        # neither changes the result.
+        shares = [jobs[k::threads] for k in range(threads)]
         with _POOL.lock:
             try:
-                for totals in _POOL.get(threads).imap(_chunk, jobs, chunksize=batch):
-                    tally.merge(totals)
+                for share in _POOL.get(threads).imap_unordered(_chunks, shares):
+                    for totals in share:
+                        tally.merge(totals)
             except BaseException:
                 # the workers may still be busy with this scan, or broken
                 _POOL.drop()

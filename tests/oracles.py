@@ -32,6 +32,11 @@ to a number the package computes another way.
   base at a time, with b-adic valuations and an integer Bellman-Ford per
   element; `exactmat.diagonal_balance` must return the same tuple, or
   None with it.
+- `wynn_sequential` builds one epsilon table column by column in Python
+  floats, and `l_samples_sequential` solves each L(t) sample on its own, in
+  order, one F evaluation at a time (`brent_root_sequential`); the batched
+  `gle.wynn_epsilon` and the lockstep `gle._l_samples` must give the same
+  results and raise the same exceptions bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from lyapdisp import catalog, digitsum, exactmat, mcsim
+from lyapdisp import catalog, digitsum, exactmat, gle, mcsim
 from lyapdisp.catalog import MatrixFamily
 from lyapdisp.conjugate import SentinelFactorization
 from lyapdisp.exactmat import RationalMatrix
@@ -413,3 +418,116 @@ def diagonal_balance_by_base(*matrices) -> tuple[Fraction, ...] | None:
             return None
         diag = [p * Fraction(b) ** e for p, e in zip(diag, x)]
     return tuple(diag)
+
+
+def wynn_sequential(partials) -> gle.WynnResult:
+    """The epsilon table of one sequence, built entry by entry in Python."""
+    s = [float(x) for x in partials]
+    n_terms = len(s)
+    if n_terms < 3:
+        raise gle.DegenerateSequence(
+            f"need at least 3 partial sums, got {n_terms}")
+    prev2 = [0.0] * (n_terms + 1)
+    prev = s
+    best = [(s[-1], 0)]
+    for k in range(1, n_terms):
+        cur = []
+        for n in range(n_terms - k):
+            diff = prev[n + 1] - prev[n]
+            eps = (prev2[n + 1] + 1.0 / diff if abs(diff) > gle.WYNN_GUARD
+                   else math.nan)
+            cur.append(eps if math.isfinite(eps) else math.nan)
+        formed = [x for x in cur if not math.isnan(x)]
+        if not formed:
+            break
+        if k % 2 == 0:
+            best.append((formed[-1], k))
+        prev2, prev = prev, cur
+    if len(best) == 1:
+        return gle.WynnResult(estimate=s[-1], error=abs(s[-1] - s[-2]), depth=0)
+    diffs = [abs(b[0] - a[0]) for a, b in zip(best, best[1:])]
+    j = min(range(len(diffs)), key=diffs.__getitem__)
+    estimate, depth = best[j + 1]
+    return gle.WynnResult(estimate=estimate, error=diffs[j], depth=depth)
+
+
+def f_sequential(q, power_sums, zeros, s, t, accel) -> float:
+    """Truncated F(s, t), accelerated by `wynn_sequential` if accel."""
+    half_s = 0.5 * s
+    slabs = []
+    for l, g in enumerate(power_sums):
+        total = g + (zeros[l] if t == 0.0 else 0.0)
+        slabs.append(half_s ** (l + q) * total)
+    total = math.fsum(slabs)
+    if not math.isfinite(total):
+        raise gle.Overflow(f"F({s}, {t}) overflows at this truncation")
+    if accel and len(slabs) >= 3:
+        partials, acc = [], 0.0
+        for x in slabs:
+            acc += x
+            partials.append(acc)
+        total = wynn_sequential(partials).estimate
+    return total
+
+
+def brent_root_sequential(q, power_sums, zeros, t, tol, accel) -> float:
+    """Root of F(s, t) = 1: the raw bracketed solve, then the accelerated
+    refinement, each F evaluated when Brent's method asks for it."""
+
+    def ln_f_raw(s):
+        value = f_sequential(q, power_sums, zeros, s, t, False)
+        return math.log(max(value, math.ulp(0.0)))
+
+    s_lo, s_hi = gle.S_LO, gle.S_HI
+    f_lo, f_hi = ln_f_raw(s_lo), ln_f_raw(s_hi)
+    if f_hi < 0.0:
+        raise gle.NoBracket(
+            f"F({s_hi:.6f}, {t}) = {math.exp(f_hi)} < 1; truncation too "
+            "shallow or t too negative")
+    if f_lo >= 0.0:
+        raise gle.NoBracket(
+            f"F({s_lo:g}, {t}) = {math.exp(f_lo)} >= 1; L({t}) exceeds "
+            f"-ln {s_lo:g} = {-math.log(s_lo):.1f}")
+    root = gle._solve(gle._brent(s_lo, s_hi, f_lo, f_hi, tol), ln_f_raw)
+    if root - 0.5 * tol <= s_lo:
+        raise gle.NoBracket(
+            f"F(s, {t}) crosses 1 within tol/2 = {0.5 * tol:.1e} of "
+            f"s = {s_lo:g}; L({t}) > {-math.log(root + 0.5 * tol):.1f} is "
+            "out of reach at this tol")
+    if not accel:
+        return root
+
+    def f_acc(s):
+        return f_sequential(q, power_sums, zeros, s, t, True) - 1.0
+
+    delta = 0.02
+    for _ in range(4):
+        lo = max(root * (1.0 - delta), s_lo)
+        hi = min(root * (1.0 + delta), s_hi)
+        if (f_lo := f_acc(lo)) < 0.0 < (f_hi := f_acc(hi)):
+            return gle._solve(gle._brent(lo, hi, f_lo, f_hi, tol), f_acc)
+        delta *= 4.0
+    return root
+
+
+def l_samples_sequential(stats, tol=1e-10, accel=True) -> list:
+    """(L, err) for every t of stats, one sample after the other; raises
+    what the first failing sample raises."""
+    samples = []
+    for t, sums in zip(stats.ts, stats.pow_sums):
+        zeros = stats.zero_words
+        value = -math.log(brent_root_sequential(stats.q, sums, zeros, t, tol,
+                                                accel))
+        if len(sums) > 8:
+            shallow = -math.log(brent_root_sequential(
+                stats.q, sums[:-4], zeros[:-4], t, tol, accel))
+            threshold = max(10.0 * tol, 1e-8)
+            if abs(value - shallow) > threshold:
+                raise gle.TruncationUnstable(
+                    f"L({t}) moved by {abs(value - shallow):.3e} when the last "
+                    f"4 length slabs were dropped (tol {tol:.1e})")
+            err = abs(value - shallow)
+        else:
+            err = float("nan")
+        samples.append((value, err))
+    return samples

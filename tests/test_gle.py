@@ -1,10 +1,13 @@
 """Series engine, Wynn acceleration, F/L machinery, replica, regrouping."""
 
+import dataclasses
 import json
 import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -18,7 +21,13 @@ from lyapdisp.gle import (
     Overflow,
     TruncationUnstable,
 )
-from oracles import f_closed_form_t0, family_to_dict
+from oracles import (
+    f_closed_form_t0,
+    f_sequential,
+    family_to_dict,
+    l_samples_sequential,
+    wynn_sequential,
+)
 
 LN2 = math.log(2.0)
 MAX = sys.float_info.max
@@ -28,13 +37,19 @@ def refuse_scan(*args, **kwargs):
     raise AssertionError("no word-tree scan expected")
 
 
+def wynn(partials):
+    """The epsilon table of one sequence."""
+    [result] = gle.wynn_epsilon([partials])
+    return result
+
+
 class TestWynnEpsilon:
     def test_exact_geometric_terminates_at_depth_two(self):
         partials, acc = [], 0.0
         for k in range(12):
             acc += 2.0**-k
             partials.append(acc)
-        result = gle.wynn_epsilon(partials)
+        result = wynn(partials)
         assert result.estimate == 2.0
         assert result.depth == 2
 
@@ -43,7 +58,7 @@ class TestWynnEpsilon:
         for k in range(20):
             acc += k * 2.0**-k
             partials.append(acc)
-        result = gle.wynn_epsilon(partials)
+        result = wynn(partials)
         assert result.estimate == pytest.approx(2.0, abs=1e-12)
 
     def test_quadratic_weight(self):
@@ -52,20 +67,20 @@ class TestWynnEpsilon:
         for k in range(24):
             acc += k * k * 2.0**-k
             partials.append(acc)
-        assert gle.wynn_epsilon(partials).estimate == pytest.approx(6.0, abs=1e-10)
+        assert wynn(partials).estimate == pytest.approx(6.0, abs=1e-10)
 
     def test_alternating_log_series(self):
         partials, acc = [], 0.0
         for k in range(1, 25):
             acc += (-1.0) ** (k + 1) / k
             partials.append(acc)
-        result = gle.wynn_epsilon(partials)
+        result = wynn(partials)
         assert result.estimate == pytest.approx(math.log(2.0), abs=1e-12)
         assert abs(result.estimate - math.log(2.0)) <= 10 * result.error + 1e-13
 
     def test_too_short(self):
         with pytest.raises(DegenerateSequence):
-            gle.wynn_epsilon([1.0, 2.0])
+            wynn([1.0, 2.0])
 
     @pytest.mark.parametrize("partials,want", [
         # repeated partials: their differences fall below WYNN_GUARD
@@ -85,8 +100,67 @@ class TestWynnEpsilon:
          (1.9375, math.inf, 2)),
     ], ids=["guard", "tiny-steps", "overflow", "inf", "nan", "inf-last"])
     def test_entries_that_cannot_be_formed(self, partials, want):
-        result = gle.wynn_epsilon(partials)
+        result = wynn(partials)
         assert (result.estimate, result.error, result.depth) == want
+
+
+def same_float(a, b):
+    """Equal bit for bit up to the NaN payload, the sign of zero included."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def same_wynn(got, want):
+    return (same_float(got.estimate, want.estimate)
+            and same_float(got.error, want.error) and got.depth == want.depth)
+
+
+SPECIALS = (math.inf, -math.inf, math.nan, 0.0, -0.0, MAX, -MAX)
+
+
+def fuzz_sequence(rng):
+    """Partial sums of length 3-30 of one of several kinds, some with
+    inf, -inf, NaN, zeros, extremes or steps below the Wynn guard."""
+    n = rng.randint(3, 30)
+    kind = rng.randrange(7)
+    if kind == 0:      # geometric-like terms, the series the package sums
+        a, r = rng.uniform(-2, 2), rng.uniform(-0.95, 0.95)
+        terms = [a * r**k * (1 + 1e-3 * rng.gauss(0, 1)) for k in range(n)]
+    elif kind == 1:    # a random walk
+        terms = [rng.gauss(0, 1) for _ in range(n)]
+    elif kind == 2:    # steps below, at and just above the guard
+        terms = rng.choices((0.0, 1e-301, 1e-300, 2e-300, 5e-306, 1.0), k=n)
+    elif kind == 3:    # converging exactly: terms that vanish
+        cut = rng.randrange(n)
+        terms = [2.0**-k if k < cut else 0.0 for k in range(n)]
+    elif kind == 4:    # large values, where sums and reciprocals overflow
+        terms = rng.choices((MAX / 3, -MAX / 3, 1e300, 1e-300, 1.0), k=n)
+    elif kind == 5:    # a few distinct values, so differences repeat
+        terms = rng.choices((-1.0, 0.0, 0.5, 1.0), k=n)
+    else:              # from +-MAX back in steps near 1e299: eps[2] overflows
+        sign = rng.choice((-1.0, 1.0))
+        terms = [sign * MAX] + [-sign * rng.uniform(0.5, 3) * 1e299
+                                for _ in range(min(n, 6) - 1)]
+    partials = list(accumulate(terms))
+    for _ in range(rng.randrange(3)):
+        partials[rng.randrange(len(partials))] = rng.choice(SPECIALS)
+    return partials
+
+
+class TestWynnTable:
+    def test_rows_match_the_sequential_table(self):
+        """Every row of a NaN-padded table of mixed lengths, 20k rows."""
+        rng = random.Random(20260601)
+        for _ in range(500):
+            rows = [fuzz_sequence(rng) for _ in range(rng.randint(1, 79))]
+            for row, got in zip(rows, gle.wynn_epsilon(rows)):
+                want = wynn_sequential(row)
+                assert same_wynn(got, want), (row, got, want)
+
+    def test_any_short_row_is_refused(self):
+        with pytest.raises(DegenerateSequence, match="got 2"):
+            gle.wynn_epsilon([[1.0, 2.0, 3.0], [1.0, 2.0]])
 
 
 class TestPrefactors:
@@ -141,7 +215,7 @@ class TestMomentSeries:
 
     def test_quadrinomial_series_lambda(self):
         series = series_for("g3", 30)
-        accel = gle.wynn_epsilon(series.partials("lambda"))
+        accel = wynn(series.partials("lambda"))
         assert accel.estimate == pytest.approx(LN2 / 2, abs=1e-6)
 
     def test_csv_rows(self):
@@ -226,8 +300,11 @@ def g3_scan():
 
 
 def f_value(stats, t_index, s, accel=True):
-    return gle._f_from_sums(stats.q, stats.pow_sums[t_index], stats.zero_words,
-                            s, stats.ts[t_index], accel)
+    slabs, total = gle._f_slabs(stats.q, stats.pow_sums[t_index],
+                                stats.zero_words, s, stats.ts[t_index])
+    if not accel:
+        return total
+    return wynn(list(accumulate(slabs))).estimate
 
 
 class TestFEval:
@@ -318,14 +395,19 @@ class TestRootFinding:
     @pytest.mark.parametrize("name", ["g3", "h4"])
     def test_evaluation_budget(self, name, monkeypatch):
         """Brent keeps each L(t) sample to <= 35 raw and <= 20 Wynn F calls."""
-        real = gle._f_from_sums
         calls = Counter()
+        slabs, table = gle._f_slabs, gle.wynn_epsilon
 
-        def counting(q, power_sums, zeros, s, t, accel):
-            calls[accel] += 1
-            return real(q, power_sums, zeros, s, t, accel)
+        def count_slabs(*args):
+            calls["F"] += 1
+            return slabs(*args)
 
-        monkeypatch.setattr(gle, "_f_from_sums", counting)
+        def count_rows(rows):
+            calls["Wynn"] += len(rows)
+            return table(rows)
+
+        monkeypatch.setattr(gle, "_f_slabs", count_slabs)
+        monkeypatch.setattr(gle, "wynn_epsilon", count_rows)
         stats = scan_for(name, 24, ts=LT_GRID)
         for k in range(len(LT_GRID)):
             calls.clear()
@@ -333,8 +415,9 @@ class TestRootFinding:
                 gle.l_from_scan(stats, k)
             except TruncationUnstable:
                 pass  # h4 at t = 1.75, 2: depth 24 is too shallow there
-            assert calls[False] <= 35, (LT_GRID[k], calls)
-            assert calls[True] <= 20, (LT_GRID[k], calls)
+            # every accelerated F of 25 terms is one Wynn row
+            assert calls["F"] - calls["Wynn"] <= 35, (LT_GRID[k], calls)
+            assert calls["Wynn"] <= 20, (LT_GRID[k], calls)
 
     @pytest.mark.parametrize("name", ["g3", "g4", "h4"])
     @pytest.mark.parametrize("tol", [1e-10, 1e-7])
@@ -345,16 +428,99 @@ class TestRootFinding:
             sums = stats.pow_sums[k]
 
             def f(s):
-                return gle._f_from_sums(stats.q, sums, stats.zero_words, s, t,
-                                        False)
+                return gle._f_slabs(stats.q, sums, stats.zero_words, s, t)[1]
 
-            root = gle._brent_root(stats.q, sums, stats.zero_words, t, tol,
-                                   accel=False)
+            [root] = gle._solve_lockstep([(stats.q, sums, stats.zero_words, t)],
+                                         tol, accel=False)
             assert f(root - tol / 2) < 1.0 <= f(root + tol / 2), t
 
 
+def outcome(call):
+    """What call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for (value, err), (want_value, want_err) in zip(got, want):
+        assert same_float(value, want_value) and same_float(err, want_err), (
+            got, want)
+
+
+def spy_scans(monkeypatch):
+    """Every ScanStats that gle computes from here on, in order."""
+    seen = []
+    scan = words.scan_corner_stats
+
+    def spy(*args, **kwargs):
+        seen.append(scan(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(words, "scan_corner_stats", spy)
+    return seen
+
+
+class TestLockstep:
+    """The lockstep solve against one sample after the other, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["g3", "h3", "g4", "h4"])
+    def test_exponents_samples_match_sequential(self, name, monkeypatch):
+        # the benchmark's lt curves; h3 fails at t = 2 (moved by 8.345e-01)
+        seen = spy_scans(monkeypatch)
+        got = outcome(lambda: [
+            (value, err) for _, value, err in gle.exponents(
+                name, max_len=28, threads=1, lt_samples=LT_GRID).l_samples])
+        assert_same_outcome(got, outcome(lambda: l_samples_sequential(seen[0])))
+
+    @pytest.mark.parametrize("accel", [True, False], ids=["accel", "raw"])
+    @pytest.mark.parametrize("name", ["g3", "h4"])
+    def test_one_sample_calls_match_sequential(self, name, accel):
+        stats = scan_for(name, 24, ts=LT_GRID)
+        for k, t in enumerate(LT_GRID):
+            one = dataclasses.replace(stats, ts=(t,),
+                                      pow_sums=(stats.pow_sums[k],))
+            assert_same_outcome(
+                outcome(lambda: [gle.l_from_scan(stats, k, accel=accel)]),
+                outcome(lambda: l_samples_sequential(one, accel=accel)))
+
+    @pytest.mark.parametrize("t, max_len, error", [
+        (20.0, None, TruncationUnstable),
+        (30.0, None, Overflow),
+        (60.0, 8, NoBracket),
+    ])
+    def test_lt_failures_match_sequential(self, t, max_len, error,
+                                          monkeypatch):
+        seen = spy_scans(monkeypatch)
+        got = outcome(lambda: gle.l_of_t("g1", t, max_len=max_len))
+        assert got[0] is error
+        assert_same_outcome(got, outcome(lambda: l_samples_sequential(seen[0])))
+
+    @pytest.mark.parametrize("name, max_len, ts", [
+        # g1 at depth 12: t = 20 moves after both solves, t = 300 overflows
+        # and t = 60 has no bracket before either starts its refinement, so
+        # a later sample can fail first
+        ("g1", 12, (1.0, 20.0, 300.0)), ("g1", 12, (1.0, 300.0, 20.0)),
+        ("g1", 12, (20.0, 60.0)), ("g1", 12, (60.0, 20.0)),
+        ("g1", 12, (2.0, -1.0, 0.5)),
+        # fewer than 3 terms: F is not accelerated; 8 or fewer: no re-solve
+        # of the shallower sums
+        *[("g3", max_len, (-0.5, 0.5, 1.0)) for max_len in (0, 1, 2, 7, 8)],
+    ])
+    def test_samples_match_sequential(self, name, max_len, ts):
+        stats = scan_for(name, max_len, ts=ts)
+        got = outcome(lambda: gle._l_samples(stats, range(len(ts)), 1e-10,
+                                             True))
+        assert_same_outcome(got, outcome(lambda: l_samples_sequential(stats)))
+
+
 def brent(f, a, b, tol=1e-10):
-    return gle._brent(f, a, b, f(a), f(b), tol)
+    return gle._solve(gle._brent(a, b, f(a), f(b), tol), f)
 
 
 class TestBrent:
@@ -377,8 +543,8 @@ class TestBrent:
             evaluations.append(x)
             return x * x - 4.0
 
-        assert gle._brent(f, 0.0, 2.0, -4.0, 0.0, 1e-10) == 2.0
-        assert gle._brent(f, 2.0, 3.0, 0.0, 5.0, 1e-10) == 2.0
+        assert gle._solve(gle._brent(0.0, 2.0, -4.0, 0.0, 1e-10), f) == 2.0
+        assert gle._solve(gle._brent(2.0, 3.0, 0.0, 5.0, 1e-10), f) == 2.0
         assert evaluations == []
 
     def test_either_orientation(self):

@@ -418,13 +418,16 @@ def two_cpus(monkeypatch):
 
 
 class _InProcessPool:
-    """Stands in for the fork pool: records its size, runs jobs in-process."""
+    """Stands in for the fork pool: records its size and the tasks of each
+    call, and runs them in-process."""
 
     def __init__(self, made, processes):
         made.append(processes)
+        self.tasks = []
 
-    def imap(self, func, jobs, chunksize):
-        return map(func, jobs)
+    def imap_unordered(self, func, tasks):
+        self.tasks.append(len(tasks))
+        return map(func, tasks)
 
     def terminate(self):
         pass
@@ -457,6 +460,23 @@ class TestScanPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert words.scan_corner_stats(fact, 25) == serial
         assert made == [3, 5]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_one_task_per_worker(self, threads, monkeypatch):
+        made = []
+        monkeypatch.setattr(words, "_POOL", words._ScanPool())
+        monkeypatch.setattr(
+            multiprocessing.get_context("fork"), "Pool",
+            lambda processes: _InProcessPool(made, processes),
+        )
+        monkeypatch.setattr(words, "_usable_cpus", lambda: 3)
+        fact = fact_for("h4")
+        serial = words.scan_corner_stats(fact, 25, ts=(2.0, -0.5), threads=1)
+        pooled = words.scan_corner_stats(fact, 25, ts=(2.0, -0.5),
+                                         threads=threads)
+        assert pooled == serial
+        assert made == [threads]
+        assert words._POOL.pool.tasks == [threads]
 
     def test_back_to_back_scans_share_the_pool(self, two_cpus):
         # scans of other families, ts and depths run on the same workers
