@@ -426,7 +426,8 @@ def _parse_matrix(data, dim: int, label: str) -> RationalMatrix:
         parsed = []
         for j, cell in enumerate(row):
             try:
-                parsed.append(Fraction(cell) if isinstance(cell, (str, int)) else None)
+                parsed.append(Fraction(cell) if isinstance(cell, (str, int))
+                              and not isinstance(cell, bool) else None)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"{label}[{i}][{j}]: bad rational {cell!r}") from exc
             if parsed[-1] is None:

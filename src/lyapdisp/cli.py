@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponents", help="lambda/kappa/mu/sigma^2 report")
     _add_common(p, family=True, max_len=True, threads=True, csv_out=True)
     p.add_argument("--no-accel", action="store_true",
-                   help="skip series acceleration (raw partial sums)")
+                   help="skip series acceleration of lambda, kappa and mu "
+                   "(raw partial sums); L(t) samples stay accelerated")
     p.add_argument("--t", type=float, action="append", default=None,
                    help="also sample L(t) at this t (repeatable)")
 
@@ -203,7 +204,7 @@ def _cmd_exponents(args) -> int:
         lt_samples=tuple(args.t or ()),
     )
     if args.csv:
-        _write(args.csv, "\n".join(report.series.csv_rows()))
+        _write(args.csv, "\n".join(report.csv_rows()))
     _write_json(args.json, report.to_json_dict())
     return 0
 

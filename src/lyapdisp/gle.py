@@ -17,6 +17,10 @@ Brent's bracketed root finder, and (for integer t) as the log spectral radius
 of the averaged t-fold Kronecker powers.  The three-letter-alphabet
 regrouping check for the quadrinomial family lives here too.
 
+An `ExponentReport` keeps the `words.ScanStats` of its scan and reads every
+per-length term from it: the Wynn inputs of lambda, kappa and mu, and the
+rows of `exponents --csv`.
+
 Every epsilon table is built by `wynn_epsilon`, several sequences at once:
 lambda, kappa and mu as one three-row table, and the L(t) samples of one
 call in lockstep.  Each sample is solved twice, at full depth and four
@@ -48,7 +52,6 @@ __all__ = [
     "series_prefactor",
     "sigma2_prefactor",
     "sigma2_from_moments",
-    "MomentSeries",
     "AcceleratedValue",
     "ExponentReport",
     "exponents",
@@ -97,11 +100,14 @@ class DimensionCap(ValueError):
     pass
 
 
-def _check_finite(ts: Sequence[float]) -> None:
-    """ValueError naming the first non-finite t, before any scan."""
+def _check_inputs(ts: Sequence[float], tol: float) -> None:
+    """ValueError naming the first non-finite t, or a tol that is not finite
+    and positive, before any scan."""
     bad = next((t for t in ts if not math.isfinite(t)), None)
     if bad is not None:
         raise ValueError(f"t must be finite, got {bad!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def default_max_len(q: int) -> int:
@@ -208,62 +214,15 @@ def sigma2_from_moments(lam: float, kappa: float, mu: float, q: int) -> float:
     return float(sigma2_prefactor(q)) * lam * lam - 2.0 * lam * kappa + mu
 
 
-@dataclass(frozen=True)
-class MomentSeries:
-    """Per-length contributions to the lambda/kappa/mu series (no prefactor).
-
-    s_lambda[l] = 2^-l * sum over words of length l of ln phi
-    s_kappa[l]  = (q+l) * s_lambda[l]
-    s_mu[l]     = 2^-l * sum of (ln phi)^2
-    """
-
-    family: str
-    q: int
-    max_len: int
-    counts: tuple[int, ...]
-    zero_words: tuple[int, ...]
-    s_lambda: tuple[float, ...]
-    s_kappa: tuple[float, ...]
-    s_mu: tuple[float, ...]
-
-    def partials(self, which: str) -> list[float]:
-        """Cumulative prefactored partial sums by length, the Wynn input."""
-        slabs = getattr(self, "s_" + which)
-        pref = float(series_prefactor(self.q))
-        out, acc = [], 0.0
-        for value in slabs:
-            acc += value
-            out.append(pref * acc)
-        return out
-
-    def csv_rows(self) -> list[str]:
-        lines = ["len,words,Slambda,Skappa,Smu"]
-        for l in range(self.max_len + 1):
-            lines.append(
-                f"{l},{self.counts[l]},{self.s_lambda[l]!r},"
-                f"{self.s_kappa[l]!r},{self.s_mu[l]!r}"
-            )
-        return lines
-
-
-def moments_from_scan(name: str, stats: ScanStats) -> MomentSeries:
-    q = stats.q
-    s_lambda, s_kappa, s_mu = [], [], []
-    for l in range(stats.max_len + 1):
-        w = 2.0 ** -l
-        s_lambda.append(w * stats.sum_ln[l])
-        s_kappa.append((q + l) * w * stats.sum_ln[l])
-        s_mu.append(w * stats.sum_ln2[l])
-    return MomentSeries(
-        family=name,
-        q=q,
-        max_len=stats.max_len,
-        counts=stats.counts,
-        zero_words=stats.zero_words,
-        s_lambda=tuple(s_lambda),
-        s_kappa=tuple(s_kappa),
-        s_mu=tuple(s_mu),
-    )
+def _terms(stats: ScanStats) -> tuple[list[float], ...]:
+    """Per-length terms of the lambda, kappa and mu series, no prefactor:
+    at length l, 2^-l times the sum of ln phi over its words, (q+l) times
+    that, and 2^-l times the sum of (ln phi)^2."""
+    weights = [2.0 ** -l for l in range(stats.max_len + 1)]
+    return ([w * x for w, x in zip(weights, stats.sum_ln)],
+            [(stats.q + l) * w * x
+             for l, (w, x) in enumerate(zip(weights, stats.sum_ln))],
+            [w * x for w, x in zip(weights, stats.sum_ln2)])
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +237,12 @@ class AcceleratedValue:
     depth: int        # epsilon-table column used
 
 
-def _accelerate(series: MomentSeries, accel: bool) -> list[AcceleratedValue]:
-    """lambda, kappa and mu from their partial sums, in one Wynn table."""
-    rows = [series.partials(which) for which in ("lambda", "kappa", "mu")]
+def _accelerate(stats: ScanStats, accel: bool) -> list[AcceleratedValue]:
+    """lambda, kappa and mu from their cumulative prefactored partial sums,
+    in one Wynn table."""
+    pref = float(series_prefactor(stats.q))
+    rows = [[pref * acc for acc in accumulate(terms, initial=0.0)][1:]
+            for terms in _terms(stats)]
     if not accel:
         return [_unaccelerated(partials) for partials in rows]
     # a vanishing column difference means exact convergence; the estimate is
@@ -319,7 +281,7 @@ class ExponentReport:
     l_samples: tuple[tuple[float, float, float], ...]  # (t, L(t), err)
     replica: tuple[tuple[int, float], ...]             # (t, e^{L(t)})
     skipped_words: int
-    series: MomentSeries = field(repr=False, compare=False)
+    stats: ScanStats = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -343,6 +305,27 @@ class ExponentReport:
             "skipped_words": self.skipped_words,
         }
 
+    def csv_rows(self) -> list[str]:
+        """The per-length terms of lambda, kappa and mu, one row per length."""
+        lines = ["len,words,Slambda,Skappa,Smu"]
+        for l, (count, lam, kappa, mu) in enumerate(
+                zip(self.stats.counts, *_terms(self.stats))):
+            lines.append(f"{l},{count},{lam!r},{kappa!r},{mu!r}")
+        return lines
+
+
+def _scan(family, max_len: int | None, ts: Sequence[float], tol: float,
+          threads: int | None) -> tuple[catalog.MatrixFamily, ScanStats]:
+    """(family, ScanStats): t and tol checked, then one scan of the family
+    to max_len (its default depth if None) with power sums at ts."""
+    _check_inputs(ts, tol)
+    fam = catalog.resolve_family(family)
+    if max_len is None:
+        max_len = default_max_len(fam.q)
+    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
+    return fam, words.scan_corner_stats(fact, max_len, ts=tuple(ts),
+                                        threads=threads)
+
 
 def exponents(
     family,
@@ -358,19 +341,11 @@ def exponents(
     per-length partial sums and combined into sigma^2; replica values
     e^{L(1)}, e^{L(2)} always come along (they are cheap), and L(t) is
     root-found for each requested sample t from power sums collected in the
-    same scan.
+    same scan.  accel=False reports lambda, kappa and mu as raw partial
+    sums; the L(t) samples stay accelerated either way.
     """
-    _check_finite(lt_samples)
-    fam = catalog.resolve_family(family)
-    if max_len is None:
-        max_len = default_max_len(fam.q)
-    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
-    stats = words.scan_corner_stats(
-        fact, max_len, ts=tuple(lt_samples), threads=threads
-    )
-    series = moments_from_scan(fam.name, stats)
-
-    lam, kappa, mu = _accelerate(series, accel)
+    fam, stats = _scan(family, max_len, lt_samples, lt_tol, threads)
+    lam, kappa, mu = _accelerate(stats, accel)
     pref = float(sigma2_prefactor(fam.q))
     sigma2 = sigma2_from_moments(lam.accel, kappa.accel, mu.accel, fam.q)
     sigma2_err = (
@@ -378,30 +353,22 @@ def exponents(
         + 2.0 * abs(lam.accel) * kappa.err
         + mu.err
     )
-
-    l_samples = [
-        (t, value, err) for t, (value, err) in zip(
-            stats.ts, _l_samples(stats, range(len(stats.ts)), lt_tol, True))
-    ]
-
-    replica = []
-    for t in (1, 2):
-        if fam.dim**t <= MAX_REPLICA_DIM:
-            replica.append((t, replica_exponent(fam, t)))
-
+    l_samples = _l_samples(stats, range(len(stats.ts)), lt_tol)
     return ExponentReport(
         family=fam.name,
         q=fam.q,
-        max_len=max_len,
+        max_len=stats.max_len,
         lam=lam,
         kappa=kappa,
         mu=mu,
         sigma2=sigma2,
         sigma2_err=sigma2_err,
-        l_samples=tuple(l_samples),
-        replica=tuple(replica),
+        l_samples=tuple((t, value, err)
+                        for t, (value, err) in zip(stats.ts, l_samples)),
+        replica=tuple((t, replica_exponent(fam, t)) for t in (1, 2)
+                      if fam.dim**t <= MAX_REPLICA_DIM),
         skipped_words=stats.total_zero_words,
-        series=series,
+        stats=stats,
     )
 
 
@@ -498,7 +465,7 @@ def _solve(steps, f) -> float:
 S_LO, S_HI = 1e-12, 2.0 * (1.0 - 1e-12)
 
 
-def _root_steps(q, power_sums, zeros, t, tol, accel):
+def _root_steps(q, power_sums, zeros, t, tol):
     """Root of F(s, t) = 1 in s, within tol/2 of where F crosses 1.
 
     A generator, run by `_solve_lockstep`: it yields each s at which it
@@ -539,8 +506,6 @@ def _root_steps(q, power_sums, zeros, t, tol, accel):
             f"s = {S_LO:g}; L({t}) > {-math.log(root + 0.5 * tol):.1f} is "
             "out of reach at this tol"
         )
-    if not accel:
-        return root
     delta = 0.02
     for _ in range(4):
         lo = max(root * (1.0 - delta), S_LO)
@@ -551,7 +516,7 @@ def _root_steps(q, power_sums, zeros, t, tol, accel):
     return root  # acceleration did not improve the bracket; raw root stands
 
 
-def _solve_lockstep(problems, tol: float, accel: bool) -> list:
+def _solve_lockstep(problems, tol: float) -> list:
     """`_root_steps` for every (q, power_sums, zeros, t), side by side.
 
     Returns per problem its root, or the exception its solve raised.  Each
@@ -561,7 +526,7 @@ def _solve_lockstep(problems, tol: float, accel: bool) -> list:
     solve gets its own estimate back.  A row's result does not depend on
     the other rows, so each solve takes the steps it would take alone.
     """
-    searches = [_root_steps(*problem, tol, accel) for problem in problems]
+    searches = [_root_steps(*problem, tol) for problem in problems]
     outcomes: list = [None] * len(problems)
     asked = {}   # solve -> the s it waits at
 
@@ -598,7 +563,7 @@ def _solve_lockstep(problems, tol: float, accel: bool) -> list:
     return outcomes
 
 
-def _l_samples(stats: ScanStats, t_indices, tol: float, accel: bool):
+def _l_samples(stats: ScanStats, t_indices, tol: float):
     """`l_from_scan` of each t_index, every solve of them in one lockstep.
 
     The samples are read in order, so the first that fails raises what it
@@ -612,7 +577,7 @@ def _l_samples(stats: ScanStats, t_indices, tol: float, accel: bool):
         if len(sums) > 8:
             problems.append((stats.q, sums[:-4], stats.zero_words[:-4],
                              stats.ts[k]))
-    outcomes = iter(_solve_lockstep(problems, tol, accel))
+    outcomes = iter(_solve_lockstep(problems, tol))
 
     def root() -> float:
         out = next(outcomes)
@@ -642,7 +607,7 @@ def _l_samples(stats: ScanStats, t_indices, tol: float, accel: bool):
 
 
 def l_from_scan(
-    stats: ScanStats, t_index: int, tol: float = 1e-10, accel: bool = True
+    stats: ScanStats, t_index: int, tol: float = 1e-10
 ) -> tuple[float, float]:
     """L(t) from precollected power sums; returns (L, truncation error estimate).
 
@@ -654,7 +619,7 @@ def l_from_scan(
     solves share each round's Wynn table (see the module docstring), and
     the result is bit for bit that of solving them one after the other.
     """
-    return _l_samples(stats, (t_index,), tol, accel)[0]
+    return _l_samples(stats, (t_index,), tol)[0]
 
 
 def l_of_t(
@@ -665,16 +630,8 @@ def l_of_t(
     threads: int | None = None,
 ) -> float:
     """Moment exponent L(t) = -ln s(t) where F(s(t), t) = 1."""
-    _check_finite((t,))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    fam = catalog.resolve_family(family)
-    if max_len is None:
-        max_len = default_max_len(fam.q)
-    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
-    stats = words.scan_corner_stats(fact, max_len, ts=(t,), threads=threads)
-    value, _ = l_from_scan(stats, 0, tol=tol)
-    return value
+    _, stats = _scan(family, max_len, (t,), tol, threads)
+    return l_from_scan(stats, 0, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +729,7 @@ def quadrinomial_regroup_L(t: float, tol: float = 1e-12) -> float:
     the closed geometric sums of r_i(s) ((s/2)^2)^k |b_j^T M^k a_i|^t.  L(t)
     is -ln of the smallest s in (0, 2) where det(I - F) vanishes.
     """
-    _check_finite((t,))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_inputs((t,), tol)
     _, m, _, a1, b1, a2, b2 = regrouped_matrices()
     profiles = [
         [_geometric_profile(m, b, a) for b in (b1, b2)] for a in (a1, a2)

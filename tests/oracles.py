@@ -470,7 +470,7 @@ def f_sequential(q, power_sums, zeros, s, t, accel) -> float:
     return total
 
 
-def brent_root_sequential(q, power_sums, zeros, t, tol, accel) -> float:
+def brent_root_sequential(q, power_sums, zeros, t, tol) -> float:
     """Root of F(s, t) = 1: the raw bracketed solve, then the accelerated
     refinement, each F evaluated when Brent's method asks for it."""
 
@@ -494,8 +494,6 @@ def brent_root_sequential(q, power_sums, zeros, t, tol, accel) -> float:
             f"F(s, {t}) crosses 1 within tol/2 = {0.5 * tol:.1e} of "
             f"s = {s_lo:g}; L({t}) > {-math.log(root + 0.5 * tol):.1f} is "
             "out of reach at this tol")
-    if not accel:
-        return root
 
     def f_acc(s):
         return f_sequential(q, power_sums, zeros, s, t, True) - 1.0
@@ -510,17 +508,16 @@ def brent_root_sequential(q, power_sums, zeros, t, tol, accel) -> float:
     return root
 
 
-def l_samples_sequential(stats, tol=1e-10, accel=True) -> list:
+def l_samples_sequential(stats, tol=1e-10) -> list:
     """(L, err) for every t of stats, one sample after the other; raises
     what the first failing sample raises."""
     samples = []
     for t, sums in zip(stats.ts, stats.pow_sums):
         zeros = stats.zero_words
-        value = -math.log(brent_root_sequential(stats.q, sums, zeros, t, tol,
-                                                accel))
+        value = -math.log(brent_root_sequential(stats.q, sums, zeros, t, tol))
         if len(sums) > 8:
             shallow = -math.log(brent_root_sequential(
-                stats.q, sums[:-4], zeros[:-4], t, tol, accel))
+                stats.q, sums[:-4], zeros[:-4], t, tol))
             threshold = max(10.0 * tol, 1e-8)
             if abs(value - shallow) > threshold:
                 raise gle.TruncationUnstable(

@@ -245,6 +245,10 @@ class TestFamilyFiles:
         ("poly_mask", -3),
         ("dim", True),
         ("q", True),
+        ("d0", [[True]]),
+        ("d1", [[False]]),
+        ("d0_prime", [[True]]),
+        ("d1_prime", [[False]]),
     ])
     def test_malformed_numbers_rejected(self, tmp_path, key, value):
         data = {"name": "x", "q": 1, "dim": 1, "d0": [["1"]], "d1": [["2"]],

@@ -304,6 +304,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "t must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["lt", "--family", "g1", "--t", "20", "--tol", "nan"],
+        ["regroup-check", "--tol", "inf"],
+    ], ids=["lt", "regroup-check"])
+    def test_bad_tol_is_one(self, capsys, argv):
+        # both used to exit 0 with values the tolerance did not hold
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "tol must be finite and positive" in err
+
     @pytest.mark.parametrize("value", ["-inf", "-nan"])
     @pytest.mark.parametrize("argv", [
         ["lt", "--family", "g2", "--max-len", "8", "--t"],

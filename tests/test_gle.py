@@ -187,42 +187,43 @@ def scan_for(name, max_len, ts=()):
     return words.scan_corner_stats(fact, max_len, ts=ts, threads=1)
 
 
-def series_for(name, max_len):
-    return gle.moments_from_scan(name, scan_for(name, max_len))
-
-
 class TestMomentSeries:
+    """The per-length lambda, kappa and mu terms a report reads off its scan."""
+
     def test_binomial_slabs(self):
-        series = series_for("g1", 20)
+        s_lambda, s_kappa, s_mu = gle._terms(scan_for("g1", 20))
         for k in range(21):
             expected = 2.0**-k * k * LN2
-            assert series.s_lambda[k] == pytest.approx(expected, rel=1e-13)
-            assert series.s_kappa[k] == pytest.approx(
-                (1 + k) * expected, rel=1e-13
-            )
-            assert series.s_mu[k] == pytest.approx(
-                2.0**-k * (k * LN2) ** 2, rel=1e-13
-            )
-        partials = series.partials("lambda")
-        assert partials[-1] == pytest.approx(
+            assert s_lambda[k] == pytest.approx(expected, rel=1e-13)
+            assert s_kappa[k] == pytest.approx((1 + k) * expected, rel=1e-13)
+            assert s_mu[k] == pytest.approx(2.0**-k * (k * LN2) ** 2,
+                                            rel=1e-13)
+        lam, _, _ = gle._accelerate(scan_for("g1", 20), accel=False)
+        assert lam.raw == pytest.approx(
             0.25 * LN2 * sum(k / 2**k for k in range(21)), rel=1e-13
         )
 
     def test_max_len_zero(self):
-        series = series_for("g2", 0)
-        assert series.counts == (1,)
-        assert series.s_lambda == (0.0,)
+        report = gle.exponents("g2", max_len=0, accel=False)
+        assert report.csv_rows() == ["len,words,Slambda,Skappa,Smu",
+                                     "0,1,0.0,0.0,0.0"]
 
     def test_quadrinomial_series_lambda(self):
-        series = series_for("g3", 30)
-        accel = wynn(series.partials("lambda"))
-        assert accel.estimate == pytest.approx(LN2 / 2, abs=1e-6)
+        lam, _, _ = gle._accelerate(scan_for("g3", 30), accel=True)
+        assert lam.accel == pytest.approx(LN2 / 2, abs=1e-6)
 
     def test_csv_rows(self):
-        rows = series_for("g1", 4).csv_rows()
+        report = gle.exponents("g1", max_len=4)
+        rows = report.csv_rows()
         assert rows[0] == "len,words,Slambda,Skappa,Smu"
         assert len(rows) == 6
-        assert rows[1].startswith("0,1,")
+        for k, row in enumerate(rows[1:]):
+            fields = row.split(",")
+            assert fields[:2] == [str(k), str(report.stats.counts[k])]
+            expected = 2.0**-k * k * LN2
+            assert [float(x) for x in fields[2:]] == pytest.approx(
+                [expected, (1 + k) * expected, 2.0**-k * (k * LN2) ** 2],
+                rel=1e-13)
 
 
 class TestExponents:
@@ -267,6 +268,17 @@ class TestExponents:
         gle.exponents("g3", max_len=10, threads=1)
         gle.exponents(f"@{path}", max_len=10, threads=1)
         assert seen == ["g3", "g3-conj"]
+
+    def test_report_keeps_the_scan(self, monkeypatch):
+        seen = spy_scans(monkeypatch)
+        report = gle.exponents("g3", max_len=20, threads=1, lt_samples=(0.5,))
+        assert len(seen) == 1 and report.stats is seen[0]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_refused_before_the_scan(self, tol, monkeypatch):
+        monkeypatch.setattr(words, "scan_corner_stats", refuse_scan)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            gle.exponents("g1", max_len=8, lt_samples=(1.0,), lt_tol=tol)
 
     def test_accel_off_returns_raw(self):
         report = gle.exponents("g1", accel=False)
@@ -371,6 +383,14 @@ class TestLOfT:
         with pytest.raises(ValueError, match="t must be finite"):
             gle.l_of_t("g1", t, max_len=8)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_refused_before_the_scan(self, tol, monkeypatch):
+        # a NaN tol made the truncation check's threshold NaN, so it never
+        # tripped: L(20) of g1 came back 12.83 against 13.17
+        monkeypatch.setattr(words, "scan_corner_stats", refuse_scan)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            gle.l_of_t("g1", 20.0, max_len=8, tol=tol)
+
     @pytest.mark.parametrize("t", [45.0, 60.0])
     def test_no_bracket_when_root_is_at_the_lower_end(self, t):
         # true L(45) = 30.50 and L(60) = 40.90 lie beyond -ln 1e-12 = 27.6;
@@ -379,12 +399,12 @@ class TestLOfT:
         with pytest.raises(NoBracket):
             gle.l_of_t("g1", t, max_len=8)
 
-    def test_truncation_check_trips_on_shallow_raw_sums(self):
-        # without acceleration the root moves visibly between depth 16 and
-        # depth 12, far beyond 10x a 1e-7 tolerance
-        stats = scan_for("g3", 16, ts=(2.0,))
-        with pytest.raises(TruncationUnstable):
-            gle.l_from_scan(stats, 0, tol=1e-7, accel=False)
+    def test_truncation_check_trips_on_shallow_sums(self):
+        # the benchmark's known failure: at depth 28 the accelerated h3 root
+        # at t = 2 moves by 0.83 when the last four slabs are dropped
+        stats = scan_for("h3", 28, ts=(2.0,))
+        with pytest.raises(TruncationUnstable, match="moved by 8.345e-01"):
+            gle.l_from_scan(stats, 0)
 
 
 # the t grid of the benchmark's L(t) curves
@@ -430,8 +450,12 @@ class TestRootFinding:
             def f(s):
                 return gle._f_slabs(stats.q, sums, stats.zero_words, s, t)[1]
 
-            [root] = gle._solve_lockstep([(stats.q, sums, stats.zero_words, t)],
-                                         tol, accel=False)
+            def ln_f(s):
+                return math.log(max(f(s), math.ulp(0.0)))
+
+            # the raw stage of the solve, as `gle._root_steps` runs it
+            root = gle._solve(gle._brent(gle.S_LO, gle.S_HI, ln_f(gle.S_LO),
+                                         ln_f(gle.S_HI), tol), ln_f)
             assert f(root - tol / 2) < 1.0 <= f(root + tol / 2), t
 
 
@@ -478,16 +502,15 @@ class TestLockstep:
                 name, max_len=28, threads=1, lt_samples=LT_GRID).l_samples])
         assert_same_outcome(got, outcome(lambda: l_samples_sequential(seen[0])))
 
-    @pytest.mark.parametrize("accel", [True, False], ids=["accel", "raw"])
     @pytest.mark.parametrize("name", ["g3", "h4"])
-    def test_one_sample_calls_match_sequential(self, name, accel):
+    def test_one_sample_calls_match_sequential(self, name):
         stats = scan_for(name, 24, ts=LT_GRID)
         for k, t in enumerate(LT_GRID):
             one = dataclasses.replace(stats, ts=(t,),
                                       pow_sums=(stats.pow_sums[k],))
             assert_same_outcome(
-                outcome(lambda: [gle.l_from_scan(stats, k, accel=accel)]),
-                outcome(lambda: l_samples_sequential(one, accel=accel)))
+                outcome(lambda: [gle.l_from_scan(stats, k)]),
+                outcome(lambda: l_samples_sequential(one)))
 
     @pytest.mark.parametrize("t, max_len, error", [
         (20.0, None, TruncationUnstable),
@@ -514,8 +537,7 @@ class TestLockstep:
     ])
     def test_samples_match_sequential(self, name, max_len, ts):
         stats = scan_for(name, max_len, ts=ts)
-        got = outcome(lambda: gle._l_samples(stats, range(len(ts)), 1e-10,
-                                             True))
+        got = outcome(lambda: gle._l_samples(stats, range(len(ts)), 1e-10))
         assert_same_outcome(got, outcome(lambda: l_samples_sequential(stats)))
 
 
@@ -692,8 +714,15 @@ class TestQuadrinomialRegrouping:
         assert regrouped == pytest.approx(binomial, abs=1e-8)
 
     def test_bad_tol(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
             gle.quadrinomial_regroup_L(1.0, tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # an infinite tol used to stop the solve at its first step, off by
+        # up to 4.9e-4
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            gle.quadrinomial_regroup_L(1.0, tol=tol)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_t(self, t):
