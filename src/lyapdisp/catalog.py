@@ -118,12 +118,19 @@ def _check_conjugated_pair(
     if fam.d0_prime is None:
         return
     n = fam.dim
-    e00 = RationalMatrix([[int(i == j == 0) for j in range(n)] for i in range(n)])
-    if exactmat.mat_pow(fam.d0_prime, fam.q) != e00:
+    e0 = tuple(int(i == 0) for i in range(n))
+    try:
+        sentinel = conjugate.sentinel_factorization(
+            fam.d0_prime, fam.d1_prime, fam.q)
+    except (exactmat.RankNotOne, exactmat.ZeroMatrix,
+            conjugate.NotIdempotentSimilar):
+        sentinel = None
+    # D'0^q = alpha' beta'^T is E00 exactly when alpha' = beta' = e0
+    if sentinel is None or not sentinel.alpha == sentinel.beta == e0:
         raise InvariantViolation(f"{fam.name}: d0_prime^q is not E00")
     alpha, beta = fact.alpha, fact.beta
     basis: list[tuple[int, list[Fraction]]] = []
-    queue = [e00.rows[0] + beta]
+    queue = [sentinel.beta + beta]
     while queue:
         vec = queue.pop(0)
         for pivot, b in basis:

@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exponents", help="lambda/kappa/mu/sigma^2 report")
     _add_common(p, family=True, max_len=True, threads=True, csv_out=True)
-    p.add_argument("--no-accel", action="store_true",
-                   help="skip series acceleration of lambda, kappa and mu "
-                   "(raw partial sums); L(t) samples stay accelerated")
     p.add_argument("--t", type=float, action="append", default=None,
                    help="also sample L(t) at this t (repeatable)")
 
@@ -199,7 +196,6 @@ def _cmd_exponents(args) -> int:
     report = gle.exponents(
         fam,
         max_len=args.max_len,
-        accel=not args.no_accel,
         threads=args.threads,
         lt_samples=tuple(args.t or ()),
     )

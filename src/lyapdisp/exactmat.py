@@ -23,14 +23,11 @@ import numpy as np
 
 __all__ = [
     "RationalMatrix",
-    "identity",
     "dot",
     "row_times",
     "int_rows",
     "diagonal_balance",
     "balanced_pair",
-    "mat_mul",
-    "mat_pow",
     "kronecker",
     "rank_one_factor",
     "spectral_radius",
@@ -114,12 +111,6 @@ class RationalMatrix:
         return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
 
 
-def identity(n: int) -> RationalMatrix:
-    return RationalMatrix(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def dot(x, y):
     """Exact sum of x[i] * y[i]; ints stay ints, Fractions stay Fractions."""
     return sum(map(operator.mul, x, y))
@@ -199,27 +190,6 @@ def balanced_pair(d0, d1, alpha, beta):
         alpha = [x * s for x in alpha]
         beta = [x / (p * s) for p, x in zip(diag, beta)]
     return d0, d1, alpha, beta
-
-
-def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"{a.dim} != {b.dim}")
-    bt = tuple(zip(*b.rows))
-    return RationalMatrix(row_times(row, bt) for row in a.rows)
-
-
-def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = identity(a.dim)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,15 +21,18 @@ An `ExponentReport` keeps the `words.ScanStats` of its scan and reads every
 per-length term from it: the Wynn inputs of lambda, kappa and mu, and the
 rows of `exponents --csv`.
 
-Every epsilon table is built by `wynn_epsilon`, several sequences at once:
-lambda, kappa and mu as one three-row table, and the L(t) samples of one
-call in lockstep.  Each sample is solved twice, at full depth and four
-lengths shallower, and each solve is a generator that yields the s at which
-it needs the accelerated F; every round, the pending requests of all
-solves become the rows of one table, shorter rows padded with NaN on the
-left.  The padding changes no row's result, and numpy's float64 arithmetic
-rounds as Python's does, so every root, error and exception is bit for bit
-what solving the samples one after the other gives.
+Every series value is `wynn_epsilon`'s estimate, and every epsilon table is
+built by it, several sequences at once: lambda, kappa and mu as one
+three-row table, and the L(t) samples of one call in lockstep.  It takes
+any non-empty row; a row too short to form an even column (fewer than three
+partial sums) is its last partial sum, unaccelerated.  Each L(t) sample is
+solved twice, at full depth and four lengths shallower, and each solve is a
+generator that yields the s at which it needs the accelerated F; every
+round, the pending requests of all solves become the rows of one table,
+shorter rows padded with NaN on the left.  The padding changes no row's
+result, and numpy's float64 arithmetic rounds as Python's does, so every
+root, error and exception is bit for bit what solving the samples one after
+the other gives.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ __all__ = [
     "replica_exponent",
     "quadrinomial_regroup_L",
     "regrouped_matrices",
-    "DegenerateSequence",
     "Overflow",
     "NoBracket",
     "TruncationUnstable",
@@ -74,10 +76,6 @@ DEFAULT_MAX_LEN = {1: 36, 2: 36, 3: 30}
 # largest dim^t of a replica matrix; checked before anything is built
 MAX_REPLICA_DIM = 4096
 WYNN_GUARD = 1e-300
-
-
-class DegenerateSequence(ValueError):
-    pass
 
 
 class Overflow(ArithmeticError):
@@ -135,7 +133,10 @@ def wynn_epsilon(rows: Sequence[Sequence[float]]) -> list[WynnResult]:
     has converged to working precision, deeper columns divide by rounding
     noise and degrade, so the returned entry is the one whose successive
     even-column difference is smallest, and that difference is the error
-    estimate.
+    estimate.  A row with no even column (fewer than three partial sums, or
+    none that can be formed) comes back as its last partial sum at depth 0,
+    with the last difference |s[-1] - s[-2]| as its error (NaN for a row of
+    one); an empty row raises ValueError.
 
     All rows are built as one numpy table.  Row i fills the right end of an
     array as wide as the longest row and the rest is NaN.  An entry that
@@ -147,10 +148,10 @@ def wynn_epsilon(rows: Sequence[Sequence[float]]) -> list[WynnResult]:
     column of it is NaN, so each row's even columns, their last entries and
     its estimate, error and depth are bit for bit those of the row alone.
     """
-    for row in rows:
-        if len(row) < 3:
-            raise DegenerateSequence(f"need at least 3 partial sums, got {len(row)}")
-    width = max(map(len, rows))
+    if not all(map(len, rows)):
+        raise ValueError("need at least 1 partial sum, got 0")
+    # two columns at least, so a row of one has NaN as its second-last sum
+    width = max([2, *map(len, rows)])
     table = np.full((len(rows), width), np.nan)
     for i, row in enumerate(rows):
         table[i, width - len(row):] = row
@@ -232,40 +233,23 @@ def _terms(stats: ScanStats) -> tuple[list[float], ...]:
 @dataclass(frozen=True)
 class AcceleratedValue:
     raw: float        # last cumulative partial sum
-    accel: float      # Wynn estimate (== raw when acceleration is off)
+    accel: float      # Wynn estimate (== raw at depth 0)
     err: float        # error estimate
     depth: int        # epsilon-table column used
 
 
-def _accelerate(stats: ScanStats, accel: bool) -> list[AcceleratedValue]:
+def _accelerate(stats: ScanStats) -> list[AcceleratedValue]:
     """lambda, kappa and mu from their cumulative prefactored partial sums,
     in one Wynn table."""
     pref = float(series_prefactor(stats.q))
     rows = [[pref * acc for acc in accumulate(terms, initial=0.0)][1:]
             for terms in _terms(stats)]
-    if not accel:
-        return [_unaccelerated(partials) for partials in rows]
     # a vanishing column difference means exact convergence; the estimate is
     # still only representable to double precision, so floor the error there
     return [AcceleratedValue(raw=partials[-1], accel=wynn.estimate,
                              err=max(wynn.error, abs(wynn.estimate) * 5e-16),
                              depth=wynn.depth)
             for partials, wynn in zip(rows, wynn_epsilon(rows))]
-
-
-def _unaccelerated(partials: Sequence[float]) -> AcceleratedValue:
-    """The last partial sum; its error is the geometric continuation of the
-    last raw increment."""
-    raw = partials[-1]
-    if len(partials) < 3:
-        return AcceleratedValue(raw=raw, accel=raw, err=float("nan"), depth=0)
-    inc1 = partials[-1] - partials[-2]
-    inc2 = partials[-2] - partials[-3]
-    err = abs(inc1)
-    if inc2 != 0.0 and 0.0 < abs(inc1 / inc2) < 1.0:
-        r = abs(inc1 / inc2)
-        err = abs(inc1) * r / (1.0 - r)
-    return AcceleratedValue(raw=raw, accel=raw, err=err, depth=0)
 
 
 @dataclass(frozen=True)
@@ -330,7 +314,6 @@ def _scan(family, max_len: int | None, ts: Sequence[float], tol: float,
 def exponents(
     family,
     max_len: int | None = None,
-    accel: bool = True,
     threads: int | None = None,
     lt_samples: Sequence[float] = (),
     lt_tol: float = 1e-10,
@@ -338,14 +321,15 @@ def exponents(
     """One word-tree scan turned into the full exponent report.
 
     lambda, kappa and mu are each accelerated independently from cumulative
-    per-length partial sums and combined into sigma^2; replica values
-    e^{L(1)}, e^{L(2)} always come along (they are cheap), and L(t) is
-    root-found for each requested sample t from power sums collected in the
-    same scan.  accel=False reports lambda, kappa and mu as raw partial
-    sums; the L(t) samples stay accelerated either way.
+    per-length partial sums and combined into sigma^2; below three partial
+    sums (max_len 0 or 1) no even Wynn column forms, and each is reported
+    at depth 0 with accel == raw.  The replica values e^{L(1)}, e^{L(2)}
+    come along, each skipped when dim^t exceeds MAX_REPLICA_DIM, and L(t)
+    is root-found for each requested sample t from power sums collected in
+    the same scan.
     """
     fam, stats = _scan(family, max_len, lt_samples, lt_tol, threads)
-    lam, kappa, mu = _accelerate(stats, accel)
+    lam, kappa, mu = _accelerate(stats)
     pref = float(sigma2_prefactor(fam.q))
     sigma2 = sigma2_from_moments(lam.accel, kappa.accel, mu.accel, fam.q)
     sigma2_err = (
@@ -522,9 +506,10 @@ def _solve_lockstep(problems, tol: float) -> list:
     Returns per problem its root, or the exception its solve raised.  Each
     round, every solve still running has asked for the accelerated F at one
     s: its by-length partial sums become one row of a single `wynn_epsilon`
-    table (F of fewer than three terms is its fsum, unaccelerated), and each
-    solve gets its own estimate back.  A row's result does not depend on
-    the other rows, so each solve takes the steps it would take alone.
+    table, and each solve gets its own estimate back.  A row's result does
+    not depend on the other rows, so each solve takes the steps it would
+    take alone.  F of one or two terms comes back as its last partial sum;
+    the terms are nonnegative, so that sum is their fsum bit for bit.
     """
     searches = [_root_steps(*problem, tol) for problem in problems]
     outcomes: list = [None] * len(problems)
@@ -543,23 +528,18 @@ def _solve_lockstep(problems, tol: float) -> list:
     while asked:
         waiting = dict(asked)
         asked.clear()
-        rows, replies = {}, {}
+        rows = {}
         for i, s in waiting.items():
             q, power_sums, zeros, t = problems[i]
             try:
-                slabs, total = _f_slabs(q, power_sums, zeros, s, t)
+                slabs, _ = _f_slabs(q, power_sums, zeros, s, t)
             except Exception as exc:   # F is evaluated for this solve alone
                 outcomes[i] = exc
                 continue
-            if len(slabs) < 3:
-                replies[i] = total - 1.0
-            else:
-                rows[i] = list(accumulate(slabs, initial=0.0))[1:]
+            rows[i] = list(accumulate(slabs, initial=0.0))[1:]
         if rows:
             for i, wynn in zip(rows, wynn_epsilon(list(rows.values()))):
-                replies[i] = wynn.estimate - 1.0
-        for i, reply in replies.items():
-            resume(i, reply)
+                resume(i, wynn.estimate - 1.0)
     return outcomes
 
 
@@ -612,12 +592,15 @@ def l_from_scan(
     """L(t) from precollected power sums; returns (L, truncation error estimate).
 
     Solves F(s, t) = 1 with a bracketed Brent step (F is strictly increasing
-    in s), then re-solves with the deepest four length slabs dropped;
-    disagreement beyond max(10*tol, 1e-8) raises TruncationUnstable,
-    otherwise it is reported as the error.  This is the one-sample call of
-    the solver that `exponents` runs on all its samples at once: the two
-    solves share each round's Wynn table (see the module docstring), and
-    the result is bit for bit that of solving them one after the other.
+    in s), then refines the root on F accelerated by `wynn_epsilon`, which
+    leaves an F of one or two length slabs as their plain sum.  With more
+    than 8 slabs it re-solves with the deepest four dropped; disagreement
+    beyond max(10*tol, 1e-8) raises TruncationUnstable, otherwise it is
+    reported as the error (NaN with 8 slabs or fewer).  This is the
+    one-sample call of the solver that `exponents` runs on all its samples
+    at once: the two solves share each round's Wynn table (see the module
+    docstring), and the result is bit for bit that of solving them one
+    after the other.
     """
     return _l_samples(stats, (t_index,), tol)[0]
 
@@ -681,12 +664,11 @@ def regrouped_matrices():
     E2 = a2 b2^T (block of B_j, j >= 2).
     """
     fam = catalog.get_family("g3")
-    blocks = []
-    power = exactmat.identity(fam.dim)
-    for j in range(4):
-        b_j = exactmat.mat_mul(fam.d1, power)
-        blocks.append(b_j)
-        power = exactmat.mat_mul(power, fam.d0)
+    d0_cols = tuple(zip(*fam.d0.rows))
+    blocks = [fam.d1]   # B_{j+1} = B_j D0
+    for _ in range(3):
+        blocks.append(RationalMatrix(exactmat.row_times(row, d0_cols)
+                                     for row in blocks[-1].rows))
     if blocks[2] != blocks[3]:
         raise AssertionError("B_j did not stabilize at j = 2")
     for b_j in blocks[:3]:

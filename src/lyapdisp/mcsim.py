@@ -175,6 +175,7 @@ def log_product_norms(config: SimConfig) -> tuple[np.ndarray, int]:
 
 
 def _base_result(config: SimConfig, log_norms: np.ndarray, degenerate: int) -> SimResult:
+    """The lambda and sigma^2 estimates; config.family is a MatrixFamily."""
     n = log_norms.size
     mean = float(log_norms.mean())
     var = float(log_norms.var(ddof=1))
@@ -183,7 +184,7 @@ def _base_result(config: SimConfig, log_norms: np.ndarray, degenerate: int) -> S
     var_of_var = max(m4 - var * var, 0.0) / n
     k = config.k
     return SimResult(
-        family=catalog.resolve_family(config.family).name,
+        family=config.family.name,
         k=k,
         trials=config.trials,
         seed=config.seed,
@@ -200,6 +201,8 @@ def _base_result(config: SimConfig, log_norms: np.ndarray, degenerate: int) -> S
 
 def simulate(config: SimConfig) -> SimResult:
     """Estimate lambda and sigma^2 from independent random words."""
+    # resolved once, so a family file is read and validated once
+    config = replace(config, family=catalog.resolve_family(config.family))
     log_norms, degenerate = log_product_norms(config)
     return _base_result(config, log_norms, degenerate)
 
@@ -215,6 +218,8 @@ def simulate_moment(config: SimConfig, t: float) -> SimResult:
         raise ValueError(f"t must be finite, got {t!r}")
     if abs(t) > 4:
         raise ValueError("simulate_moment is limited to |t| <= 4")
+    # resolved once, so a family file is read and validated once
+    config = replace(config, family=catalog.resolve_family(config.family))
     log_norms, degenerate = log_product_norms(config)
     base = _base_result(config, log_norms, degenerate)
     n = log_norms.size

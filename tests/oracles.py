@@ -11,7 +11,8 @@ to a number the package computes another way.
   at a time on integer-scaled matrices and divide by the scale once, so
   they are exact without carrying a `Fraction` per entry.  None of them
   uses the scan's internals.
-- `fraction_power_factor` factors D0^q formed by `Fraction` matrix powers.
+- `fraction_power_factor` factors D0^q formed by a numpy matrix power on
+  `Fraction` entries.
 - `f_closed_form_t0` is F(s, 0) in closed form.
 - `family_to_dict` writes a family in the family-file schema.
 - `phi_parts` and `psi_parts` are the scalar (log2 f, Phi) and
@@ -33,8 +34,9 @@ to a number the package computes another way.
   element; `exactmat.diagonal_balance` must return the same tuple, or
   None with it.
 - `wynn_sequential` builds one epsilon table column by column in Python
-  floats, and `l_samples_sequential` solves each L(t) sample on its own, in
-  order, one F evaluation at a time (`brent_root_sequential`); the batched
+  floats (a row of one or two partial sums is its last one), and
+  `l_samples_sequential` solves each L(t) sample on its own, in order, one
+  F evaluation at a time (`brent_root_sequential`); the batched
   `gle.wynn_epsilon` and the lockstep `gle._l_samples` must give the same
   results and raise the same exceptions bit for bit.
 """
@@ -204,7 +206,8 @@ def slab_sums(fact: SentinelFactorization, t: int, max_len: int) -> list[Fractio
 
 def fraction_power_factor(d0: RationalMatrix, q: int):
     """(alpha, beta) with D0^q = alpha beta^T, the power taken on Fractions."""
-    return exactmat.rank_one_factor(exactmat.mat_pow(d0, q))
+    power = np.linalg.matrix_power(np.array(d0.rows, dtype=object), q)
+    return exactmat.rank_one_factor(RationalMatrix(power.tolist()))
 
 
 def f_closed_form_t0(q: int, s: float) -> float:
@@ -424,9 +427,8 @@ def wynn_sequential(partials) -> gle.WynnResult:
     """The epsilon table of one sequence, built entry by entry in Python."""
     s = [float(x) for x in partials]
     n_terms = len(s)
-    if n_terms < 3:
-        raise gle.DegenerateSequence(
-            f"need at least 3 partial sums, got {n_terms}")
+    if n_terms == 0:
+        raise ValueError("need at least 1 partial sum, got 0")
     prev2 = [0.0] * (n_terms + 1)
     prev = s
     best = [(s[-1], 0)]
@@ -444,7 +446,8 @@ def wynn_sequential(partials) -> gle.WynnResult:
             best.append((formed[-1], k))
         prev2, prev = prev, cur
     if len(best) == 1:
-        return gle.WynnResult(estimate=s[-1], error=abs(s[-1] - s[-2]), depth=0)
+        second = s[-2] if n_terms > 1 else math.nan
+        return gle.WynnResult(estimate=s[-1], error=abs(s[-1] - second), depth=0)
     diffs = [abs(b[0] - a[0]) for a, b in zip(best, best[1:])]
     j = min(range(len(diffs)), key=diffs.__getitem__)
     estimate, depth = best[j + 1]
@@ -452,7 +455,12 @@ def wynn_sequential(partials) -> gle.WynnResult:
 
 
 def f_sequential(q, power_sums, zeros, s, t, accel) -> float:
-    """Truncated F(s, t), accelerated by `wynn_sequential` if accel."""
+    """Truncated F(s, t), accelerated by `wynn_sequential` if accel.
+
+    F of one or two slabs stays their fsum, unaccelerated: the lockstep
+    solve, which hands every F to `gle.wynn_epsilon`, must give the same
+    bits through its short-row rule.
+    """
     half_s = 0.5 * s
     slabs = []
     for l, g in enumerate(power_sums):

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lyapdisp import catalog, exactmat, gle
@@ -49,8 +50,9 @@ class TestGetFamily:
     def test_validation_invariants(self, name):
         fam = get_family(name)
         assert fam.d0.is_nonnegative() and fam.d1.is_nonnegative()
-        power = exactmat.mat_pow(fam.d0, fam.q)
-        exactmat.rank_one_factor(power)  # must not raise
+        power = np.linalg.matrix_power(np.array(fam.d0.rows, dtype=object),
+                                       fam.q)
+        exactmat.rank_one_factor(exactmat.RationalMatrix(power.tolist()))
         assert sum(power[i, i] for i in range(fam.dim)) == 1
 
     def test_polynomial_masks_match_counts(self):
@@ -170,9 +172,19 @@ class TestFamilyFiles:
 
     def test_conjugated_sentinel_must_be_e00(self):
         data = family_to_dict(get_family("h4"))
-        data["d0_prime"] = data["d0"]
-        with pytest.raises(InvariantViolation, match="E00"):
-            family_from_dict(data)
+        n = data["dim"]
+
+        def diagonal(*entries):
+            return [[entries[i] if i == j and i < len(entries) else 0
+                     for j in range(n)] for i in range(n)]
+
+        # D0 itself (rank 1, trace 1, other factors), E11 (rank 1, trace 1),
+        # rank 2, zero, and 2 E00 (trace 4 at q = 2)
+        for d0_prime in (data["d0"], diagonal(0, 1), diagonal(1, 1),
+                         diagonal(), diagonal(2)):
+            data["d0_prime"] = d0_prime
+            with pytest.raises(InvariantViolation, match="E00"):
+                family_from_dict(data)
 
     def test_conjugated_pair_in_another_basis_loads(self):
         # P^-1 D' P with P diagonal and P[0, 0] = 1 keeps E00 and every corner

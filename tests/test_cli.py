@@ -256,6 +256,21 @@ class TestExitCodes:
             main(["exponents"])
         assert info.value.code == 2
 
+    def test_no_accel_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["exponents", "--family", "g2", "--max-len", "8",
+                  "--no-accel"])
+        assert info.value.code == 2
+
+    def test_two_partial_sums_are_reported(self, capsys):
+        # at depth 1 each series has two partial sums and no Wynn column
+        code, out, _ = run(capsys, "exponents", "--family", "g2",
+                           "--max-len", "1")
+        assert code == 0
+        data = json.loads(out)
+        for key in ("lambda", "kappa", "mu"):
+            assert data[key]["accel"] == data[key]["raw"]
+
     def test_computation_error_is_one(self, capsys):
         code, out, err = run(capsys, "exponents", "--family", "nosuch")
         assert code == 1

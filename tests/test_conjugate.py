@@ -3,14 +3,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
-from lyapdisp import catalog, exactmat
+from lyapdisp import catalog
 from lyapdisp.conjugate import NotIdempotentSimilar, sentinel_factorization
-from lyapdisp.exactmat import RankNotOne, RationalMatrix, identity
+from lyapdisp.exactmat import RankNotOne, RationalMatrix
 
 ALL_FAMILIES = list(catalog.family_names())
+IDENTITY_2 = RationalMatrix([[1, 0], [0, 1]])
+
+
+def exact(m):
+    """m as a numpy object array: its products and powers stay Fractions."""
+    return np.array(m.rows, dtype=object)
 
 
 def fact_for(name):
@@ -31,23 +38,23 @@ class TestSentinelFactorization:
 
     def test_identity_rejected(self):
         with pytest.raises(RankNotOne):
-            sentinel_factorization(identity(2), identity(2), 1)
+            sentinel_factorization(IDENTITY_2, IDENTITY_2, 1)
 
     def test_wrong_trace_rejected(self):
         d0 = RationalMatrix([[2, 0], [0, 0]])  # rank 1 but trace 2
         with pytest.raises(NotIdempotentSimilar):
-            sentinel_factorization(d0, identity(2), 1)
+            sentinel_factorization(d0, IDENTITY_2, 1)
 
     @pytest.mark.parametrize("name", ALL_FAMILIES)
     def test_normalization_and_reconstruction(self, name):
         fact, fam = fact_for(name)
         dot = sum((a * b for a, b in zip(fact.alpha, fact.beta)), Fraction(0))
         assert dot == 1
-        power = exactmat.mat_pow(fam.d0, fam.q)
+        power = np.linalg.matrix_power(exact(fam.d0), fam.q)
         rebuilt = RationalMatrix(
             [[a * b for b in fact.beta] for a in fact.alpha]
         )
-        assert rebuilt == power
+        assert rebuilt == RationalMatrix(power.tolist())
 
     @pytest.mark.parametrize("name", ALL_FAMILIES)
     def test_integer_power_gives_the_fraction_power_factors(self, name):
@@ -98,7 +105,8 @@ class TestCornerValue:
         e00 = RationalMatrix(
             [[int(i == j == 0) for j in range(fam.dim)] for i in range(fam.dim)]
         )
-        assert exactmat.mat_pow(fam.d0_prime, fam.q) == e00
+        assert RationalMatrix(
+            np.linalg.matrix_power(exact(fam.d0_prime), fam.q).tolist()) == e00
         for length in range(0, 9):
             for word in oracles.words_of_length(fam.q, length):
                 top_left = _top_left(fam.d0_prime, fam.d1_prime, word)
@@ -159,8 +167,8 @@ def _conjugate_by_q(fact, null_basis=None):
     return (
         q,
         q_inv,
-        exactmat.mat_mul(exactmat.mat_mul(q_inv, fact.d0), q),
-        exactmat.mat_mul(exactmat.mat_mul(q_inv, fact.d1), q),
+        RationalMatrix((exact(q_inv) @ exact(fact.d0) @ exact(q)).tolist()),
+        RationalMatrix((exact(q_inv) @ exact(fact.d1) @ exact(q)).tolist()),
     )
 
 
@@ -183,14 +191,14 @@ class TestConjugationMatrix:
     def test_conjugates_sentinel_to_e00(self, name):
         fact, fam = fact_for(name)
         q, q_inv, _, _ = _conjugate_by_q(fact)
-        assert exactmat.mat_mul(q, q_inv) == identity(fam.dim)
-        conj = exactmat.mat_mul(
-            exactmat.mat_mul(q_inv, exactmat.mat_pow(fam.d0, fam.q)), q
-        )
+        assert (exact(q) @ exact(q_inv)).tolist() == \
+            np.identity(fam.dim, dtype=object).tolist()
+        conj = (exact(q_inv) @ np.linalg.matrix_power(exact(fam.d0), fam.q)
+                @ exact(q))
         e00 = RationalMatrix(
             [[int(i == j == 0) for j in range(fam.dim)] for i in range(fam.dim)]
         )
-        assert conj == e00
+        assert RationalMatrix(conj.tolist()) == e00
 
     @pytest.mark.parametrize("name", ALL_FAMILIES)
     def test_corner_equals_conjugated_top_left(self, name):

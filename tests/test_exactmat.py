@@ -18,10 +18,7 @@ from lyapdisp.exactmat import (
     RationalMatrix,
     RankNotOne,
     ZeroMatrix,
-    identity,
     kronecker,
-    mat_mul,
-    mat_pow,
     poly_eval,
     poly_residual,
     rank_one_factor,
@@ -29,7 +26,6 @@ from lyapdisp.exactmat import (
 )
 
 D0_TRI = RationalMatrix([[1, 2], [0, 0]])
-D1_TRI_PRIME = RationalMatrix([[3, -4], [1, -2]])
 D0_QUAD = RationalMatrix([[1, 2, 0], [0, 0, 1], [0, 0, 0]])
 
 
@@ -193,51 +189,6 @@ class TestDiagonalBalance:
         assert oracles.diagonal_balance_by_base(rows) is None
 
 
-class TestMatMul:
-    def test_identity(self):
-        a = RationalMatrix([[1, 2], [3, 4]])
-        assert mat_mul(identity(2), a) == a
-        assert mat_mul(a, identity(2)) == a
-
-    def test_trinomial_d0_idempotent(self):
-        assert mat_mul(D0_TRI, D0_TRI) == D0_TRI
-
-    def test_one_by_one(self):
-        assert mat_mul(RationalMatrix([[2]]), RationalMatrix([[2]])) == \
-            RationalMatrix([[4]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mat_mul(identity(2), identity(3))
-
-
-class TestMatPow:
-    def test_zeroth_power(self):
-        a = RationalMatrix([[5, 1], [2, 7]])
-        assert mat_pow(a, 0) == identity(2)
-
-    def test_quadrinomial_square_is_rank_one(self):
-        sq = mat_pow(D0_QUAD, 2)
-        assert sq == RationalMatrix([[1, 2, 2], [0, 0, 0], [0, 0, 0]])
-
-    def test_conjugated_trinomial_square(self):
-        sq = mat_pow(D1_TRI_PRIME, 2)
-        assert sq == RationalMatrix([[5, -4], [1, 0]])
-        assert sq[0, 0] == Fraction(2**4 - 1, 3)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            mat_pow(identity(2), -1)
-
-    def test_matches_repeated_multiplication(self):
-        rng = random.Random(7)
-        a = random_matrix(rng, 3)
-        acc = identity(3)
-        for k in range(6):
-            assert mat_pow(a, k) == acc
-            acc = mat_mul(acc, a)
-
-
 def random_int_array(rng, n, lo=-4, hi=4):
     return np.array([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)],
                     dtype=float)
@@ -293,7 +244,7 @@ class TestRankOneFactor:
 
     def test_identity_not_rank_one(self):
         with pytest.raises(RankNotOne):
-            rank_one_factor(identity(2))
+            rank_one_factor(RationalMatrix([[1, 0], [0, 1]]))
 
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrix):
@@ -409,7 +360,7 @@ class TestRationalMatrix:
             RationalMatrix([[0.5]])
 
     def test_immutable(self):
-        m = identity(2)
+        m = RationalMatrix([[1, 0], [0, 1]])
         with pytest.raises(AttributeError):
             m.dim = 3
 

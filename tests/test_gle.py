@@ -15,7 +15,6 @@ import pytest
 from lyapdisp import catalog, conjugate, exactmat, gle, words
 from lyapdisp.exactmat import RationalMatrix
 from lyapdisp.gle import (
-    DegenerateSequence,
     DimensionCap,
     NoBracket,
     Overflow,
@@ -79,8 +78,10 @@ class TestWynnEpsilon:
         assert abs(result.estimate - math.log(2.0)) <= 10 * result.error + 1e-13
 
     def test_too_short(self):
-        with pytest.raises(DegenerateSequence):
-            wynn([1.0, 2.0])
+        """Only an empty row is too short, alone or among longer rows."""
+        for rows in ([[]], [[1.0, 2.0, 3.0], [], [1.0]]):
+            with pytest.raises(ValueError, match="got 0"):
+                gle.wynn_epsilon(rows)
 
     @pytest.mark.parametrize("partials,want", [
         # repeated partials: their differences fall below WYNN_GUARD
@@ -120,9 +121,9 @@ SPECIALS = (math.inf, -math.inf, math.nan, 0.0, -0.0, MAX, -MAX)
 
 
 def fuzz_sequence(rng):
-    """Partial sums of length 3-30 of one of several kinds, some with
+    """Partial sums of length 1-30 of one of several kinds, some with
     inf, -inf, NaN, zeros, extremes or steps below the Wynn guard."""
-    n = rng.randint(3, 30)
+    n = rng.randint(1, 30)
     kind = rng.randrange(7)
     if kind == 0:      # geometric-like terms, the series the package sums
         a, r = rng.uniform(-2, 2), rng.uniform(-0.95, 0.95)
@@ -157,10 +158,6 @@ class TestWynnTable:
             for row, got in zip(rows, gle.wynn_epsilon(rows)):
                 want = wynn_sequential(row)
                 assert same_wynn(got, want), (row, got, want)
-
-    def test_any_short_row_is_refused(self):
-        with pytest.raises(DegenerateSequence, match="got 2"):
-            gle.wynn_epsilon([[1.0, 2.0, 3.0], [1.0, 2.0]])
 
 
 class TestPrefactors:
@@ -198,18 +195,18 @@ class TestMomentSeries:
             assert s_kappa[k] == pytest.approx((1 + k) * expected, rel=1e-13)
             assert s_mu[k] == pytest.approx(2.0**-k * (k * LN2) ** 2,
                                             rel=1e-13)
-        lam, _, _ = gle._accelerate(scan_for("g1", 20), accel=False)
+        lam, _, _ = gle._accelerate(scan_for("g1", 20))
         assert lam.raw == pytest.approx(
             0.25 * LN2 * sum(k / 2**k for k in range(21)), rel=1e-13
         )
 
     def test_max_len_zero(self):
-        report = gle.exponents("g2", max_len=0, accel=False)
+        report = gle.exponents("g2", max_len=0)
         assert report.csv_rows() == ["len,words,Slambda,Skappa,Smu",
                                      "0,1,0.0,0.0,0.0"]
 
     def test_quadrinomial_series_lambda(self):
-        lam, _, _ = gle._accelerate(scan_for("g3", 30), accel=True)
+        lam, _, _ = gle._accelerate(scan_for("g3", 30))
         assert lam.accel == pytest.approx(LN2 / 2, abs=1e-6)
 
     def test_csv_rows(self):
@@ -280,12 +277,14 @@ class TestExponents:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             gle.exponents("g1", max_len=8, lt_samples=(1.0,), lt_tol=tol)
 
-    def test_accel_off_returns_raw(self):
-        report = gle.exponents("g1", accel=False)
-        assert report.lam.accel == report.lam.raw
-        assert report.lam.depth == 0
-        # raw truncation at 36 is far better than 1e-8 but worse than Wynn
-        assert abs(report.lam.raw - LN2 / 2) < 1e-9
+    @pytest.mark.parametrize("max_len", [0, 1])
+    def test_short_scan_reports_raw(self, max_len):
+        # one or two partial sums form no even Wynn column
+        report = gle.exponents("g1", max_len=max_len)
+        for value in (report.lam, report.kappa, report.mu):
+            assert value.accel == value.raw
+            assert value.depth == 0
+            assert math.isnan(value.err) == (max_len == 0)
 
     def test_json_dict_schema(self):
         report = gle.exponents("g1", lt_samples=(2.0,))

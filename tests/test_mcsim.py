@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lyapdisp import catalog, exactmat, mcsim
+from lyapdisp import catalog, mcsim
 from lyapdisp.cli import dumps_fixed
 from lyapdisp.exactmat import RationalMatrix
 from lyapdisp.mcsim import DegenerateProduct, SimConfig
@@ -82,10 +82,11 @@ class TestLogProductNorms:
         digits = mcsim._digit_matrix(config.seed, config.trials, k)
         kept = 0
         for trial in range(config.trials):
-            matrix = exactmat.identity(fam.dim)
+            matrix = np.identity(fam.dim, dtype=object)
             for d in digits[trial]:
-                matrix = exactmat.mat_mul(matrix, fam.d1 if d else fam.d0)
-            norm = max(sum(abs(x) for x in row) for row in matrix.rows)
+                matrix = matrix @ np.array((fam.d1 if d else fam.d0).rows,
+                                           dtype=object)
+            norm = max(sum(abs(x) for x in row) for row in matrix.tolist())
             if norm == 0:
                 continue
             assert math.log(norm) == pytest.approx(log_norms[kept], abs=1e-12)
@@ -229,6 +230,22 @@ class TestRowSumBound:
 
 
 class TestSimulate:
+    def test_family_file_is_loaded_once(self, tmp_path, monkeypatch):
+        path = scaled_family_file(tmp_path, "g2", 3)
+        loads = []
+        load = catalog.load_family_file
+
+        def spy(name):
+            loads.append(name)
+            return load(name)
+
+        monkeypatch.setattr(catalog, "load_family_file", spy)
+        config = SimConfig(path, k=16, trials=50)
+        mcsim.simulate(config)
+        assert loads == [path[1:]]
+        mcsim.simulate_moment(config, 1.0)
+        assert loads == [path[1:]] * 2
+
     def test_result_carries_log_norms(self):
         config = SimConfig("g2", k=32, trials=300, seed=4)
         log_norms, _ = mcsim.log_product_norms(config)

@@ -11,6 +11,7 @@ import threading
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import oracles
@@ -82,12 +83,13 @@ def unbalanceable_fact_for(name: str):
     shear = [[Fraction(int(i == j)) for j in range(fam.dim)]
              for i in range(fam.dim)]
     shear[0][1] = Fraction(1, 3)
-    q = RationalMatrix(shear)
+    q = np.array(shear, dtype=object)
     shear[0][1] = Fraction(-1, 3)
-    q_inv = RationalMatrix(shear)
+    q_inv = np.array(shear, dtype=object)
 
     def conj(matrix):
-        return exactmat.mat_mul(exactmat.mat_mul(q_inv, matrix), q)
+        return RationalMatrix((q_inv @ np.array(matrix.rows, dtype=object)
+                               @ q).tolist())
 
     return conjugate.sentinel_factorization(
         conj(fam.d0), conj(fam.d1), fam.q, f"{name}-shear"
