@@ -1,10 +1,14 @@
 """Time the digit-sum layer's CLI commands, or another layer's, per side.
 
-Each command runs as its own `python -m lyapdisp.cli` process against the
-given source trees, so interpreter start-up and import are part of every
-time, as they are for a user.  The sides alternate which runs first from
-one repetition to the next; one untimed run per command and side comes
-first so that byte-compiling the tree is not timed.  Per command and side
+The digit-sum commands are `phi` and `psi` at --jmax 24 and 28, writing
+both CSV tables, `dispersion --jmax 20` on h4 and g5, `digits` at the
+benchmark's crosscheck settings (a = 3, b = 0, j = 24, 10^6 samples) and
+`fit` on h4.  Each command runs as its own `python -m lyapdisp.cli`
+process against the given source trees, so interpreter start-up and
+import are part of every time, as they are for a user.  The sides
+alternate which runs first from one repetition to the next; one untimed
+run per command and side comes first so that byte-compiling the tree is
+not timed.  Per command and side
 the file records every wall time, their median, the peak resident set
 size of each process (from its own rusage) and the SHA-1 of its stdout and
 of each file it writes (`phi`/`psi` write their --csv and --density-csv
@@ -110,6 +114,9 @@ COMMANDS = (
      "--density-csv", "{out}/psi28-density.csv"),
     ("dispersion", "--family", "h4", "--jmax", "20"),
     ("dispersion", "--family", "g5", "--jmax", "20"),
+    ("digits", "--a", "3", "--b", "0", "--j", "24", "--samples", "1000000",
+     "--seed", "1"),
+    ("fit", "--family", "h4"),
 )
 # {fam} is the directory of the conjugated family files
 CONJUGATED = ("g1", "g2", "g3", "h3", "g4", "h4", "g5", "g6")

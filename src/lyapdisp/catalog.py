@@ -537,7 +537,10 @@ def verify_constants(fam: MatrixFamily, report) -> list[dict]:
     Returns one row per quantity: {quantity, computed, reference, tol, pass}.
     Tolerances mix the printed precision of the reference with the report's
     own error estimate, so a short published value like '0.0965' is only
-    held to what it actually pins down.  Failures are data, not errors.
+    held to what it actually pins down.  An estimate at Wynn depth 0 is a
+    raw partial sum whose err, the last difference, bounds nothing, so it
+    and a sigma^2 built from it are held to the printed precision alone.
+    Failures are data, not errors.
     """
     if fam.constants is None:
         raise ValueError(f"family {fam.name} has no reference constants")
@@ -555,9 +558,12 @@ def verify_constants(fam: MatrixFamily, report) -> list[dict]:
             "pass": abs(computed - reference) <= tol,
         })
 
-    add("lambda", report.lam.accel, c.lambda_ref, report.lam.err)
-    add("sigma2", report.sigma2, c.sigma2_ref, report.sigma2_err)
-    add("sigma2_over_ln2", report.sigma2 / LN2, c.typ_ref, report.sigma2_err / LN2)
+    series = (report.lam, report.kappa, report.mu)
+    lam_err = report.lam.err if report.lam.depth else 0.0
+    sigma2_err = report.sigma2_err if all(v.depth for v in series) else 0.0
+    add("lambda", report.lam.accel, c.lambda_ref, lam_err)
+    add("sigma2", report.sigma2, c.sigma2_ref, sigma2_err)
+    add("sigma2_over_ln2", report.sigma2 / LN2, c.typ_ref, sigma2_err / LN2)
     replica2 = dict(report.replica).get(2)
     if replica2 is not None:
         add("L2_over_ln2", math.log(replica2) / LN2, c.avg_ref, 1e-11)

@@ -39,7 +39,11 @@ count(n) = u * D_{z(n)} * v over the binary digits of n, empirical
 dispersion slopes, and the distribution comparison of #(aN + b) samples.
 All counts below 2^levels are built meet-in-the-middle: a table of the
 rows u D_{z(a)} for the high digits times a table of the columns D_{z(b)} v
-for the low ones, in int64 with every product bounded before it is formed.
+for the low ones.  The tables are int64 and their product float64, with
+every product bounded before it is formed so that both are exact.  The
+dispersion variances and the digit samples are taken in blocks of
+2^BLOCK_BITS elements: beyond the counts and their logs no step holds an
+array the size of all the counts, and none holds all the samples.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ HISTOGRAM_BINS = 200
 # points, only where a chunk's bound comes within SCAN_SLACK of a level
 CHUNK_BITS = 16
 SCAN_SLACK = 2.0**-40
+# dispersion variances and digit samples are formed 2^BLOCK_BITS at a time
+BLOCK_BITS = 16
 
 
 class NoRepresentationFound(ValueError):
@@ -597,15 +603,19 @@ def _abs_sum_max(table: np.ndarray, axis: int) -> int:
     return int(np.max(np.abs(table.astype(object)).sum(axis=axis)))
 
 
-def _check_int64(factor: np.ndarray, growth: int) -> None:
-    """Raise OverflowError unless a product with `factor` fits in int64.
+def _check_bound(factor: np.ndarray, growth: int, bits: int = 63) -> None:
+    """Raise OverflowError unless a product with `factor` stays below 2^bits.
 
     growth bounds the absolute sums of the other factor along the summed
     index, so no entry of the product, nor any partial sum, exceeds
-    max|factor| * growth.
+    max|factor| * growth.  bits = 63 keeps an int64 product from wrapping;
+    bits = 53 keeps every partial sum of a float64 product of integers an
+    integer that float64 holds exactly, in any order of summation.
     """
-    if max(int(factor.max()), -int(factor.min())) * growth >= 1 << 63:
-        raise OverflowError("int64 table would overflow")
+    if max(int(factor.max()), -int(factor.min())) * growth >= 1 << bits:
+        kind = "int64 table" if bits == 63 else "exact float64 count"
+        raise OverflowError(f"{kind} would overflow: a product could "
+                            f"reach 2^{bits}")
 
 
 def _doubling_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
@@ -618,7 +628,7 @@ def _doubling_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
     growth = max(_abs_sum_max(mat, 0) for mat in mats)
     table = seed[None]
     for _ in range(levels):
-        _check_int64(table, growth)
+        _check_bound(table, growth)
         new = np.empty((table.shape[0] * 2,) + seed.shape, dtype=np.int64)
         new[0::2] = table @ mats[0]
         new[1::2] = table @ mats[1]
@@ -637,7 +647,7 @@ def _column_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
     growth = max(_abs_sum_max(mat, 1) for mat in mats)
     table = seed[:, None]
     for _ in range(levels):
-        _check_int64(table, growth)
+        _check_bound(table, growth)
         table = np.concatenate([mats[0] @ table, mats[1] @ table], axis=1)
     return table
 
@@ -673,22 +683,29 @@ def fit_linear_representation(family, n_check: int = 4096) -> LinearRepresentati
 
 def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
                               n_top: int) -> np.ndarray:
-    """count(n) for all n < n_top through the representation, exactly (int64).
+    """count(n) for all n < n_top through the representation, exactly, as
+    float64.
 
     Meet in the middle: n = a 2^lo + b with lo = levels // 2.  For a >= 1,
     count(n) = U(a) W(b), where U(a) = u D_{z(a)} comes from a doubling table
     of 2^(levels - lo) rows and W(b) = D_{b, lo digits} v from a table of
-    2^lo columns, so all those counts are one product of the two tables.
-    The rows n < 2^lo (a = 0) are U(n) v, read off the same doubling table
-    with its pinned seed.  Raises on int64 overflow risk instead of wrapping.
+    2^lo columns, so all those counts are one product of the two tables,
+    written row a by row into the result; a partial last row (n_top not a
+    power of two) takes only its columns below n_top.  The rows n < 2^lo
+    (a = 0) are U(n) v, read off the same doubling table with its pinned
+    seed.  The tables are int64, each level checked against overflow.  The
+    product is float64 and exact: every count and every partial sum of it
+    is an integer below 2^53, which is checked before the product is
+    formed, and OverflowError raised past it.
     """
     levels = max(1, (n_top - 1).bit_length())
     if levels > 23:
-        # the tables are small; memory goes to the counts and the arrays
-        # formed from them, about 32 bytes per count whatever the dimension
+        # the tables are small; memory goes to the counts, 8 bytes each
+        # whatever the dimension, and `empirical_dispersion` adds their logs
         raise ValueError(
             f"n_top = {n_top} too large: 2^{levels} counts exceed the limit "
-            f"2^23, at about 32 bytes of memory per count")
+            f"2^23, at 8 bytes of memory per count (16 with the logs "
+            f"that dispersion takes)")
     (u_int,), u_den = exactmat.int_rows([rep.u])
     (v_int,), v_den = exactmat.int_rows([rep.v])
     v_int = np.array(v_int, dtype=np.int64)
@@ -696,15 +713,23 @@ def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
     lo = levels // 2
     rows = _doubling_table(np.array(u_int, dtype=np.int64), mats, levels - lo)
     cols = _column_table(v_int, mats, lo)
-    _check_int64(rows, max(_abs_sum_max(v_int, 0), _abs_sum_max(cols, 0)))
-    raw = np.concatenate(
-        [rows[: 1 << lo] @ v_int, (rows[1:] @ cols).ravel()])[:n_top]
+    _check_bound(rows, max(_abs_sum_max(v_int, 0), _abs_sum_max(cols, 0)), 53)
+    rows, cols, v = (table.astype(np.float64) for table in (rows, cols, v_int))
+    width = 1 << lo
+    full, part = divmod(n_top, width)   # n_top >= width, so full >= 1
+    counts = np.empty(n_top)
+    np.matmul(rows[:width], v, out=counts[:width])
+    np.matmul(rows[1:full], cols,
+              out=counts[width:full * width].reshape(full - 1, width))
+    if part:
+        np.matmul(rows[full], cols[:, :part], out=counts[full * width:])
     den = u_den * v_den
     if den == 1:
-        return raw
-    if (raw % den).any():
+        return counts
+    if (counts % den).any():
         raise ArithmeticError("representation does not produce integer counts")
-    return raw // den
+    counts /= den
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +766,40 @@ class DispersionTrend:
         }
 
 
+def _tree_sum(sums: list[float]) -> float:
+    """The sum of a power-of-two number of block sums, added as a balanced
+    binary tree: neighbours first, then neighbouring pairs, and so on."""
+    while len(sums) > 1:
+        sums = [left + right for left, right in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
+def _prefix_variances(x: np.ndarray, j_min: int, j_max: int) -> list[float]:
+    """np.var(x[:2^j]) for j = j_min .. j_max, bit for bit, in blocks.
+
+    np.var sums x for the mean, then sums (x - mean)^2 over a temporary
+    the size of x.  numpy sums a float64 array pairwise, splitting a
+    power-of-two length exactly at its half, so a sum over 2^j elements is
+    the balanced binary tree (`_tree_sum`) of its sums over blocks of
+    2^BLOCK_BITS.  Both sums are formed that way here, the squares block by
+    block in one reusable buffer: the same roundings in the same order,
+    with no temporary the size of the prefix.
+    """
+    scratch = np.empty(1 << min(BLOCK_BITS, j_max))
+    variances = []
+    for j in range(j_min, j_max + 1):
+        width = min(1 << j, len(scratch))
+        blocks = [x[start:start + width] for start in range(0, 1 << j, width)]
+        mean = _tree_sum([float(block.sum()) for block in blocks]) / (1 << j)
+        dev = scratch[:width]
+        squares = []
+        for block in blocks:
+            np.square(np.subtract(block, mean, out=dev), out=dev)
+            squares.append(float(dev.sum()))
+        variances.append(_tree_sum(squares) / (1 << j))
+    return variances
+
+
 def empirical_dispersion(
     family,
     j_max: int = 20,
@@ -750,7 +809,9 @@ def empirical_dispersion(
 
     This is a trend check: the limits converge like 1/ln n, so the slopes
     carry finite-size corrections of a few percent at j_max = 20.  Counts
-    come from a validated linear representation.
+    come from a validated linear representation.  Each octave's variances
+    are np.var's of the counts and of their logs below 2^j, bit for bit
+    (`_prefix_variances`); the counts and logs take 16 bytes per count.
     """
     fam = catalog.resolve_family(family)
     if not 2 <= j_min < j_max:
@@ -759,13 +820,12 @@ def empirical_dispersion(
     counts = counts_via_representation(fam, rep, 1 << j_max)
     if counts.min() < 1:
         raise ArithmeticError("counts must be positive to take logs")
-    values = counts.astype(np.float64)
-    logs = np.log(values)
+    octaves = zip(range(j_min, j_max + 1),
+                  _prefix_variances(counts, j_min, j_max),
+                  _prefix_variances(np.log(counts), j_min, j_max))
     rows = []
     xs, ys_avg, ys_typ = [], [], []
-    for j in range(j_min, j_max + 1):
-        var = float(values[: 1 << j].var())
-        var_ln = float(logs[: 1 << j].var())
+    for j, var, var_ln in octaves:
         ln_n = j * math.log(2.0)
         rows.append((j, var, var_ln, math.log(var) / ln_n, var_ln / ln_n))
         xs.append(ln_n)
@@ -824,15 +884,16 @@ class DigitCompare:
         }
 
 
-def _standardized_moments(values: np.ndarray, j: int) -> tuple[float, float, float]:
-    """Mean, variance and skewness of (values - j/2) / (sqrt(j)/2).
+def _standardized_moments(hist: np.ndarray, j: int) -> tuple[float, float, float]:
+    """Mean, variance and skewness of (values - j/2) / (sqrt(j)/2), from the
+    histogram of the values: hist[v] of them equal v.
 
     The values are small non-negative ints, so their power sums are exact
-    integers from one bincount, and each moment takes only the few roundings
-    of its last divisions and square root.
+    integers, and each moment takes only the few roundings of its last
+    divisions and square root.
     """
-    counts = np.bincount(values).tolist()
-    n = len(values)
+    counts = hist.tolist()
+    n = sum(counts)
     s1, s2, s3 = (sum(c * v**p for v, c in enumerate(counts)) for p in (1, 2, 3))
     # n^2 and n^3 times the second and third central moments
     m2 = n * s2 - s1 * s1
@@ -847,11 +908,6 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
 
 
-def _lattice_cdf(values: np.ndarray, top: int) -> np.ndarray:
-    counts = np.bincount(values, minlength=top + 1)
-    return np.cumsum(counts) / values.size
-
-
 def digit_distribution_compare(
     a: int,
     b: int,
@@ -864,7 +920,9 @@ def digit_distribution_compare(
     Both are standardized by the digit-sum CLT normalization (center j/2,
     scale sqrt(j)/2).  The two-sample statistic is the maximum CDF gap over
     the lattice; distances to the standard normal use the usual half-step
-    continuity correction since the samples live on a lattice.
+    continuity correction since the samples live on a lattice.  Samples
+    are drawn 2^BLOCK_BITS at a time, which draws the same stream as one
+    call, and only the histograms of their digit sums are kept.
     """
     if not 0 <= b < a:
         raise ValueError("need 0 <= b < a")
@@ -882,16 +940,20 @@ def digit_distribution_compare(
     # against itself gives identical samples and distance exactly zero
     rng_ref = np.random.Generator(np.random.Philox(key=[seed, 1 << 20]))
     n = 1 << j
-    sample = np.bitwise_count(
-        a * rng_test.integers(0, n, size=n_samples, dtype=np.int64) + b
-    ).astype(np.int64)
-    ref = np.bitwise_count(
-        rng_ref.integers(0, n, size=n_samples, dtype=np.int64)
-    ).astype(np.int64)
+    # digit sums of int64 values below 2^63 are at most 63
+    hist = np.zeros(64, dtype=np.int64)
+    hist_ref = np.zeros(64, dtype=np.int64)
+    for start in range(0, n_samples, 1 << BLOCK_BITS):
+        size = min(1 << BLOCK_BITS, n_samples - start)
+        hist += np.bincount(np.bitwise_count(
+            a * rng_test.integers(0, n, size=size, dtype=np.int64) + b),
+            minlength=64)
+        hist_ref += np.bincount(np.bitwise_count(
+            rng_ref.integers(0, n, size=size, dtype=np.int64)), minlength=64)
 
-    top = int(max(sample.max(), ref.max()))
-    cdf_sample = _lattice_cdf(sample, top)
-    cdf_ref = _lattice_cdf(ref, top)
+    top = int(np.flatnonzero(hist + hist_ref)[-1])
+    cdf_sample = np.cumsum(hist[:top + 1]) / n_samples
+    cdf_ref = np.cumsum(hist_ref[:top + 1]) / n_samples
     two_sample = float(np.abs(cdf_sample - cdf_ref).max())
 
     center = j / 2.0
@@ -903,8 +965,8 @@ def digit_distribution_compare(
         b=b,
         j=j,
         n_samples=n_samples,
-        moments=_standardized_moments(sample, j),
-        moments_ref=_standardized_moments(ref, j),
+        moments=_standardized_moments(hist, j),
+        moments_ref=_standardized_moments(hist_ref, j),
         two_sample_distance=two_sample,
         normal_distance=float(np.abs(cdf_sample - normal).max()),
         normal_distance_ref=float(np.abs(cdf_ref - normal).max()),

@@ -23,6 +23,12 @@ to a number the package computes another way.
   every chunk, which `digitsum._scan_extremes` must match.
 - `gf2_row_counts_direct` multiplies the GF(2) row by p once per n, with no
   Frobenius step; `digitsum.gf2_row_counts` must yield the same counts.
+- `empirical_dispersion_full` takes every octave's variances by np.var on
+  the whole prefix, and `digit_distribution_compare_full` draws all the
+  samples in one call and reads CDFs and moments off the sample arrays;
+  the blocked `digitsum.empirical_dispersion` and
+  `digitsum.digit_distribution_compare` must return equal results bit for
+  bit.
 - `log_product_norms_where` is the Monte Carlo kernel that picks each
   trial's product with `np.where`; `mcsim.log_product_norms` must return
   the same arrays bit for bit.
@@ -326,6 +332,66 @@ def gf2_row_counts_direct(mask: int, n_max: int) -> Iterator[int]:
         for i in shifts:
             acc ^= row << i
         row = acc
+
+
+def empirical_dispersion_full(family, j_max: int = 20,
+                              j_min: int = 8) -> digitsum.DispersionTrend:
+    """`digitsum.empirical_dispersion` with every octave's variances taken
+    by np.var on the whole prefix of the counts and of their logs."""
+    fam = catalog.resolve_family(family)
+    rep = digitsum.fit_linear_representation(fam)
+    values = digitsum.counts_via_representation(
+        fam, rep, 1 << j_max).astype(np.float64)
+    logs = np.log(values)
+    rows = []
+    for j in range(j_min, j_max + 1):
+        var = float(values[: 1 << j].var())
+        var_ln = float(logs[: 1 << j].var())
+        ln_n = j * math.log(2.0)
+        rows.append((j, var, var_ln, math.log(var) / ln_n, var_ln / ln_n))
+    top = rows[-7:]
+    xs = [j * math.log(2.0) for j, *_ in top]
+    return digitsum.DispersionTrend(
+        family=fam.name, j_min=j_min, j_max=j_max, rows=tuple(rows),
+        avg_slope=float(np.polyfit(xs, [math.log(r[1]) for r in top], 1)[0]),
+        typ_slope=float(np.polyfit(xs, [r[2] for r in top], 1)[0]))
+
+
+def _digit_moments(values: np.ndarray, j: int) -> tuple[float, float, float]:
+    """Standardized mean, variance and skewness of digit sums, from their
+    power sums in int64 (exact: values <= 63 and at most 2^30 of them)."""
+    n = len(values)
+    s1, s2, s3 = (int(np.sum(values**p)) for p in (1, 2, 3))
+    m2 = n * s2 - s1 * s1
+    m3 = n * n * s3 - 3 * n * s1 * s2 + 2 * s1**3
+    return ((2 * s1 - j * n) / n / math.sqrt(j), 4 * m2 / (j * n * n),
+            m3 / m2 / math.sqrt(m2) if m2 > 0 else 0.0)
+
+
+def digit_distribution_compare_full(a: int, b: int, j: int, n_samples: int,
+                                    seed: int) -> digitsum.DigitCompare:
+    """`digitsum.digit_distribution_compare` from all the samples at once:
+    one draw of n_samples per stream, lattice CDFs by bincount."""
+    rng_test = np.random.Generator(np.random.Philox(key=[seed, (a << 20) | b]))
+    rng_ref = np.random.Generator(np.random.Philox(key=[seed, 1 << 20]))
+    n = 1 << j
+    sample = np.bitwise_count(
+        a * rng_test.integers(0, n, size=n_samples, dtype=np.int64) + b
+    ).astype(np.int64)
+    ref = np.bitwise_count(
+        rng_ref.integers(0, n, size=n_samples, dtype=np.int64)).astype(np.int64)
+    top = int(max(sample.max(), ref.max()))
+    cdf_sample, cdf_ref = (np.cumsum(np.bincount(values, minlength=top + 1))
+                           / values.size for values in (sample, ref))
+    grid = (np.arange(top + 1) + 0.5 - j / 2.0) / (math.sqrt(j) / 2.0)
+    normal = 0.5 * (1.0 + np.vectorize(math.erf)(grid / math.sqrt(2.0)))
+    return digitsum.DigitCompare(
+        a=a, b=b, j=j, n_samples=n_samples,
+        moments=_digit_moments(sample, j),
+        moments_ref=_digit_moments(ref, j),
+        two_sample_distance=float(np.abs(cdf_sample - cdf_ref).max()),
+        normal_distance=float(np.abs(cdf_sample - normal).max()),
+        normal_distance_ref=float(np.abs(cdf_ref - normal).max()))
 
 
 def log_product_norms_where(config) -> tuple[np.ndarray, int]:

@@ -369,6 +369,16 @@ class TestExitCodes:
         assert code == 3
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("name", ["g1", "g2"])
+    def test_verify_depth_zero_has_no_error_bar(self, capsys, name):
+        """At --max-len 1 each series is a raw partial sum at Wynn depth 0,
+        far off its reference; |last - second| must not widen its
+        tolerance, nor that of the sigma^2 built from it."""
+        code, out, _ = run(capsys, "verify", "--family", name, "--max-len", "1")
+        assert code == 3
+        for quantity in ("lambda", "sigma2", "sigma2_over_ln2"):
+            assert f"FAIL {name}  {quantity} " in out
+
     def test_verify_all_families_runs_and_flags(self, capsys):
         # truncating every series at length 10 makes some constants miss, so
         # this exercises the all-families loop and the exit-3 path cheaply

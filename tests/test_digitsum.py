@@ -456,7 +456,8 @@ def wide_family(d1_entry: int) -> catalog.MatrixFamily:
 
 
 class TestWordProducts:
-    """The int64 tables behind `counts_via_representation`."""
+    """The int64 tables and the exact float64 product behind
+    `counts_via_representation`."""
 
     @pytest.mark.parametrize("fam", [
         *(catalog.get_family(name) for name in catalog.family_names()),
@@ -559,6 +560,18 @@ class TestWordProducts:
         with pytest.raises(OverflowError):
             ds.counts_via_representation(big_family(), rep, 64)
 
+    def test_counts_past_2_53_raise(self):
+        """count(n) = k^#(n) here, so count(63) = k^6: int64 holds 2^54 at
+        k = 2^9, but float64 counts are exact only below 2^53."""
+        rep = LinearRepresentation(family="wide", u=(1,), v=(1,), validated_n=0)
+        with pytest.raises(OverflowError, match="2\\^53"):
+            ds.counts_via_representation(wide_family(1 << 9), rep, 64)
+        fam = wide_family(1 << 8)
+        counts = ds.counts_via_representation(fam, rep, 64)
+        assert counts.dtype == np.float64
+        assert counts.tolist() == folded_counts(fam, (1,), (1,), 64)
+        assert counts[63] == 2.0**48
+
 
 class TestEmpiricalDispersion:
     def test_binomial_typical_slope_is_exact(self):
@@ -573,6 +586,32 @@ class TestEmpiricalDispersion:
         trend = ds.empirical_dispersion("g2", j_max=18)
         assert trend.typ_slope == pytest.approx(0.1747633335, abs=0.02)
         assert trend.avg_slope == pytest.approx(1.4924205743, abs=0.06)
+
+    @pytest.mark.parametrize("name", catalog.family_names())
+    @pytest.mark.parametrize("j_min, j_max", [(3, 16), (10, 19)])
+    def test_equals_np_var_of_whole_prefixes(self, name, j_min, j_max):
+        """Every row and slope equals the per-prefix np.var, bit for bit:
+        within one 2^16 block up to j = 16, over a tree of blocks above."""
+        assert ds.empirical_dispersion(name, j_max, j_min) == \
+            oracles.empirical_dispersion_full(name, j_max, j_min)
+
+    def test_numpy_sums_power_of_two_lengths_as_a_block_tree(self):
+        """The numpy property `_prefix_variances` rests on: x.sum() over 2^k
+        elements is the balanced tree of its 2^16-element block sums."""
+        x = np.random.default_rng(5).standard_normal(1 << 22)
+        block = 1 << ds.BLOCK_BITS
+        folds = []
+        for k in range(8, 23):
+            width = min(1 << k, block)
+            sums = [float(x[i:i + width].sum()) for i in range(0, 1 << k, width)]
+            assert ds._tree_sum(sums) == float(x[: 1 << k].sum()), k
+            folded = 0.0
+            for block_sum in sums:
+                folded += block_sum
+            folds.append(folded == float(x[: 1 << k].sum()))
+        # the order matters on this data: adding the block sums left to
+        # right misses numpy's sum at some k
+        assert not all(folds)
 
     def test_csv(self):
         trend = ds.empirical_dispersion("g1", j_max=12, j_min=4)
@@ -617,6 +656,16 @@ class TestDigitDistributionCompare:
         result = ds.digit_distribution_compare(2**15, 2**15 - 1, j=48,
                                                n_samples=1000)
         assert result.n_samples == 1000
+
+    @pytest.mark.parametrize("a, b, j, n_samples, seed", [
+        (3, 0, 24, 1000, 4),          # one short block
+        (5, 2, 30, 1 << 17, 5),       # two whole blocks
+        (7, 3, 47, 200001, 6),        # three blocks and a short one
+        (1, 0, 12, 70000, 7),         # one whole block and a short one
+    ])
+    def test_equals_one_draw_of_all_samples(self, a, b, j, n_samples, seed):
+        assert ds.digit_distribution_compare(a, b, j, n_samples, seed) == \
+            oracles.digit_distribution_compare_full(a, b, j, n_samples, seed)
 
     def test_deterministic(self):
         a = ds.digit_distribution_compare(3, 1, j=12, n_samples=5000)
