@@ -1,21 +1,22 @@
 """Time the digit-sum layer's CLI commands, or another layer's, per side.
 
 The digit-sum commands are `phi` and `psi` at --jmax 24 and 28, writing
-both CSV tables, `dispersion --jmax 20` on h4 and g5, `digits` at the
-benchmark's crosscheck settings (a = 3, b = 0, j = 24, 10^6 samples) and
-`fit` on h4.  Each command runs as its own `python -m lyapdisp.cli`
-process against the given source trees, so interpreter start-up and
-import are part of every time, as they are for a user.  The sides
+both CSV tables, `dispersion --jmax 20` on h4 and g5, `dispersion` on h4
+at --jmax 23 and at its limit 30, `digits` at the benchmark's crosscheck
+settings (a = 3, b = 0, j = 24, 10^6 samples) and `fit` on h4.  Each
+command runs as its own `python -m lyapdisp.cli` process against the
+given source trees, so interpreter start-up and import are part of every
+time, as they are for a user.  The sides
 alternate which runs first from one repetition to the next; one untimed
 run per command and side comes first so that byte-compiling the tree is
 not timed.  Per command and side
 the file records every wall time, their median, the peak resident set
-size of each process (from its own rusage) and the SHA-1 of its stdout and
-of each file it writes (`phi`/`psi` write their --csv and --density-csv
-tables to a temporary directory per side).  Sides that claim identical
-output must agree on all of these; `identical_outputs` records per command
-whether they do, and the script exits 1 after writing the file if one
-does not.
+size of each process (from its own rusage), its exit status and the
+SHA-1 of its stdout and of each file it writes (`phi`/`psi` write their
+--csv and --density-csv tables to a temporary directory per side).  Sides
+that claim identical output must agree on all of these; `identical_outputs`
+records per command whether they do, and the script exits 1 after writing
+the file if one does not, or if a command failed on every side.
 
     python3 scripts/bench_layers.py parent=../parent/src change=src \
         --out BENCH_digitsum.json
@@ -114,6 +115,8 @@ COMMANDS = (
      "--density-csv", "{out}/psi28-density.csv"),
     ("dispersion", "--family", "h4", "--jmax", "20"),
     ("dispersion", "--family", "g5", "--jmax", "20"),
+    ("dispersion", "--family", "h4", "--jmax", "23"),
+    ("dispersion", "--family", "h4", "--jmax", "30"),
     ("digits", "--a", "3", "--b", "0", "--j", "24", "--samples", "1000000",
      "--seed", "1"),
     ("fit", "--family", "h4"),
@@ -238,11 +241,11 @@ def sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-def run_once(src: str, argv: tuple[str, ...], out: str,
-             fam: str = "") -> tuple[float, float, str, tuple[str, ...]]:
-    """(wall s, peak RSS MB, stdout SHA-1, SHA-1 of each written file) of
-    one fresh CLI process, with {out} in argv set to the directory out and
-    {fam} to the directory fam."""
+def run_once(src: str, argv: tuple[str, ...], out: str, fam: str = ""
+             ) -> tuple[float, float, str, tuple[str, ...], int]:
+    """(wall s, peak RSS MB, stdout SHA-1, SHA-1 of each written file, exit
+    status) of one fresh CLI process, with {out} in argv set to the
+    directory out and {fam} to the directory fam."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     argv = tuple(arg.format(out=out, fam=fam) for arg in argv)
     written = [arg for arg in argv if arg.startswith(out + os.sep)]
@@ -256,14 +259,13 @@ def run_once(src: str, argv: tuple[str, ...], out: str,
     proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}")
     files = []
     for path in written:
-        with open(path, "rb") as fh:
-            files.append(sha1(fh.read()))
-    return wall, usage.ru_maxrss / 1024.0, sha1(stdout), tuple(files)
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                files.append(sha1(fh.read()))
+    return (wall, usage.ru_maxrss / 1024.0, sha1(stdout), tuple(files),
+            os.waitstatus_to_exitcode(status))
 
 
 def write_conjugated(src: str, directory: str) -> None:
@@ -319,15 +321,16 @@ def bench(sides: dict[str, str], commands=COMMANDS, fam: str = "") -> dict:
     for label, per_command in runs.items():
         result[label] = {}
         for command, samples in per_command.items():
-            walls = [round(wall, 4) for wall, _, _, _ in samples]
-            rss = [round(mb, 1) for _, mb, _, _ in samples]
+            walls = [round(wall, 4) for wall, *_ in samples]
+            rss = [round(mb, 1) for _, mb, *_ in samples]
             result[label][command] = {
                 "wall_s": walls,
                 "median_wall_s": round(statistics.median(walls), 4),
                 "peak_rss_mb": rss,
                 "median_peak_rss_mb": round(statistics.median(rss), 1),
-                "stdout_sha1": sorted({digest for _, _, digest, _ in samples}),
-                "files_sha1": sorted({files for _, _, _, files in samples}),
+                "stdout_sha1": sorted({sample[2] for sample in samples}),
+                "files_sha1": sorted({sample[3] for sample in samples}),
+                "exit_codes": sorted({sample[4] for sample in samples}),
             }
     return result
 
@@ -353,9 +356,11 @@ def bench_balance(sides: dict[str, str], directory: str) -> dict:
 
 
 def identical_outputs(sides: dict) -> dict[str, bool]:
-    """Per command: every run on every side wrote the same stdout and files."""
+    """Per command: every run on every side exited alike and wrote the same
+    stdout and files."""
     return {
-        command: len({(digest, files) for row in sides.values()
+        command: len({(code, digest, files) for row in sides.values()
+                      for code in row[command]["exit_codes"]
                       for digest in row[command]["stdout_sha1"]
                       for files in row[command]["files_sha1"]}) == 1
         for command in next(iter(sides.values()))
@@ -629,12 +634,17 @@ def main(argv: list[str] | None = None) -> int:
         for command, row in per_command.items():
             print(f"{label:>8}  {command.split(' --csv')[0]:<40} "
                   f"{row['median_wall_s']:8.3f} s "
-                  f"{row['median_peak_rss_mb']:8.1f} MB")
+                  f"{row['median_peak_rss_mb']:8.1f} MB  "
+                  f"exit {row['exit_codes']}")
     differ = [cmd for cmd, same in report["identical_outputs"].items() if not same]
     if differ:
         print(f"outputs differ between sides: {differ}", file=sys.stderr)
-        return 1
-    return 0
+    failed = [cmd for cmd in report["identical_outputs"]
+              if all(0 not in per_command[cmd]["exit_codes"]
+                     for per_command in report["sides"].values())]
+    if failed:
+        print(f"no side ran these: {failed}", file=sys.stderr)
+    return 1 if differ or failed else 0
 
 
 if __name__ == "__main__":

@@ -41,9 +41,11 @@ All counts below 2^levels are built meet-in-the-middle: a table of the
 rows u D_{z(a)} for the high digits times a table of the columns D_{z(b)} v
 for the low ones.  The tables are int64 and their product float64, with
 every product bounded before it is formed so that both are exact.  The
-dispersion variances and the digit samples are taken in blocks of
-2^BLOCK_BITS elements: beyond the counts and their logs no step holds an
-array the size of all the counts, and none holds all the samples.
+product is formed 2^BLOCK_BITS counts at a time: dispersion forms every
+block twice, once for the octave means and once for the squared
+deviations, and `digits` draws its samples in blocks of the same size, so
+neither holds an array the size of all the counts or of all the samples.
+Only `counts_via_representation`, which returns every count, does.
 """
 
 from __future__ import annotations
@@ -86,8 +88,15 @@ HISTOGRAM_BINS = 200
 # points, only where a chunk's bound comes within SCAN_SLACK of a level
 CHUNK_BITS = 16
 SCAN_SLACK = 2.0**-40
-# dispersion variances and digit samples are formed 2^BLOCK_BITS at a time
+# counts, dispersion variances and digit samples are formed 2^BLOCK_BITS at
+# a time
 BLOCK_BITS = 16
+# the GF(2) row oracle's cost grows with the square of the rows it forms
+GF2_ROWS_MAX = 1 << 18
+# dispersion forms every count below 2^j_max twice, so its time doubles
+# with each octave while its memory stays a few MB: 8-12 s at 2^30 counts
+# for each built-in family on a 2-core Xeon VM
+DISPERSION_J_MAX = 30
 
 
 class NoRepresentationFound(ValueError):
@@ -543,7 +552,7 @@ def gf2_row_counts(mask: int, n_max: int) -> Iterator[int]:
     """
     if mask <= 0:
         raise ValueError("polynomial must be nonzero")
-    if n_max > 1 << 18:
+    if n_max > GF2_ROWS_MAX:
         raise ValueError("n_max capped at 2^18 (quadratic bit cost)")
     shifts = [2 * i for i in range(mask.bit_length()) if (mask >> i) & 1]
     counts = []
@@ -659,13 +668,17 @@ def fit_linear_representation(family, n_check: int = 4096) -> LinearRepresentati
     beta is the row of state counts at n = 0 and alpha = e1 reads off the
     state r = 1; a change of basis moves both along with the matrices.  The
     pair must reproduce the GF(2) row counts for every n < n_check, or
-    NoRepresentationFound is raised.
+    NoRepresentationFound is raised.  n_check is capped at the GF(2)
+    oracle's GF2_ROWS_MAX, checked before any count is formed.
     """
     fam = catalog.resolve_family(family)
     if fam.poly_mask <= 0:
         raise ValueError(f"family {fam.name} carries no counting polynomial")
     if n_check < 2 * fam.dim**2:
         raise ValueError(f"n_check must be at least 2*dim^2 = {2 * fam.dim ** 2}")
+    if n_check > GF2_ROWS_MAX:
+        raise ValueError(f"n_check = {n_check} exceeds the limit 2^18 of the "
+                         f"GF(2) row check (quadratic bit cost)")
     fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
     rep = LinearRepresentation(
         family=fam.name, u=fact.beta, v=fact.alpha, validated_n=n_check)
@@ -681,31 +694,21 @@ def fit_linear_representation(family, n_check: int = 4096) -> LinearRepresentati
     return rep
 
 
-def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
-                              n_top: int) -> np.ndarray:
-    """count(n) for all n < n_top through the representation, exactly, as
-    float64.
+def _count_tables(fam: MatrixFamily, rep: LinearRepresentation, n_top: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(rows, cols, v, den): the meet-in-the-middle factors of every count
+    below n_top, in float64.
 
-    Meet in the middle: n = a 2^lo + b with lo = levels // 2.  For a >= 1,
-    count(n) = U(a) W(b), where U(a) = u D_{z(a)} comes from a doubling table
-    of 2^(levels - lo) rows and W(b) = D_{b, lo digits} v from a table of
-    2^lo columns, so all those counts are one product of the two tables,
-    written row a by row into the result; a partial last row (n_top not a
-    power of two) takes only its columns below n_top.  The rows n < 2^lo
-    (a = 0) are U(n) v, read off the same doubling table with its pinned
-    seed.  The tables are int64, each level checked against overflow.  The
-    product is float64 and exact: every count and every partial sum of it
-    is an integer below 2^53, which is checked before the product is
-    formed, and OverflowError raised past it.
+    With levels the bit length of n_top - 1, n = a 2^lo + b for
+    lo = levels // 2 and b < 2^lo.  rows[a] is U(a) = u D_{z(a)} for
+    a < 2^(levels - lo), cols[:, b] is W(b) = D_{b, lo digits} v, and den
+    the common denominator of u and v, which divides every product.  Both
+    tables are built in int64, each level checked against overflow; then
+    every count and every partial sum of the float64 product is checked to
+    be an integer below 2^53, so the product is exact, and OverflowError
+    is raised past either bound.
     """
     levels = max(1, (n_top - 1).bit_length())
-    if levels > 23:
-        # the tables are small; memory goes to the counts, 8 bytes each
-        # whatever the dimension, and `empirical_dispersion` adds their logs
-        raise ValueError(
-            f"n_top = {n_top} too large: 2^{levels} counts exceed the limit "
-            f"2^23, at 8 bytes of memory per count (16 with the logs "
-            f"that dispersion takes)")
     (u_int,), u_den = exactmat.int_rows([rep.u])
     (v_int,), v_den = exactmat.int_rows([rep.v])
     v_int = np.array(v_int, dtype=np.int64)
@@ -715,20 +718,69 @@ def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
     cols = _column_table(v_int, mats, lo)
     _check_bound(rows, max(_abs_sum_max(v_int, 0), _abs_sum_max(cols, 0)), 53)
     rows, cols, v = (table.astype(np.float64) for table in (rows, cols, v_int))
-    width = 1 << lo
-    full, part = divmod(n_top, width)   # n_top >= width, so full >= 1
+    return rows, cols, v, u_den * v_den
+
+
+def _count_blocks(tables: tuple[np.ndarray, np.ndarray, np.ndarray, int],
+                  n_top: int) -> Iterator[np.ndarray]:
+    """count(n) for n < n_top, in successive float64 blocks of
+    2^BLOCK_BITS counts (the last one shorter if n_top is not a multiple).
+
+    With the tables of `_count_tables` and width = 2^lo, count(n) for
+    n = a width + b and a >= 1 is U(a) W(b), so the counts of whole rows
+    a0 <= a < a1 are one product rows[a0:a1] @ cols, and a partial row
+    takes the columns it needs; the counts n < width (a = 0) are U(n) v,
+    read off the same doubling table with its pinned seed.  Every count is
+    an exact integer (see `_count_tables`), so no split of the product
+    changes one.
+    """
+    rows, cols, v, den = tables
+    width = cols.shape[1]
+    for start in range(0, n_top, 1 << BLOCK_BITS):
+        stop = min(start + (1 << BLOCK_BITS), n_top)
+        block = np.empty(stop - start)
+        n = start
+        if n < width:
+            n = min(stop, width)
+            np.matmul(rows[start:n], v, out=block[:n - start])
+        while n < stop:
+            a, b = divmod(n, width)
+            if b == 0 and stop - n >= width:
+                full = (stop - n) // width
+                np.matmul(rows[a:a + full], cols,
+                          out=block[n - start:n - start + full * width]
+                          .reshape(full, width))
+                n += full * width
+            else:
+                end = min(stop, (a + 1) * width)
+                np.matmul(rows[a], cols[:, b:b + end - n],
+                          out=block[n - start:end - start])
+                n = end
+        if den != 1:
+            if (block % den).any():
+                raise ArithmeticError(
+                    "representation does not produce integer counts")
+            block /= den
+        yield block
+
+
+def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
+                              n_top: int) -> np.ndarray:
+    """count(n) for all n < n_top through the representation, exactly, as
+    float64: the blocks of `_count_blocks` over the meet-in-the-middle
+    tables of `_count_tables`, written into one array.
+    """
+    levels = max(1, (n_top - 1).bit_length())
+    if levels > 23:
+        # the tables are small; memory goes to the counts returned, 8 bytes
+        # each whatever the dimension
+        raise ValueError(
+            f"n_top = {n_top} too large: 2^{levels} counts exceed the limit "
+            f"2^23, at 8 bytes of memory per count")
     counts = np.empty(n_top)
-    np.matmul(rows[:width], v, out=counts[:width])
-    np.matmul(rows[1:full], cols,
-              out=counts[width:full * width].reshape(full - 1, width))
-    if part:
-        np.matmul(rows[full], cols[:, :part], out=counts[full * width:])
-    den = u_den * v_den
-    if den == 1:
-        return counts
-    if (counts % den).any():
-        raise ArithmeticError("representation does not produce integer counts")
-    counts /= den
+    blocks = _count_blocks(_count_tables(fam, rep, n_top), n_top)
+    for start, block in zip(range(0, n_top, 1 << BLOCK_BITS), blocks):
+        counts[start:start + len(block)] = block
     return counts
 
 
@@ -774,30 +826,55 @@ def _tree_sum(sums: list[float]) -> float:
     return sums[0]
 
 
-def _prefix_variances(x: np.ndarray, j_min: int, j_max: int) -> list[float]:
-    """np.var(x[:2^j]) for j = j_min .. j_max, bit for bit, in blocks.
+def _octave_variances(blocks, j_min: int, j_max: int
+                      ) -> tuple[list[float], list[float]]:
+    """np.var of the counts and of their logs over [0, 2^j) for
+    j = j_min .. j_max, bit for bit, from the counts in blocks.
 
-    np.var sums x for the mean, then sums (x - mean)^2 over a temporary
-    the size of x.  numpy sums a float64 array pairwise, splitting a
-    power-of-two length exactly at its half, so a sum over 2^j elements is
-    the balanced binary tree (`_tree_sum`) of its sums over blocks of
-    2^BLOCK_BITS.  Both sums are formed that way here, the squares block by
-    block in one reusable buffer: the same roundings in the same order,
-    with no temporary the size of the prefix.
+    blocks() yields count(n) for n < 2^j_max in successive blocks of
+    2^min(BLOCK_BITS, j_max) counts.  np.var sums x for the mean, then sums
+    (x - mean)^2 over a temporary the size of x.  numpy sums a float64
+    array pairwise, splitting a power-of-two length exactly at its half, so
+    a sum over 2^j elements is the balanced binary tree (`_tree_sum`) of
+    its sums over blocks of 2^BLOCK_BITS, or one sum over the first 2^j
+    elements of the first block when 2^j is at most its length.  The first
+    pass sums each block, and its logs, once for all the octaves that hold
+    it; the second forms the blocks again and their squared deviations from
+    each octave's mean in one reusable buffer: the same roundings in the
+    same order, with no array the size of all the counts.
     """
-    scratch = np.empty(1 << min(BLOCK_BITS, j_max))
-    variances = []
-    for j in range(j_min, j_max + 1):
-        width = min(1 << j, len(scratch))
-        blocks = [x[start:start + width] for start in range(0, 1 << j, width)]
-        mean = _tree_sum([float(block.sum()) for block in blocks]) / (1 << j)
-        dev = scratch[:width]
-        squares = []
-        for block in blocks:
-            np.square(np.subtract(block, mean, out=dev), out=dev)
-            squares.append(float(dev.sum()))
-        variances.append(_tree_sum(squares) / (1 << j))
-    return variances
+    bits = min(BLOCK_BITS, j_max)
+    octaves = range(j_min, j_max + 1)
+
+    def pieces(k: int, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        # octave j's prefix holds block k when the block starts below 2^j
+        for j in range(max(j_min, (k << bits).bit_length()), j_max + 1):
+            yield j - j_min, x[:1 << j]
+
+    def means(per_octave: list[list[float]]) -> list[float]:
+        return [_tree_sum(sums) / (1 << j)
+                for j, sums in zip(octaves, per_octave)]
+
+    sums = [[[] for _ in octaves] for _ in range(2)]
+    for k, counts in enumerate(blocks()):
+        if counts.min() < 1:
+            raise ArithmeticError("counts must be positive to take logs")
+        for x, per_octave in zip((counts, np.log(counts)), sums):
+            whole = float(x.sum())
+            for i, piece in pieces(k, x):
+                per_octave[i].append(
+                    whole if len(piece) == len(x) else float(piece.sum()))
+    centers = [means(per_octave) for per_octave in sums]
+    squares = [[[] for _ in octaves] for _ in range(2)]
+    scratch = np.empty(1 << bits)
+    for k, counts in enumerate(blocks()):
+        for x, mean, per_octave in zip((counts, np.log(counts)), centers,
+                                       squares):
+            for i, piece in pieces(k, x):
+                dev = scratch[:len(piece)]
+                np.square(np.subtract(piece, mean[i], out=dev), out=dev)
+                per_octave[i].append(float(dev.sum()))
+    return means(squares[0]), means(squares[1])
 
 
 def empirical_dispersion(
@@ -811,18 +888,22 @@ def empirical_dispersion(
     carry finite-size corrections of a few percent at j_max = 20.  Counts
     come from a validated linear representation.  Each octave's variances
     are np.var's of the counts and of their logs below 2^j, bit for bit
-    (`_prefix_variances`); the counts and logs take 16 bytes per count.
+    (`_octave_variances`), from counts formed 2^BLOCK_BITS at a time, twice:
+    memory stays at a few MB whatever j_max, and time grows like 2^j_max,
+    which DISPERSION_J_MAX caps.
     """
     fam = catalog.resolve_family(family)
     if not 2 <= j_min < j_max:
         raise ValueError("need 2 <= j_min < j_max")
+    if j_max > DISPERSION_J_MAX:
+        raise ValueError(
+            f"j_max = {j_max} exceeds the limit {DISPERSION_J_MAX}: the "
+            f"2^{DISPERSION_J_MAX} counts take 8-12 s on a 2-core Xeon, and "
+            f"each further octave doubles the time")
     rep = fit_linear_representation(fam)
-    counts = counts_via_representation(fam, rep, 1 << j_max)
-    if counts.min() < 1:
-        raise ArithmeticError("counts must be positive to take logs")
-    octaves = zip(range(j_min, j_max + 1),
-                  _prefix_variances(counts, j_min, j_max),
-                  _prefix_variances(np.log(counts), j_min, j_max))
+    tables = _count_tables(fam, rep, 1 << j_max)
+    octaves = zip(range(j_min, j_max + 1), *_octave_variances(
+        lambda: _count_blocks(tables, 1 << j_max), j_min, j_max))
     rows = []
     xs, ys_avg, ys_typ = [], [], []
     for j, var, var_ln in octaves:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lyapdisp import catalog, mcsim
+from lyapdisp import catalog, digitsum, mcsim
 from lyapdisp.cli import build_parser, dumps_fixed, main
 from oracles import family_to_dict
 
@@ -299,13 +299,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["psi", "--jmax", "39"], "need 2 <= j_max <= 38"),
-        (["dispersion", "--family", "h4", "--jmax", "24"],
-         "2^24 counts exceed the limit 2^23"),
-    ], ids=["psi-jmax-39", "dispersion-h4-jmax-24"])
+        (["dispersion", "--family", "h4", "--jmax", "31"],
+         "j_max = 31 exceeds the limit 30"),
+    ], ids=["psi-jmax-39", "dispersion-h4-jmax-31"])
     def test_out_of_range_is_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert message in err
+
+    @pytest.mark.parametrize("ncheck", ["300000", "100000000"])
+    def test_fit_ncheck_past_the_oracle_is_one(self, capsys, monkeypatch,
+                                               ncheck):
+        """--ncheck is refused by its own name before any count is formed."""
+        def refuse(*args):
+            raise AssertionError("counts formed before n_check was checked")
+
+        monkeypatch.setattr(digitsum, "counts_via_representation", refuse)
+        code, out, err = run(capsys, "fit", "--family", "g2", "--ncheck", ncheck)
+        assert (code, out) == (1, "")
+        assert f"n_check = {ncheck} exceeds the limit 2^18" in err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--family", "g2", "--k", "4", "--trials", "20",

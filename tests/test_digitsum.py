@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -479,6 +480,17 @@ class TestWordProducts:
         counts = ds.counts_via_representation(fam, rep, n_top)
         assert counts.tolist() == folded_counts(fam, u, v, n_top)
 
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_blocks_may_split_rows(self, monkeypatch, bits):
+        """Blocks shorter than a row of the product (2^5 counts for
+        n_top = 1000) start inside rows, the first row included, and give
+        the same counts."""
+        monkeypatch.setattr(ds, "BLOCK_BITS", bits)
+        fam = catalog.get_family("h4")
+        rep = ds.fit_linear_representation(fam)
+        counts = ds.counts_via_representation(fam, rep, 1000)
+        assert counts.tolist() == folded_counts(fam, rep.u, rep.v, 1000)
+
     def test_fractional_counts_raise(self):
         rep = LinearRepresentation(family="shear", u=(Fraction(1, 2), 0),
                                    v=(1, 0), validated_n=0)
@@ -588,15 +600,56 @@ class TestEmpiricalDispersion:
         assert trend.avg_slope == pytest.approx(1.4924205743, abs=0.06)
 
     @pytest.mark.parametrize("name", catalog.family_names())
-    @pytest.mark.parametrize("j_min, j_max", [(3, 16), (10, 19)])
+    @pytest.mark.parametrize("j_min, j_max",
+                             [(3, 16), (10, 19), (3, 17), (16, 18), (3, 12)])
     def test_equals_np_var_of_whole_prefixes(self, name, j_min, j_max):
         """Every row and slope equals the per-prefix np.var, bit for bit:
-        within one 2^16 block up to j = 16, over a tree of blocks above."""
+        within one 2^16 block up to j = 16, over a tree of blocks above,
+        and within the one block of 2^j_max counts below 2^16."""
         assert ds.empirical_dispersion(name, j_max, j_min) == \
             oracles.empirical_dispersion_full(name, j_max, j_min)
 
+    def test_memory_stays_at_a_few_blocks(self):
+        """No array the size of the 2^20 counts (8 MB, and as much for
+        their logs) is held: the traced peak stays under 4 MB."""
+        ds.empirical_dispersion("h4", 20)
+        tracemalloc.start()
+        try:
+            ds.empirical_dispersion("h4", 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("name", ["g2", "h4"])
+    def test_prefix_octaves_past_2_23(self, name):
+        """An octave's row depends only on the counts below 2^j, whatever
+        the tables' split of j_max: the rows at j_max = 24 but the last are
+        the rows at 23."""
+        assert ds.empirical_dispersion(name, 24, 8).rows[:-1] == \
+            ds.empirical_dispersion(name, 23, 8).rows
+
+    @pytest.mark.parametrize("u, v, error", [
+        ((Fraction(1, 2), Fraction(1, 2)), (2, 2), None),
+        ((Fraction(1, 2), 0), (1, 0), "integer counts"),
+        ((1, 0), (0, 1), "counts must be positive"),
+    ], ids=["common-denominator", "fractional", "zero-count"])
+    def test_representation_paths(self, monkeypatch, u, v, error):
+        """A common denominator of u and v divides every block of counts,
+        or raises where a count is not an integer; a count below 1 has no
+        log and raises."""
+        rep = LinearRepresentation(family="shear", u=u, v=v, validated_n=0)
+        monkeypatch.setattr(ds, "fit_linear_representation",
+                            lambda fam: rep)
+        if error is None:
+            assert ds.empirical_dispersion(shear_family(), 17, 3) == \
+                oracles.empirical_dispersion_full(shear_family(), 17, 3)
+        else:
+            with pytest.raises(ArithmeticError, match=error):
+                ds.empirical_dispersion(shear_family(), 17, 3)
+
     def test_numpy_sums_power_of_two_lengths_as_a_block_tree(self):
-        """The numpy property `_prefix_variances` rests on: x.sum() over 2^k
+        """The numpy property `_octave_variances` rests on: x.sum() over 2^k
         elements is the balanced tree of its 2^16-element block sums."""
         x = np.random.default_rng(5).standard_normal(1 << 22)
         block = 1 << ds.BLOCK_BITS
