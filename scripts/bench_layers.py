@@ -1,7 +1,8 @@
 """Time the digit-sum layer's CLI commands, or another layer's, per side.
 
-The digit-sum commands are `phi` and `psi` at --jmax 24 and 28, writing
-both CSV tables, `dispersion --jmax 20` on h4 and g5, `dispersion` on h4
+The digit-sum commands are `phi` and `psi` at --jmax 24, 28 and 34 and at
+their caps (40 for phi, 38 for psi), writing both CSV tables,
+`dispersion --jmax 20` on h4 and g5, `dispersion` on h4
 at --jmax 23 and at its limit 30, `digits` at the benchmark's crosscheck
 settings (a = 3, b = 0, j = 24, 10^6 samples) and `fit` on h4.  Each
 command runs as its own `python -m lyapdisp.cli` process against the
@@ -113,6 +114,14 @@ COMMANDS = (
      "--density-csv", "{out}/phi28-density.csv"),
     ("psi", "--jmax", "28", "--csv", "{out}/psi28.csv",
      "--density-csv", "{out}/psi28-density.csv"),
+    ("phi", "--jmax", "34", "--csv", "{out}/phi34.csv",
+     "--density-csv", "{out}/phi34-density.csv"),
+    ("psi", "--jmax", "34", "--csv", "{out}/psi34.csv",
+     "--density-csv", "{out}/psi34-density.csv"),
+    ("phi", "--jmax", "40", "--csv", "{out}/phi40.csv",
+     "--density-csv", "{out}/phi40-density.csv"),
+    ("psi", "--jmax", "38", "--csv", "{out}/psi38.csv",
+     "--density-csv", "{out}/psi38-density.csv"),
     ("dispersion", "--family", "h4", "--jmax", "20"),
     ("dispersion", "--family", "g5", "--jmax", "20"),
     ("dispersion", "--family", "h4", "--jmax", "23"),

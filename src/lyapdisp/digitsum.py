@@ -19,8 +19,9 @@ exact integer arithmetic and only log2(f) is floating point.  One formula,
 are its one-point calls on Python ints, exact for any n >= 1.  Because
 the value at 2n repeats the value at n, the extremes over all
 n <= 2^j_max are found in the top octave [2^(j_max-1), 2^j_max) alone.
-That octave is cut into chunks of 2^b points, and for n = h 2^b + l with
-l < 2^b the block identities
+That octave, [2^j, 2^(j+1)), is cut into 2^(j-b) chunks of 2^b points,
+with b about j/2 and at most 16 (`_chunk_bits`), and for n = h 2^b + l
+with l < 2^b the block identities
 
     S(n)  = S(h 2^b) + #(h) l + S(l)
     Sf(n) = Sf(h 2^b) + 2^#(h) Sf(l)
@@ -32,6 +33,9 @@ SCAN_SLACK = 2^-40 of an extreme, the only chunks `_scan_extremes`
 evaluates.  The slack exceeds the rounding of the values and of the
 bounds, each a few ulps of an O(1) number, and runtime checks back it.
 The int64 sums hold up to the j_max caps, 40 for phi and 38 for psi.
+Both the gather and the evaluation of the samples go 2^SAMPLE_BITS points
+at a time, so no step holds more than a few arrays the size of the
+samples.
 
 The rest of the module connects counts to the matrix families: GF(2) row
 iteration as the oracle, an exactly validated linear representation
@@ -84,10 +88,13 @@ __all__ = [
 LOG2_3 = math.log2(3.0)
 DEFAULT_PERCENTILES = (1, 5, 10, 25, 50, 75, 90, 95, 99, 100)
 HISTOGRAM_BINS = 200
-# the extremes scan evaluates the top octave in chunks of 2^CHUNK_BITS
-# points, only where a chunk's bound comes within SCAN_SLACK of a level
+# the extremes scan evaluates the top octave in chunks of at most
+# 2^CHUNK_BITS points (`_chunk_bits`), only where a chunk's bound comes
+# within SCAN_SLACK of a level
 CHUNK_BITS = 16
 SCAN_SLACK = 2.0**-40
+# sampled points are gathered and evaluated 2^SAMPLE_BITS at a time
+SAMPLE_BITS = 12
 # counts, dispersion variances and digit samples are formed 2^BLOCK_BITS at
 # a time
 BLOCK_BITS = 16
@@ -259,6 +266,13 @@ def _block_sums(kind: str, starts, pops, ls: np.ndarray,
     return starts + (low << pops)          # Sf(h 2^b) + 2^#(h) Sf(l)
 
 
+def _chunk_bits(j: int) -> int:
+    """b for the chunks of 2^b points of the octave [2^j, 2^(j+1)): half of
+    j, which balances the 2^(j-b) chunk bounds against the 2^b points of
+    each evaluated chunk, and at most CHUNK_BITS."""
+    return min(CHUNK_BITS, max(1, j // 2))
+
+
 def _chunk_starts(kind: str, j: int, b: int) -> Iterator[
         tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(h, #(h), S(h 2^b) or Sf(h 2^b)) for the chunks [h 2^b, (h+1) 2^b)
@@ -331,9 +345,10 @@ def _scan_extremes(kind: str, j_max: int,
     among the top octave points taking it.  Above j_max = 33 psi's values
     along an orbit can differ in the last bit, and so can its positions.
 
-    The octave is cut into chunks [h 2^b, (h+1) 2^b) of 2^b = 2^16 points
-    (one chunk up to j_max = 17), and `_chunk_values` is evaluated only on
-    the chunks that can hold an extreme.  For n = h 2^b + l with l < 2^b,
+    The octave is cut into chunks [h 2^b, (h+1) 2^b) of 2^b points, with
+    b = `_chunk_bits`(j_max - 1) (11 at j_max = 24, 16 from j_max = 33 on),
+    and `_chunk_values` is evaluated only on the chunks that can hold an
+    extreme.  For n = h 2^b + l with l < 2^b,
 
         S(n)  = S(h 2^b) + #(h) l + S(l)
         Sf(n) = Sf(h 2^b) + 2^#(h) Sf(l),
@@ -362,15 +377,16 @@ def _scan_extremes(kind: str, j_max: int,
 
     Everything is int64: S(n) < 2^45 and |2S - jn| < 2^53 below 2^40, and
     Sf(n) <= 3^j_max < 2^61 for j_max <= 38, the caps of `phi_statistics`
-    and `psi_statistics`.  No more than one chunk's points, or one block of
-    2^16 chunks' bounds, is held at a time.
+    and `psi_statistics`.  No more than one chunk's points, one block of
+    2^CHUNK_BITS chunks' bounds, or 2^SAMPLE_BITS samples' gathered sums
+    is held at a time, besides the sums returned.
 
     Values come from exact summatory counts but float64 numpy formulas,
     which can differ from `_sample_parts` in the last bit; callers evaluate
     that formula at the positions returned.
     """
     j = j_max - 1
-    b = min(CHUNK_BITS, j)
+    b = _chunk_bits(j)
     low_sums = _low_sums(kind, b)
     ls = np.arange(1 << b, dtype=np.int64)
     level_low, level_high = math.inf, -math.inf
@@ -383,10 +399,12 @@ def _scan_extremes(kind: str, j_max: int,
     sums = np.empty_like(samples)
     for hs, pops, starts, lower, upper in _chunk_bounds(kind, j, b, low_sums):
         start, stop = np.searchsorted(samples, (hs[0] << b, (hs[-1] + 1) << b))
-        at = samples[start:stop]
-        chunk, l = (at >> b) - hs[0], at & ((1 << b) - 1)
-        sums[start:stop] = _block_sums(
-            kind, starts[chunk], pops[chunk], l, low_sums[l])
+        for first in range(start, stop, 1 << SAMPLE_BITS):
+            last = min(first + (1 << SAMPLE_BITS), stop)
+            at = samples[first:last]
+            chunk, l = (at >> b) - hs[0], at & ((1 << b) - 1)
+            sums[first:last] = _block_sums(
+                kind, starts[chunk], pops[chunk], l, low_sums[l])
         candidates = ((lower <= level_low + SCAN_SLACK)
                       | (upper >= level_high - SCAN_SLACK))
         for k in np.flatnonzero(candidates):
@@ -433,21 +451,28 @@ def _sample_parts(kind: str, j: int, ns: np.ndarray,
     rounded, whether from int64 operands below 2^53 or, for object arrays
     of Python ints, by Python's int division (Sf(n) passes 2^53 above
     j = 33); log2 and the power are the scalar libm calls, which numpy's
-    own can miss by a last bit.
+    own can miss by a last bit.  The points are taken 2^SAMPLE_BITS at a
+    time, so no list of Python floats or ints spans all of them.
     """
-    f = (ns / (1 << j)).tolist()
-    xs = np.fromiter(map(math.log2, f), np.float64, len(ns))
+    xs, values = np.empty(len(ns)), np.empty(len(ns))
+    for first in range(0, len(ns), 1 << SAMPLE_BITS):
+        at = slice(first, first + (1 << SAMPLE_BITS))
+        f = (ns[at] / (1 << j)).tolist()
+        xs[at] = np.fromiter(map(math.log2, f), np.float64, len(f))
+        if kind == "phi":
+            quotients = np.asarray((2 * sums[at] - j * ns[at]) / (2 * ns[at]),
+                                   dtype=np.float64)
+            np.subtract(quotients, xs[at] / 2.0, out=values[at])
+        else:
+            quotients = np.fromiter(
+                map(operator.truediv, sums[at].tolist(), itertools.repeat(3**j)),
+                np.float64, len(f))
+            powers = np.fromiter(map(pow, f, itertools.repeat(-LOG2_3)),
+                                 np.float64, len(f))
+            np.multiply(quotients, powers, out=values[at])
     if kind == "phi":
-        quotients = np.asarray((2 * sums - j * ns) / (2 * ns), dtype=np.float64)
-        values = quotients - xs / 2.0
         outside, bound = ~(values <= 0.0), "is above its supremum 0"
     else:
-        quotients = np.fromiter(
-            map(operator.truediv, sums.tolist(), itertools.repeat(3**j)),
-            np.float64, len(ns))
-        powers = np.fromiter(map(pow, f, itertools.repeat(-LOG2_3)),
-                             np.float64, len(ns))
-        values = quotients * powers
         outside, bound = ~((values > 0.0) & (values <= 1.0)), "is outside (0, 1]"
     if outside.any():
         k = int(outside.argmax())
@@ -463,28 +488,36 @@ def _scan_statistics(kind: str, j_max: int, samples: int) -> FluctuationScan:
     ns = _log_uniform_samples(j_max - 1, samples)
     inf_at, sup_at, sums = _scan_extremes(kind, j_max, ns)
     xs, vals = _sample_parts(kind, j_max - 1, ns, sums)
+    del sums
 
     # trapezoid over one period; both endpoints sit at powers of two where
-    # the fluctuation takes its supremum value exactly, and ns[0] = 2^(j_max-1)
+    # the fluctuation takes its supremum value exactly, and ns[0] = 2^(j_max-1).
+    # widths * (v_i + v_(i+1)) / 2 with v_n = v_0 is formed in one buffer:
+    # + and * commute bit for bit
     xs_closed = np.concatenate([xs, [1.0]])
-    vals_closed = np.concatenate([vals, vals[:1]])
-    widths = np.diff(xs_closed)
-    mean = float(np.sum(widths * (vals_closed[:-1] + vals_closed[1:]) / 2.0))
+    trapezoids = np.concatenate([vals[1:], vals[:1]])
+    trapezoids += vals
+    trapezoids *= np.diff(xs_closed)
+    trapezoids /= 2.0
+    mean = float(np.sum(trapezoids))
+    del trapezoids
 
     # per-sample measure weights for percentiles and the density histogram
     weights = np.empty_like(vals)
     weights[0] = (xs_closed[1] - xs_closed[0]) / 2.0 + xs_closed[0]
-    weights[1:] = (xs_closed[2:] - xs_closed[:-2]) / 2.0
+    np.subtract(xs_closed[2:], xs_closed[:-2], out=weights[1:])
+    weights[1:] /= 2.0
+    del xs_closed
     weights /= weights.sum()
 
     order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
     cumw = np.cumsum(weights[order])
     percentiles = []
     for pct in DEFAULT_PERCENTILES:
         idx = int(np.searchsorted(cumw, pct / 100.0, side="left"))
-        idx = min(idx, len(sorted_vals) - 1)
-        percentiles.append((float(pct), float(sorted_vals[idx])))
+        idx = min(idx, len(vals) - 1)
+        percentiles.append((float(pct), float(vals[order[idx]])))
+    del order, cumw
 
     hist, edges = np.histogram(vals, bins=HISTOGRAM_BINS, weights=weights)
     histogram = tuple(
@@ -608,8 +641,22 @@ def _int_matrices(fam: MatrixFamily) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _abs_sum_max(table: np.ndarray, axis: int) -> int:
-    """Largest sum of absolute values along axis, in Python ints (no wrap)."""
-    return int(np.max(np.abs(table.astype(object)).sum(axis=axis)))
+    """Largest sum of absolute values along axis, exactly, in Python ints.
+
+    The sums of the n terms along axis are first taken in float64, where
+    each term is rounded once and each partial sum once, so each float sum
+    is within a relative 2 n 2^-53 of its exact sum whatever the order of
+    addition.  The line with the largest exact sum then has a float sum of
+    at least (1 - 4 n 2^-53) times the largest float sum; only the lines
+    above (1 - 8 n 2^-53) times it, a margin that also covers the rounding
+    of that cut, are summed again in Python ints, which cannot wrap.
+    """
+    lines = np.moveaxis(table, axis, -1)
+    n = lines.shape[-1]
+    magnitudes = lines.astype(np.float64)
+    approx = np.abs(magnitudes, out=magnitudes).sum(axis=-1)
+    near = lines[approx >= approx.max() * (1.0 - 8 * n * 2.0**-53)]
+    return max(sum(map(abs, line)) for line in near.tolist())
 
 
 def _check_bound(factor: np.ndarray, growth: int, bits: int = 63) -> None:
@@ -717,8 +764,10 @@ def _count_tables(fam: MatrixFamily, rep: LinearRepresentation, n_top: int
     rows = _doubling_table(np.array(u_int, dtype=np.int64), mats, levels - lo)
     cols = _column_table(v_int, mats, lo)
     _check_bound(rows, max(_abs_sum_max(v_int, 0), _abs_sum_max(cols, 0)), 53)
-    rows, cols, v = (table.astype(np.float64) for table in (rows, cols, v_int))
-    return rows, cols, v, u_den * v_den
+    # one table at a time, so that each int64 table is freed once converted
+    rows = rows.astype(np.float64)
+    cols = cols.astype(np.float64)
+    return rows, cols, v_int.astype(np.float64), u_den * v_den
 
 
 def _count_blocks(tables: tuple[np.ndarray, np.ndarray, np.ndarray, int],

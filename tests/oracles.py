@@ -23,6 +23,8 @@ to a number the package computes another way.
   every chunk, which `digitsum._scan_extremes` must match.
 - `gf2_row_counts_direct` multiplies the GF(2) row by p once per n, with no
   Frobenius step; `digitsum.gf2_row_counts` must yield the same counts.
+- `abs_sum_max_object` bounds a table's absolute sums on a numpy object
+  array of Python ints; `digitsum._abs_sum_max` must return the same int.
 - `empirical_dispersion_full` takes every octave's variances by np.var on
   the whole prefix, and `digit_distribution_compare_full` draws all the
   samples in one call and reads CDFs and moments off the sample arrays;
@@ -279,10 +281,11 @@ def psi_parts(n: int, s: int) -> tuple[float, float]:
     return math.log2(f), value
 
 
-def octave_sums(kind: str, j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(ns, S(n) or Sf(n)) over n in [2^j, 2^(j+1)) in 2^16-point chunks,
+def octave_sums(kind: str, j: int, bits: int = 16
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(ns, S(n) or Sf(n)) over n in [2^j, 2^(j+1)) in 2^bits-point chunks,
     by a running sum of every point's digit sum."""
-    chunk = 1 << 16
+    chunk = 1 << bits
     lo, top = 1 << j, 1 << (j + 1)
     # S(2^j) = j 2^(j-1) and Sf(2^j) = 3^j start the running sums
     running = j << j >> 1 if kind == "phi" else 3**j
@@ -332,6 +335,11 @@ def gf2_row_counts_direct(mask: int, n_max: int) -> Iterator[int]:
         for i in shifts:
             acc ^= row << i
         row = acc
+
+
+def abs_sum_max_object(table: np.ndarray, axis: int) -> int:
+    """Largest sum of absolute values along axis, over Python ints."""
+    return int(np.max(np.abs(table.astype(object)).sum(axis=axis)))
 
 
 def empirical_dispersion_full(family, j_max: int = 20,

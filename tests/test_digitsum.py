@@ -149,10 +149,11 @@ class TestFluctuationScans:
                 full_range_extremes(kind, j_max), j_max
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
-    @pytest.mark.parametrize("j_max", [21, 22, 23, 24])
+    @pytest.mark.parametrize("j_max", [21, 22, 23, 24, 25, 26])
     def test_pruned_scan_matches_full_sweep(self, kind, j_max):
         """Skipping chunks changes nothing: the positions and the sums at
-        the default samples equal those of a sweep over every chunk."""
+        the default samples equal those of a sweep over every chunk, for
+        chunks of 2^10 to 2^12 points."""
         samples = ds._log_uniform_samples(j_max - 1, 1 << 16)
         inf_at, sup_at, sums = ds._scan_extremes(kind, j_max, samples)
         want_inf_at, want_sup_at, want_sums = oracles.sweep_extremes(
@@ -175,17 +176,31 @@ class TestFluctuationScans:
             assert np.array_equal(sums, want_sums), j_max
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
+    @pytest.mark.parametrize("j_max", [30, 34])
+    def test_chunk_width_changes_nothing(self, kind, j_max, monkeypatch):
+        """The positions and sample sums under `_chunk_bits` equal those
+        under chunks of 2^CHUNK_BITS points, past the sweeps' reach."""
+        samples = ds._log_uniform_samples(j_max - 1, 1 << 16)
+        inf_at, sup_at, sums = ds._scan_extremes(kind, j_max, samples)
+        monkeypatch.setattr(ds, "_chunk_bits",
+                            lambda j: min(ds.CHUNK_BITS, j))
+        want_inf_at, want_sup_at, want_sums = ds._scan_extremes(
+            kind, j_max, samples)
+        assert (inf_at, sup_at) == (want_inf_at, want_sup_at)
+        assert np.array_equal(sums, want_sums)
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_chunk_values_lie_in_their_bounds(self, kind):
         """Every chunk's values, from the full sweep, lie within
         SCAN_SLACK of the interval `_chunk_bounds` gives it, and the
         starts and digit sums it reports are the sweep's."""
         for j_max in range(12, 21):
             j = j_max - 1
-            b = min(ds.CHUNK_BITS, j)
-            # at most 8 chunks here, so one block
+            b = ds._chunk_bits(j)
+            # at most 2^10 chunks here, so one block
             (hs, pops, starts, lower, upper), = ds._chunk_bounds(
                 kind, j, b, ds._low_sums(kind, b))
-            swept = list(oracles.octave_sums(kind, j))
+            swept = list(oracles.octave_sums(kind, j, b))
             assert len(swept) == len(hs)
             assert pops.tolist() == [h.bit_count() for h in hs.tolist()]
             for k, (ns, sums) in enumerate(swept):
@@ -272,15 +287,18 @@ class TestFluctuationScans:
 
     @pytest.mark.parametrize("kind", ["phi", "psi"])
     def test_samples_across_chunks(self, kind):
-        """At j_max = 20 the top octave spans eight 65536-point chunks of
-        the sweep; the sums it reads off at samples on either side of every
-        chunk edge, and the values formed from them, equal the oracle."""
+        """At j_max = 20 the scan cuts the top octave into 1024 chunks of
+        512 points; the sums it reads off at samples on either side of every
+        chunk edge, and the values formed from them, equal the oracle.  The
+        5,000-odd samples span two 4096-sample blocks."""
         parts, summatory = ((oracles.phi_parts, ds.summatory_digit_sum)
                             if kind == "phi" else (oracles.psi_parts, ds.summatory_f))
-        j, chunk = 19, 1 << 16
-        edges = [(1 << j) + k * chunk + d for k in range(9) for d in (-1, 0, 1)]
+        j = 19
+        chunk = 1 << ds._chunk_bits(j)
+        edges = [(1 << j) + k * chunk + d
+                 for k in range((1 << j) // chunk + 1) for d in (-1, 0, 1)]
         samples = np.unique(np.concatenate([
-            ds._log_uniform_samples(j, 1000),
+            ds._log_uniform_samples(j, 2000),
             np.clip(edges, 1 << j, (1 << (j + 1)) - 1)])).astype(np.int64)
         _, _, sums = ds._scan_extremes(kind, j + 1, samples)
         assert sums.tolist() == [summatory(n) for n in samples.tolist()]
@@ -308,6 +326,21 @@ class TestFluctuationScans:
             ds._sample_parts("phi", 2, ns, ns * ns)
         with pytest.raises(ArithmeticError, match="psi\\(6\\)"):
             ds._sample_parts("psi", 2, ns, 0 * ns)
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_memory_stays_at_a_few_sample_arrays(self, kind):
+        """Besides the three 65,537-sample arrays returned (1.5 MB), no step
+        holds more than a few arrays of that size, nor a 2^16-point chunk:
+        the traced peak stays under 5 MB."""
+        stats = ds.phi_statistics if kind == "phi" else ds.psi_statistics
+        stats(24)
+        tracemalloc.start()
+        try:
+            stats(24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
 
     def test_csv_rows(self):
         scan = ds.phi_statistics(j_max=10, samples_per_octave=256)
@@ -565,6 +598,29 @@ class TestWordProducts:
                                    validated_n=0)
         with pytest.raises(OverflowError):
             ds.counts_via_representation(fam, rep, 2)
+
+    def test_abs_sum_max_equals_python_ints(self):
+        """Exact where float64 sums are not: entries near 2^62 and at -2^63,
+        lines whose sums tie in float64, and a line whose float sum is the
+        largest although its exact sum is not."""
+        rng = np.random.default_rng(62)
+        big = 1 << 62
+        random_table = rng.integers(-big, big, size=(6, 500), dtype=np.int64)
+        random_table[rng.random((6, 500)) < 0.1] = -big - 3
+        random_table[0, 7] = np.iinfo(np.int64).min
+        near_ties = np.array([[big - c % 7, -(big - c % 5), c % 3]
+                              for c in range(300)], dtype=np.int64)
+        # float64 sums: 2^62 + 1024 for the first line, 2^62 for the second
+        misleading = np.array([[big + 513, 0, 0, 0], [big, 300, 300, 300]],
+                              dtype=np.int64)
+        for table in (random_table, near_ties, misleading):
+            for axis in range(table.ndim):
+                assert ds._abs_sum_max(table, axis) == \
+                    oracles.abs_sum_max_object(table, axis), axis
+        assert ds._abs_sum_max(misleading, 1) == big + 900
+        for line in (misleading[1], random_table[0], -random_table[:, 3]):
+            assert ds._abs_sum_max(line, 0) == \
+                oracles.abs_sum_max_object(line, 0)
 
     def test_count_table_overflow_raises(self):
         rep = LinearRepresentation(family="big", u=(1, 0), v=(1, 1),
