@@ -1,98 +1,65 @@
-"""Time the digit-sum layer's CLI commands, or another layer's, per side.
+"""Time lyapdisp's layers side by side, one source tree per side.
 
-The digit-sum commands are `phi` and `psi` at --jmax 24, 28 and 34 and at
-their caps (40 for phi, 38 for psi), writing both CSV tables,
-`dispersion --jmax 20` on h4 and g5, `dispersion` on h4
-at --jmax 23 and at its limit 30, `digits` at the benchmark's crosscheck
-settings (a = 3, b = 0, j = 24, 10^6 samples) and `fit` on h4.  Each
-command runs as its own `python -m lyapdisp.cli` process against the
-given source trees, so interpreter start-up and import are part of every
-time, as they are for a user.  The sides
-alternate which runs first from one repetition to the next; one untimed
-run per command and side comes first so that byte-compiling the tree is
-not timed.  Per command and side
-the file records every wall time, their median, the peak resident set
-size of each process (from its own rusage), its exit status and the
-SHA-1 of its stdout and of each file it writes (`phi`/`psi` write their
---csv and --density-csv tables to a temporary directory per side).  Sides
-that claim identical output must agree on all of these; `identical_outputs`
-records per command whether they do, and the script exits 1 after writing
-the file if one does not, or if a command failed on every side.
+Each side is LABEL=SRC, a label and the src/ directory its processes
+import.  Every mode measures alike: one untimed run per side, so that
+byte-compiling a tree is not timed, then REPEAT runs per side
+(TIER1_REPEAT for --tier1), the sides alternating which goes first from
+one repetition to the next.  A run is either fresh processes, one per
+command, so that start-up and import are timed as a user meets them, or
+calls into a worker: a process that imports one side's src/ (this file
+run as `bench_layers.py serve`, that src/ on PYTHONPATH), reads one JSON
+line [function, *args] at a time and answers with one JSON line of what
+that function of this file returns.  The script never imports lyapdisp;
+it asks a worker.  Each mode writes one JSON file (--out, default
+BENCH_<mode>.json, BENCH_digitsum.json without a mode flag) and exits 1
+after writing it if runs that must agree do not.
 
-    python3 scripts/bench_layers.py parent=../parent/src change=src \
-        --out BENCH_digitsum.json
+    python3 scripts/bench_layers.py parent=../parent/src change=src [--mc]
 
-With --conjugated it times `exponents --max-len 18` on diagonally
-conjugated copies of all 8 built-in families instead, in the same way, and
-`exponents --max-len 22` on a sheared copy of h4.  The script writes the
-family files once per run and every run of every side reads the same
-files.  The diagonal copies are under D -> Q^-1 D Q for a random positive
-diagonal Q with entries a/b, a and b uniform on 1..9 (drawn from a fixed
-seed, the way the benchmark's crosscheck workload draws them); scans
-balance them back to integer pairs.  The sheared copy is under
-Q = I + E01 / 3, which leaves a 3 in a diagonal denominator, so it has no
-integral diagonal conjugate and scans round its fractions to float64.  Of
-the built-in families only g2 and h4 stay nonnegative under that shear, as
-a family file must, and g2 has one word per length.  Per side and family
-file it also records `exactmat.diagonal_balance` timed in process: the
-median over the side's REPEAT processes of each process's median call, in
-microseconds.
+Without a mode flag, --mc and --conjugated run COMMANDS (the digit-sum
+layer), MC_COMMANDS (Monte Carlo, and `fit`, whose GF(2) row counts are
+its exact check) or CONJUGATED_COMMANDS (`exponents` on the family files
+of `write_conjugated`, written once by a worker of the first side), each
+as a fresh `python -m lyapdisp.cli` process.  Per command and side the
+file records every wall time and peak resident set size (from the
+process's own rusage), their medians, the exit statuses and the SHA-1s of
+stdout and of each file written (to a temporary directory per side).
+`identical_outputs` says per command whether every run on every side
+agreed on these; a command that differs, or failed on every side, is an
+error.  --conjugated also records `balance` per side and family file, in
+a fresh worker per run: the median over the runs, in µs.
 
-    python3 scripts/bench_layers.py parent=../parent/src change=src \
-        --conjugated --out BENCH_conjugated.json
+--tier1 runs the tier-1 tests in the checkout that holds each src/ and
+records every wall time, their median and pytest's summary line; a run
+with failing tests is an error.
 
-With --mc it times the Monte Carlo layer instead, in the same way:
-`simulate --csv` on h4 and g5 at the benchmark's crosscheck settings (k 256,
-5,000 trials), h4 at the default 100,000 trials, `simulate --t 2` on g3 at
-the benchmark's settings and at the defaults, and `fit` on h4 and g5, whose
-GF(2) row counts are its exact check.
+--scan runs `scan` in one worker per side on every family at the
+benchmark depth (28, or 25 for q = 3), without t samples and with the
+benchmark's 10-point L(t) grid, at threads 1 and 2.  Per case it records
+each side's wall times and median words/s, whether both sides counted the
+same words and each side's scans were identical at 1 and 2 threads (an
+error if not), and the largest relative difference of sum_ln, sum_ln2 and
+pow_sums between the first side and each other side.
 
-    python3 scripts/bench_layers.py parent=../parent/src change=src --mc
-
-With --tier1 it times the tier-1 test command instead, run in the checkout
-that holds each src/ directory, in the same alternating order after one
-untimed run per side.  Per side the file records every wall time, their
-median and pytest's summary line; a run with failing tests is an error.
-
-    python3 scripts/bench_layers.py parent=../parent/src change=src --tier1
-
-With --scan it times `words.scan_corner_stats` itself, in one long-lived
-process per side: every family at the benchmark depth (28, or 25 for
-q = 3), without t samples and with the benchmark's 10-point L(t) grid, at
-threads 1 and 2.  Each case runs once untimed per side, then REPEAT times
-per side with the sides alternating which runs first.  Per case the file
-records each side's wall times and median words/s, whether both sides
-counted the same words, whether each side's scans were identical at 1
-and 2 threads, and the largest relative difference of sum_ln, sum_ln2 and
-pow_sums between the first side and each other side; the script exits 1
-after writing the file if counts or one side's runs differ.
-
-    python3 scripts/bench_layers.py parent=../parent/src change=src --scan
-
-With --lt it times the layers above the scan, in one long-lived process per
-side: `gle.exponents` at the benchmark's `exponents` settings (depth 28,
-the 10-point t grid, one thread) on g3, h3, g4 and h4, and the one-sample
-`gle.l_of_t` of `lt --family g3 --t 2` (default depth).  Each process
-replaces `words.scan_corner_stats` with the family's ScanStats, scanned
-once before any timing, so a call times the factorization, lambda, kappa
-and mu, the L(t) root finding and the replica, but no scan.  A run times
-LT_CALLS calls and reports their median; each case runs once untimed per
-side, then REPEAT runs per side with the sides alternating which runs
-first.  Per case the file records each side's run medians and their
-median, and whether every call on every side gave the same samples (or
-the same error) and the same lambda, kappa and mu; the script exits 1
-after writing the file if one did not.
-
-    python3 scripts/bench_layers.py parent=../parent/src change=src --lt
+--lt runs `lt` in one worker per side on LT_CASES: `exponents` at the
+benchmark's settings on g3, h3, g4 and h4, and `lt --family g3 --t 2`.
+Each call is served a scan made before any timing, so it times the
+factorization, lambda, kappa and mu, the L(t) root finding and the
+replica.  Per case it records each side's run medians and their median,
+and whether every call on every side gave the same samples (or error) and
+the same lambda, kappa and mu (an error if not).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import math
 import os
+import pathlib
 import platform
 import random
 import statistics
@@ -141,23 +108,8 @@ CONJUGATED_COMMANDS = tuple(
     for name in SHEARED
 )
 CONJUGATED_SEED = 1
-# --conjugated: a side's process calls exactmat.diagonal_balance argv[1]
-# times on each family file after it and prints {family: median µs}
+# calls of exactmat.diagonal_balance per family file in one --conjugated run
 BALANCE_CALLS = 101
-BALANCE_WORKER = """
-import json, statistics, sys, time
-from lyapdisp import catalog, exactmat
-medians = {}
-for path in sys.argv[2:]:
-    fam = catalog.load_family_file(path)
-    walls = []
-    for _ in range(int(sys.argv[1])):
-        start = time.perf_counter()
-        exactmat.diagonal_balance(fam.d0.rows, fam.d1.rows)
-        walls.append(time.perf_counter() - start)
-    medians[fam.name] = round(statistics.median(walls) * 1e6, 1)
-print(json.dumps(medians))
-"""
 MC_COMMANDS = (
     ("simulate", "--family", "h4", "--k", "256", "--trials", "5000",
      "--csv", "{out}/sim-h4.csv"),
@@ -178,71 +130,19 @@ TIER1_REPEAT = 3
 SCAN_MAX_LEN = {1: 28, 2: 28, 3: 25}
 SCAN_GRID = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 SCAN_THREADS = (1, 2)
-# A side's scan process: reads one JSON case per line, answers one line of
-# the wall time and the ScanStats fields.
-SCAN_WORKER = """
-import json, sys, time
-from lyapdisp import catalog, conjugate, words
-for line in sys.stdin:
-    name, max_len, ts, threads = json.loads(line)
-    fam = catalog.get_family(name)
-    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, name)
-    start = time.perf_counter()
-    stats = words.scan_corner_stats(fact, max_len, ts=ts, threads=threads)
-    wall = time.perf_counter() - start
-    print(json.dumps([wall, stats.counts, stats.sum_ln, stats.sum_ln2,
-                      stats.pow_sums]), flush=True)
-"""
-
 # --lt: (kind, family, max_len or None for the default, ts)
 LT_CASES = tuple(("exponents", name, 28, SCAN_GRID)
                  for name in ("g3", "h3", "g4", "h4")) + (
     ("lt", "g3", None, (2.0,)),
 )
 LT_CALLS = 11
-# A side's process for --lt: reads one JSON case per line, answers one line
-# of the median wall time of LT_CALLS calls and the last call's outcome.
-LT_WORKER = """
-import json, statistics, sys, time
-from lyapdisp import catalog, conjugate, gle, words
-scan = words.scan_corner_stats
-scanned = {}
-words.scan_corner_stats = lambda fact, max_len, ts=(), threads=None: (
-    scanned[fact.family, max_len, tuple(ts)])
-for line in sys.stdin:
-    kind, name, max_len, ts, calls = json.loads(line)
-    fam = catalog.get_family(name)
-    depth = gle.default_max_len(fam.q) if max_len is None else max_len
-    if (name, depth, tuple(ts)) not in scanned:
-        fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, name)
-        scanned[name, depth, tuple(ts)] = scan(fact, depth, ts=ts, threads=1)
-    walls = []
-    for _ in range(calls):
-        start = time.perf_counter()
-        try:
-            if kind == "lt":
-                out = gle.l_of_t(name, ts[0], max_len=max_len)
-            else:
-                report = gle.exponents(name, max_len=max_len, threads=1,
-                                       lt_samples=ts)
-                out = [report.l_samples] + [
-                    [v.accel, v.err, v.depth]
-                    for v in (report.lam, report.kappa, report.mu)]
-        except ArithmeticError as exc:
-            out = [type(exc).__name__, str(exc)]
-        walls.append(time.perf_counter() - start)
-    print(json.dumps([statistics.median(walls), out]), flush=True)
-"""
 
 
 def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
+        for line in fh:
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
     return platform.machine()
 
 
@@ -250,38 +150,67 @@ def sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-def run_once(src: str, argv: tuple[str, ...], out: str, fam: str = ""
-             ) -> tuple[float, float, str, tuple[str, ...], int]:
-    """(wall s, peak RSS MB, stdout SHA-1, SHA-1 of each written file, exit
-    status) of one fresh CLI process, with {out} in argv set to the
-    directory out and {fam} to the directory fam."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = tuple(arg.format(out=out, fam=fam) for arg in argv)
-    written = [arg for arg in argv if arg.startswith(out + os.sep)]
-    for path in written:
-        if os.path.exists(path):
-            os.remove(path)
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "lyapdisp.cli", *argv],
-                            env=env, stdout=subprocess.PIPE)
-    stdout = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    files = []
-    for path in written:
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                files.append(sha1(fh.read()))
-    return (wall, usage.ru_maxrss / 1024.0, sha1(stdout), tuple(files),
-            os.waitstatus_to_exitcode(status))
+def side_env(src: str) -> dict[str, str]:
+    """This process's environment with src as the only PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
 
 
-def write_conjugated(src: str, directory: str) -> None:
-    """Write CONJUGATED under a seeded random diagonal similarity and
-    SHEARED under Q = I + E01 / 3, as JSON family files named
-    <family>-conj.json and <family>-shear.json, built from src's catalog."""
-    sys.path.insert(0, os.path.abspath(src))
+def alternate(sides: dict[str, str], repeat: int, run) -> tuple[dict, dict]:
+    """({label: untimed result}, {label: [timed results]}) of run(label):
+    once per side, then `repeat` times per side with the sides alternating
+    which goes first."""
+    warm = {label: run(label) for label in sides}
+    runs = {label: [] for label in sides}
+    order = list(sides)
+    for rep in range(repeat):
+        for label in order if rep % 2 == 0 else order[::-1]:
+            runs[label].append(run(label))
+    return warm, runs
+
+
+@contextlib.contextmanager
+def workers(sides: dict[str, str]):
+    """{label: ask}: ask(function, *args) is function(*args) as run by a
+    worker process that imports the side's src/, one JSON line each way."""
+    procs = {label: subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "serve"], text=True,
+        env=side_env(src), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        for label, src in sides.items()}
+
+    def asker(proc):
+        def ask(function, *args):
+            proc.stdin.write(json.dumps([function.__name__, *args]) + "\n")
+            proc.stdin.flush()
+            return json.loads(proc.stdout.readline())
+        return ask
+
+    try:
+        yield {label: asker(proc) for label, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            proc.communicate()  # closes its stdin, so the worker exits
+
+
+def serve() -> None:
+    """A worker's loop: answer each [function, *args] line on stdin."""
+    for line in sys.stdin:
+        name, *args = json.loads(line)
+        print(json.dumps(globals()[name](*args)), flush=True)
+
+
+# -- what a worker runs, on its side's lyapdisp
+
+def write_conjugated(directory: str) -> None:
+    """Write CONJUGATED and SHEARED as family files <family>-conj.json and
+    <family>-shear.json.
+
+    The diagonal copies are Q^-1 D Q for a positive diagonal Q of entries
+    a/b, a and b uniform on 1..9 from a fixed seed (as the benchmark's
+    crosscheck workload draws them); scans balance them back to integers.
+    The shear Q = I + E01 / 3 leaves a 3 in a diagonal denominator, so
+    scans round those copies to float64.  Of the built-ins only g2 and h4
+    stay nonnegative under it, and g2 has one word per length.
+    """
     from lyapdisp import catalog
 
     def write(fam, suffix, conj):
@@ -312,27 +241,136 @@ def write_conjugated(src: str, directory: str) -> None:
         write(catalog.get_family(name), "shear", shear)
 
 
-def bench(sides: dict[str, str], commands=COMMANDS, fam: str = "") -> dict:
-    runs = {label: {" ".join(argv): [] for argv in commands} for label in sides}
+def balance(paths: list[str]) -> dict[str, float]:
+    """{family: median µs of BALANCE_CALLS exactmat.diagonal_balance calls}
+    for each family file."""
+    from lyapdisp import catalog, exactmat
+
+    medians = {}
+    for path in paths:
+        fam = catalog.load_family_file(path)
+        walls = []
+        for _ in range(BALANCE_CALLS):
+            start = time.perf_counter()
+            exactmat.diagonal_balance(fam.d0.rows, fam.d1.rows)
+            walls.append(time.perf_counter() - start)
+        medians[fam.name] = round(statistics.median(walls) * 1e6, 1)
+    return medians
+
+
+def scan_cases() -> list[tuple[str, int, tuple]]:
+    """(family, max_len, ts) for every case of --scan."""
+    from lyapdisp import catalog
+
+    return [(name, SCAN_MAX_LEN[catalog.get_family(name).q], ts)
+            for name in catalog.family_names()
+            for ts in ((), SCAN_GRID)]
+
+
+def factorization(name: str):
+    """The built-in family's sentinel factorization, which a scan takes."""
+    from lyapdisp import catalog, conjugate
+
+    fam = catalog.get_family(name)
+    return conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, name)
+
+
+def scan(name: str, max_len: int, ts: list, threads: int) -> tuple:
+    """(wall s, [counts, sum_ln, sum_ln2, pow_sums]) of one scan."""
+    from lyapdisp import words
+
+    fact = factorization(name)
+    start = time.perf_counter()
+    stats = words.scan_corner_stats(fact, max_len, ts=ts, threads=threads)
+    wall = time.perf_counter() - start
+    return wall, [stats.counts, stats.sum_ln, stats.sum_ln2, stats.pow_sums]
+
+
+@functools.cache
+def scanned(name: str, depth: int, ts: tuple):
+    """The family's ScanStats, scanned once per worker on one thread."""
+    from lyapdisp import words
+
+    return words.scan_corner_stats(factorization(name), depth, ts=ts,
+                                   threads=1)
+
+
+def lt(kind: str, name: str, max_len: int | None, ts: list, calls: int
+       ) -> tuple:
+    """(median wall s, last outcome) of `calls` calls of gle.l_of_t (kind
+    'lt') or gle.exponents, with the scan they ask for served from
+    `scanned`; an ArithmeticError's outcome is its type and message."""
+    from lyapdisp import catalog, gle, words
+
+    depth = (gle.default_max_len(catalog.get_family(name).q)
+             if max_len is None else max_len)
+    served = {(name, depth, tuple(ts)): scanned(name, depth, tuple(ts))}
+    real, words.scan_corner_stats = words.scan_corner_stats, (
+        lambda fact, max_len, ts=(), threads=None:
+        served[fact.family, max_len, tuple(ts)])
+    walls = []
+    try:
+        for _ in range(calls):
+            start = time.perf_counter()
+            try:
+                if kind == "lt":
+                    out = gle.l_of_t(name, ts[0], max_len=max_len)
+                else:
+                    report = gle.exponents(name, max_len=max_len, threads=1,
+                                           lt_samples=ts)
+                    out = [report.l_samples] + [
+                        [v.accel, v.err, v.depth]
+                        for v in (report.lam, report.kappa, report.mu)]
+            except ArithmeticError as exc:
+                out = [type(exc).__name__, str(exc)]
+            walls.append(time.perf_counter() - start)
+    finally:
+        words.scan_corner_stats = real
+    return statistics.median(walls), out
+
+
+# -- the modes
+
+def run_once(src: str, argv: tuple[str, ...], out: str, fam: str = ""
+             ) -> tuple[float, float, str, tuple[str, ...], int]:
+    """(wall s, peak RSS MB, stdout SHA-1, SHA-1 of each written file, exit
+    status) of one fresh CLI process, with {out} in argv set to the
+    directory out and {fam} to the directory fam."""
+    argv = tuple(arg.format(out=out, fam=fam) for arg in argv)
+    written = [arg for arg in argv if arg.startswith(out + os.sep)]
+    for path in written:
+        if os.path.exists(path):
+            os.remove(path)
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "lyapdisp.cli", *argv],
+                            env=side_env(src), stdout=subprocess.PIPE)
+    stdout = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    files = tuple(sha1(pathlib.Path(path).read_bytes()) for path in written
+                  if os.path.exists(path))
+    return (wall, usage.ru_maxrss / 1024.0, sha1(stdout), files,
+            proc.returncode)
+
+
+def bench(sides: dict[str, str], repeat: int, commands: tuple,
+          fam: str = "") -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         outs = {label: os.path.join(tmp, label) for label in sides}
-        for label, src in sides.items():
-            os.mkdir(outs[label])
-            for argv in commands:
-                run_once(src, argv, outs[label], fam)
-        order = list(sides)
-        for rep in range(REPEAT):
-            for label in order if rep % 2 == 0 else order[::-1]:
-                for argv in commands:
-                    runs[label][" ".join(argv)].append(
-                        run_once(sides[label], argv, outs[label], fam))
+        for out in outs.values():
+            os.mkdir(out)
+        _, runs = alternate(sides, repeat, lambda label: [
+            run_once(sides[label], argv, outs[label], fam)
+            for argv in commands])
     result = {}
-    for label, per_command in runs.items():
+    for label, reps in runs.items():
         result[label] = {}
-        for command, samples in per_command.items():
+        for argv, samples in zip(commands, zip(*reps)):
             walls = [round(wall, 4) for wall, *_ in samples]
             rss = [round(mb, 1) for _, mb, *_ in samples]
-            result[label][command] = {
+            result[label][" ".join(argv)] = {
                 "wall_s": walls,
                 "median_wall_s": round(statistics.median(walls), 4),
                 "peak_rss_mb": rss,
@@ -344,21 +382,17 @@ def bench(sides: dict[str, str], commands=COMMANDS, fam: str = "") -> dict:
     return result
 
 
-def bench_balance(sides: dict[str, str], directory: str) -> dict:
-    """Per side and family file in directory: the median over REPEAT
-    processes, the sides alternating, of BALANCE_WORKER's median µs."""
+def bench_balance(sides: dict[str, str], repeat: int, directory: str) -> dict:
+    """Per side and family file in directory: the median over the runs,
+    a fresh worker each, of `balance`'s median µs."""
     paths = sorted(os.path.join(directory, name)
                    for name in os.listdir(directory))
-    runs = {label: [] for label in sides}
-    order = list(sides)
-    for rep in range(REPEAT):
-        for label in order if rep % 2 == 0 else order[::-1]:
-            proc = subprocess.run(
-                [sys.executable, "-c", BALANCE_WORKER, str(BALANCE_CALLS),
-                 *paths], env=dict(os.environ, PYTHONPATH=os.path.abspath(
-                     sides[label])), capture_output=True, text=True,
-                check=True)
-            runs[label].append(json.loads(proc.stdout))
+
+    def run(label):
+        with workers({label: sides[label]}) as ask:
+            return ask[label](balance, paths)
+
+    _, runs = alternate(sides, repeat, run)
     return {label: {name: statistics.median(run[name] for run in samples)
                     for name in samples[0]}
             for label, samples in runs.items()}
@@ -378,11 +412,10 @@ def identical_outputs(sides: dict) -> dict[str, bool]:
 
 def run_tier1(src: str) -> tuple[float, str]:
     """(wall s, pytest summary line) of the tier-1 tests in src's checkout."""
-    src = os.path.abspath(src)
-    env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=os.path.dirname(src),
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *TIER1],
+                          cwd=os.path.dirname(os.path.abspath(src)),
+                          env=side_env(src), capture_output=True, text=True)
     wall = time.perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1]
     if proc.returncode != 0:
@@ -391,14 +424,8 @@ def run_tier1(src: str) -> tuple[float, str]:
     return wall, summary.rsplit(" in ", 1)[0]
 
 
-def bench_tier1(sides: dict[str, str]) -> dict:
-    runs = {label: [] for label in sides}
-    for src in sides.values():
-        run_tier1(src)
-    order = list(sides)
-    for rep in range(TIER1_REPEAT):
-        for label in order if rep % 2 == 0 else order[::-1]:
-            runs[label].append(run_tier1(sides[label]))
+def bench_tier1(sides: dict[str, str], repeat: int) -> dict:
+    _, runs = alternate(sides, repeat, lambda label: run_tier1(sides[label]))
     result = {}
     for label, samples in runs.items():
         walls = [round(wall, 2) for wall, _ in samples]
@@ -408,16 +435,6 @@ def bench_tier1(sides: dict[str, str]) -> dict:
             "summary": sorted({summary for _, summary in samples}),
         }
     return result
-
-
-def scan_cases(src: str) -> list[tuple[str, int, tuple]]:
-    """(family, max_len, ts) for every case of --scan, from src's catalog."""
-    sys.path.insert(0, os.path.abspath(src))
-    from lyapdisp import catalog
-
-    return [(name, SCAN_MAX_LEN[catalog.get_family(name).q], ts)
-            for name in catalog.family_names()
-            for ts in ((), SCAN_GRID)]
 
 
 def max_rel_diff(got, want) -> float:
@@ -430,37 +447,20 @@ def max_rel_diff(got, want) -> float:
     return worst
 
 
-def bench_scan(sides: dict[str, str]) -> dict:
-    workers = {
-        label: subprocess.Popen(
-            [sys.executable, "-c", SCAN_WORKER], text=True,
-            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        for label, src in sides.items()
-    }
-
-    def scan(label, case):
-        """(wall s, [counts, sum_ln, sum_ln2, pow_sums]) of one scan."""
-        workers[label].stdin.write(json.dumps(case) + "\n")
-        workers[label].stdin.flush()
-        wall, *stats = json.loads(workers[label].stdout.readline())
-        return wall, stats
-
+def bench_scan(sides: dict[str, str], repeat: int) -> dict:
     order = list(sides)
     first = order[0]
     cases = {}
-    try:
-        for name, max_len, ts in scan_cases(sides[first]):
+    with workers(sides) as ask:
+        for name, max_len, ts in ask[first](scan_cases):
             # every result of one side at any thread count
             results = {label: [] for label in order}
             for threads in SCAN_THREADS:
-                case = (name, max_len, ts, threads)
-                runs = {label: [] for label in order}
+                warm, runs = alternate(sides, repeat, lambda label: ask[label](
+                    scan, name, max_len, ts, threads))
                 for label in order:
-                    results[label].append(scan(label, case)[1])
-                for rep in range(REPEAT):
-                    for label in order if rep % 2 == 0 else order[::-1]:
-                        runs[label].append(scan(label, case))
+                    results[label] += [stats for _, stats in
+                                       [warm[label], *runs[label]]]
                 words = sum(results[first][0][0])
                 cases[f"{name} L={max_len} ts={len(ts)} threads={threads}"] = {
                     label: {
@@ -470,8 +470,6 @@ def bench_scan(sides: dict[str, str]) -> dict:
                     }
                     for label, samples in runs.items()
                 }
-                for label, samples in runs.items():
-                    results[label] += [stats for _, stats in samples]
             counts, sum_ln, sum_ln2, pow_sums = results[first][0]
             cases[f"{name} L={max_len} ts={len(ts)}"] = {
                 "words": sum(counts),
@@ -494,54 +492,28 @@ def bench_scan(sides: dict[str, str]) -> dict:
                     for label in order[1:]
                 },
             }
-    finally:
-        for proc in workers.values():
-            proc.stdin.close()
-            proc.wait()
     return cases
 
 
-def bench_lt(sides: dict[str, str]) -> dict:
-    workers = {
-        label: subprocess.Popen(
-            [sys.executable, "-c", LT_WORKER], text=True,
-            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        for label, src in sides.items()
-    }
-
-    def run(label, case, calls):
-        """(median wall s, outcome as JSON text) of one run."""
-        workers[label].stdin.write(json.dumps([*case, calls]) + "\n")
-        workers[label].stdin.flush()
-        wall, out = json.loads(workers[label].stdout.readline())
-        return wall, json.dumps(out)
-
-    order = list(sides)
+def bench_lt(sides: dict[str, str], repeat: int) -> dict:
     cases = {}
-    try:
-        for case in LT_CASES:
-            kind, name, max_len, ts = case
-            outcomes = {run(label, case, 1)[1] for label in order}
-            runs = {label: [] for label in order}
-            for rep in range(REPEAT):
-                for label in order if rep % 2 == 0 else order[::-1]:
-                    wall, out = run(label, case, LT_CALLS)
-                    runs[label].append(round(wall * 1e3, 3))
-                    outcomes.add(out)
+    with workers(sides) as ask:
+        for kind, name, max_len, ts in LT_CASES:
+            warm, runs = alternate(sides, repeat, lambda label: ask[label](
+                lt, kind, name, max_len, ts, LT_CALLS))
+            outcomes = {json.dumps(out) for _, out in [
+                *warm.values(), *(run for rs in runs.values() for run in rs)]}
             key = (f"{kind} {name} L={max_len or 'default'} "
                    f"t={','.join(map(str, ts))}")
+            sides_ms = {label: [round(wall * 1e3, 3) for wall, _ in rs]
+                        for label, rs in runs.items()}
             cases[key] = {
                 "sides": {label: {"median_ms": statistics.median(walls),
                                   "run_median_ms": walls}
-                          for label, walls in runs.items()},
+                          for label, walls in sides_ms.items()},
                 "identical_outcomes": len(outcomes) == 1,
                 "outcome": json.loads(min(outcomes)),
             }
-    finally:
-        for proc in workers.values():
-            proc.stdin.close()
-            proc.wait()
     return cases
 
 
@@ -549,25 +521,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="+", metavar="LABEL=SRC",
                         help="a label and the src/ directory to import from")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--tier1", action="store_true",
-                      help="time the tier-1 tests instead of CLI commands")
-    mode.add_argument("--conjugated", action="store_true",
-                      help="time exponents on conjugated family files")
-    mode.add_argument("--scan", action="store_true",
-                      help="time word scans at the benchmark depth")
-    mode.add_argument("--mc", action="store_true",
-                      help="time simulate and fit commands")
-    mode.add_argument("--lt", action="store_true",
-                      help="time exponents and lt on precomputed scans")
-    parser.add_argument("--out", help="default BENCH_digitsum.json, "
-                        "BENCH_tier1.json, BENCH_conjugated.json, "
-                        "BENCH_scan.json, BENCH_mc.json or BENCH_lt.json")
+    modes = {"tier1": "time the tier-1 tests instead of CLI commands",
+             "conjugated": "time exponents on conjugated family files",
+             "scan": "time word scans at the benchmark depth",
+             "mc": "time simulate and fit commands",
+             "lt": "time exponents and lt on precomputed scans"}
+    group = parser.add_mutually_exclusive_group()
+    for mode, text in modes.items():
+        group.add_argument(f"--{mode}", action="store_true", help=text)
+    parser.add_argument("--out", help="default BENCH_<mode>.json, or "
+                        "BENCH_digitsum.json without a mode flag")
     args = parser.parse_args(argv)
     sides = dict(side.split("=", 1) for side in args.sides)
+    repeat = TIER1_REPEAT if args.tier1 else REPEAT
     report = {
         "script": "scripts/bench_layers.py",
-        "repeat": TIER1_REPEAT if args.tier1 else REPEAT,
+        "repeat": repeat,
         "machine": {
             "cpus": os.cpu_count(),
             "processor": cpu_model(),
@@ -575,36 +544,16 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
         },
     }
+    # {what went wrong: the commands or cases it went wrong for}
+    problems = {}
     if args.tier1:
         report["command"] = "PYTHONPATH=src python " + " ".join(TIER1)
-        report["sides"] = bench_tier1(sides)
+        report["sides"] = bench_tier1(sides, repeat)
+        for label, row in report["sides"].items():
+            print(f"{label:>8}  tier-1 {row['median_wall_s']:8.2f} s  "
+                  f"{'; '.join(row['summary'])}")
     elif args.scan:
-        report["cases"] = bench_scan(sides)
-    elif args.lt:
-        report["lt_calls"] = LT_CALLS
-        report["cases"] = bench_lt(sides)
-    elif args.conjugated:
-        report["conjugated_seed"] = CONJUGATED_SEED
-        with tempfile.TemporaryDirectory() as fam:
-            write_conjugated(next(iter(sides.values())), fam)
-            report["sides"] = bench(sides, CONJUGATED_COMMANDS, fam)
-            report["diagonal_balance_us"] = bench_balance(sides, fam)
-    elif args.mc:
-        report["sides"] = bench(sides, MC_COMMANDS)
-    else:
-        report["sides"] = bench(sides)
-    if not (args.tier1 or args.scan or args.lt):
-        report["identical_outputs"] = identical_outputs(report["sides"])
-    out = args.out or ("BENCH_tier1.json" if args.tier1 else
-                       "BENCH_conjugated.json" if args.conjugated else
-                       "BENCH_scan.json" if args.scan else
-                       "BENCH_mc.json" if args.mc else
-                       "BENCH_lt.json" if args.lt else
-                       "BENCH_digitsum.json")
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    if args.scan:
+        report["cases"] = bench_scan(sides, repeat)
         for key, row in report["cases"].items():
             if "threads" in key:
                 print(f"{key:<32} " + "  ".join(
@@ -613,48 +562,58 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"{key:<32} counts agree {row['counts_agree']}, "
                       f"max rel diff {row['max_rel_diff']}")
-        broken = [key for key, row in report["cases"].items()
-                  if "threads" not in key and not (
-                      row["counts_agree"]
-                      and all(row["identical_across_runs"].values()))]
-        if broken:
-            print(f"counts differ or a side's runs differ: {broken}",
-                  file=sys.stderr)
-            return 1
-        return 0
-    if args.lt:
+        problems["counts differ or a side's runs differ"] = [
+            key for key, row in report["cases"].items()
+            if "threads" not in key and not (
+                row["counts_agree"]
+                and all(row["identical_across_runs"].values()))]
+    elif args.lt:
+        report["lt_calls"] = LT_CALLS
+        report["cases"] = bench_lt(sides, repeat)
         for key, row in report["cases"].items():
             print(f"{key:<44} " + "  ".join(
                 f"{label} {side['median_ms']:8.3f} ms"
                 for label, side in row["sides"].items())
                   + f"  identical {row['identical_outcomes']}")
-        differ = [key for key, row in report["cases"].items()
-                  if not row["identical_outcomes"]]
-        if differ:
-            print(f"outcomes differ: {differ}", file=sys.stderr)
-            return 1
-        return 0
-    if args.tier1:
-        for label, row in report["sides"].items():
-            print(f"{label:>8}  tier-1 {row['median_wall_s']:8.2f} s  "
-                  f"{'; '.join(row['summary'])}")
-        return 0
-    for label, per_command in report["sides"].items():
-        for command, row in per_command.items():
-            print(f"{label:>8}  {command.split(' --csv')[0]:<40} "
-                  f"{row['median_wall_s']:8.3f} s "
-                  f"{row['median_peak_rss_mb']:8.1f} MB  "
-                  f"exit {row['exit_codes']}")
-    differ = [cmd for cmd, same in report["identical_outputs"].items() if not same]
-    if differ:
-        print(f"outputs differ between sides: {differ}", file=sys.stderr)
-    failed = [cmd for cmd in report["identical_outputs"]
-              if all(0 not in per_command[cmd]["exit_codes"]
-                     for per_command in report["sides"].values())]
-    if failed:
-        print(f"no side ran these: {failed}", file=sys.stderr)
-    return 1 if differ or failed else 0
+        problems["outcomes differ"] = [
+            key for key, row in report["cases"].items()
+            if not row["identical_outcomes"]]
+    else:
+        if args.conjugated:
+            report["conjugated_seed"] = CONJUGATED_SEED
+            with tempfile.TemporaryDirectory() as fam:
+                first = next(iter(sides))
+                with workers({first: sides[first]}) as ask:
+                    ask[first](write_conjugated, fam)
+                report["sides"] = bench(sides, repeat, CONJUGATED_COMMANDS,
+                                        fam)
+                report["diagonal_balance_us"] = bench_balance(sides, repeat,
+                                                              fam)
+        else:
+            report["sides"] = bench(sides, repeat,
+                                    MC_COMMANDS if args.mc else COMMANDS)
+        same = report["identical_outputs"] = identical_outputs(report["sides"])
+        for label, per_command in report["sides"].items():
+            for command, row in per_command.items():
+                print(f"{label:>8}  {command.split(' --csv')[0]:<40} "
+                      f"{row['median_wall_s']:8.3f} s "
+                      f"{row['median_peak_rss_mb']:8.1f} MB  "
+                      f"exit {row['exit_codes']}")
+        problems["outputs differ between sides"] = [
+            cmd for cmd, ok in same.items() if not ok]
+        problems["no side ran these"] = [
+            cmd for cmd in same
+            if all(0 not in per_command[cmd]["exit_codes"]
+                   for per_command in report["sides"].values())]
+    mode = next((mode for mode in modes if getattr(args, mode)), "digitsum")
+    with open(args.out or f"BENCH_{mode}.json", "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for what, keys in problems.items():
+        if keys:
+            print(f"{what}: {keys}", file=sys.stderr)
+    return 1 if any(problems.values()) else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(serve() if sys.argv[1:] == ["serve"] else main())

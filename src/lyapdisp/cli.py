@@ -46,19 +46,19 @@ def dumps_fixed(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, lines) -> None:
+    """Write each line of the iterable lines, and a newline, to path or else
+    to stdout, as it comes, so no table is held whole."""
     if path:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            handle.writelines(f"{line}\n" for line in lines)
     else:
-        print(text)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
     """Write a JSON report, stamped with SCHEMA_VERSION."""
-    _write(path, dumps_fixed(dict(payload, schema_version=SCHEMA_VERSION)))
+    _write(path, [dumps_fixed(dict(payload, schema_version=SCHEMA_VERSION))])
 
 
 def _add_common(parser, *, family=False, max_len=False, threads=False,
@@ -200,7 +200,7 @@ def _cmd_exponents(args) -> int:
         lt_samples=tuple(args.t or ()),
     )
     if args.csv:
-        _write(args.csv, "\n".join(report.csv_rows()))
+        _write(args.csv, report.csv_rows())
     _write_json(args.json, report.to_json_dict())
     return 0
 
@@ -244,9 +244,7 @@ def _cmd_simulate(args) -> int:
     else:
         result = mcsim.simulate(config)
     if args.csv:
-        rows = ["trial,log_norm"]
-        rows += [f"{i},{v!r}" for i, v in enumerate(result.log_norms.tolist())]
-        _write(args.csv, "\n".join(rows))
+        _write(args.csv, result.csv_rows())
     _write_json(args.json, result.to_json_dict())
     return 0
 
@@ -271,9 +269,9 @@ def _cmd_fluctuation(args, kind: str) -> int:
     stats_fn = digitsum.phi_statistics if kind == "phi" else digitsum.psi_statistics
     scan = stats_fn(j_max=args.jmax, samples_per_octave=args.samples)
     if args.csv:
-        _write(args.csv, "\n".join(scan.samples_csv_rows()))
+        _write(args.csv, scan.samples_csv_rows())
     if args.density_csv:
-        _write(args.density_csv, "\n".join(scan.histogram_csv_rows()))
+        _write(args.density_csv, scan.histogram_csv_rows())
     _write_json(args.json, scan.to_json_dict())
     return 0
 
@@ -282,7 +280,7 @@ def _cmd_dispersion(args) -> int:
     fam = catalog.resolve_family(args.family)
     trend = digitsum.empirical_dispersion(fam, j_max=args.jmax, j_min=args.jmin)
     if args.csv:
-        _write(args.csv, "\n".join(trend.csv_rows()))
+        _write(args.csv, trend.csv_rows())
     _write_json(args.json, trend.to_json_dict())
     return 0
 

@@ -190,18 +190,21 @@ class FluctuationScan:
     sample_x: np.ndarray = field(repr=False, compare=False)
     sample_value: np.ndarray = field(repr=False, compare=False)
 
-    def samples_csv_rows(self) -> list[str]:
-        lines = ["n,x,value"]
-        for n, x, v in zip(self.sample_n.tolist(), self.sample_x.tolist(),
-                           self.sample_value.tolist()):
-            lines.append(f"{n},{x!r},{v!r}")
-        return lines
+    def samples_csv_rows(self) -> Iterator[str]:
+        """The header, then one row per sample, formed 2^SAMPLE_BITS at a
+        time."""
+        yield "n,x,value"
+        for lo in range(0, self.sample_n.size, 1 << SAMPLE_BITS):
+            block = slice(lo, lo + (1 << SAMPLE_BITS))
+            for n, x, v in zip(self.sample_n[block].tolist(),
+                               self.sample_x[block].tolist(),
+                               self.sample_value[block].tolist()):
+                yield f"{n},{x!r},{v!r}"
 
-    def histogram_csv_rows(self) -> list[str]:
-        lines = ["bin_lo,bin_hi,mass"]
+    def histogram_csv_rows(self) -> Iterator[str]:
+        yield "bin_lo,bin_hi,mass"
         for lo, hi, mass in self.histogram:
-            lines.append(f"{lo!r},{hi!r},{mass!r}")
-        return lines
+            yield f"{lo!r},{hi!r},{mass!r}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -641,22 +644,17 @@ def _int_matrices(fam: MatrixFamily) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _abs_sum_max(table: np.ndarray, axis: int) -> int:
-    """Largest sum of absolute values along axis, exactly, in Python ints.
+    """Largest sum of absolute values along axis, exactly.
 
-    The sums of the n terms along axis are first taken in float64, where
-    each term is rounded once and each partial sum once, so each float sum
-    is within a relative 2 n 2^-53 of its exact sum whatever the order of
-    addition.  The line with the largest exact sum then has a float sum of
-    at least (1 - 4 n 2^-53) times the largest float sum; only the lines
-    above (1 - 8 n 2^-53) times it, a margin that also covers the rounding
-    of that cut, are summed again in Python ints, which cannot wrap.
+    When max|entry| times the n terms of a line is below 2^63, no partial
+    sum of magnitudes can wrap, so the sums are taken in int64; otherwise
+    in Python ints.
     """
-    lines = np.moveaxis(table, axis, -1)
-    n = lines.shape[-1]
-    magnitudes = lines.astype(np.float64)
-    approx = np.abs(magnitudes, out=magnitudes).sum(axis=-1)
-    near = lines[approx >= approx.max() * (1.0 - 8 * n * 2.0**-53)]
-    return max(sum(map(abs, line)) for line in near.tolist())
+    n = table.shape[axis]
+    lines = np.moveaxis(table, axis, -1).reshape(-1, n)
+    if max(int(table.max()), -int(table.min())) * n < 1 << 63:
+        return int(np.abs(lines).sum(axis=-1).max())
+    return max(sum(map(abs, line)) for line in lines.tolist())
 
 
 def _check_bound(factor: np.ndarray, growth: int, bits: int = 63) -> None:
@@ -846,11 +844,10 @@ class DispersionTrend:
     avg_slope: float   # regression of ln Var(count) on ln n
     typ_slope: float   # regression of Var(ln count) on ln n
 
-    def csv_rows(self) -> list[str]:
-        lines = ["j,var,var_ln,avg_ratio,typ_ratio"]
+    def csv_rows(self) -> Iterator[str]:
+        yield "j,var,var_ln,avg_ratio,typ_ratio"
         for j, var, var_ln, avg_ratio, typ_ratio in self.rows:
-            lines.append(f"{j},{var!r},{var_ln!r},{avg_ratio!r},{typ_ratio!r}")
-        return lines
+            yield f"{j},{var!r},{var_ln!r},{avg_ratio!r},{typ_ratio!r}"
 
     def to_json_dict(self) -> dict:
         return {

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -289,13 +289,12 @@ class ExponentReport:
             "skipped_words": self.skipped_words,
         }
 
-    def csv_rows(self) -> list[str]:
+    def csv_rows(self) -> Iterator[str]:
         """The per-length terms of lambda, kappa and mu, one row per length."""
-        lines = ["len,words,Slambda,Skappa,Smu"]
+        yield "len,words,Slambda,Skappa,Smu"
         for l, (count, lam, kappa, mu) in enumerate(
                 zip(self.stats.counts, *_terms(self.stats))):
-            lines.append(f"{l},{count},{lam!r},{kappa!r},{mu!r}")
-        return lines
+            yield f"{l},{count},{lam!r},{kappa!r},{mu!r}"
 
 
 def _scan(family, max_len: int | None, ts: Sequence[float], tol: float,

@@ -84,6 +84,13 @@ class SimResult:
     moment_rate: float | None = None
     moment_stderr: float | None = None
 
+    def csv_rows(self):
+        """The `simulate --csv` table, a generator: a header, then each
+        trial's index among the non-degenerate ones and its ln norm."""
+        yield "trial,log_norm"
+        for i, v in enumerate(self.log_norms.tolist()):
+            yield f"{i},{v!r}"
+
     def to_json_dict(self) -> dict:
         out = {
             "family": self.family,
@@ -174,8 +181,11 @@ def log_product_norms(config: SimConfig) -> tuple[np.ndarray, int]:
     return log_norms, degenerate
 
 
-def _base_result(config: SimConfig, log_norms: np.ndarray, degenerate: int) -> SimResult:
-    """The lambda and sigma^2 estimates; config.family is a MatrixFamily."""
+def simulate(config: SimConfig) -> SimResult:
+    """Estimate lambda and sigma^2 from independent random words."""
+    # resolved once, so a family file is read and validated once
+    config = replace(config, family=catalog.resolve_family(config.family))
+    log_norms, degenerate = log_product_norms(config)
     n = log_norms.size
     mean = float(log_norms.mean())
     var = float(log_norms.var(ddof=1))
@@ -199,16 +209,9 @@ def _base_result(config: SimConfig, log_norms: np.ndarray, degenerate: int) -> S
     )
 
 
-def simulate(config: SimConfig) -> SimResult:
-    """Estimate lambda and sigma^2 from independent random words."""
-    # resolved once, so a family file is read and validated once
-    config = replace(config, family=catalog.resolve_family(config.family))
-    log_norms, degenerate = log_product_norms(config)
-    return _base_result(config, log_norms, degenerate)
-
-
 def simulate_moment(config: SimConfig, t: float) -> SimResult:
-    """Estimate the moment growth rate (1/k) ln E(norm^t).
+    """Estimate the moment growth rate (1/k) ln E(norm^t) beside `simulate`'s
+    estimates, from the same trials.
 
     Moment estimates are heavy-tailed as |t| grows, so t is capped at 4 in
     magnitude, the sample mean of norm^t is taken in log space, and the
@@ -218,10 +221,8 @@ def simulate_moment(config: SimConfig, t: float) -> SimResult:
         raise ValueError(f"t must be finite, got {t!r}")
     if abs(t) > 4:
         raise ValueError("simulate_moment is limited to |t| <= 4")
-    # resolved once, so a family file is read and validated once
-    config = replace(config, family=catalog.resolve_family(config.family))
-    log_norms, degenerate = log_product_norms(config)
-    base = _base_result(config, log_norms, degenerate)
+    base = simulate(config)
+    log_norms = base.log_norms
     n = log_norms.size
     k = config.k
 

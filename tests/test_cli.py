@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -169,6 +170,23 @@ class TestCommands:
         assert data["sup"] == 0.0
         assert csv_path.read_text().startswith("n,x,value")
         assert density.read_text().startswith("bin_lo,bin_hi,mass")
+
+    def test_phi_tables_are_streamed(self, tmp_path):
+        """Both CSV tables add little to the traced peak: their rows are
+        written as they are formed, not held as one list and one joined
+        string (which added about 10 MB at --jmax 24)."""
+        base = ["phi", "--jmax", "24", "--json", str(tmp_path / "r.json")]
+        full = base + ["--csv", str(tmp_path / "s.csv"),
+                       "--density-csv", str(tmp_path / "d.csv")]
+        peaks = []
+        for argv in (base, full):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + (2 << 20)
 
     def test_psi(self, capsys):
         code, out, _ = run(capsys, "psi", "--jmax", "12", "--samples", "512")

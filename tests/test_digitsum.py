@@ -344,10 +344,10 @@ class TestFluctuationScans:
 
     def test_csv_rows(self):
         scan = ds.phi_statistics(j_max=10, samples_per_octave=256)
-        rows = scan.samples_csv_rows()
+        rows = list(scan.samples_csv_rows())
         assert rows[0] == "n,x,value"
         assert len(rows) > 100
-        hist = scan.histogram_csv_rows()
+        hist = list(scan.histogram_csv_rows())
         assert hist[0] == "bin_lo,bin_hi,mass"
 
     def test_guards(self):
@@ -602,8 +602,12 @@ class TestWordProducts:
     def test_abs_sum_max_equals_python_ints(self):
         """Exact where float64 sums are not: entries near 2^62 and at -2^63,
         lines whose sums tie in float64, and a line whose float sum is the
-        largest although its exact sum is not."""
+        largest although its exact sum is not, all summed in Python ints;
+        and sums past 2^53 whose terms are small enough for int64."""
         rng = np.random.default_rng(62)
+        # max|entry| * 7 terms is below 2^63, so this one is summed in int64
+        int64_table = rng.integers(-(1 << 60), 1 << 60, size=(7, 7),
+                                   dtype=np.int64)
         big = 1 << 62
         random_table = rng.integers(-big, big, size=(6, 500), dtype=np.int64)
         random_table[rng.random((6, 500)) < 0.1] = -big - 3
@@ -613,7 +617,7 @@ class TestWordProducts:
         # float64 sums: 2^62 + 1024 for the first line, 2^62 for the second
         misleading = np.array([[big + 513, 0, 0, 0], [big, 300, 300, 300]],
                               dtype=np.int64)
-        for table in (random_table, near_ties, misleading):
+        for table in (random_table, near_ties, misleading, int64_table):
             for axis in range(table.ndim):
                 assert ds._abs_sum_max(table, axis) == \
                     oracles.abs_sum_max_object(table, axis), axis
@@ -724,7 +728,7 @@ class TestEmpiricalDispersion:
 
     def test_csv(self):
         trend = ds.empirical_dispersion("g1", j_max=12, j_min=4)
-        rows = trend.csv_rows()
+        rows = list(trend.csv_rows())
         assert rows[0] == "j,var,var_ln,avg_ratio,typ_ratio"
         assert len(rows) == 12 - 4 + 2
 

@@ -206,8 +206,8 @@ class TestMomentSeries:
 
     def test_max_len_zero(self):
         report = gle.exponents("g2", max_len=0)
-        assert report.csv_rows() == ["len,words,Slambda,Skappa,Smu",
-                                     "0,1,0.0,0.0,0.0"]
+        assert list(report.csv_rows()) == ["len,words,Slambda,Skappa,Smu",
+                                           "0,1,0.0,0.0,0.0"]
 
     def test_quadrinomial_series_lambda(self):
         lam, _, _ = gle._accelerate(scan_for("g3", 30))
@@ -215,7 +215,7 @@ class TestMomentSeries:
 
     def test_csv_rows(self):
         report = gle.exponents("g1", max_len=4)
-        rows = report.csv_rows()
+        rows = list(report.csv_rows())
         assert rows[0] == "len,words,Slambda,Skappa,Smu"
         assert len(rows) == 6
         for k, row in enumerate(rows[1:]):
