@@ -93,6 +93,7 @@ COMMANDS = (
     ("dispersion", "--family", "g5", "--jmax", "20"),
     ("dispersion", "--family", "h4", "--jmax", "23"),
     ("dispersion", "--family", "h4", "--jmax", "30"),
+    ("dispersion", "--family", "g5", "--jmax", "30"),
     ("digits", "--a", "3", "--b", "0", "--j", "24", "--samples", "1000000",
      "--seed", "1"),
     ("fit", "--family", "h4"),

@@ -41,15 +41,19 @@ The rest of the module connects counts to the matrix families: GF(2) row
 iteration as the oracle, an exactly validated linear representation
 count(n) = u * D_{z(n)} * v over the binary digits of n, empirical
 dispersion slopes, and the distribution comparison of #(aN + b) samples.
-All counts below 2^levels are built meet-in-the-middle: a table of the
-rows u D_{z(a)} for the high digits times a table of the columns D_{z(b)} v
-for the low ones.  The tables are int64 and their product float64, with
-every product bounded before it is formed so that both are exact.  The
-product is formed 2^BLOCK_BITS counts at a time: dispersion forms every
-block twice, once for the octave means and once for the squared
-deviations, and `digits` draws its samples in blocks of the same size, so
-neither holds an array the size of all the counts or of all the samples.
-Only `counts_via_representation`, which returns every count, does.
+`counts_via_representation` forms every count below 2^levels
+meet-in-the-middle: one int64 product of a table of the rows u D_{z(a)}
+for the high digits and a table of the columns D_{z(b)} v for the low
+ones, every product bounded before it is formed.  `dispersion` forms no
+count.  For N uniform below 2^j it reports Var(count) and Var(ln count)
+at each octave j.  Var(count) is exact, from the j-th power of
+D0^(x)t + D1^(x)t (t = 1, 2) in Python ints, and rounded once.
+Var(ln count) is a renewal sum: cutting N's digits after each 0^q makes
+count(N) a product of corner values of chi(q) words, whose per-length
+log tallies one word scan to depth j_max gives.  The scan has to reach
+j_max, so j_max is capped at the default scan depth of the family's q.
+`digits` draws its samples 2^BLOCK_BITS at a time and keeps only their
+digit-sum histograms.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import catalog, conjugate, exactmat
+from . import catalog, conjugate, exactmat, gle, words
 from .catalog import MatrixFamily
 
 __all__ = [
@@ -95,15 +99,10 @@ CHUNK_BITS = 16
 SCAN_SLACK = 2.0**-40
 # sampled points are gathered and evaluated 2^SAMPLE_BITS at a time
 SAMPLE_BITS = 12
-# counts, dispersion variances and digit samples are formed 2^BLOCK_BITS at
-# a time
+# digit samples are drawn 2^BLOCK_BITS at a time
 BLOCK_BITS = 16
 # the GF(2) row oracle's cost grows with the square of the rows it forms
 GF2_ROWS_MAX = 1 << 18
-# dispersion forms every count below 2^j_max twice, so its time doubles
-# with each octave while its memory stays a few MB: 8-12 s at 2^30 counts
-# for each built-in family on a 2-core Xeon VM
-DISPERSION_J_MAX = 30
 
 
 class NoRepresentationFound(ValueError):
@@ -657,19 +656,17 @@ def _abs_sum_max(table: np.ndarray, axis: int) -> int:
     return max(sum(map(abs, line)) for line in lines.tolist())
 
 
-def _check_bound(factor: np.ndarray, growth: int, bits: int = 63) -> None:
-    """Raise OverflowError unless a product with `factor` stays below 2^bits.
+def _check_bound(factor: np.ndarray, growth: int) -> None:
+    """Raise OverflowError unless an int64 product with `factor` stays
+    below 2^63.
 
     growth bounds the absolute sums of the other factor along the summed
     index, so no entry of the product, nor any partial sum, exceeds
-    max|factor| * growth.  bits = 63 keeps an int64 product from wrapping;
-    bits = 53 keeps every partial sum of a float64 product of integers an
-    integer that float64 holds exactly, in any order of summation.
+    max|factor| * growth.
     """
-    if max(int(factor.max()), -int(factor.min())) * growth >= 1 << bits:
-        kind = "int64 table" if bits == 63 else "exact float64 count"
-        raise OverflowError(f"{kind} would overflow: a product could "
-                            f"reach 2^{bits}")
+    if max(int(factor.max()), -int(factor.min())) * growth >= 1 << 63:
+        raise OverflowError("int64 table would overflow: a product could "
+                            "reach 2^63")
 
 
 def _doubling_table(seed: np.ndarray, mats: tuple[np.ndarray, np.ndarray],
@@ -739,83 +736,20 @@ def fit_linear_representation(family, n_check: int = 4096) -> LinearRepresentati
     return rep
 
 
-def _count_tables(fam: MatrixFamily, rep: LinearRepresentation, n_top: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(rows, cols, v, den): the meet-in-the-middle factors of every count
-    below n_top, in float64.
-
-    With levels the bit length of n_top - 1, n = a 2^lo + b for
-    lo = levels // 2 and b < 2^lo.  rows[a] is U(a) = u D_{z(a)} for
-    a < 2^(levels - lo), cols[:, b] is W(b) = D_{b, lo digits} v, and den
-    the common denominator of u and v, which divides every product.  Both
-    tables are built in int64, each level checked against overflow; then
-    every count and every partial sum of the float64 product is checked to
-    be an integer below 2^53, so the product is exact, and OverflowError
-    is raised past either bound.
-    """
-    levels = max(1, (n_top - 1).bit_length())
-    (u_int,), u_den = exactmat.int_rows([rep.u])
-    (v_int,), v_den = exactmat.int_rows([rep.v])
-    v_int = np.array(v_int, dtype=np.int64)
-    mats = _int_matrices(fam)
-    lo = levels // 2
-    rows = _doubling_table(np.array(u_int, dtype=np.int64), mats, levels - lo)
-    cols = _column_table(v_int, mats, lo)
-    _check_bound(rows, max(_abs_sum_max(v_int, 0), _abs_sum_max(cols, 0)), 53)
-    # one table at a time, so that each int64 table is freed once converted
-    rows = rows.astype(np.float64)
-    cols = cols.astype(np.float64)
-    return rows, cols, v_int.astype(np.float64), u_den * v_den
-
-
-def _count_blocks(tables: tuple[np.ndarray, np.ndarray, np.ndarray, int],
-                  n_top: int) -> Iterator[np.ndarray]:
-    """count(n) for n < n_top, in successive float64 blocks of
-    2^BLOCK_BITS counts (the last one shorter if n_top is not a multiple).
-
-    With the tables of `_count_tables` and width = 2^lo, count(n) for
-    n = a width + b and a >= 1 is U(a) W(b), so the counts of whole rows
-    a0 <= a < a1 are one product rows[a0:a1] @ cols, and a partial row
-    takes the columns it needs; the counts n < width (a = 0) are U(n) v,
-    read off the same doubling table with its pinned seed.  Every count is
-    an exact integer (see `_count_tables`), so no split of the product
-    changes one.
-    """
-    rows, cols, v, den = tables
-    width = cols.shape[1]
-    for start in range(0, n_top, 1 << BLOCK_BITS):
-        stop = min(start + (1 << BLOCK_BITS), n_top)
-        block = np.empty(stop - start)
-        n = start
-        if n < width:
-            n = min(stop, width)
-            np.matmul(rows[start:n], v, out=block[:n - start])
-        while n < stop:
-            a, b = divmod(n, width)
-            if b == 0 and stop - n >= width:
-                full = (stop - n) // width
-                np.matmul(rows[a:a + full], cols,
-                          out=block[n - start:n - start + full * width]
-                          .reshape(full, width))
-                n += full * width
-            else:
-                end = min(stop, (a + 1) * width)
-                np.matmul(rows[a], cols[:, b:b + end - n],
-                          out=block[n - start:end - start])
-                n = end
-        if den != 1:
-            if (block % den).any():
-                raise ArithmeticError(
-                    "representation does not produce integer counts")
-            block /= den
-        yield block
-
-
 def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
                               n_top: int) -> np.ndarray:
-    """count(n) for all n < n_top through the representation, exactly, as
-    float64: the blocks of `_count_blocks` over the meet-in-the-middle
-    tables of `_count_tables`, written into one array.
+    """count(n) for all n < n_top through the representation, exactly, in
+    int64, from one meet-in-the-middle product.
+
+    With levels the bit length of n_top - 1, n = a 2^lo + b for
+    lo = levels // 2 and b < 2^lo.  Row a of the doubling table is
+    U(a) = u D_{z(a)} for a < 2^(levels - lo), column b of the column table
+    is W(b) = D_{b, lo digits} v, and count(n) is U(a) W(b) for a >= 1;
+    the counts n < 2^lo (a = 0) are U(n) v, read off the same doubling
+    table with its pinned seed.  u and v are scaled to integers, and their
+    common denominator must divide every count.  Both tables are built in
+    int64, each level checked against overflow, and so is their product,
+    so every count is exact; OverflowError is raised past 2^63.
     """
     levels = max(1, (n_top - 1).bit_length())
     if levels > 23:
@@ -824,10 +758,23 @@ def counts_via_representation(fam: MatrixFamily, rep: LinearRepresentation,
         raise ValueError(
             f"n_top = {n_top} too large: 2^{levels} counts exceed the limit "
             f"2^23, at 8 bytes of memory per count")
-    counts = np.empty(n_top)
-    blocks = _count_blocks(_count_tables(fam, rep, n_top), n_top)
-    for start, block in zip(range(0, n_top, 1 << BLOCK_BITS), blocks):
-        counts[start:start + len(block)] = block
+    (u_int,), u_den = exactmat.int_rows([rep.u])
+    (v_int,), v_den = exactmat.int_rows([rep.v])
+    v_int = np.array(v_int, dtype=np.int64)
+    mats = _int_matrices(fam)
+    lo = levels // 2
+    rows = _doubling_table(np.array(u_int, dtype=np.int64), mats, levels - lo)
+    cols = _column_table(v_int, mats, lo)
+    _check_bound(rows, max(_abs_sum_max(v_int, 0), _abs_sum_max(cols, 0)))
+    counts = (rows @ cols).ravel()
+    counts[:1 << lo] = rows[:1 << lo] @ v_int
+    counts = counts[:n_top]
+    den = u_den * v_den
+    if den != 1:
+        if (counts % den).any():
+            raise ArithmeticError(
+                "representation does not produce integer counts")
+        counts //= den
     return counts
 
 
@@ -864,63 +811,81 @@ class DispersionTrend:
         }
 
 
-def _tree_sum(sums: list[float]) -> float:
-    """The sum of a power-of-two number of block sums, added as a balanced
-    binary tree: neighbours first, then neighbouring pairs, and so on."""
-    while len(sums) > 1:
-        sums = [left + right for left, right in zip(sums[::2], sums[1::2])]
-    return sums[0]
+def _kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Kronecker product of integer matrices given as rows; block (i, j) is
+    a[i][j] * b."""
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
 
 
-def _octave_variances(blocks, j_min: int, j_max: int
-                      ) -> tuple[list[float], list[float]]:
-    """np.var of the counts and of their logs over [0, 2^j) for
-    j = j_min .. j_max, bit for bit, from the counts in blocks.
+def _count_variances(fact: conjugate.SentinelFactorization,
+                     octaves: range) -> list[float]:
+    """Var(count(N)), N uniform on [0, 2^j), for each j in octaves, from
+    sum_N count(N)^t = (beta^(x)t)^T (D0^(x)t + D1^(x)t)^j alpha^(x)t,
+    t = 1, 2, in Python ints over one denominator; rounded once."""
+    dim = fact.d0.dim
+    n, den = exactmat.int_rows([*fact.d0.rows, *fact.d1.rows])
+    (alpha,), den_alpha = exactmat.int_rows([fact.alpha])
+    (beta,), den_beta = exactmat.int_rows([fact.beta])
+    d0, d1 = n[:dim], n[dim:]
+    # t = 1, 2: the rows of N0^(x)t + N1^(x)t, beta^(x)t and alpha^(x)t
+    steps = [[list(map(operator.add, r0, r1)) for r0, r1 in zip(k0, k1)]
+             for k0, k1 in ((d0, d1), (_kron(d0, d0), _kron(d1, d1)))]
+    betas = [beta, _kron([beta], [beta])[0]]
+    vs = [alpha, _kron([alpha], [alpha])[0]]
+    variances = []
+    for j in range(1, octaves.stop):
+        vs = [exactmat.row_times(v, step) for v, step in zip(vs, steps)]
+        if j in octaves:
+            s1, s2 = (Fraction(exactmat.dot(b, v),
+                               (den_alpha * den_beta * den**j) ** t)
+                      for t, (b, v) in enumerate(zip(betas, vs), 1))
+            variances.append(float(s2 / 2**j - (s1 / 2**j) ** 2))
+    return variances
 
-    blocks() yields count(n) for n < 2^j_max in successive blocks of
-    2^min(BLOCK_BITS, j_max) counts.  np.var sums x for the mean, then sums
-    (x - mean)^2 over a temporary the size of x.  numpy sums a float64
-    array pairwise, splitting a power-of-two length exactly at its half, so
-    a sum over 2^j elements is the balanced binary tree (`_tree_sum`) of
-    its sums over blocks of 2^BLOCK_BITS, or one sum over the first 2^j
-    elements of the first block when 2^j is at most its length.  The first
-    pass sums each block, and its logs, once for all the octaves that hold
-    it; the second forms the blocks again and their squared deviations from
-    each octave's mean in one reusable buffer: the same roundings in the
-    same order, with no array the size of all the counts.
-    """
-    bits = min(BLOCK_BITS, j_max)
-    octaves = range(j_min, j_max + 1)
 
-    def pieces(k: int, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        # octave j's prefix holds block k when the block starts below 2^j
-        for j in range(max(j_min, (k << bits).bit_length()), j_max + 1):
-            yield j - j_min, x[:1 << j]
+def _log_variances(stats: words.ScanStats, octaves: range) -> list[float]:
+    """Var(ln count(N)), N uniform on [0, 2^j), for each j in octaves, by
+    the renewal convolution of `empirical_dispersion` over the tallies of a
+    scan to depth octaves.stop - 1."""
+    if any(stats.zero_words):
+        raise ArithmeticError("counts must be positive to take logs")
+    q, top = stats.q, octaves.stop
 
-    def means(per_octave: list[list[float]]) -> list[float]:
-        return [_tree_sum(sums) / (1 << j)
-                for j, sums in zip(octaves, per_octave)]
+    def piece(lengths, m: int, shift: float) -> tuple[int, float, float]:
+        # pieces of length m from the chi(q) words of these lengths: their
+        # number, sum of ln phi - shift m, and sum of its square
+        c = [stats.counts[l] for l in lengths]
+        s1 = [stats.sum_ln[l] for l in lengths]
+        h = shift * m
+        return (sum(c), math.fsum([*s1, *(-h * k for k in c)]),
+                math.fsum([*(stats.sum_ln2[l] for l in lengths),
+                           *(-2.0 * h * x for x in s1), *(h * h * k for k in c)]))
 
-    sums = [[[] for _ in octaves] for _ in range(2)]
-    for k, counts in enumerate(blocks()):
-        if counts.min() < 1:
-            raise ArithmeticError("counts must be positive to take logs")
-        for x, per_octave in zip((counts, np.log(counts)), sums):
-            whole = float(x.sum())
-            for i, piece in pieces(k, x):
-                per_octave[i].append(
-                    whole if len(piece) == len(x) else float(piece.sum()))
-    centers = [means(per_octave) for per_octave in sums]
-    squares = [[[] for _ in octaves] for _ in range(2)]
-    scratch = np.empty(1 << bits)
-    for k, counts in enumerate(blocks()):
-        for x, mean, per_octave in zip((counts, np.log(counts)), centers,
-                                       squares):
-            for i, piece in pieces(k, x):
-                dev = scratch[:len(piece)]
-                np.square(np.subtract(piece, mean[i], out=dev), out=dev)
-                per_octave[i].append(float(dev.sum()))
-    return means(squares[0]), means(squares[1])
+    def octave_sums(shift: float) -> list[tuple[int, float, float]]:
+        # per j: the strings s of length j, and the sums of their shifted
+        # ln count and its square.  s is w 0^i whole, or a first piece p 0^q
+        # of length m followed by any string of length j - m.
+        blocks = [piece(range(max(0, m - q), m - q + 1), m, shift)
+                  for m in range(top)]
+        sums = []
+        for j in range(top):
+            n, s1, s2 = piece(range(max(0, j - q + 1), j + 1), j, shift)
+            terms1, terms2 = [s1], [s2]
+            for (nb, sb1, sb2), (nr, sr1, sr2) in zip(blocks[q:j + 1],
+                                                      sums[j - q::-1]):
+                n += nb * nr
+                terms1.extend((sb1 * nr, nb * sr1))
+                terms2.extend((sb2 * nr, 2.0 * sb1 * sr1, nb * sr2))
+            if n != 1 << j:
+                raise ArithmeticError(f"the renewal pieces cover {n} strings "
+                                      f"of length {j}, not 2^{j}")
+            sums.append((n, math.fsum(terms1), math.fsum(terms2)))
+        return sums
+
+    # shifting by the mean log per digit keeps the sums of squares small
+    _, s1, _ = octave_sums(0.0)[-1]
+    return [s2 / n - (s1 / n) ** 2 for j, (n, s1, s2) in enumerate(
+        octave_sums(s1 / (top - 1) / 2.0 ** (top - 1))) if j in octaves]
 
 
 def empirical_dispersion(
@@ -931,28 +896,51 @@ def empirical_dispersion(
     """Variance growth of count(N) and ln count(N) for N uniform on [0, 2^j).
 
     This is a trend check: the limits converge like 1/ln n, so the slopes
-    carry finite-size corrections of a few percent at j_max = 20.  Counts
-    come from a validated linear representation.  Each octave's variances
-    are np.var's of the counts and of their logs below 2^j, bit for bit
-    (`_octave_variances`), from counts formed 2^BLOCK_BITS at a time, twice:
-    memory stays at a few MB whatever j_max, and time grows like 2^j_max,
-    which DISPERSION_J_MAX caps.
+    carry finite-size corrections of a few percent at j_max = 20.  The
+    sentinel pair must reproduce the GF(2) row counts
+    (`fit_linear_representation`); then count(N) = beta^T D_s alpha for
+    the j digits s of N, leading zeros included.  var is exact
+    (`_count_variances`), rounded once.
+
+    var_ln is a renewal sum (Feller, An Introduction to Probability Theory
+    and Its Applications, vol. 1, ch. XIII).  Cut s after each first
+    occurrence of 0^q: s = p1 0^q ... pk 0^q w 0^i with every p and w in
+    chi(q) and i < q.  D0^q = alpha beta^T with beta^T alpha = 1, so
+    D0 alpha beta^T = D0^(q+1) = alpha beta^T D0 gives
+    D0 alpha = (beta^T D0 alpha) alpha with (beta^T D0 alpha)^q = 1; the
+    scan refuses negative entries, so beta^T D0 alpha = 1 and
+    D0 alpha = alpha (and beta^T D0 = beta^T likewise).  Hence
+    count(N) = phi(p1) ... phi(pk) phi(w) with phi the corner value, and
+    the octave's number of strings (2^j, checked), sum of ln count and sum
+    of ln^2 count follow from the per-length tallies of one
+    `words.scan_corner_stats` to depth j_max by a convolution over the
+    first piece, in O(j_max^2) math.fsum sums.  Every piece's logs are
+    shifted by the mean log per digit first, which leaves each variance
+    unchanged and halves the rounding error.
+
+    Against np.var over all 2^j counts, for every built-in at j <= 19,
+    var is within 2^-50 relative (measured up to 2.9e-16), var_ln within
+    2^-45 (3.2e-15) and each slope within 2^-40 (2.9e-14).  The scan holds
+    the pieces up to length j_max, so j_max is capped at the scan-depth
+    limit `gle.default_max_len(q)`: 36 for q <= 2, 30 for q = 3.  A scan
+    to 30 takes about 0.05 s for h4 and 0.7-0.9 s for g5 on a 2-core Xeon.
     """
     fam = catalog.resolve_family(family)
     if not 2 <= j_min < j_max:
         raise ValueError("need 2 <= j_min < j_max")
-    if j_max > DISPERSION_J_MAX:
-        raise ValueError(
-            f"j_max = {j_max} exceeds the limit {DISPERSION_J_MAX}: the "
-            f"2^{DISPERSION_J_MAX} counts take 8-12 s on a 2-core Xeon, and "
-            f"each further octave doubles the time")
-    rep = fit_linear_representation(fam)
-    tables = _count_tables(fam, rep, 1 << j_max)
-    octaves = zip(range(j_min, j_max + 1), *_octave_variances(
-        lambda: _count_blocks(tables, 1 << j_max), j_min, j_max))
+    limit = gle.default_max_len(fam.q)
+    if j_max > limit:
+        raise ValueError(f"j_max = {j_max} exceeds the scan-depth limit "
+                         f"{limit} of q = {fam.q} families")
+    fit_linear_representation(fam)
+    fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, fam.name)
+    octaves = range(j_min, j_max + 1)
+    variances = zip(octaves, _count_variances(fact, octaves),
+                    _log_variances(words.scan_corner_stats(fact, j_max),
+                                   octaves))
     rows = []
     xs, ys_avg, ys_typ = [], [], []
-    for j, var, var_ln in octaves:
+    for j, var, var_ln in variances:
         ln_n = j * math.log(2.0)
         rows.append((j, var, var_ln, math.log(var) / ln_n, var_ln / ln_n))
         xs.append(ln_n)

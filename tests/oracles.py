@@ -26,9 +26,10 @@ to a number the package computes another way.
 - `abs_sum_max_object` bounds a table's absolute sums on a numpy object
   array of Python ints; `digitsum._abs_sum_max` must return the same int.
 - `empirical_dispersion_full` takes every octave's variances by np.var on
-  the whole prefix, and `digit_distribution_compare_full` draws all the
-  samples in one call and reads CDFs and moments off the sample arrays;
-  the blocked `digitsum.empirical_dispersion` and
+  all the counts below 2^j; `digitsum.empirical_dispersion`, which forms
+  no count, must stay within the bounds of its docstring.
+- `digit_distribution_compare_full` draws all the samples in one call and
+  reads CDFs and moments off the sample arrays; the blocked
   `digitsum.digit_distribution_compare` must return equal results bit for
   bit.
 - `log_product_norms_where` is the Monte Carlo kernel that picks each
@@ -345,7 +346,7 @@ def abs_sum_max_object(table: np.ndarray, axis: int) -> int:
 def empirical_dispersion_full(family, j_max: int = 20,
                               j_min: int = 8) -> digitsum.DispersionTrend:
     """`digitsum.empirical_dispersion` with every octave's variances taken
-    by np.var on the whole prefix of the counts and of their logs."""
+    by np.var on all the counts below 2^j and on their logs."""
     fam = catalog.resolve_family(family)
     rep = digitsum.fit_linear_representation(fam)
     values = digitsum.counts_via_representation(

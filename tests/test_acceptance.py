@@ -299,11 +299,11 @@ class TestCriterion12DigitDistribution:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "E#(3N) - E#(N) = 2/3 exactly for N < 2^j (computed exhaustively "
-            "at j = 24), so the display-normalized mean gap is "
-            "(2/3)/(sqrt(j)/2) ~= 0.272 and the CDFs sit ~0.10 apart; the "
-            "0.02 band would need j >= ~4500.  Kept as specified and tracked "
-            "as an expected failure."
+            "E#(3N) - E#(N) = (2/3)(1 - 2^-j) exactly for N < 2^j, which is "
+            "5592405/2^23 at j = 24, so the display-normalized mean gap is "
+            "about (2/3)/(sqrt(j)/2) ~= 0.272 and the CDFs sit ~0.10 apart; "
+            "the 0.02 band would need j >= ~4500.  Kept as specified and "
+            "tracked as an expected failure."
         ),
     )
     def test_location_agreement_at_stated_band(self, comparison):

@@ -205,6 +205,14 @@ class TestCommands:
         assert data["typ_slope"] == pytest.approx(0.1747633335, abs=0.05)
         assert csv_path.read_text().startswith("j,var,var_ln")
 
+    def test_dispersion_at_the_scan_depth(self, capsys):
+        """--jmax reaches the scan-depth limit, 36 for g2 (q = 1)."""
+        code, out, _ = run(capsys, "dispersion", "--family", "g2",
+                           "--jmax", "36")
+        assert code == 0
+        assert [row["j"] for row in json.loads(out)["per_octave"]] == \
+            list(range(8, 37))
+
     def test_digits(self, capsys):
         code, out, _ = run(
             capsys, "digits", "--j", "14", "--samples", "5000"
@@ -317,9 +325,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["psi", "--jmax", "39"], "need 2 <= j_max <= 38"),
-        (["dispersion", "--family", "h4", "--jmax", "31"],
-         "j_max = 31 exceeds the limit 30"),
-    ], ids=["psi-jmax-39", "dispersion-h4-jmax-31"])
+        (["dispersion", "--family", "g5", "--jmax", "31"],
+         "j_max = 31 exceeds the scan-depth limit 30"),
+        (["dispersion", "--family", "h4", "--jmax", "37"],
+         "j_max = 37 exceeds the scan-depth limit 36"),
+    ], ids=["psi-jmax-39", "dispersion-g5-jmax-31", "dispersion-h4-jmax-37"])
     def test_out_of_range_is_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")

@@ -1,15 +1,17 @@
 """Digital sums, fluctuation functions, GF(2) counts, representations."""
 
+import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from lyapdisp import catalog, conjugate, exactmat, digitsum as ds
+from lyapdisp import catalog, conjugate, exactmat, words, digitsum as ds
 from lyapdisp.digitsum import LinearRepresentation, NoRepresentationFound
 from lyapdisp.exactmat import RationalMatrix
 
@@ -456,8 +458,6 @@ class TestLinearRepresentation:
         assert counts.tolist() == list(ds.gf2_row_counts(fam.poly_mask, 4096))
 
     def test_wrong_pairing_rejected(self):
-        from dataclasses import replace
-
         fake = replace(catalog.get_family("g2"), poly_mask=0b1111)
         with pytest.raises(NoRepresentationFound, match="no exact digit representation"):
             ds.fit_linear_representation(fake, 512)
@@ -490,7 +490,7 @@ def wide_family(d1_entry: int) -> catalog.MatrixFamily:
 
 
 class TestWordProducts:
-    """The int64 tables and the exact float64 product behind
+    """The int64 tables and their exact int64 product behind
     `counts_via_representation`."""
 
     @pytest.mark.parametrize("fam", [
@@ -512,17 +512,6 @@ class TestWordProducts:
         rep = LinearRepresentation(family="shear", u=u, v=v, validated_n=0)
         counts = ds.counts_via_representation(fam, rep, n_top)
         assert counts.tolist() == folded_counts(fam, u, v, n_top)
-
-    @pytest.mark.parametrize("bits", [2, 4])
-    def test_blocks_may_split_rows(self, monkeypatch, bits):
-        """Blocks shorter than a row of the product (2^5 counts for
-        n_top = 1000) start inside rows, the first row included, and give
-        the same counts."""
-        monkeypatch.setattr(ds, "BLOCK_BITS", bits)
-        fam = catalog.get_family("h4")
-        rep = ds.fit_linear_representation(fam)
-        counts = ds.counts_via_representation(fam, rep, 1000)
-        assert counts.tolist() == folded_counts(fam, rep.u, rep.v, 1000)
 
     def test_fractional_counts_raise(self):
         rep = LinearRepresentation(family="shear", u=(Fraction(1, 2), 0),
@@ -632,17 +621,15 @@ class TestWordProducts:
         with pytest.raises(OverflowError):
             ds.counts_via_representation(big_family(), rep, 64)
 
-    def test_counts_past_2_53_raise(self):
-        """count(n) = k^#(n) here, so count(63) = k^6: int64 holds 2^54 at
-        k = 2^9, but float64 counts are exact only below 2^53."""
+    def test_counts_past_2_53_are_exact(self):
+        """count(n) = k^#(n) here, so count(63) = k^6: 2^54 at k = 2^9 is
+        past float64's integers but exact in int64."""
+        fam = wide_family(1 << 9)
         rep = LinearRepresentation(family="wide", u=(1,), v=(1,), validated_n=0)
-        with pytest.raises(OverflowError, match="2\\^53"):
-            ds.counts_via_representation(wide_family(1 << 9), rep, 64)
-        fam = wide_family(1 << 8)
         counts = ds.counts_via_representation(fam, rep, 64)
-        assert counts.dtype == np.float64
+        assert counts.dtype == np.int64
         assert counts.tolist() == folded_counts(fam, (1,), (1,), 64)
-        assert counts[63] == 2.0**48
+        assert counts[63] == 1 << 54
 
 
 class TestEmpiricalDispersion:
@@ -663,11 +650,34 @@ class TestEmpiricalDispersion:
     @pytest.mark.parametrize("j_min, j_max",
                              [(3, 16), (10, 19), (3, 17), (16, 18), (3, 12)])
     def test_equals_np_var_of_whole_prefixes(self, name, j_min, j_max):
-        """Every row and slope equals the per-prefix np.var, bit for bit:
-        within one 2^16 block up to j = 16, over a tree of blocks above,
-        and within the one block of 2^j_max counts below 2^16."""
-        assert ds.empirical_dispersion(name, j_max, j_min) == \
-            oracles.empirical_dispersion_full(name, j_max, j_min)
+        """Every row and slope is within the docstring's bounds of the
+        per-prefix np.var over all the counts: var 2^-50, var_ln 2^-45 and
+        the slopes 2^-40, relative."""
+        got = ds.empirical_dispersion(name, j_max, j_min)
+        want = oracles.empirical_dispersion_full(name, j_max, j_min)
+        assert [row[0] for row in got.rows] == [row[0] for row in want.rows]
+        for (_, var, var_ln, avg, typ), (_, var0, var_ln0, avg0, typ0) in zip(
+                got.rows, want.rows):
+            assert var == pytest.approx(var0, rel=2.0**-50, abs=0)
+            assert avg == pytest.approx(avg0, rel=2.0**-50, abs=2.0**-50)
+            assert var_ln == pytest.approx(var_ln0, rel=2.0**-45, abs=0)
+            assert typ == pytest.approx(typ0, rel=2.0**-45, abs=0)
+        assert got.avg_slope == pytest.approx(want.avg_slope, rel=2.0**-40)
+        assert got.typ_slope == pytest.approx(want.typ_slope, rel=2.0**-40)
+
+    @pytest.mark.parametrize("name", catalog.family_names())
+    def test_var_is_the_exact_variance_rounded_once(self, name):
+        """var equals the variance of the exact integer counts below 2^j,
+        taken as a Fraction and rounded once."""
+        fam = catalog.get_family(name)
+        rep = ds.fit_linear_representation(fam)
+        counts = folded_counts(fam, rep.u, rep.v, 1 << 14)
+        trend = ds.empirical_dispersion(name, 14, 3)
+        for j, var, *_ in trend.rows:
+            n = 1 << j
+            s1 = sum(counts[:n])
+            s2 = sum(c * c for c in counts[:n])
+            assert var == float(Fraction(s2, n) - Fraction(s1, n) ** 2), j
 
     def test_memory_stays_at_a_few_blocks(self):
         """No array the size of the 2^20 counts (8 MB, and as much for
@@ -683,48 +693,64 @@ class TestEmpiricalDispersion:
 
     @pytest.mark.parametrize("name", ["g2", "h4"])
     def test_prefix_octaves_past_2_23(self, name):
-        """An octave's row depends only on the counts below 2^j, whatever
-        the tables' split of j_max: the rows at j_max = 24 but the last are
-        the rows at 23."""
-        assert ds.empirical_dispersion(name, 24, 8).rows[:-1] == \
-            ds.empirical_dispersion(name, 23, 8).rows
+        """An octave's row depends only on the counts below 2^j: the rows at
+        j_max = 24 but the last are the rows at 23, var exactly and var_ln
+        within its bound (the scans to 23 and 24 round their per-length
+        sums over different groups of words)."""
+        deep = ds.empirical_dispersion(name, 24, 8).rows[:-1]
+        shallow = ds.empirical_dispersion(name, 23, 8).rows
+        assert [row[:2] for row in deep] == [row[:2] for row in shallow]
+        for (_, _, var_ln, *_), (_, _, var_ln0, *_) in zip(deep, shallow):
+            assert var_ln == pytest.approx(var_ln0, rel=2.0**-45, abs=0)
 
-    @pytest.mark.parametrize("u, v, error", [
-        ((Fraction(1, 2), Fraction(1, 2)), (2, 2), None),
-        ((Fraction(1, 2), 0), (1, 0), "integer counts"),
-        ((1, 0), (0, 1), "counts must be positive"),
-    ], ids=["common-denominator", "fractional", "zero-count"])
-    def test_representation_paths(self, monkeypatch, u, v, error):
-        """A common denominator of u and v divides every block of counts,
-        or raises where a count is not an integer; a count below 1 has no
-        log and raises."""
-        rep = LinearRepresentation(family="shear", u=u, v=v, validated_n=0)
-        monkeypatch.setattr(ds, "fit_linear_representation",
-                            lambda fam: rep)
-        if error is None:
-            assert ds.empirical_dispersion(shear_family(), 17, 3) == \
-                oracles.empirical_dispersion_full(shear_family(), 17, 3)
-        else:
-            with pytest.raises(ArithmeticError, match=error):
-                ds.empirical_dispersion(shear_family(), 17, 3)
+    @pytest.mark.parametrize("fam", [
+        *(catalog.get_family(name) for name in catalog.family_names()),
+        permuted_h4(),
+    ], ids=lambda fam: fam.name)
+    def test_d0_fixes_alpha(self, fam):
+        """The identity the renewal rests on: D0 alpha = alpha and
+        beta^T D0 = beta^T, exactly."""
+        fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
+        assert exactmat.row_times(fact.alpha, fam.d0.rows) == fact.alpha
+        assert exactmat.row_times(fact.beta, tuple(zip(*fam.d0.rows))) == \
+            fact.beta
 
-    def test_numpy_sums_power_of_two_lengths_as_a_block_tree(self):
-        """The numpy property `_octave_variances` rests on: x.sum() over 2^k
-        elements is the balanced tree of its 2^16-element block sums."""
-        x = np.random.default_rng(5).standard_normal(1 << 22)
-        block = 1 << ds.BLOCK_BITS
-        folds = []
-        for k in range(8, 23):
-            width = min(1 << k, block)
-            sums = [float(x[i:i + width].sum()) for i in range(0, 1 << k, width)]
-            assert ds._tree_sum(sums) == float(x[: 1 << k].sum()), k
-            folded = 0.0
-            for block_sum in sums:
-                folded += block_sum
-            folds.append(folded == float(x[: 1 << k].sum()))
-        # the order matters on this data: adding the block sums left to
-        # right misses numpy's sum at some k
-        assert not all(folds)
+    def test_d0_fixes_alpha_of_a_conjugated_file(self, tmp_path):
+        """The same for a rational diagonal conjugate of g5 read from a
+        family file, whose variances equal g5's: var exactly, and var_ln
+        bit for bit, since its scan balances back to g5's integer pair."""
+        fam = catalog.get_family("g5")
+        diag = [Fraction(k + 2, 2 * k + 3) for k in range(fam.dim)]
+
+        def conj(m):
+            return RationalMatrix([[m[i, j] * diag[j] / diag[i]
+                                    for j in range(fam.dim)]
+                                   for i in range(fam.dim)])
+
+        path = tmp_path / "g5-conj.json"
+        path.write_text(json.dumps(oracles.family_to_dict(catalog.MatrixFamily(
+            name="g5-conj", q=fam.q, d0=conj(fam.d0), d1=conj(fam.d1),
+            poly_mask=0))))
+        moved = catalog.resolve_family(f"@{path}")
+        fact = conjugate.sentinel_factorization(moved.d0, moved.d1, moved.q)
+        assert exactmat.row_times(fact.alpha, moved.d0.rows) == fact.alpha
+        parent = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
+        octaves = range(3, 17)
+        assert ds._count_variances(fact, octaves) == \
+            ds._count_variances(parent, octaves)
+        assert ds._log_variances(words.scan_corner_stats(fact, 16), octaves) \
+            == ds._log_variances(words.scan_corner_stats(parent, 16), octaves)
+
+    def test_zero_count_raises(self):
+        """A word with corner 0 makes some count 0, which has no log."""
+        fam = catalog.get_family("g3")
+        fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q)
+        stats = words.scan_corner_stats(fact, 10)
+        zeros = list(stats.zero_words)
+        zeros[7] = 1
+        with pytest.raises(ArithmeticError, match="counts must be positive"):
+            ds._log_variances(replace(stats, zero_words=tuple(zeros)),
+                              range(3, 11))
 
     def test_csv(self):
         trend = ds.empirical_dispersion("g1", j_max=12, j_min=4)
