@@ -35,11 +35,11 @@ with failing tests is an error.
 
 --scan runs `scan` in one worker per side on every family at the
 benchmark depth (28, or 25 for q = 3), without t samples and with the
-benchmark's 10-point L(t) grid, at threads 1 and 2.  Per case it records
-each side's wall times and median words/s, whether both sides counted the
-same words and each side's scans were identical at 1 and 2 threads (an
-error if not), and the largest relative difference of sum_ln, sum_ln2 and
-pow_sums between the first side and each other side.
+benchmark's 10-point L(t) grid, and on SCAN_SMALL, at threads 1 and 2.
+Per case it records each side's wall times and median words/s, whether
+both sides counted the same words and each side's scans were identical at
+1 and 2 threads (an error if not), and the largest relative difference of
+sum_ln, sum_ln2 and pow_sums between the first side and each other side.
 
 --lt runs `lt` in one worker per side on LT_CASES: `exponents` at the
 benchmark's settings on g3, h3, g4 and h4, and `lt --family g3 --t 2`.
@@ -131,6 +131,9 @@ TIER1_REPEAT = 3
 SCAN_MAX_LEN = {1: 28, 2: 28, 3: 25}
 SCAN_GRID = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 SCAN_THREADS = (1, 2)
+# the crosscheck workload's `dispersion --family g5 --jmax 20` scan, below
+# words.POOL_MIN_TERMS: it runs in-process at any thread count
+SCAN_SMALL = ("g5", 20, ())
 # --lt: (kind, family, max_len or None for the default, ts)
 LT_CASES = tuple(("exponents", name, 28, SCAN_GRID)
                  for name in ("g3", "h3", "g4", "h4")) + (
@@ -260,12 +263,12 @@ def balance(paths: list[str]) -> dict[str, float]:
 
 
 def scan_cases() -> list[tuple[str, int, tuple]]:
-    """(family, max_len, ts) for every case of --scan."""
+    """(family, max_len, ts) for every case of --scan, and SCAN_SMALL."""
     from lyapdisp import catalog
 
     return [(name, SCAN_MAX_LEN[catalog.get_family(name).q], ts)
             for name in catalog.family_names()
-            for ts in ((), SCAN_GRID)]
+            for ts in ((), SCAN_GRID)] + [SCAN_SMALL]
 
 
 def factorization(name: str):

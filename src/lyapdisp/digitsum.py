@@ -40,7 +40,7 @@ samples.
 The rest of the module connects counts to the matrix families: GF(2) row
 iteration as the oracle, an exactly validated linear representation
 count(n) = u * D_{z(n)} * v over the binary digits of n, empirical
-dispersion slopes, and the distribution comparison of #(aN + b) samples.
+dispersion slopes, and the distribution of #(aN + b) against #(N).
 `counts_via_representation` forms every count below 2^levels
 meet-in-the-middle: one int64 product of a table of the rows u D_{z(a)}
 for the high digits and a table of the columns D_{z(b)} v for the low
@@ -52,8 +52,9 @@ Var(ln count) is a renewal sum: cutting N's digits after each 0^q makes
 count(N) a product of corner values of chi(q) words, whose per-length
 log tallies one word scan to depth j_max gives.  The scan has to reach
 j_max, so j_max is capped at the default scan depth of the family's q.
-`digits` draws its samples 2^BLOCK_BITS at a time and keeps only their
-digit-sum histograms.
+`digits` forms no N either: the histogram of #(aN + b) over all N < 2^j
+comes from a dynamic program over the carries of the multiplication by
+a, exact in Python ints, and that of #(N) is binomial.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ CHUNK_BITS = 16
 SCAN_SLACK = 2.0**-40
 # sampled points are gathered and evaluated 2^SAMPLE_BITS at a time
 SAMPLE_BITS = 12
-# digit samples are drawn 2^BLOCK_BITS at a time
-BLOCK_BITS = 16
+# the carry DP of `digits` costs at most about j^2 min(a, 2^j) additions
+DIGITS_WORK_MAX = 1 << 24
 # the GF(2) row oracle's cost grows with the square of the rows it forms
 GF2_ROWS_MAX = 1 << 18
 
@@ -970,7 +971,6 @@ class DigitCompare:
     a: int
     b: int
     j: int
-    n_samples: int
     moments: tuple[float, float, float]       # standardized mean, var, skew
     moments_ref: tuple[float, float, float]   # same for #(N)
     two_sample_distance: float
@@ -982,7 +982,6 @@ class DigitCompare:
             "a": self.a,
             "b": self.b,
             "j": self.j,
-            "n_samples": self.n_samples,
             "standardized_moments": {
                 "mean": self.moments[0],
                 "var": self.moments[1],
@@ -999,90 +998,86 @@ class DigitCompare:
         }
 
 
-def _standardized_moments(hist: np.ndarray, j: int) -> tuple[float, float, float]:
+def _digit_sum_counts(a: int, b: int, j: int) -> list[int]:
+    """hist[v] = how many N < 2^j have #(aN + b) = v, exactly, for
+    v <= j + bitlength(a); aN + b < a 2^j has no more bits.
+
+    Multiplying by a and adding b, least significant bit first, is a
+    transducer whose state is the carry: before bit n of N with carry c,
+    the output bit is (a n + c) & 1 and the next carry (a n + c) >> 1.  The
+    carry starts at b < a and stays below a, since a n + c < 2a.  Per
+    carry, the DP counts the low bits of N that reach it with each digit
+    sum of the output so far.  Past N's j bits, n = 0 shifts out the
+    carry's own bits until it is 0.
+    """
+    size = j + a.bit_length() + 1
+    states = {b: [1] + [0] * (size - 1)}
+    for i in range(size - 1):
+        nxt = {}
+        for carry, counts in states.items():
+            for value in (carry, a + carry)[:1 + (i < j)]:
+                out = [0, *counts[:-1]] if value & 1 else counts
+                prev = nxt.get(value >> 1)
+                nxt[value >> 1] = (out if prev is None
+                                   else list(map(operator.add, prev, out)))
+        states = nxt
+    return states[0]
+
+
+def _standardized_moments(hist: list[int], j: int) -> tuple[float, float, float]:
     """Mean, variance and skewness of (values - j/2) / (sqrt(j)/2), from the
     histogram of the values: hist[v] of them equal v.
 
-    The values are small non-negative ints, so their power sums are exact
+    The values are non-negative ints, so their power sums are exact
     integers, and each moment takes only the few roundings of its last
-    divisions and square root.
+    divisions, square root and power.
     """
-    counts = hist.tolist()
-    n = sum(counts)
-    s1, s2, s3 = (sum(c * v**p for v, c in enumerate(counts)) for p in (1, 2, 3))
+    n = sum(hist)
+    s1, s2, s3 = (sum(c * v**p for v, c in enumerate(hist)) for p in (1, 2, 3))
     # n^2 and n^3 times the second and third central moments
     m2 = n * s2 - s1 * s1
     m3 = n * n * s3 - 3 * n * s1 * s2 + 2 * s1**3
     mean = (2 * s1 - j * n) / n / math.sqrt(j)
     var = 4 * m2 / (j * n * n)
-    skew = m3 / m2 / math.sqrt(m2) if m2 > 0 else 0.0
+    skew = (m3 / n**3) / (m2 / n**2) ** 1.5 if m2 > 0 else 0.0
     return mean, var, skew
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
-
-
-def digit_distribution_compare(
-    a: int,
-    b: int,
-    j: int = 24,
-    n_samples: int = 10**6,
-    seed: int = 20080318,
-) -> DigitCompare:
+def digit_distribution_compare(a: int, b: int, j: int = 24) -> DigitCompare:
     """Compare the distribution of #(aN + b) with #(N), N uniform on [0, 2^j).
 
+    Both distributions are exact, over all 2^j values of N: #(N) is
+    binomial, C(j, v), and #(aN + b) comes from a carry transducer
+    (`_digit_sum_counts`; Allouche & Shallit, Automatic Sequences, 2003).
     Both are standardized by the digit-sum CLT normalization (center j/2,
     scale sqrt(j)/2).  The two-sample statistic is the maximum CDF gap over
     the lattice; distances to the standard normal use the usual half-step
-    continuity correction since the samples live on a lattice.  Samples
-    are drawn 2^BLOCK_BITS at a time, which draws the same stream as one
-    call, and only the histograms of their digit sums are kept.
+    continuity correction since the values live on a lattice.  The DP takes
+    O(j^2 min(a, 2^j)) integer additions, so that product is capped at
+    DIGITS_WORK_MAX, about a second of work.
     """
     if not 0 <= b < a:
         raise ValueError("need 0 <= b < a")
     if j < 1:
         raise ValueError("j must be >= 1")
-    if j > 48:
-        raise ValueError("j capped at 48")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    # a * N + b is formed in int64 for N < 2^j
-    if a * ((1 << j) - 1) + b >= 1 << 63:
-        raise ValueError(f"a * (2^{j} - 1) + b must be below 2^63 (int64)")
-    rng_test = np.random.Generator(np.random.Philox(key=[seed, (a << 20) | b]))
-    # the reference stream is the (a, b) = (1, 0) slot, so comparing (1, 0)
-    # against itself gives identical samples and distance exactly zero
-    rng_ref = np.random.Generator(np.random.Philox(key=[seed, 1 << 20]))
-    n = 1 << j
-    # digit sums of int64 values below 2^63 are at most 63
-    hist = np.zeros(64, dtype=np.int64)
-    hist_ref = np.zeros(64, dtype=np.int64)
-    for start in range(0, n_samples, 1 << BLOCK_BITS):
-        size = min(1 << BLOCK_BITS, n_samples - start)
-        hist += np.bincount(np.bitwise_count(
-            a * rng_test.integers(0, n, size=size, dtype=np.int64) + b),
-            minlength=64)
-        hist_ref += np.bincount(np.bitwise_count(
-            rng_ref.integers(0, n, size=size, dtype=np.int64)), minlength=64)
-
-    top = int(np.flatnonzero(hist + hist_ref)[-1])
-    cdf_sample = np.cumsum(hist[:top + 1]) / n_samples
-    cdf_ref = np.cumsum(hist_ref[:top + 1]) / n_samples
-    two_sample = float(np.abs(cdf_sample - cdf_ref).max())
-
-    center = j / 2.0
-    scale = math.sqrt(j) / 2.0
-    grid = (np.arange(top + 1) + 0.5 - center) / scale
-    normal = _normal_cdf(grid)
+    work = j * j * min(a, 1 << j)
+    if work > DIGITS_WORK_MAX:
+        raise ValueError(f"j^2 min(a, 2^j) = {work} exceeds the work bound "
+                         f"DIGITS_WORK_MAX = 2^24 of the carry DP")
+    hist = _digit_sum_counts(a, b, j)
+    hist_ref = [math.comb(j, v) for v in range(len(hist))]
+    # exact CDFs, each value rounded once
+    n, scale = 1 << j, math.sqrt(j) / 2.0
+    cdf, cdf_ref = (list(itertools.accumulate(h)) for h in (hist, hist_ref))
+    normal = [0.5 * (1.0 + math.erf((v + 0.5 - j / 2.0) / scale / math.sqrt(2.0)))
+              for v in range(len(hist))]
     return DigitCompare(
         a=a,
         b=b,
         j=j,
-        n_samples=n_samples,
         moments=_standardized_moments(hist, j),
         moments_ref=_standardized_moments(hist_ref, j),
-        two_sample_distance=two_sample,
-        normal_distance=float(np.abs(cdf_sample - normal).max()),
-        normal_distance_ref=float(np.abs(cdf_ref - normal).max()),
+        two_sample_distance=max(map(abs, map(operator.sub, cdf, cdf_ref))) / n,
+        normal_distance=max(abs(c / n - p) for c, p in zip(cdf, normal)),
+        normal_distance_ref=max(abs(c / n - p) for c, p in zip(cdf_ref, normal)),
     )

@@ -347,14 +347,12 @@ def _chunks(jobs) -> list:
     return [_chunk(job) for job in jobs]
 
 
-# A scan of fewer words runs in-process.  On 2 cores a warm two-worker pool
-# breaks even with a serial float64 scan between about 2e5 and 5e5 words:
-# pooled/serial time on g3, g4, h4, with and without 10 t samples, was
-# 0.73-1.94 at 1.96e5 words, 0.73-1.16 at 3.2e5, 0.80-1.12 at 5.1e5 and
-# 0.60-0.80 at 1.35e6.  At the benchmark depth (BENCH_scan.json) it was
-# 0.48-0.67 with t samples and 0.71-0.90 without, except 1.20 for g3
-# without them, a 1.35e6-word scan of 26 ms.
-POOL_MIN_WORDS = 250_000
+# A scan tallies words * (2 + len(ts)) terms (ln, ln^2 and one power per
+# t); one of fewer terms runs in-process.  On 2 cores, warm, pooled/serial
+# time (median of 15 alternating in-process scans of g3, g4, h4 and g5)
+# was 1.10-1.27 up to 1.03e6 terms, 0.83-1.15 at 1.66e6-1.80e6, and
+# 0.72-0.96 from 2.06e6 on; starting the pool adds ~20 ms once per process.
+POOL_MIN_TERMS = 2_000_000
 
 
 class _ScanPool:
@@ -433,10 +431,10 @@ def scan_corner_stats(
     OverflowError if a corner is not a finite float64.
 
     threads caps the worker processes (default and upper limit: the CPUs
-    this process may run on).  Scans of POOL_MIN_WORDS words or more run
-    on a fork pool that the first of them starts and later scans reuse
-    until the process exits; smaller scans, and all scans with one thread,
-    run in-process.
+    this process may run on).  Scans of POOL_MIN_TERMS tally terms or more
+    (words * (2 + len(ts))) run on a fork pool that the first of them
+    starts and later scans reuse until the process exits; smaller scans,
+    and all scans with one thread, run in-process.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -447,7 +445,8 @@ def scan_corner_stats(
     short, jobs = _split(ctx, _pick_prefix_len(ctx.q, max_len))
     tally = _Tally(max_len, 2 + len(ctx.ts))
     tally.merge(short)
-    if threads == 1 or sum(_word_counts(ctx.q, max_len)) < POOL_MIN_WORDS:
+    terms = sum(_word_counts(ctx.q, max_len)) * (2 + len(ctx.ts))
+    if threads == 1 or terms < POOL_MIN_TERMS:
         for totals in map(_chunk, jobs):
             tally.merge(totals)
     else:

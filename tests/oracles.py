@@ -28,10 +28,10 @@ to a number the package computes another way.
 - `empirical_dispersion_full` takes every octave's variances by np.var on
   all the counts below 2^j; `digitsum.empirical_dispersion`, which forms
   no count, must stay within the bounds of its docstring.
-- `digit_distribution_compare_full` draws all the samples in one call and
-  reads CDFs and moments off the sample arrays; the blocked
-  `digitsum.digit_distribution_compare` must return equal results bit for
-  bit.
+- `digit_distribution_compare_full` takes the digit sums of aN + b and of
+  N for every N < 2^j and reads CDFs and moments off those arrays; the
+  carry DP of `digitsum.digit_distribution_compare` must give the same
+  histograms and the same fields, to the rounding of the skewness.
 - `log_product_norms_where` is the Monte Carlo kernel that picks each
   trial's product with `np.where`; `mcsim.log_product_norms` must return
   the same arrays bit for bit.
@@ -377,25 +377,20 @@ def _digit_moments(values: np.ndarray, j: int) -> tuple[float, float, float]:
             m3 / m2 / math.sqrt(m2) if m2 > 0 else 0.0)
 
 
-def digit_distribution_compare_full(a: int, b: int, j: int, n_samples: int,
-                                    seed: int) -> digitsum.DigitCompare:
-    """`digitsum.digit_distribution_compare` from all the samples at once:
-    one draw of n_samples per stream, lattice CDFs by bincount."""
-    rng_test = np.random.Generator(np.random.Philox(key=[seed, (a << 20) | b]))
-    rng_ref = np.random.Generator(np.random.Philox(key=[seed, 1 << 20]))
-    n = 1 << j
-    sample = np.bitwise_count(
-        a * rng_test.integers(0, n, size=n_samples, dtype=np.int64) + b
-    ).astype(np.int64)
-    ref = np.bitwise_count(
-        rng_ref.integers(0, n, size=n_samples, dtype=np.int64)).astype(np.int64)
+def digit_distribution_compare_full(a: int, b: int,
+                                    j: int) -> digitsum.DigitCompare:
+    """`digitsum.digit_distribution_compare` by brute force: the digit sums
+    of aN + b and of N for every N < 2^j, lattice CDFs by bincount."""
+    ns = np.arange(1 << j, dtype=np.int64)
+    sample = np.bitwise_count(a * ns + b).astype(np.int64)
+    ref = np.bitwise_count(ns).astype(np.int64)
     top = int(max(sample.max(), ref.max()))
     cdf_sample, cdf_ref = (np.cumsum(np.bincount(values, minlength=top + 1))
                            / values.size for values in (sample, ref))
     grid = (np.arange(top + 1) + 0.5 - j / 2.0) / (math.sqrt(j) / 2.0)
     normal = 0.5 * (1.0 + np.vectorize(math.erf)(grid / math.sqrt(2.0)))
     return digitsum.DigitCompare(
-        a=a, b=b, j=j, n_samples=n_samples,
+        a=a, b=b, j=j,
         moments=_digit_moments(sample, j),
         moments_ref=_digit_moments(ref, j),
         two_sample_distance=float(np.abs(cdf_sample - cdf_ref).max()),

@@ -285,7 +285,7 @@ class TestCriterion11DispersionTrends:
 
 @pytest.fixture(scope="module")
 def comparison():
-    return digitsum.digit_distribution_compare(3, 0, j=24, n_samples=10**6)
+    return digitsum.digit_distribution_compare(3, 0, j=24)
 
 
 class TestCriterion12DigitDistribution:

@@ -220,6 +220,11 @@ class TestCommands:
         data = json.loads(out)
         assert code == 0
         assert data["a"] == 3
+        # exact values: --samples is only echoed, and --seed is unused
+        assert data["n_samples"] == 5000
+        assert run(capsys, "digits", "--j", "14", "--samples", "7",
+                   "--seed", "3")[1] == out.replace('"n_samples":5000',
+                                                    '"n_samples":7')
 
     def test_fit(self, capsys):
         code, out, _ = run(capsys, "fit", "--family", "g3", "--ncheck", "512")
@@ -302,12 +307,11 @@ class TestExitCodes:
         assert code == 1
         assert "unknown family" in err
 
-    def test_digits_past_int64_is_one(self, capsys):
+    def test_digits_past_the_work_bound_is_one(self, capsys):
         code, out, err = run(capsys, "digits", "--a", "100003", "--b", "0",
                              "--j", "48", "--samples", "1000", "--seed", "1")
-        assert code == 1
-        assert out == ""
-        assert "must be below 2^63" in err
+        assert (code, out) == (1, "")
+        assert "exceeds the work bound DIGITS_WORK_MAX = 2^24" in err
 
     @pytest.mark.parametrize("argv,message", [
         (["phi", "--jmax", "12", "--samples", "0"],

@@ -761,52 +761,71 @@ class TestEmpiricalDispersion:
 
 class TestDigitDistributionCompare:
     def test_identity_comparison_is_exactly_zero(self):
-        result = ds.digit_distribution_compare(1, 0, j=16, n_samples=20000)
+        result = ds.digit_distribution_compare(1, 0, j=16)
         assert result.two_sample_distance == 0.0
+        assert result.moments == result.moments_ref
 
     def test_reference_moments_standard(self):
-        result = ds.digit_distribution_compare(3, 0, j=20, n_samples=10**5)
-        mean, var, skew = result.moments_ref
-        assert abs(mean) < 0.02
-        assert abs(var - 1.0) < 0.03
-        assert abs(skew) < 0.05
+        # #(N) is binomial: mean j/2 and variance j/4 exactly, skew 0
+        result = ds.digit_distribution_compare(3, 0, j=20)
+        assert result.moments_ref == (0.0, 1.0, 0.0)
         assert result.normal_distance_ref < 0.01
 
     def test_known_finite_size_offset_of_multiples_of_three(self):
         # E #(3N) - E #(N) = 2/3 for N < 2^j, a real effect the comparison
         # must surface
-        result = ds.digit_distribution_compare(3, 0, j=20, n_samples=10**5)
+        result = ds.digit_distribution_compare(3, 0, j=20)
         gap = result.moments[0] - result.moments_ref[0]
         assert gap == pytest.approx((2 / 3) / (math.sqrt(20) / 2), abs=0.03)
 
+    def test_mean_offset_of_three_is_exact(self):
+        """E#(3N) - E#(N) = (2/3)(1 - 2^-j): 5592405/2^23 at j = 24."""
+        hist = ds._digit_sum_counts(3, 0, 24)
+        offset = Fraction(sum(v * c for v, c in enumerate(hist)), 1 << 24) - 12
+        assert offset == Fraction(5592405, 1 << 23)
+
     def test_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 0 <= b < a"):
             ds.digit_distribution_compare(2, 2, j=8)
-        with pytest.raises(ValueError):
-            ds.digit_distribution_compare(1, 0, j=50)
+        with pytest.raises(ValueError, match="j must be >= 1"):
+            ds.digit_distribution_compare(3, 0, j=0)
 
-    def test_products_past_int64_are_refused(self):
-        # 100003 * N wraps around in int64 for most N < 2^48; the largest
-        # allowed a * (2^j - 1) + b is 2^63 - 1
-        with pytest.raises(ValueError, match="2\\^63"):
-            ds.digit_distribution_compare(100003, 0, j=48, n_samples=1000, seed=1)
-        with pytest.raises(ValueError, match="2\\^63"):
-            ds.digit_distribution_compare(2**15 + 1, 0, j=48, n_samples=10)
-        result = ds.digit_distribution_compare(2**15, 2**15 - 1, j=48,
-                                               n_samples=1000)
-        assert result.n_samples == 1000
+    def test_work_bound_is_refused(self):
+        """j^2 min(a, 2^j) may reach DIGITS_WORK_MAX = 2^24 (see
+        test_equals_exhaustive_bincount), not pass it."""
+        assert ds.DIGITS_WORK_MAX == 1 << 24
+        with pytest.raises(ValueError, match="DIGITS_WORK_MAX = 2\\^24"):
+            ds.digit_distribution_compare(100003, 0, j=48)
+        with pytest.raises(ValueError, match=f"= {17 * 17 << 16} exceeds"):
+            ds.digit_distribution_compare(1 << 16, 0, j=17)
+        with pytest.raises(ValueError, match="work bound"):
+            ds.digit_distribution_compare(1, 0, j=4097)
 
-    @pytest.mark.parametrize("a, b, j, n_samples, seed", [
-        (3, 0, 24, 1000, 4),          # one short block
-        (5, 2, 30, 1 << 17, 5),       # two whole blocks
-        (7, 3, 47, 200001, 6),        # three blocks and a short one
-        (1, 0, 12, 70000, 7),         # one whole block and a short one
+    @pytest.mark.parametrize("a, b, j", [
+        (1, 0, 12),                     # the reference against itself
+        (2, 1, 12),
+        (3, 0, 16),
+        (5, 2, 14),
+        (7, 3, 12),
+        (255, 17, 12),
+        ((1 << 16) + 1, 12345, 16),     # j^2 min(a, 2^j) at the work bound
     ])
-    def test_equals_one_draw_of_all_samples(self, a, b, j, n_samples, seed):
-        assert ds.digit_distribution_compare(a, b, j, n_samples, seed) == \
-            oracles.digit_distribution_compare_full(a, b, j, n_samples, seed)
+    def test_equals_exhaustive_bincount(self, a, b, j):
+        ns = np.arange(1 << j, dtype=np.int64)
+        exhaustive = np.bincount(np.bitwise_count(a * ns + b)).tolist()
+        hist = ds._digit_sum_counts(a, b, j)
+        assert hist[:len(exhaustive)] == exhaustive
+        assert not any(hist[len(exhaustive):])
+        result = ds.digit_distribution_compare(a, b, j)
+        oracle = oracles.digit_distribution_compare_full(a, b, j)
+        # the CDFs are multiples of 2^-j, exact in both, and so are their
+        # gaps; the skewness is formed in another order
+        assert replace(result, moments=oracle.moments) == oracle
+        assert result.moments[:2] == oracle.moments[:2]
+        assert result.moments[2] == pytest.approx(oracle.moments[2],
+                                                  rel=1e-14, abs=1e-15)
 
     def test_deterministic(self):
-        a = ds.digit_distribution_compare(3, 1, j=12, n_samples=5000)
-        b = ds.digit_distribution_compare(3, 1, j=12, n_samples=5000)
+        a = ds.digit_distribution_compare(3, 1, j=12)
+        b = ds.digit_distribution_compare(3, 1, j=12)
         assert a == b

@@ -378,11 +378,11 @@ class TestScanCornerStats:
                             *reference_stats(fact, max_len, ts))
 
     @pytest.mark.parametrize("fact,max_len,splits", [
-        (fact_for("g3"), 25, False),
+        (fact_for("g3"), 27, False),
         # chunks grow past ROW_CAP rows above the leaf and are split
         (fact_for("g5"), 24, True),
         # a pair with no integral diagonal conjugate, rounded to float64
-        (unbalanceable_fact_for("h4"), 25, False),
+        (unbalanceable_fact_for("h4"), 27, False),
     ], ids=["g3", "g5-row-cap", "h4-shear"])
     def test_thread_count_does_not_change_bits(self, fact, max_len, splits,
                                                two_cpus):
@@ -437,11 +437,32 @@ class _InProcessPool:
 
 class TestScanPool:
     def test_serial_below_pool_min_words(self, two_cpus):
-        # 1.96e5 words: in-process, whatever the thread count
-        assert sum(words.word_count(2, n) for n in range(25)) < words.POOL_MIN_WORDS
+        # 1.96e5 words, 3.9e5 terms: in-process, whatever the thread count
+        assert sum(words.word_count(2, n) for n in range(25)) * 2 \
+            < words.POOL_MIN_TERMS
         words._POOL.drop()
         words.scan_corner_stats(fact_for("g3"), 24, threads=2)
         assert words._POOL.pool is None
+
+    def test_pool_threshold_counts_terms(self, monkeypatch):
+        """A scan pools by words * (2 + len(ts)): not g5 at depth 20 (the
+        crosscheck's dispersion scan, 266,079 words), but every scan of the
+        benchmark's scan workload, the cheapest g3 at depth 28 without t
+        samples (1,346,268 words)."""
+        made = []
+        monkeypatch.setattr(words, "_POOL", words._ScanPool())
+        monkeypatch.setattr(
+            multiprocessing.get_context("fork"), "Pool",
+            lambda processes: _InProcessPool(made, processes),
+        )
+        monkeypatch.setattr(words, "_usable_cpus", lambda: 2)
+        words.scan_corner_stats(fact_for("g5"), 20)
+        assert made == []
+        words.scan_corner_stats(fact_for("g5"), 20, ts=(1.0,) * 6)
+        assert made == [2]
+        assert sum(words.word_count(3, n) for n in range(26)) == 5_600_910
+        words.scan_corner_stats(fact_for("g3"), 28)
+        assert words._POOL.pool.tasks == [2, 2]
 
     def test_workers_capped_at_usable_cpus(self, monkeypatch):
         made = []
@@ -453,14 +474,14 @@ class TestScanPool:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         fact = fact_for("g3")
-        serial = words.scan_corner_stats(fact, 25, threads=1)
-        assert words.scan_corner_stats(fact, 25, threads=4096) == serial
+        serial = words.scan_corner_stats(fact, 28, threads=1)
+        assert words.scan_corner_stats(fact, 28, threads=4096) == serial
         assert made == [3]
         # without sched_getaffinity the cap is os.cpu_count(); the default
         # thread count is the cap
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert words.scan_corner_stats(fact, 25) == serial
+        assert words.scan_corner_stats(fact, 28) == serial
         assert made == [3, 5]
 
     @pytest.mark.parametrize("threads", [2, 3])
@@ -473,8 +494,8 @@ class TestScanPool:
         )
         monkeypatch.setattr(words, "_usable_cpus", lambda: 3)
         fact = fact_for("h4")
-        serial = words.scan_corner_stats(fact, 25, ts=(2.0, -0.5), threads=1)
-        pooled = words.scan_corner_stats(fact, 25, ts=(2.0, -0.5),
+        serial = words.scan_corner_stats(fact, 26, ts=(2.0, -0.5), threads=1)
+        pooled = words.scan_corner_stats(fact, 26, ts=(2.0, -0.5),
                                          threads=threads)
         assert pooled == serial
         assert made == [threads]
@@ -483,12 +504,12 @@ class TestScanPool:
     def test_back_to_back_scans_share_the_pool(self, two_cpus):
         # scans of other families, ts and depths run on the same workers
         cases = [
-            (fact_for("g3"), 25, (1.0,)),
-            (fact_for("h4"), 25, (1.0,)),
-            (fact_for("h4"), 25, (2.0, -0.5)),
+            (fact_for("g3"), 27, (1.0,)),
+            (fact_for("h4"), 27, (1.0,)),
             (fact_for("h4"), 26, (2.0, -0.5)),
-            (unbalanceable_fact_for("h4"), 25, (1.0,)),
-            (fact_for("g5"), 21, ()),
+            (fact_for("h4"), 27, (2.0, -0.5)),
+            (unbalanceable_fact_for("h4"), 27, (1.0,)),
+            (fact_for("g5"), 23, ()),
         ]
         serial = [words.scan_corner_stats(f, n, ts=ts, threads=1)
                   for f, n, ts in cases]
@@ -500,7 +521,7 @@ class TestScanPool:
 
     def test_failed_scan_drops_the_pool(self, two_cpus, monkeypatch):
         fact = fact_for("g3")
-        serial = words.scan_corner_stats(fact, 25, threads=1)
+        serial = words.scan_corner_stats(fact, 28, threads=1)
 
         walk = words._walk
 
@@ -515,9 +536,9 @@ class TestScanPool:
         with monkeypatch.context() as patch:
             patch.setattr(words, "_walk", fail)
             with pytest.raises(RuntimeError, match="chunk failed"):
-                words.scan_corner_stats(fact, 25, threads=2)
+                words.scan_corner_stats(fact, 28, threads=2)
         assert words._POOL.pool is None
-        assert words.scan_corner_stats(fact, 25, threads=2) == serial
+        assert words.scan_corner_stats(fact, 28, threads=2) == serial
 
         merge = words._Tally.merge
         merges = []
@@ -532,18 +553,18 @@ class TestScanPool:
         with monkeypatch.context() as patch:
             patch.setattr(words._Tally, "merge", interrupt)
             with pytest.raises(KeyboardInterrupt):
-                words.scan_corner_stats(fact, 25, threads=2)
+                words.scan_corner_stats(fact, 28, threads=2)
         assert words._POOL.pool is None
-        assert words.scan_corner_stats(fact, 25, threads=2) == serial
+        assert words.scan_corner_stats(fact, 28, threads=2) == serial
 
     def test_forked_child_makes_its_own_pool(self, two_cpus):
         fact = fact_for("g3")
-        serial = words.scan_corner_stats(fact, 25, threads=1)
-        words.scan_corner_stats(fact, 25, threads=2)
+        serial = words.scan_corner_stats(fact, 28, threads=1)
+        words.scan_corner_stats(fact, 28, threads=2)
         assert words._POOL.pool is not None
 
         def child():
-            stats = words.scan_corner_stats(fact, 25, threads=2)
+            stats = words.scan_corner_stats(fact, 28, threads=2)
             sys.exit(0 if stats == serial else 1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
@@ -559,12 +580,12 @@ class TestScanPool:
         # replaces the pool, which must not happen under the other's scan
         monkeypatch.setattr(words, "_usable_cpus", lambda: 3)
         fact = fact_for("g3")
-        serial = words.scan_corner_stats(fact, 25, threads=1)
+        serial = words.scan_corner_stats(fact, 28, threads=1)
         results = []
 
         def scans(workers):
             for _ in range(3):
-                results.append(words.scan_corner_stats(fact, 25, threads=workers))
+                results.append(words.scan_corner_stats(fact, 28, threads=workers))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -586,7 +607,7 @@ class TestScanPool:
             "words._usable_cpus = lambda: 2\n"
             "fam = catalog.get_family('g3')\n"
             "fact = conjugate.sentinel_factorization(fam.d0, fam.d1, fam.q, 'g3')\n"
-            "words.scan_corner_stats(fact, 25, threads=2)\n"
+            "words.scan_corner_stats(fact, 28, threads=2)\n"
             "assert words._POOL.pool is not None\n"
         )
         src = pathlib.Path(words.__file__).parents[1]
