@@ -29,6 +29,7 @@ import pathlib
 import platform
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
@@ -83,8 +84,6 @@ INVOCATIONS = (
     ("nosuchcommand",),
     ("exponents",),
 )
-# argparse wraps its usage lines to the terminal width, read from COLUMNS
-COLUMNS = "80"
 
 
 def versions() -> dict[str, str]:
@@ -95,19 +94,6 @@ def sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-@contextlib.contextmanager
-def _columns():
-    old = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = COLUMNS
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = old
-
-
 def run(argv) -> dict:
     """{"argv", "exit", "stdout", "stderr", "files"} of one invocation."""
     from lyapdisp import cli
@@ -115,7 +101,9 @@ def run(argv) -> dict:
     with tempfile.TemporaryDirectory() as out:
         paths = {out: "{out}", str(GOLDEN): "{golden}"}
         stdout, stderr = io.StringIO(), io.StringIO()
-        with (_columns(), contextlib.redirect_stdout(stdout),
+        # argparse wraps its usage lines to the width COLUMNS gives
+        with (mock.patch.dict(os.environ, COLUMNS="80"),
+              contextlib.redirect_stdout(stdout),
               contextlib.redirect_stderr(stderr)):
             try:
                 code = cli.main([arg.format(out=out, golden=GOLDEN)

@@ -320,7 +320,7 @@ class TestScanCornerStats:
         assert_matches(stats, *reference_stats(fact, 21, ts))
 
     def test_fields_are_python_numbers(self):
-        stats = words.scan_corner_stats(fact_for("g5"), 20, ts=(2.0,), threads=2)
+        stats = words.scan_corner_stats(fact_for("g5"), 22, ts=(2.0,), threads=2)
         assert all(type(c) is int for c in stats.counts + stats.zero_words)
         sums = stats.sum_ln + stats.sum_ln2 + stats.pow_sums[0]
         assert all(type(v) is float for v in sums)
